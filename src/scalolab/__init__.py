@@ -54,6 +54,7 @@ from .wavelet import (  # noqa: F401
     multiscale_scalogram,
     n_coeffs,
     scalogram,
+    scalograms,
     wavelet_coeffs,
 )
 from .inference import (  # noqa: F401

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FilterValidationError
 from .exponents import MemoryParams, check_off_boundary
 from .hermite import (
     DEFAULT_QMAX,
@@ -25,6 +25,7 @@ from .hermite import (
     hermite_series,
 )
 from .spectral import ShortRangeSpec, SpectralModel
+from .wavelet import _parse_family
 
 _BUILTIN_KINDS = ("hermite", "polynomial", "exp-centered", "sign", "abs-centered", "hermite-coeffs")
 
@@ -209,6 +210,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
     bank_obj = obj.get("bank", {})
     family = bank_obj.get("family", "db2")
+    try:
+        _parse_family(str(family))  # any non-string is no family name
+    except FilterValidationError as exc:
+        raise ConfigError("bank.family", str(exc)) from None
     jmax = bank_obj.get("jmax", 10)
     if not isinstance(jmax, int) or jmax < 1:
         raise ConfigError("bank.jmax", "must be a positive integer")
@@ -263,6 +268,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
             raise ConfigError("g", "required for mode 'mc-experiment'")
         if cfg.preset not in (None, "slope", "large-scale", "small-scale"):
             raise ConfigError("preset", "must be one of slope, large-scale, small-scale")
+    if mode in ("analyze", "estimate", "test", "mc-experiment"):
+        for entry in [obj, *(e for e in cfg.schedule if isinstance(e, dict))]:
+            j, p = entry.get("j", cfg.j0), entry.get("p", cfg.p)
+            if isinstance(j, int) and isinstance(p, int) and j + p > jmax:
+                raise ConfigError("bank.jmax", f"scales {j}..{j + p} need jmax >= {j + p}, got {jmax}")
     if cfg.n is not None and (not isinstance(cfg.n, int) or cfg.n < 64):
         raise ConfigError("n", "sample length must be an integer >= 64")
     if cfg.input_csv is not None and mode in ("analyze", "estimate", "test"):

@@ -20,10 +20,10 @@ from . import __version__
 from .config import ExperimentConfig, ingest
 from .errors import PreconditionError
 from .exponents import critical_exponent_report, delta, rank_profile
-from .hermite import hermite_rank
+from .hermite import hermite_eval, hermite_rank
 from .inference import estimate_d0, limit_constants, run_test
 from .synthesis import apply_G, integrate_K, sample_gaussian, export_path
-from .wavelet import FilterBank, build_bank, n_coeffs, scalogram
+from .wavelet import FilterBank, build_bank, n_coeffs, scalograms
 
 _bank_cache: dict = {}
 
@@ -107,10 +107,8 @@ def _run_simulate(cfg, art):
 def _run_analyze(cfg, art):
     series, prov = _load_or_simulate(cfg)
     bank = _bank_for(cfg)
-    rows = []
-    for j in range(cfg.j0, cfg.j0 + cfg.p + 1):
-        s = scalogram(series, bank, j)
-        rows.append((j, s.n, s.sigma2))
+    sums = scalograms(series, bank, range(cfg.j0, cfg.j0 + cfg.p + 1))
+    rows = [(s.j, s.n, s.sigma2) for s in sums]
     cp = art.path("scalogram.csv")
     with open(cp, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -263,40 +261,30 @@ def _mc_replicate(args):
     x = sample_gaussian(cfg.model, row.n, cfg.seed, stream_index)
     g_call = cfg.g.centered_callable() if cfg.g is not None else (lambda v: v)
     y = integrate_K(apply_G(g_call, x), cfg.model.K)
-    est = estimate_d0(y, bank, row.j0, row.p)
-    out = {"r": r, "d0_hat": est.d0_hat}
-    if row.gap_scales:
+    out = {"r": r}
+    test_on = cfg.d0_star is not None and cfg.alpha is not None
+    if test_on or row.gap_scales:
         expansion = cfg.g.expansion()
         q0, _ = hermite_rank(expansion)
-        cq0 = expansion.coeffs[q0]
-        lead = integrate_K((cq0 / math.factorial(q0)) * _hermite_path(q0, x), cfg.model.K)
-        gaps = {}
-        for j in row.gap_scales:
-            sG = scalogram(y, bank, j).sigma2
-            sL = scalogram(lead, bank, j).sigma2
-            gaps[j] = (sG, sL)
-        out["gaps"] = gaps
-    if cfg.d0_star is not None and cfg.alpha is not None:
-        law = limit_constants(bank, cfg.model.params, _target_rank(cfg), row.p)
+    if test_on:
+        law = limit_constants(bank, cfg.model.params, q0, row.p)
         rep = run_test(
-            y, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, cfg.g.expansion(),
+            y, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
             row.j0, row.p, beta_smooth=cfg.model.beta_smooth,
             quantile_reps=cfg.quantile_reps,
             quantile_n_internal=cfg.quantile_n_internal, law=law,
         )
-        out["reject"] = bool(rep.decision)
+        # run_test estimates d0 on the same series and scales
+        out["d0_hat"], out["reject"] = rep.d0_hat, bool(rep.decision)
+    else:
+        out["d0_hat"] = estimate_d0(y, bank, row.j0, row.p).d0_hat
+    if row.gap_scales:
+        cq0 = expansion.coeffs[q0]
+        lead = integrate_K((cq0 / math.factorial(q0)) * hermite_eval(q0, x), cfg.model.K)
+        sG = scalograms(y, bank, row.gap_scales)
+        sL = scalograms(lead, bank, row.gap_scales)
+        out["gaps"] = {a.j: (a.sigma2, b.sigma2) for a, b in zip(sG, sL)}
     return out
-
-
-def _target_rank(cfg) -> int:
-    q0, _ = hermite_rank(cfg.g.expansion())
-    return q0
-
-
-def _hermite_path(q0: int, x: np.ndarray) -> np.ndarray:
-    from .hermite import hermite_eval
-
-    return hermite_eval(q0, x)
 
 
 def _run_mc(cfg, art):

@@ -36,7 +36,7 @@ from .exponents import (
 from .hermite import HermiteExpansion, hermite_rank
 from .spectral import farima_gamma0, farima_rho
 from .synthesis import stream
-from .wavelet import FilterBank, scalogram
+from .wavelet import FilterBank, scalograms
 
 LOG2 = math.log(2.0)
 
@@ -109,11 +109,9 @@ def estimate_d0(
             raise ValueError(
                 f"bank has M={bank.M} vanishing moments; theory requires M >= {need:.3g}"
             )
-    sums = [scalogram(series, bank, j) for j in range(j0, j0 + p + 1)]
+    sums = scalograms(series, bank, range(j0, j0 + p + 1))
     s2 = [s.sigma2 for s in sums]
-    if any(v == 0.0 for v in s2):
-        raise DegenerateScalogramError("zero scalogram value in the regression range")
-    d0_hat = d0_from_scalograms(s2)
+    d0_hat = d0_from_scalograms(s2)  # raises on a zero scalogram value
     rate_stat = rate_bias = None
     if params is not None:
         jc = j0 + p
@@ -296,7 +294,8 @@ def limit_constants(
     multi-argument one), giving the scale factor multiplying the
     second-chaos limit variable.
     """
-    key = (id(bank), params.d, params.K, q0, p, mc_samples, seed)
+    # build_bank is deterministic, so (family, jmax) identifies the bank
+    key = (bank.family, bank.jmax, params.d, params.K, q0, p, mc_samples, seed, series_tol)
     if key in _limit_cache:
         return _limit_cache[key]
     d, K = params.d, params.K
@@ -438,14 +437,18 @@ def rosenblatt_sample(d: float, reps: int, seed: int, n_internal: int = 2**14) -
     out = np.empty(reps)
     done = 0
     rows = max(1, min(64, (reps + 1) // 2))
+    # reused buffers: fresh mid-sized ones would be mmapped and faulted in per block
+    zr, zi, sq = np.empty((rows, M)), np.empty((rows, M)), np.empty((rows, n))
     while done < reps:
-        z = rng.standard_normal((rows, M)) + 1j * rng.standard_normal((rows, M))
-        y = np.fft.fft(z * eigs, axis=1) / math.sqrt(M)
+        y = np.fft.fft((rng.standard_normal(out=zr) + 1j * rng.standard_normal(out=zi)) * eigs,
+                       axis=1) / math.sqrt(M)
         for part in (np.real(y), np.imag(y)):
             if done >= reps:
                 break
             x = part[:, :n]
-            draws = norm * np.sum(x * x - 1.0, axis=1)
+            np.multiply(x, x, out=sq)
+            sq -= 1.0
+            draws = norm * np.sum(sq, axis=1)
             take = min(len(draws), reps - done)
             out[done : done + take] = draws[:take]
             done += take

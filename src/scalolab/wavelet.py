@@ -1,15 +1,15 @@
 """Dyadic wavelet filter banks, wavelet coefficients, and scalograms.
 
 Filters come from compactly supported orthonormal (Daubechies-type) mirror
-pairs with M vanishing moments, extended to coarser scales by the pyramidal
-cascade: the scale-(j+1) filter is the twice-upsampled scale-j filter
-convolved with the scaling filter.  This is exactly the family whose
-transfer functions, rescaled by gamma_j^(1/2), converge to a limit shape;
-the bank records numeric diagnostics for finite support, the smoothness
-envelope, and that convergence.
+pairs (h, g) with M vanishing moments, extended to coarser scales by the
+cascade g_{j+1}(z) = g_j(z^2) h(z): the family whose transfer functions,
+rescaled by gamma_j^(1/2), converge to a limit shape.  The cascade taps are
+the reference filters; transfers use the product formula g_j-hat(lam) =
+g-hat(2^(j-1) lam) prod_{i<j-1} h-hat(2^i lam), and every bank records
+diagnostics for finite support, the smoothness envelope and convergence.
 
-The deliberately narrow surface computes W_{j,k} = sum_t g_j(2^j k - t) Y_t
-with interior taps only, and per-scale averages of squared coefficients.
+W_{j,k} = sum_t g_j(2^j k - t) Y_t is computed with interior taps only, for
+all scales of a series in one Mallat pyramid pass.
 """
 
 import csv
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import FilterValidationError, ScaleTooCoarseError
 
@@ -59,6 +58,10 @@ def mirror_highpass(h: np.ndarray) -> np.ndarray:
     return ((-1.0) ** n) * h[::-1]
 
 
+def _dft(taps: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    return np.exp(-1j * np.outer(lams, np.arange(len(taps)))) @ taps
+
+
 @dataclass
 class WValidation:
     """Numeric diagnostics for the bank's admissibility assumptions."""
@@ -83,33 +86,33 @@ class FilterBank:
     highpass: np.ndarray
     filters: list  # filters[j-1] holds the taps of g_j, support starting at 0
     T: int  # support length of the base pair (2M)
-    validation: Optional[WValidation] = None
+    validation: Optional[WValidation] = None  # set by build_bank
 
-    def gamma(self, j: int) -> int:
-        return 2**j
-
-    def taps(self, j: int) -> np.ndarray:
+    def _scale(self, j: int) -> int:
         if not (1 <= j <= self.jmax):
             raise ScaleTooCoarseError(f"scale {j} outside built range 1..{self.jmax}")
-        return self.filters[j - 1]
+        return j
+
+    def taps(self, j: int) -> np.ndarray:
+        return self.filters[self._scale(j) - 1]
+
+    def filter_length(self, j: int) -> int:
+        """Number of taps of g_j: (2^j - 1)(T - 1) + 1."""
+        return (2 ** self._scale(j) - 1) * (self.T - 1) + 1
 
     def transfer(self, j: int, lams) -> np.ndarray:
-        """DFT of g_j at the given frequencies."""
-        taps = self.taps(j)
+        """DFT of g_j at the given frequencies, by the product formula."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        t = np.arange(len(taps))
-        out = np.empty(len(lams), dtype=complex)
-        block = max(1, 2**22 // max(len(taps), 1))
-        for s in range(0, len(lams), block):
-            chunk = lams[s : s + block]
-            out[s : s + block] = np.exp(-1j * np.outer(chunk, t)) @ taps
+        out = _dft(self.highpass, 2.0 ** (self._scale(j) - 1) * lams)
+        for i in range(j - 1):
+            out *= _dft(self.scaling, 2.0**i * lams)
         return out
 
     def asymptotic_transfer(self, lams, j: Optional[int] = None) -> np.ndarray:
         """Limit shape estimate gamma_j^(-1/2) g_j-hat(gamma_j^(-1) lam) at the
         deepest built scale (or at j if given)."""
         jj = self.jmax if j is None else j
-        g = float(self.gamma(jj))
+        g = 2.0**jj
         return self.transfer(jj, np.asarray(lams, dtype=float) / g) / math.sqrt(g)
 
     def describe(self) -> dict:
@@ -118,9 +121,9 @@ class FilterBank:
             "vanishing_moments": self.M,
             "jmax": self.jmax,
             "base_support": self.T,
-            "filter_lengths": [len(f) for f in self.filters],
+            "filter_lengths": [self.filter_length(j) for j in range(1, self.jmax + 1)],
             "filter_l2_norms": [float(np.linalg.norm(f)) for f in self.filters],
-            "support_bound": None if self.validation is None else self.validation.support_bound,
+            "support_bound": self.validation.support_bound,
         }
 
     def save_description(self, path):
@@ -153,14 +156,15 @@ def _parse_family(family: str) -> int:
     raise FilterValidationError(f"unknown filter family {family!r}")
 
 
-def _validate_bank(filters, M, jmax) -> WValidation:
+def _validate_bank(bank: FilterBank) -> WValidation:
+    M, js = bank.M, range(1, bank.jmax + 1)
     # finite support: measured A (always finite for compactly supported taps)
-    A = max(len(filters[j - 1]) / 2.0**j for j in range(1, jmax + 1))
+    A = max(bank.filter_length(j) / 2.0**j for j in js)
 
     # vanishing moments up to order M-1, normalised by the moment scale
     worst = 0.0
-    for j in range(1, jmax + 1):
-        taps = filters[j - 1]
+    for j in js:
+        taps = bank.taps(j)
         t = np.arange(len(taps), dtype=float)
         for m in range(M):
             num = abs(float(np.dot(t**m, taps)))
@@ -176,18 +180,15 @@ def _validate_bank(filters, M, jmax) -> WValidation:
     lam_grid = np.concatenate([
         np.geomspace(1e-4, 0.1, 120), np.linspace(0.1, math.pi, 240)
     ])
-    js = list(range(1, jmax + 1))
+    moduli = [np.abs(bank.transfer(j, lam_grid)) for j in js]
     table = {}
     best_alpha, best_C = None, None
     for alpha in (3.0, 2.5, 2.0, 1.5, 1.25, 1.05):
         Cs = []
-        for j in js:
-            taps = filters[j - 1]
-            t = np.arange(len(taps))
-            tf = np.exp(-1j * np.outer(lam_grid, t)) @ taps
+        for j, mod in zip(js, moduli):
             gam = 2.0**j
             env = gam**0.5 * np.abs(gam * lam_grid) ** M / (1.0 + gam * lam_grid) ** (alpha + M)
-            Cs.append(float(np.max(np.abs(tf) / env)))
+            Cs.append(float(np.max(mod / env)))
         stable = Cs[-1] <= 1.5 * max(Cs[:-1] or Cs)
         table[alpha] = Cs
         if stable and best_alpha is None:
@@ -197,18 +198,10 @@ def _validate_bank(filters, M, jmax) -> WValidation:
         warnings.warn("smoothness envelope constant grows across scales; recorded anyway")
 
     # locally uniform convergence of the rescaled transfer moduli
-    gaps = []
     lam_w = np.linspace(-8.0 * math.pi, 8.0 * math.pi, 1024)
-    prev = None
-    for j in range(max(1, jmax - 3), jmax + 1):
-        taps = filters[j - 1]
-        gam = 2.0**j
-        t = np.arange(len(taps))
-        tf = np.exp(-1j * np.outer(lam_w / gam, t)) @ taps / math.sqrt(gam)
-        cur = np.abs(tf)
-        if prev is not None:
-            gaps.append(float(np.max(np.abs(cur - prev))))
-        prev = cur
+    last = range(max(1, bank.jmax - 3), bank.jmax + 1)
+    cur = [np.abs(bank.asymptotic_transfer(lam_w, j)) for j in last]
+    gaps = [float(np.max(np.abs(b - a))) for a, b in zip(cur, cur[1:])]
     return WValidation(
         support_bound=A,
         max_moment_residual=worst,
@@ -220,8 +213,8 @@ def _validate_bank(filters, M, jmax) -> WValidation:
     )
 
 
-def build_bank(family: str = "db2", jmax: int = 10, validate: bool = True) -> FilterBank:
-    """Construct the per-scale filters of a Daubechies-type family.
+def build_bank(family: str = "db2", jmax: int = 10) -> FilterBank:
+    """Construct and validate the per-scale filters of a Daubechies-type family.
 
     Raises FilterValidationError naming the violated assumption when the
     structural checks fail.  Envelope and limit-shape diagnostics are
@@ -233,12 +226,12 @@ def build_bank(family: str = "db2", jmax: int = 10, validate: bool = True) -> Fi
     M = _parse_family(family)
     h = daubechies_scaling(M)
     g1 = mirror_highpass(h)
-    filters = _cascade(g1, h, jmax)
-    validation = _validate_bank(filters, M, jmax) if validate else None
-    return FilterBank(
+    bank = FilterBank(
         family=family.lower(), M=M, jmax=jmax, scaling=h, highpass=g1,
-        filters=filters, T=2 * M, validation=validation,
+        filters=_cascade(g1, h, jmax), T=2 * M,
     )
+    bank.validation = _validate_bank(bank)
+    return bank
 
 
 def n_coeffs(N: int, T: int, j: int) -> int:
@@ -257,23 +250,33 @@ def n_coeffs(N: int, T: int, j: int) -> int:
     return n
 
 
-def _interior_coeffs(series: np.ndarray, taps: np.ndarray, gamma: int) -> tuple[int, np.ndarray]:
-    """All decimated filter outputs whose every tap hits observed data.
+def _pyramid(series: np.ndarray, bank: FilterBank, scales) -> dict:
+    """{j: (k_min, values)}, values[i] = W_{j, k_min + i}, for all interior
+    coefficients of the requested scales from one pass.
 
-    Returns (k_min, values) with values[i] = W at location k_min + i on the
-    absolute k-lattice: W_k = sum_t taps(gamma k - t) series_t.
+    The approximation a[n] = sum_t phi_i(2^i n - t) Y_t, with phi_i(z) =
+    prod_{l<i} h(z^(2^l)), is held on its interior n = lo, lo + 1, ...
+    Filtering it with g (or h) and keeping even absolute positions 2n gives
+    scale i+1 (or the next approximation), starting at ceil((lo + T - 1)/2).
     """
-    N = len(series)
-    L = len(taps)
-    if L > N:
-        raise ScaleTooCoarseError(f"filter length {L} exceeds series length {N}")
-    conv = fftconvolve(series, taps, mode="valid")  # conv[i] = sum_r taps[r] y[i + L - 1 - r]... see below
-    # np 'valid' convolution: conv[s] = sum_r taps[r] * series[s + (L-1) - r], s = 0..N-L
-    # so conv[s] equals the filter output at absolute time s + L - 1
-    k_min = math.ceil((L - 1) / gamma)
-    first = k_min * gamma - (L - 1)
-    vals = conv[first::gamma]
-    return k_min, vals
+    top = max(bank._scale(j) for j in scales)
+    a, lo, T = series, 0, bank.T
+    out = {}
+    for j in range(1, top + 1):
+        if len(a) < T:
+            raise ScaleTooCoarseError(
+                f"filter length {bank.filter_length(j)} exceeds series length {len(series)}"
+            )
+        k_min = (lo + T) // 2
+        # np 'valid' convolution: entry s is the filter output at absolute
+        # position lo + s + T - 1, so even positions start at s = first
+        first = 2 * k_min - lo - (T - 1)
+        if j in scales:
+            out[j] = (k_min, np.convolve(a, bank.highpass, "valid")[first::2])
+        if j < top:
+            a = np.convolve(a, bank.scaling, "valid")[first::2]
+        lo = k_min
+    return out
 
 
 def wavelet_coeffs(series, bank: FilterBank, j: int) -> np.ndarray:
@@ -282,28 +285,7 @@ def wavelet_coeffs(series, bank: FilterBank, j: int) -> np.ndarray:
     The k-range starts at the smallest interior location; no padding is ever
     applied, matching the interior-only coefficient count.
     """
-    series = np.asarray(series, dtype=float)
-    taps = bank.taps(j)
-    N = len(series)
-    if len(taps) > N // 4:
-        raise ScaleTooCoarseError(
-            f"scale {j} filter ({len(taps)} taps) too long for N={N} (cap N/4)"
-        )
-    n = n_coeffs(N, bank.T, j)
-    _, vals = _interior_coeffs(series, taps, bank.gamma(j))
-    if len(vals) < n:
-        raise ScaleTooCoarseError(
-            f"only {len(vals)} interior coefficients available at scale {j}, need {n}"
-        )
-    return vals[:n]
-
-
-def filter_decimate(series, taps, gamma: int) -> np.ndarray:
-    """General-decimation variant (non-dyadic gamma), interior taps only."""
-    series = np.asarray(series, dtype=float)
-    taps = np.asarray(taps, dtype=float)
-    _, vals = _interior_coeffs(series, taps, int(gamma))
-    return vals
+    return scalograms(series, bank, [j], keep_coeffs=True)[0].coeffs
 
 
 @dataclass
@@ -318,6 +300,33 @@ class ScalogramSummary:
     centered: Optional[float] = None  # sigma2 minus a supplied theoretical mean
 
 
+def scalograms(series, bank: FilterBank, scales, keep_coeffs: bool = False) -> list:
+    """Scalograms of the given scales, in order, from one pyramid pass, each
+    over the first n_j interior coefficients of its scale."""
+    series = np.asarray(series, dtype=float)
+    scales, N = list(scales), len(series)
+    for j in scales:
+        if bank.filter_length(j) > N // 4:
+            raise ScaleTooCoarseError(
+                f"scale {j} filter ({bank.filter_length(j)} taps) too long for N={N} (cap N/4)"
+            )
+    pyr = _pyramid(series, bank, scales)
+    out = []
+    for j in scales:
+        k_start, vals = pyr[j]
+        n = n_coeffs(N, bank.T, j)
+        if len(vals) < n:
+            raise ScaleTooCoarseError(
+                f"only {len(vals)} interior coefficients available at scale {j}, need {n}"
+            )
+        w = vals[:n]
+        out.append(ScalogramSummary(
+            j=j, n=n, sigma2=float(np.mean(w * w)), k_start=k_start,
+            coeffs=w if keep_coeffs else None,
+        ))
+    return out
+
+
 def scalogram(
     series,
     bank: FilterBank,
@@ -326,16 +335,10 @@ def scalogram(
     theoretical_mean: Optional[float] = None,
 ) -> ScalogramSummary:
     """Average of squared wavelet coefficients at scale j."""
-    w = wavelet_coeffs(series, bank, j)
-    s2 = float(np.mean(w * w))
-    return ScalogramSummary(
-        j=j,
-        n=len(w),
-        sigma2=s2,
-        k_start=math.ceil((len(bank.taps(j)) - 1) / bank.gamma(j)),
-        coeffs=w if keep_coeffs else None,
-        centered=None if theoretical_mean is None else s2 - theoretical_mean,
-    )
+    s = scalograms(series, bank, [j], keep_coeffs)[0]
+    if theoretical_mean is not None:
+        s.centered = s.sigma2 - theoretical_mean
+    return s
 
 
 @dataclass
@@ -373,15 +376,12 @@ def multiscale_scalogram(series, bank: FilterBank, j: int, p: int, keep_coeffs: 
     if j - (p - 1) < 1:
         raise ScaleTooCoarseError(f"p={p} scales below j={j} fall under scale 1")
     n_shared = n_coeffs(len(series), bank.T, j)
-    interiors = {}
-    for u in range(p):
-        k_min, vals = _interior_coeffs(series, bank.taps(j - u), bank.gamma(j - u))
-        interiors[u] = (k_min, vals)
-    k0 = interiors[0][0]
+    pyr = _pyramid(series, bank, range(j - p + 1, j + 1))
+    k0 = pyr[j][0]
     # clip the shared range so every (u, v) entry stays interior
     kmax = k0 + n_shared - 1
     for u in range(p):
-        k_min_u, vals_u = interiors[u]
+        k_min_u, vals_u = pyr[j - u]
         upper = (k_min_u + len(vals_u) - 1 - (2**u - 1)) // 2**u
         kmax = min(kmax, upper)
     count = kmax - k0 + 1
@@ -392,7 +392,7 @@ def multiscale_scalogram(series, bank: FilterBank, j: int, p: int, keep_coeffs: 
     scale_acc: dict[int, list] = {}
     ks = np.arange(k0, k0 + count)
     for u in range(p):
-        k_min_u, vals_u = interiors[u]
+        k_min_u, vals_u = pyr[j - u]
         for v in range(2**u):
             ell = 2**u + v
             idx = (2**u) * ks + v - k_min_u
@@ -410,12 +410,9 @@ def multiscale_scalogram(series, bank: FilterBank, j: int, p: int, keep_coeffs: 
 
 def dump_coeffs_csv(path, bank: FilterBank, series, scales) -> None:
     """Write (j, k, value) rows for the requested scales."""
-    series = np.asarray(series, dtype=float)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["j", "k", "value"])
-        for j in scales:
-            w = wavelet_coeffs(series, bank, j)
-            k0 = math.ceil((len(bank.taps(j)) - 1) / bank.gamma(j))
-            for i, v in enumerate(w):
-                wr.writerow([j, k0 + i, f"{v:.17g}"])
+        for s in scalograms(series, bank, scales, keep_coeffs=True):
+            for i, v in enumerate(s.coeffs):
+                wr.writerow([s.j, s.k_start + i, f"{v:.17g}"])

@@ -54,7 +54,7 @@ def bank():
 
 @pytest.fixture(scope="module")
 def deep_bank():
-    return build_bank("db2", jmax=13, validate=False)
+    return build_bank("db2", jmax=13)
 
 
 # -------------------------------------------------------------- criterion 1

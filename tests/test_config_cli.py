@@ -242,7 +242,7 @@ def test_mc_experiment_schedule_rows(tmp_path):
 def test_failed_run_leaves_no_partial_output(tmp_path):
     out = tmp_path / "boom"
     cfg = parse_config({"mode": "estimate", "model": {"d": 0.3}, "n": 4096,
-                        "bank": {"family": "db2", "jmax": 8},
+                        "bank": {"family": "db2", "jmax": 12},
                         "j": 9, "p": 3, "out": str(out), "seed": 1})
     with pytest.raises(Exception):
         run(cfg)
@@ -273,6 +273,28 @@ def test_cli_exit_codes(tmp_path):
     r2 = _cli("simulate", "--config", ok)
     assert r2.returncode == 0
     assert (tmp_path / "out" / "path.csv").exists()
+
+
+@pytest.mark.parametrize("bank, field", [
+    ({"family": "sym4", "jmax": 8}, "bank.family"),
+    ({"family": "db2", "jmax": 6}, "bank.jmax"),  # scales 5..8 with p = 3
+])
+def test_cli_rejects_bad_bank_config(tmp_path, bank, field):
+    cfgp = _write(tmp_path, "e.json", {
+        "mode": "estimate", "model": {"d": 0.3}, "n": 4096, "bank": bank,
+        "j": 5, "p": 3, "seed": 1, "out": str(tmp_path / "e"),
+    })
+    r = _cli("estimate", "--config", cfgp)
+    assert r.returncode == 2
+    assert field in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, scalolab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

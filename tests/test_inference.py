@@ -27,6 +27,7 @@ from scalolab.inference import (
 )
 from scalolab.spectral import SpectralModel
 from scalolab.synthesis import sample_gaussian, stream
+from scalolab.wavelet import build_bank
 
 LOG2 = math.log(2.0)
 
@@ -133,6 +134,15 @@ def test_cov_q_diagonal_matches_brute_force(bank_db2):
     # symmetric positive semidefinite
     np.testing.assert_allclose(law.cov_Q, law.cov_Q.T, rtol=1e-12)
     assert np.linalg.eigvalsh(law.cov_Q).min() > -1e-10
+
+
+def test_limit_cache_keyed_on_bank_contents():
+    # two separately built banks with the same family and depth are the same
+    # bank, so the second call is a cache hit rather than a recomputation
+    first, second = build_bank("db2", 8), build_bank("db2", 8)
+    law = limit_constants(first, MemoryParams(0.3, 0), 1, 1)
+    assert limit_constants(second, MemoryParams(0.3, 0), 1, 1) is law
+    assert first is not second
 
 
 # --- limit constants: rank two ----------------------------------------------------

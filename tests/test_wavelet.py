@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalolab.errors import FilterValidationError, ScaleTooCoarseError
 from scalolab.exponents import MemoryParams
@@ -11,7 +13,6 @@ from scalolab.wavelet import (
     build_bank,
     daubechies_scaling,
     dump_coeffs_csv,
-    filter_decimate,
     mirror_highpass,
     multiscale_scalogram,
     n_coeffs,
@@ -68,6 +69,18 @@ def test_build_bank_rejects_unknown_family():
 def test_haar_transfer_zero_at_dc(bank_haar):
     for j in (1, 3, 5):
         assert abs(bank_haar.transfer(j, 0.0)[0]) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["haar", "db2", "db4"])
+def test_transfer_matches_dense_dft_of_taps(family):
+    bank = build_bank(family, jmax=8)
+    lams = np.linspace(-math.pi, math.pi, 301)
+    for j in range(1, 9):
+        taps = bank.taps(j)
+        assert len(taps) == bank.filter_length(j)
+        dense = np.exp(-1j * np.outer(lams, np.arange(len(taps)))) @ taps
+        np.testing.assert_allclose(bank.transfer(j, lams), dense, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(dense)))
 
 
 def test_db2_second_moment_zero(bank_db2):
@@ -134,31 +147,31 @@ def test_white_noise_coefficient_variance(bank_db2):
     assert abs(est - expect) < 4 * se
 
 
-def test_wavelet_coeffs_matches_direct_convolution(bank_db2):
-    rng = stream(5, 1)
-    y = rng.standard_normal(1024)
-    j = 2
-    taps = bank_db2.taps(j)
-    w = wavelet_coeffs(y, bank_db2, j)
-    gamma = 4
-    L = len(taps)
-    k0 = math.ceil((L - 1) / gamma)
-    for i in (0, 3, 10):
-        k = k0 + i
-        direct = sum(taps[r] * y[gamma * k - r] for r in range(L))
-        assert w[i] == pytest.approx(direct, rel=1e-12)
+_BANKS = {M: build_bank(f"db{M}", jmax=12) for M in range(1, 7)}
 
 
-def test_filter_decimate_general_gamma():
-    rng = stream(6, 2)
-    y = rng.standard_normal(512)
-    taps = np.array([0.25, 0.5, -0.5, -0.25])
-    out = filter_decimate(y, taps, 3)
-    k0 = math.ceil(3 / 3)
-    for i in (0, 2, 7):
-        k = k0 + i
-        direct = sum(taps[r] * y[3 * k - r] for r in range(4))
-        assert out[i] == pytest.approx(direct, rel=1e-12)
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(1, 6), N=st.integers(64, 20_000), seed=st.integers(0, 2**32 - 1))
+def test_wavelet_coeffs_matches_direct_convolution(M, N, seed):
+    # W_{j,k} = sum_r g_j[r] Y_{2^j k - r} over the cascade taps, at every
+    # scale the series supports, against the one-pass pyramid
+    bank = _BANKS[M]
+    y = np.random.default_rng(seed).standard_normal(N)
+    for j in range(1, bank.jmax + 1):
+        taps = bank.taps(j)
+        if len(taps) > N // 4 or 2.0**-j * (N - bank.T + 1) - bank.T + 1 < 1:
+            break
+        w = wavelet_coeffs(y, bank, j)
+        s = scalogram(y, bank, j)
+        assert s.k_start == math.ceil((len(taps) - 1) / 2**j)
+        assert s.n == len(w) == n_coeffs(N, bank.T, j)
+        ks = s.k_start + np.arange(s.n)
+        r = np.arange(len(taps))
+        t = 2**j * ks[:, None] - r[None, :]
+        assert t.min() >= 0 and t.max() < N  # every tap on observed data
+        direct = y[t] @ taps
+        np.testing.assert_allclose(w, direct, rtol=1e-12, atol=1e-12 * np.max(np.abs(direct)))
+        assert s.sigma2 == pytest.approx(np.mean(direct**2), rel=1e-12)
 
 
 def test_scale_too_coarse_for_filter_length(bank_db2):
