@@ -41,11 +41,10 @@ from .spectral import (  # noqa: F401
     generalized_density,
 )
 from .synthesis import (  # noqa: F401
-    PathConfig,
     apply_G,
     integrate_K,
     sample_gaussian,
-    synthesize,
+    sample_path,
 )
 from .wavelet import (  # noqa: F401
     FilterBank,

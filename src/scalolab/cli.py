@@ -13,6 +13,7 @@ from .errors import (
     PreconditionError,
     QuadratureError,
     ResolutionError,
+    ScaleTooCoarseError,
 )
 from .harness import run
 
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition hard-fail: {exc}", file=sys.stderr)
         return 4
-    except ConfigError as exc:
+    except (ConfigError, ScaleTooCoarseError) as exc:  # the latter: scales too coarse for input_csv
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, ResolutionError, NonIntegrabilityError, FloatingPointError) as exc:

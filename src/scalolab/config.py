@@ -25,7 +25,7 @@ from .hermite import (
     hermite_series,
 )
 from .spectral import ShortRangeSpec, SpectralModel
-from .wavelet import _parse_family
+from .wavelet import _filter_length, _parse_family
 
 _BUILTIN_KINDS = ("hermite", "polynomial", "exp-centered", "sign", "abs-centered", "hermite-coeffs")
 
@@ -162,6 +162,9 @@ def parse_model(obj, path: str = "model") -> SpectralModel:
 
 
 _MODES = ("simulate", "analyze", "estimate", "test", "mc-experiment", "nu-c")
+# integer fields and their least values, checked at the top level and in schedule rows
+_INT_FIELDS = (("n", 64), ("j", 1), ("p", 1), ("replicates", 1), ("k_bar", 0), ("workers", 1),
+               ("quantile_reps", 1), ("quantile_n_internal", 1))
 
 
 @dataclass
@@ -211,7 +214,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     bank_obj = obj.get("bank", {})
     family = bank_obj.get("family", "db2")
     try:
-        _parse_family(str(family))  # any non-string is no family name
+        M = _parse_family(str(family))  # any non-string is no family name
     except FilterValidationError as exc:
         raise ConfigError("bank.family", str(exc)) from None
     jmax = bank_obj.get("jmax", 10)
@@ -235,6 +238,19 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
     if not isinstance(cfg.seed, int) or cfg.seed < 0 or cfg.seed > 2**64 - 1:
         raise ConfigError("seed", "must be an unsigned 64-bit integer")
+    if not (isinstance(cfg.schedule, list) and all(isinstance(e, dict) for e in cfg.schedule)):
+        raise ConfigError("schedule", "must be a list of objects")
+    entries = [("", obj), *((f"schedule[{i}].", e) for i, e in enumerate(cfg.schedule))]
+    for prefix, entry in entries:
+        for key, lo in _INT_FIELDS:
+            if key in entry and not (isinstance(entry[key], int) and entry[key] >= lo):
+                raise ConfigError(prefix + key, f"must be an integer >= {lo}")
+    if cfg.alpha is not None and not (isinstance(cfg.alpha, (int, float)) and 0.0 < cfg.alpha <= 1.0):
+        raise ConfigError("alpha", "must be a number in (0, 1]")
+    d0s = cfg.d0_star
+    # the fractional part splits d0* into (d*, K*); an infinite d0* fails it too
+    if d0s is not None and not (isinstance(d0s, (int, float)) and d0s > 0 and 0.0 < d0s % 1.0 < 0.5):
+        raise ConfigError("d0_star", "must be positive with fractional part in (0, 1/2)")
     if mode == "nu-c":
         if g is None:
             raise ConfigError("g", "required for mode 'nu-c'")
@@ -246,42 +262,39 @@ def parse_config(obj: dict) -> ExperimentConfig:
             check_off_boundary(model.d)
         except ValueError as exc:
             raise ConfigError("model.d", str(exc)) from None
-    if mode == "simulate":
+    if mode in ("simulate", "mc-experiment"):
         _require(obj, "n", mode)
     if mode in ("analyze", "estimate", "test"):
         if cfg.input_csv is None and cfg.n is None:
             raise ConfigError("input_csv", f"mode {mode!r} needs input_csv or n (to simulate)")
-        _require(obj, "j", mode)
-        _require(obj, "p", mode)
     if mode == "test":
         _require(obj, "d0_star", mode)
         _require(obj, "alpha", mode)
         if g is None:
             raise ConfigError("g", "the test requires a known transform")
-        if not (0.0 < cfg.alpha <= 1.0):
-            raise ConfigError("alpha", "must lie in (0, 1]")
     if mode == "mc-experiment":
-        _require(obj, "n", mode)
-        _require(obj, "j", mode)
-        _require(obj, "p", mode)
         if g is None:
             raise ConfigError("g", "required for mode 'mc-experiment'")
         if cfg.preset not in (None, "slope", "large-scale", "small-scale"):
             raise ConfigError("preset", "must be one of slope, large-scale, small-scale")
     if mode in ("analyze", "estimate", "test", "mc-experiment"):
-        for entry in [obj, *(e for e in cfg.schedule if isinstance(e, dict))]:
-            j, p = entry.get("j", cfg.j0), entry.get("p", cfg.p)
-            if isinstance(j, int) and isinstance(p, int) and j + p > jmax:
+        # a simulated series has a known length: the coarsest scale's filter
+        # must fit in n/4, which also leaves it at least one coefficient
+        _require(obj, "j", mode)
+        _require(obj, "p", mode)
+        simulated = mode == "mc-experiment" or cfg.input_csv is None
+        for prefix, entry in entries:
+            j, p, n = entry.get("j", cfg.j0), entry.get("p", cfg.p), entry.get("n", cfg.n)
+            if j + p > jmax:
                 raise ConfigError("bank.jmax", f"scales {j}..{j + p} need jmax >= {j + p}, got {jmax}")
-    if cfg.n is not None and (not isinstance(cfg.n, int) or cfg.n < 64):
-        raise ConfigError("n", "sample length must be an integer >= 64")
+            taps = _filter_length(2 * M, j + p)
+            if simulated and n is not None and taps > n // 4:
+                raise ConfigError(prefix + "j", f"scale {j + p} filter ({taps} taps) too long for n={n} (cap n/4)")
     if cfg.input_csv is not None and mode in ("analyze", "estimate", "test"):
         import os
 
         if not os.path.exists(cfg.input_csv):
             raise ConfigError("input_csv", f"file not found: {cfg.input_csv}")
-    if cfg.workers < 1:
-        raise ConfigError("workers", "must be >= 1")
     return cfg
 
 

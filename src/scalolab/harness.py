@@ -5,6 +5,12 @@ version, so rerunning from a report's embedded config reproduces its
 numbers exactly.  All randomness flows from the root seed through named
 Philox substreams; replicate r of schedule row s uses stream index
 (s << 32) | r, so aggregate statistics cannot depend on execution order.
+
+Every simulated series comes from `synthesis.sample_path`.  A Monte Carlo
+run builds one plan per process (bank, schedule, expansion, rank and
+centred transform) and, with workers > 1, opens one process pool whose
+initializer builds each worker's plan from the raw config; a replicate is
+then a function of (plan, row position, r) alone.
 """
 
 import csv
@@ -13,6 +19,9 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,19 +29,14 @@ from . import __version__
 from .config import ExperimentConfig, ingest
 from .errors import PreconditionError
 from .exponents import critical_exponent_report, delta, rank_profile
-from .hermite import hermite_eval, hermite_rank
-from .inference import estimate_d0, limit_constants, run_test
-from .synthesis import apply_G, integrate_K, sample_gaussian, export_path
+from .hermite import HermiteExpansion, hermite_eval, hermite_rank
+from .inference import estimate_d0, run_test
+from .synthesis import export_path, integrate_K, sample_path
 from .wavelet import FilterBank, build_bank, n_coeffs, scalograms
 
-_bank_cache: dict = {}
-
-
-def _bank_for(cfg: ExperimentConfig) -> FilterBank:
-    key = (cfg.bank_family, cfg.bank_jmax)
-    if key not in _bank_cache:
-        _bank_cache[key] = build_bank(*key)
-    return _bank_cache[key]
+@lru_cache(maxsize=None)
+def _bank(family: str, jmax: int) -> FilterBank:
+    return build_bank(family, jmax)
 
 
 def _meta(cfg: ExperimentConfig) -> dict:
@@ -59,13 +63,9 @@ class _Artifacts:
                     os.unlink(q)
 
 
-def _simulate_series(cfg: ExperimentConfig, stream_index: int = 0) -> np.ndarray:
-    x = sample_gaussian(cfg.model, cfg.n, cfg.seed, stream_index)
-    if cfg.g is not None:
-        y = apply_G(cfg.g.centered_callable(), x)
-    else:
-        y = x
-    return integrate_K(y, cfg.model.K)
+def _simulate_series(cfg: ExperimentConfig) -> np.ndarray:
+    g = cfg.g.centered_callable() if cfg.g is not None else None
+    return sample_path(cfg.model, g, cfg.n, cfg.seed)[1]
 
 
 def _load_or_simulate(cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
@@ -106,7 +106,7 @@ def _run_simulate(cfg, art):
 
 def _run_analyze(cfg, art):
     series, prov = _load_or_simulate(cfg)
-    bank = _bank_for(cfg)
+    bank = _bank(cfg.bank_family, cfg.bank_jmax)
     sums = scalograms(series, bank, range(cfg.j0, cfg.j0 + cfg.p + 1))
     rows = [(s.j, s.n, s.sigma2) for s in sums]
     cp = art.path("scalogram.csv")
@@ -122,7 +122,7 @@ def _run_analyze(cfg, art):
 
 def _run_estimate(cfg, art):
     series, prov = _load_or_simulate(cfg)
-    bank = _bank_for(cfg)
+    bank = _bank(cfg.bank_family, cfg.bank_jmax)
     kwargs = {}
     if cfg.g is not None and cfg.model is not None:
         q0, _ = hermite_rank(cfg.g.expansion())
@@ -137,7 +137,7 @@ def _run_estimate(cfg, art):
 
 def _run_test_mode(cfg, art):
     series, prov = _load_or_simulate(cfg)
-    bank = _bank_for(cfg)
+    bank = _bank(cfg.bank_family, cfg.bank_jmax)
     expansion = cfg.g.expansion()
     cache = os.path.join(cfg.out_dir, "quantile_cache.json")
     report = run_test(
@@ -202,7 +202,6 @@ class _Row:
     j0: int
     p: int
     replicates: int
-    index: int
     regime: str = ""
     gap_scales: tuple = ()
 
@@ -211,9 +210,9 @@ def _schedule(cfg: ExperimentConfig, bank: FilterBank) -> list:
     rows = []
     base = {"n": cfg.n, "j0": cfg.j0, "p": cfg.p, "replicates": cfg.replicates}
     if cfg.schedule:
-        for i, entry in enumerate(cfg.schedule):
+        for entry in cfg.schedule:
             merged = {**base, **{("j0" if k == "j" else k): v for k, v in entry.items()}}
-            rows.append(_Row(merged["n"], merged["j0"], merged["p"], merged["replicates"], i))
+            rows.append(_Row(merged["n"], merged["j0"], merged["p"], merged["replicates"]))
     elif cfg.preset in ("large-scale", "small-scale"):
         d = cfg.model.d
         expansion = cfg.g.expansion()
@@ -241,45 +240,67 @@ def _schedule(cfg: ExperimentConfig, bank: FilterBank) -> list:
             )
         pick = js[-3:] if cfg.preset == "large-scale" else js[:3]
         regime = "large-scale" if cfg.preset == "large-scale" else "exploratory-small-scale"
-        rows.append(_Row(cfg.n, min(pick), cfg.p, cfg.replicates, 0,
+        rows.append(_Row(cfg.n, min(pick), cfg.p, cfg.replicates,
                          regime=regime, gap_scales=tuple(pick)))
     else:
-        rows.append(_Row(cfg.n, cfg.j0, cfg.p, cfg.replicates, 0,
+        rows.append(_Row(cfg.n, cfg.j0, cfg.p, cfg.replicates,
                          regime="slope" if cfg.preset == "slope" else ""))
     return rows
 
 
-def _mc_replicate(args):
-    """One replicate of one schedule row (top-level for pickling)."""
-    raw, row_dict, r = args
+@dataclass(frozen=True)
+class _Plan:
+    """What every replicate of a Monte Carlo run shares; built once per process."""
+
+    cfg: ExperimentConfig
+    bank: FilterBank
+    rows: list
+    expansion: HermiteExpansion
+    q0: int
+    g: Callable  # the centred transform
+
+
+def _plan(cfg: ExperimentConfig) -> _Plan:
+    bank = _bank(cfg.bank_family, cfg.bank_jmax)
+    expansion = cfg.g.expansion()
+    return _Plan(cfg, bank, _schedule(cfg, bank), expansion,
+                 hermite_rank(expansion)[0], cfg.g.centered_callable())
+
+
+_worker_plan: Optional[_Plan] = None
+
+
+def _init_worker(raw: dict):
+    # the centred transform is a lambda, which cannot be pickled: each
+    # worker builds its own plan from the raw config, once
+    global _worker_plan
     from .config import parse_config
 
-    cfg = parse_config(raw)
-    row = _Row(**row_dict)
-    bank = _bank_for(cfg)
-    stream_index = (row.index << 32) | r
-    x = sample_gaussian(cfg.model, row.n, cfg.seed, stream_index)
-    g_call = cfg.g.centered_callable() if cfg.g is not None else (lambda v: v)
-    y = integrate_K(apply_G(g_call, x), cfg.model.K)
-    out = {"r": r}
-    test_on = cfg.d0_star is not None and cfg.alpha is not None
-    if test_on or row.gap_scales:
-        expansion = cfg.g.expansion()
-        q0, _ = hermite_rank(expansion)
-    if test_on:
-        law = limit_constants(bank, cfg.model.params, q0, row.p)
+    _worker_plan = _plan(parse_config(raw))
+
+
+def _pool_replicate(task):
+    return _mc_replicate(_worker_plan, *task)
+
+
+def _mc_replicate(plan: _Plan, pos: int, r: int) -> dict:
+    """Replicate r of schedule row `pos`."""
+    cfg, row, bank = plan.cfg, plan.rows[pos], plan.bank
+    x, y = sample_path(cfg.model, plan.g, row.n, cfg.seed, (pos << 32) | r)
+    out = {}
+    if cfg.d0_star is not None and cfg.alpha is not None:
         rep = run_test(
-            y, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
+            y, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, plan.expansion,
             row.j0, row.p, beta_smooth=cfg.model.beta_smooth,
             quantile_reps=cfg.quantile_reps,
-            quantile_n_internal=cfg.quantile_n_internal, law=law,
+            quantile_n_internal=cfg.quantile_n_internal,
         )
         # run_test estimates d0 on the same series and scales
         out["d0_hat"], out["reject"] = rep.d0_hat, bool(rep.decision)
     else:
         out["d0_hat"] = estimate_d0(y, bank, row.j0, row.p).d0_hat
     if row.gap_scales:
-        cq0 = expansion.coeffs[q0]
+        q0, cq0 = plan.q0, plan.expansion.coeffs[plan.q0]
         lead = integrate_K((cq0 / math.factorial(q0)) * hermite_eval(q0, x), cfg.model.K)
         sG = scalograms(y, bank, row.gap_scales)
         sL = scalograms(lead, bank, row.gap_scales)
@@ -288,26 +309,25 @@ def _mc_replicate(args):
 
 
 def _run_mc(cfg, art):
-    bank = _bank_for(cfg)
-    rows = _schedule(cfg, bank)
-    expansion = cfg.g.expansion()
-    q0, _ = hermite_rank(expansion)
-    d0_true = cfg.model.K + delta(q0, cfg.model.d)
+    plan = _plan(cfg)
+    tasks = [(pos, r) for pos, row in enumerate(plan.rows) for r in range(row.replicates)]
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+                                 initargs=(cfg.raw,)) as ex:
+            recs = list(ex.map(_pool_replicate, tasks, chunksize=8))
+    else:
+        recs = [_mc_replicate(plan, *t) for t in tasks]
+    d0_true = cfg.model.K + delta(plan.q0, cfg.model.d)
+    # imported after the replicates, so its footprint does not stack on theirs
+    from scipy import stats
 
     results = []
-    for row in rows:
-        tasks = [(cfg.raw, row.__dict__, r) for r in range(row.replicates)]
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-                recs = list(ex.map(_mc_replicate, tasks, chunksize=8))
-        else:
-            recs = [_mc_replicate(t) for t in tasks]
-        recs.sort(key=lambda rec: rec["r"])
-        d0s = np.array([rec["d0_hat"] for rec in recs])
-        from scipy import stats
-
+    recs = iter(recs)  # in task order: row by row, r ascending
+    for pos, row in enumerate(plan.rows):
+        row_recs = list(islice(recs, row.replicates))
+        d0s = np.array([rec["d0_hat"] for rec in row_recs])
         agg = {
-            "row": row.index, "n": row.n, "j0": row.j0, "p": row.p,
+            "row": pos, "n": row.n, "j0": row.j0, "p": row.p,
             "replicates": row.replicates, "regime": row.regime,
             "d0_true": d0_true,
             "mean_d0": float(d0s.mean()), "bias": float(d0s.mean() - d0_true),
@@ -317,15 +337,14 @@ def _run_mc(cfg, art):
             "skewness": float(stats.skew(d0s)) if len(d0s) > 2 else 0.0,
             "normality_p": float(stats.normaltest(d0s).pvalue) if len(d0s) >= 20 else float("nan"),
         }
-        if any("reject" in rec for rec in recs):
-            agg["rejection_rate"] = float(np.mean([rec["reject"] for rec in recs]))
-        if row.gap_scales:
-            for j in row.gap_scales:
-                sG = np.array([rec["gaps"][j][0] for rec in recs])
-                sL = np.array([rec["gaps"][j][1] for rec in recs])
-                gap = np.sqrt(np.mean((sG - sG.mean() - (sL - sL.mean())) ** 2))
-                lead = np.sqrt(np.mean((sL - sL.mean()) ** 2))
-                agg[f"rel_gap_j{j}"] = float(gap / lead)
+        if any("reject" in rec for rec in row_recs):
+            agg["rejection_rate"] = float(np.mean([rec["reject"] for rec in row_recs]))
+        for j in row.gap_scales:
+            sG = np.array([rec["gaps"][j][0] for rec in row_recs])
+            sL = np.array([rec["gaps"][j][1] for rec in row_recs])
+            gap = np.sqrt(np.mean((sG - sG.mean() - (sL - sL.mean())) ** 2))
+            lead = np.sqrt(np.mean((sL - sL.mean()) ** 2))
+            agg[f"rel_gap_j{j}"] = float(gap / lead)
         results.append(agg)
 
     cp = art.path("mc_results.csv")

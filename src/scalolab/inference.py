@@ -35,7 +35,7 @@ from .exponents import (
 )
 from .hermite import HermiteExpansion, hermite_rank
 from .spectral import farima_gamma0, farima_rho
-from .synthesis import stream
+from .synthesis import _Embedding, stream
 from .wavelet import FilterBank, scalograms
 
 LOG2 = math.log(2.0)
@@ -427,10 +427,7 @@ def rosenblatt_sample(d: float, reps: int, seed: int, n_internal: int = 2**14) -
     if reps < 1:
         raise ValueError("reps must be >= 1")
     n = int(n_internal)
-    rho = farima_rho(d, n)
-    c = np.concatenate([rho, rho[-2:0:-1]])
-    eigs = np.sqrt(np.clip(np.real(np.fft.fft(c)), 0.0, None))
-    M = len(c)
+    emb = _Embedding(farima_rho(d, n))
     # unit-variance path: effective short-range level is 1/(2 pi gamma0)
     norm = (n ** (-2.0 * d)) * 2.0 * math.pi * farima_gamma0(d)
     rng = stream(seed, 0x526F73)
@@ -438,10 +435,10 @@ def rosenblatt_sample(d: float, reps: int, seed: int, n_internal: int = 2**14) -
     done = 0
     rows = max(1, min(64, (reps + 1) // 2))
     # reused buffers: fresh mid-sized ones would be mmapped and faulted in per block
-    zr, zi, sq = np.empty((rows, M)), np.empty((rows, M)), np.empty((rows, n))
+    zr, zi, sq = np.empty((rows, emb.M)), np.empty((rows, emb.M)), np.empty((rows, n))
     while done < reps:
-        y = np.fft.fft((rng.standard_normal(out=zr) + 1j * rng.standard_normal(out=zi)) * eigs,
-                       axis=1) / math.sqrt(M)
+        # both halves of the FFT are independent paths
+        y = emb.spectrum(rng, zr, zi) / math.sqrt(emb.M)
         for part in (np.real(y), np.imag(y)):
             if done >= reps:
                 break
@@ -455,6 +452,9 @@ def rosenblatt_sample(d: float, reps: int, seed: int, n_internal: int = 2**14) -
     return out
 
 
+_quantile_grids: dict = {}  # in-process memo in front of the file table
+
+
 def rosenblatt_quantile(
     d: float,
     prob: float,
@@ -465,16 +465,18 @@ def rosenblatt_quantile(
 ) -> tuple[float, dict]:
     """Empirical quantile of the second-chaos limit law with provenance.
 
-    Results are cached (keyed by d, n_internal, reps, seed) in a flat JSON
-    table when cache_path is given; writes are atomic so concurrent readers
-    never see a torn file.
+    The grid of sorted draws is memoised in process, keyed by (d,
+    n_internal, reps, seed).  On a miss it is looked up in, or added to, a
+    flat JSON table with the same key when cache_path is given; writes are
+    atomic so concurrent readers never see a torn file.
     """
     if not (0.0 <= prob <= 1.0):
         raise ValueError("prob must lie in [0, 1]")
     key = {"d": round(float(d), 12), "n_internal": int(n_internal),
            "reps": int(reps), "seed": int(seed)}
-    grid = None
-    if cache_path and os.path.exists(cache_path):
+    memo = tuple(key.values())
+    grid, prov = _quantile_grids.get(memo, (None, None))
+    if grid is None and cache_path and os.path.exists(cache_path):
         with open(cache_path) as fh:
             table = json.load(fh)
         for entry in table.get("entries", []):
@@ -503,8 +505,8 @@ def rosenblatt_quantile(
             with os.fdopen(fd, "w") as fh:
                 json.dump(table, fh)
             os.replace(tmp, cache_path)
-    value = float(np.interp(prob, grid[0], grid[1]))
-    return value, prov
+    _quantile_grids[memo] = grid, prov
+    return float(np.interp(prob, grid[0], grid[1])), prov
 
 
 # --- hypothesis test -------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ResolutionError, SingularityError
 from .exponents import MemoryParams, delta
-from .hermite import HermiteExpansion
+from .hermite import HermiteExpansion, expansion_from_coeffs
 
 DEFAULT_GRID = 2**20
 _ANALYTIC_CELLS = 16  # cells on each side of 0 integrated analytically
@@ -209,13 +209,6 @@ def autocov_X(
     return CovarianceSequence(gamma / g0, L, variance=g0)
 
 
-def is_positive_semidefinite(rho: np.ndarray, tol: float = 1e-8) -> bool:
-    """Check nonnegativity of the discrete spectrum of the symmetrised sequence."""
-    c = np.concatenate([rho, rho[-2:0:-1]])
-    eigs = np.real(np.fft.fft(c))
-    return bool(eigs.min() >= -tol * max(eigs.max(), 1.0))
-
-
 def autocov_transformed(expansion: HermiteExpansion, rho: CovarianceSequence) -> CovarianceSequence:
     """Covariance of G(X_t) from the input correlation: orthogonality across
     Hermite orders gives gamma_G(k) = sum_q (c_q^2/q!) rho(k)^q."""
@@ -392,14 +385,8 @@ class GeneralizedDensity:
 
 
 @lru_cache(maxsize=8)
-def _cached_density(exp_key, model_key, size) -> GeneralizedDensity:
-    from .hermite import expansion_from_coeffs
-
-    expansion = expansion_from_coeffs(dict(exp_key))
-    params = MemoryParams(model_key[0], model_key[1])
-    sr = ShortRangeSpec(model_key[2], model_key[3], model_key[4])
-    model = SpectralModel(params, sr, model_key[5])
-    return GeneralizedDensity(expansion, model, size)
+def _cached_density(exp_key, model: SpectralModel, size) -> GeneralizedDensity:
+    return GeneralizedDensity(expansion_from_coeffs(dict(exp_key)), model, size)
 
 
 def generalized_density(
@@ -413,11 +400,7 @@ def generalized_density(
     The grid build is cached across calls with the same expansion/model.
     """
     exp_key = tuple(sorted(expansion.coeffs.items()))
-    model_key = (
-        model.d, model.K, model.short_range.kind,
-        model.short_range.value, model.short_range.ma_coeffs, model.beta_smooth,
-    )
-    gd = _cached_density(exp_key, model_key, size)
+    gd = _cached_density(exp_key, model, size)  # the frozen model is its own key
     return gd.at(lam), gd.f_star_at_zero
 
 

@@ -1,6 +1,8 @@
 """Sample-path synthesis: exact-covariance Gaussian input via circulant
 embedding, pointwise nonlinear transform, and K-fold integration.
 
+`sample_path` is the one path builder: every simulated series, in every
+mode and Monte Carlo replicate, is its Y = K-fold integral of G(X).
 Randomness flows from counter-based Philox streams keyed by
 (seed, stream index), so replicate generation is reproducible and
 embarrassingly parallel.
@@ -10,7 +12,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -26,27 +28,17 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), index & (2**64 - 1)]))
 
 
-@dataclass
-class PathConfig:
-    """Everything needed to synthesise one sample path of Y."""
-
-    N: int
-    seed: int
-    model: SpectralModel
-    expansion: Optional[HermiteExpansion] = None
-    g_callable: Optional[Callable] = None
-    stream_index: int = 0
-
-    def __post_init__(self):
-        if self.N < 64:
-            raise ValueError("sample length must be >= 64")
-
-
 class _Embedding:
-    """Circulant square root of the covariance to lag N, reusable across draws."""
+    """Circulant square root of the covariance to lag n, reusable across draws.
+
+    The only circulant embedding in the package: path synthesis and the
+    second-chaos sampler both draw from it.  `exact` records whether the
+    embedding was nonnegative definite, so that draws have the target
+    covariance exactly (always so for the pure fractional model).
+    """
 
     def __init__(self, rho: np.ndarray):
-        # rho covers lags 0..N; the circulant extension has period 2N
+        # rho covers lags 0..n; the circulant extension has period M = 2n
         c = np.concatenate([rho, rho[-2:0:-1]])
         eigs = np.real(np.fft.fft(c))
         self.exact = bool(eigs.min() >= -1e-10 * eigs.max())
@@ -58,31 +50,19 @@ class _Embedding:
             )
         self.sqrt_eigs = np.sqrt(np.clip(eigs, 0.0, None))
         self.M = len(c)
-        self.n = len(rho) - 1
 
-    def draw(self, rng: np.random.Generator, reps: int = 1) -> np.ndarray:
-        """reps stationary Gaussian rows of length n with the target covariance."""
-        z = rng.standard_normal((reps, self.M)) + 1j * rng.standard_normal((reps, self.M))
-        x = np.real(np.fft.fft(z * self.sqrt_eigs, axis=1)) / math.sqrt(self.M)
-        return x[:, : self.n]
-
-
-_embedding_cache: dict = {}
+    def spectrum(self, rng: np.random.Generator, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
+        """FFT of one block of weighted complex noise, refilling the (rows, M)
+        buffers zr and zi in place.  Divided by sqrt(M), the real and the
+        imaginary part of each row are two independent paths whose first
+        M/2 points have the target covariance."""
+        return np.fft.fft((rng.standard_normal(out=zr) + 1j * rng.standard_normal(out=zi))
+                          * self.sqrt_eigs, axis=1)
 
 
+@lru_cache(maxsize=8)
 def _embedding_for(model: SpectralModel, N: int) -> _Embedding:
-    key = (
-        model.d, model.short_range.kind, model.short_range.value,
-        model.short_range.ma_coeffs, N,
-    )
-    emb = _embedding_cache.get(key)
-    if emb is None:
-        rho = autocov_X(model, N, method="auto").values
-        emb = _Embedding(rho)
-        if len(_embedding_cache) > 8:
-            _embedding_cache.clear()
-        _embedding_cache[key] = emb
-    return emb
+    return _Embedding(autocov_X(model, N, method="auto").values)
 
 
 def sample_gaussian(model: SpectralModel, N: int, seed: int, stream_index: int = 0) -> np.ndarray:
@@ -93,17 +73,13 @@ def sample_gaussian(model: SpectralModel, N: int, seed: int, stream_index: int =
     covariance is approximate.
     """
     emb = _embedding_for(model, N)
-    rng = stream(seed, stream_index)
-    return emb.draw(rng, 1)[0]
+    y = emb.spectrum(stream(seed, stream_index), np.empty((1, emb.M)), np.empty((1, emb.M)))
+    return np.real(y[0, :N]) / math.sqrt(emb.M)
 
 
 def sample_gaussian_batch(model: SpectralModel, N: int, seed: int, reps: int, base_index: int = 0) -> np.ndarray:
     """reps paths, one Philox stream per replicate: row r uses (seed, base_index + r)."""
-    emb = _embedding_for(model, N)
-    out = np.empty((reps, N))
-    for r in range(reps):
-        out[r] = emb.draw(stream(seed, base_index + r), 1)[0]
-    return out
+    return np.array([sample_gaussian(model, N, seed, base_index + r) for r in range(reps)])
 
 
 def apply_G(g: Union[HermiteExpansion, Callable], x: np.ndarray) -> np.ndarray:
@@ -143,15 +119,14 @@ def difference_K(series: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def synthesize(config: PathConfig) -> np.ndarray:
-    """Y = K-fold integral of G(X) for an exact-covariance Gaussian X."""
-    x = sample_gaussian(config.model, config.N, config.seed, config.stream_index)
-    g = config.g_callable if config.g_callable is not None else config.expansion
-    if g is None:
-        y = x
-    else:
-        y = apply_G(g, x)
-    return integrate_K(y, config.model.K)
+def sample_path(model: SpectralModel, g: Optional[Callable], N: int, seed: int,
+                stream_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) on stream (seed, stream_index): an exact-covariance Gaussian
+    path X of length N and Y = K-fold integral of g(X), g a centred
+    transform (None for the identity)."""
+    x = sample_gaussian(model, N, seed, stream_index)
+    y = x if g is None else apply_G(g, x)
+    return x, integrate_K(y, model.K)
 
 
 def export_path(series: np.ndarray, csv_path, sidecar: Optional[dict] = None):

@@ -97,8 +97,8 @@ class FilterBank:
         return self.filters[self._scale(j) - 1]
 
     def filter_length(self, j: int) -> int:
-        """Number of taps of g_j: (2^j - 1)(T - 1) + 1."""
-        return (2 ** self._scale(j) - 1) * (self.T - 1) + 1
+        """Number of taps of g_j."""
+        return _filter_length(self.T, self._scale(j))
 
     def transfer(self, j: int, lams) -> np.ndarray:
         """DFT of g_j at the given frequencies, by the product formula."""
@@ -129,6 +129,11 @@ class FilterBank:
     def save_description(self, path):
         with open(path, "w") as fh:
             json.dump(self.describe(), fh, indent=2, sort_keys=True)
+
+
+def _filter_length(T: int, j: int) -> int:
+    """Number of taps of g_j for a base pair of support T: (2^j - 1)(T - 1) + 1."""
+    return (2**j - 1) * (T - 1) + 1
 
 
 def _cascade(g1: np.ndarray, h: np.ndarray, jmax: int) -> list:

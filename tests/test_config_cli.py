@@ -1,12 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalolab.config
+import scalolab.inference
 from scalolab.config import ConfigError, ingest, parse_config, parse_g_spec
 from scalolab.harness import run
+from scalolab.inference import run_test
+from scalolab.synthesis import export_path, sample_gaussian
+from scalolab.wavelet import build_bank
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, name, obj):
@@ -104,8 +113,6 @@ def test_parse_config_mode_requirements():
 
 
 def test_ingest_roundtrip(tmp_path):
-    from scalolab.synthesis import export_path
-
     y = np.linspace(-1, 1, 100)
     p = tmp_path / "series.csv"
     export_path(y, p)
@@ -203,9 +210,11 @@ def test_analyze_and_estimate_modes(tmp_path):
 
 
 def test_mc_experiment_order_invariance(tmp_path):
+    # two rows sharing one pool: a chunk of tasks crosses the row boundary
     base = {"mode": "mc-experiment", "model": {"d": 0.3, "K": 0},
             "g": "hermite:1", "bank": {"family": "db2", "jmax": 6},
-            "n": 1024, "j": 2, "p": 2, "replicates": 6, "seed": 10}
+            "n": 1024, "j": 2, "p": 2, "replicates": 6, "seed": 10,
+            "schedule": [{"n": 1024, "j": 2}, {"n": 2048, "j": 3, "replicates": 5}]}
     (c1, _) = run(parse_config({**base, "out": str(tmp_path / "w1")}))
     (c2, _) = run(parse_config({**base, "workers": 2, "out": str(tmp_path / "w2")}))
     assert open(c1).read() == open(c2).read()
@@ -239,11 +248,55 @@ def test_mc_experiment_schedule_rows(tmp_path):
     assert rep["results"][0]["n"] == 1024 and rep["results"][1]["n"] == 2048
 
 
+def test_mc_test_uses_hypothesised_law(tmp_path):
+    # a power row: the test is calibrated at d* from d0*, not at the model's d
+    cfg = parse_config({
+        "mode": "mc-experiment", "model": {"d": 0.35, "K": 0}, "g": "hermite:1",
+        "bank": {"family": "db2", "jmax": 8}, "n": 4096, "j": 3, "p": 2,
+        "d0_star": 0.2, "alpha": 0.1, "replicates": 40, "seed": 10, "out": str(tmp_path),
+    })
+    (csv_path, _) = run(cfg)
+    header, row = open(csv_path).read().strip().splitlines()
+    rec = dict(zip(header.split(","), row.split(",")))
+    bank, expansion = build_bank("db2", 8), cfg.g.expansion()
+    decisions = [run_test(sample_gaussian(cfg.model, 4096, 10, r), bank, 0.2, 0.1, 0,
+                          expansion, 3, 2).decision for r in range(40)]
+    assert float(rec["rejection_rate"]) == np.mean(decisions)
+
+
+def test_mc_plan_built_once_per_run(tmp_path, monkeypatch):
+    cfg = parse_config({
+        "mode": "mc-experiment", "model": {"d": 0.42, "K": 0}, "g": "hermite:2",
+        "bank": {"family": "db2", "jmax": 8}, "n": 4096, "j": 3, "p": 2,
+        "d0_star": 0.34, "alpha": 0.1, "replicates": 3, "seed": 4,
+        "quantile_reps": 500, "quantile_n_internal": 1024, "out": str(tmp_path),
+    })
+    calls = {"rosenblatt_sample": 0, "parse_config": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(scalolab.inference, "rosenblatt_sample")
+    counted(scalolab.config, "parse_config")
+    monkeypatch.setattr(scalolab.inference, "_quantile_grids", {}, raising=False)
+    run(cfg)
+    assert calls == {"rosenblatt_sample": 1, "parse_config": 0}
+
+
 def test_failed_run_leaves_no_partial_output(tmp_path):
+    # 100 rows cannot carry scales up to 6; only the run finds that out
+    series = tmp_path / "short.csv"
+    export_path(np.sin(np.arange(100.0)), series)
     out = tmp_path / "boom"
-    cfg = parse_config({"mode": "estimate", "model": {"d": 0.3}, "n": 4096,
-                        "bank": {"family": "db2", "jmax": 12},
-                        "j": 9, "p": 3, "out": str(out), "seed": 1})
+    cfg = parse_config({"mode": "estimate", "model": {"d": 0.3}, "input_csv": str(series),
+                        "bank": {"family": "db2", "jmax": 8},
+                        "j": 3, "p": 3, "out": str(out), "seed": 1})
     with pytest.raises(Exception):
         run(cfg)
     assert not any(out.iterdir()) if out.exists() else True
@@ -275,19 +328,56 @@ def test_cli_exit_codes(tmp_path):
     assert (tmp_path / "out" / "path.csv").exists()
 
 
-@pytest.mark.parametrize("bank, field", [
-    ({"family": "sym4", "jmax": 8}, "bank.family"),
-    ({"family": "db2", "jmax": 6}, "bank.jmax"),  # scales 5..8 with p = 3
+@pytest.mark.parametrize("mode, change, field", [
+    pytest.param("estimate", {"bank": {"family": "sym4", "jmax": 8}}, "bank.family",
+                 id="bank0-bank.family"),
+    # scales 5..8 with p = 3
+    pytest.param("estimate", {"bank": {"family": "db2", "jmax": 6}}, "bank.jmax",
+                 id="bank1-bank.jmax"),
+    pytest.param("estimate", {"p": 0}, "p", id="p-zero"),
+    pytest.param("test", {"alpha": "0.1"}, "alpha", id="alpha-string"),
+    pytest.param("test", {"d0_star": 0.75}, "d0_star", id="d0_star-no-split"),
+    pytest.param("mc-experiment", {"replicates": "3"}, "replicates", id="replicates-string"),
+    # scale 12 filter: 12286 taps against n/4 = 1024
+    pytest.param("estimate", {"bank": {"family": "db2", "jmax": 12}, "j": 9, "p": 3}, "j",
+                 id="db2-filter-over-quarter-n"),
+    pytest.param("estimate", {"bank": {"family": "db6", "jmax": 10}, "j": 7, "p": 2}, "j",
+                 id="db6-filter-over-quarter-n"),
+    pytest.param("estimate", {"n": 32}, "n", id="n-below-64"),
 ])
-def test_cli_rejects_bad_bank_config(tmp_path, bank, field):
+def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
     cfgp = _write(tmp_path, "e.json", {
-        "mode": "estimate", "model": {"d": 0.3}, "n": 4096, "bank": bank,
-        "j": 5, "p": 3, "seed": 1, "out": str(tmp_path / "e"),
+        "mode": mode, "model": {"d": 0.3}, "g": "hermite:1", "n": 4096,
+        "bank": {"family": "db2", "jmax": 8}, "j": 5, "p": 3, "seed": 1,
+        "d0_star": 0.3, "alpha": 0.1, "replicates": 2, "out": str(tmp_path / "e"), **change,
+    })
+    r = _cli(mode, "--config", cfgp)
+    assert r.returncode == 2
+    assert f"config error: {field}:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_scales_too_coarse_for_input_csv_exit_2(tmp_path):
+    series = tmp_path / "short.csv"
+    export_path(np.sin(np.arange(100.0)), series)
+    cfgp = _write(tmp_path, "e.json", {
+        "mode": "estimate", "model": {"d": 0.3}, "input_csv": str(series),
+        "bank": {"family": "db2", "jmax": 8}, "j": 3, "p": 3, "out": str(tmp_path / "e"),
     })
     r = _cli("estimate", "--config", cfgp)
     assert r.returncode == 2
-    assert field in r.stderr
+    assert "config error: scale" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_calibration_script_smoke(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "calibration_experiment.py"),
+                        "--n", "4096", "--reps", "4", "--out", str(tmp_path)],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    labels = [line.split(" ", 1)[0] for line in r.stdout.splitlines()]
+    assert labels == ["null", "alt"]
 
 
 def test_cli_import_loads_no_scipy():

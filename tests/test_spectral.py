@@ -19,10 +19,9 @@ from scalolab.spectral import (
     generalized_density,
     grid_autocov,
     holder_fit,
-    is_positive_semidefinite,
     spectral_grid,
 )
-from scalolab.synthesis import sample_gaussian_batch
+from scalolab.synthesis import _Embedding, sample_gaussian_batch
 
 FLAT = ShortRangeSpec("constant", 1.0 / (2.0 * math.pi))
 
@@ -100,7 +99,7 @@ def test_autocov_tail_slope():
 
 
 def test_autocov_positive_semidefinite():
-    assert is_positive_semidefinite(autocov_X(model(0.42), 256).values)
+    assert _Embedding(autocov_X(model(0.42), 256).values).exact
 
 
 # --- transformed covariance ------------------------------------------------------
