@@ -9,6 +9,8 @@ import sys
 
 from .config import ConfigError, load_config, parse_config
 from .errors import (
+    BoundaryValueError,
+    InvalidTargetError,
     NonIntegrabilityError,
     PreconditionError,
     QuadratureError,
@@ -52,6 +54,9 @@ def main(argv=None) -> int:
         return 4
     except (ConfigError, ScaleTooCoarseError) as exc:  # the latter: scales too coarse for input_csv
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (InvalidTargetError, BoundaryValueError) as exc:  # only invert_target raises these in a run
+        print(f"config error: d0_star: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, ResolutionError, NonIntegrabilityError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

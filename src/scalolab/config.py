@@ -7,6 +7,7 @@ Validation errors carry the offending field path.
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -163,8 +164,9 @@ def parse_model(obj, path: str = "model") -> SpectralModel:
 
 _MODES = ("simulate", "analyze", "estimate", "test", "mc-experiment", "nu-c")
 # integer fields and their least values, checked at the top level and in schedule rows
-_INT_FIELDS = (("n", 64), ("j", 1), ("p", 1), ("replicates", 1), ("k_bar", 0), ("workers", 1),
-               ("quantile_reps", 1), ("quantile_n_internal", 1))
+_INT_FIELDS = (("n", 64), ("j", 1), ("p", 1), ("replicates", 1), ("k_bar", 0), ("workers", 1))
+# 0.1.x quantile controls: ignored, they would misstate how a report was made
+_RETIRED = ("quantile_reps", "quantile_n_internal")
 
 
 @dataclass
@@ -191,8 +193,6 @@ class ExperimentConfig:
     d_values: list = field(default_factory=list)
     enforce_preconditions: Optional[dict] = None
     workers: int = 1
-    quantile_reps: int = 10_000
-    quantile_n_internal: int = 2**14
     raw: dict = field(default_factory=dict)
 
 
@@ -230,10 +230,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         input_csv=obj.get("input_csv"), schedule=obj.get("schedule", []),
         preset=obj.get("preset"), d_values=obj.get("d_values", []),
         enforce_preconditions=obj.get("enforce_preconditions"),
-        workers=obj.get("workers", 1),
-        quantile_reps=obj.get("quantile_reps", 10_000),
-        quantile_n_internal=obj.get("quantile_n_internal", 2**14),
-        raw=obj,
+        workers=obj.get("workers", 1), raw=obj,
     )
 
     if not isinstance(cfg.seed, int) or cfg.seed < 0 or cfg.seed > 2**64 - 1:
@@ -242,6 +239,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError("schedule", "must be a list of objects")
     entries = [("", obj), *((f"schedule[{i}].", e) for i, e in enumerate(cfg.schedule))]
     for prefix, entry in entries:
+        for key in _RETIRED:
+            if key in entry:
+                raise ConfigError(prefix + key, "retired: the Rosenblatt quantile is now deterministic")
         for key, lo in _INT_FIELDS:
             if key in entry and not (isinstance(entry[key], int) and entry[key] >= lo):
                 raise ConfigError(prefix + key, f"must be an integer >= {lo}")
@@ -291,8 +291,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
             if simulated and n is not None and taps > n // 4:
                 raise ConfigError(prefix + "j", f"scale {j + p} filter ({taps} taps) too long for n={n} (cap n/4)")
     if cfg.input_csv is not None and mode in ("analyze", "estimate", "test"):
-        import os
-
         if not os.path.exists(cfg.input_csv):
             raise ConfigError("input_csv", f"file not found: {cfg.input_csv}")
     return cfg

@@ -139,25 +139,14 @@ def _run_test_mode(cfg, art):
     series, prov = _load_or_simulate(cfg)
     bank = _bank(cfg.bank_family, cfg.bank_jmax)
     expansion = cfg.g.expansion()
-    cache = os.path.join(cfg.out_dir, "quantile_cache.json")
-    report = run_test(
-        series, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
-        cfg.j0, cfg.p, beta_smooth=cfg.model.beta_smooth,
-        quantile_reps=cfg.quantile_reps, quantile_seed=cfg.seed + 7,
-        quantile_n_internal=cfg.quantile_n_internal, quantile_cache=cache,
-    )
+    report = run_test(series, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
+                      cfg.j0, cfg.p, beta_smooth=cfg.model.beta_smooth)
     enforce = cfg.enforce_preconditions or {}
-    if enforce:
-        red_max = enforce.get("reduction_max")
-        bias_max = enforce.get("bias_max")
-        if red_max is not None and report.reduction_ratio is not None and report.reduction_ratio > red_max:
-            raise PreconditionError(
-                f"reduction ratio {report.reduction_ratio:.3g} exceeds {red_max}"
-            )
-        if bias_max is not None and report.bias_ratio > bias_max:
-            raise PreconditionError(
-                f"bias ratio {report.bias_ratio:.3g} exceeds {bias_max}"
-            )
+    red_max, bias_max = enforce.get("reduction_max"), enforce.get("bias_max")
+    if red_max is not None and report.reduction_ratio is not None and report.reduction_ratio > red_max:
+        raise PreconditionError(f"reduction ratio {report.reduction_ratio:.3g} exceeds {red_max}")
+    if bias_max is not None and report.bias_ratio > bias_max:
+        raise PreconditionError(f"bias ratio {report.bias_ratio:.3g} exceeds {bias_max}")
     rp = art.path("test_report.json")
     with open(rp, "w") as fh:
         json.dump({**_meta(cfg), "input": prov, "test": report.to_dict()},
@@ -186,7 +175,6 @@ def _run_nuc(cfg, art):
             "nu_c": None if rep.nu_c.is_infinite else rep.nu_c.value,
             "nu_c_infinite": rep.nu_c.is_infinite,
         })
-        print(json.dumps(reports[-1], indent=2, default=float))
     rp = art.path("nu_c_report.json")
     with open(rp, "w") as fh:
         json.dump({**_meta(cfg), "reports": reports}, fh, indent=2, default=float)
@@ -289,12 +277,8 @@ def _mc_replicate(plan: _Plan, pos: int, r: int) -> dict:
     x, y = sample_path(cfg.model, plan.g, row.n, cfg.seed, (pos << 32) | r)
     out = {}
     if cfg.d0_star is not None and cfg.alpha is not None:
-        rep = run_test(
-            y, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, plan.expansion,
-            row.j0, row.p, beta_smooth=cfg.model.beta_smooth,
-            quantile_reps=cfg.quantile_reps,
-            quantile_n_internal=cfg.quantile_n_internal,
-        )
+        rep = run_test(y, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, plan.expansion,
+                       row.j0, row.p, beta_smooth=cfg.model.beta_smooth)
         # run_test estimates d0 on the same series and scales
         out["d0_hat"], out["reject"] = rep.d0_hat, bool(rep.decision)
     else:
@@ -344,7 +328,7 @@ def _run_mc(cfg, art):
             sL = np.array([rec["gaps"][j][1] for rec in row_recs])
             gap = np.sqrt(np.mean((sG - sG.mean() - (sL - sL.mean())) ** 2))
             lead = np.sqrt(np.mean((sL - sL.mean()) ** 2))
-            agg[f"rel_gap_j{j}"] = float(gap / lead)
+            agg[f"rel_gap_j{j}"] = float(gap / lead) if row.replicates > 1 else math.nan
         results.append(agg)
 
     cp = art.path("mc_results.csv")

@@ -1,6 +1,7 @@
 """Log-scale regression estimation of the memory parameter, asymptotic
-limit-law constants, a second-chaos (Rosenblatt) Monte Carlo oracle, and
-the two-sided hypothesis test on the memory parameter.
+limit-law constants, the second-chaos (Rosenblatt) law (a deterministic
+quantile, and a Monte Carlo sampler kept as its oracle), and the two-sided
+hypothesis test on the memory parameter.
 
 The estimator is d0_hat = sum_i w_i log sigma2_hat_{j0+i} with least-squares
 contrast weights satisfying sum w_i = 0 and sum i w_i = 1/(2 log 2), so a
@@ -12,10 +13,8 @@ limit shape.
 
 import json
 import math
-import os
-import tempfile
-import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -452,61 +451,82 @@ def rosenblatt_sample(d: float, reps: int, seed: int, n_internal: int = 2**14) -
     return out
 
 
-_quantile_grids: dict = {}  # in-process memo in front of the file table
+# --- second-chaos limit law ------------------------------------------------
+
+_KERNEL_CELLS = 512  # cells discretising the kernel |x - y|^(2d-1) on [0, 1]
+_LOG_CF_CUTOFF = -36.0  # the inversion integral stops where log|phi(t)| falls below
 
 
-def rosenblatt_quantile(
-    d: float,
-    prob: float,
-    reps: int = 10_000,
-    seed: int = 20_07_04,
-    n_internal: int = 2**14,
-    cache_path: Optional[str] = None,
-) -> tuple[float, dict]:
-    """Empirical quantile of the second-chaos limit law with provenance.
+def _bisect(pred, lo: float, hi: float) -> float:
+    """Where the monotone predicate turns false, to the last bit; hi (> 0)
+    doubles first until pred(hi) is false."""
+    while pred(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+    return hi
 
-    The grid of sorted draws is memoised in process, keyed by (d,
-    n_internal, reps, seed).  On a miss it is looked up in, or added to, a
-    flat JSON table with the same key when cache_path is given; writes are
-    atomic so concurrent readers never see a torn file.
-    """
-    if not (0.0 <= prob <= 1.0):
-        raise ValueError("prob must lie in [0, 1]")
-    key = {"d": round(float(d), 12), "n_internal": int(n_internal),
-           "reps": int(reps), "seed": int(seed)}
-    memo = tuple(key.values())
-    grid, prov = _quantile_grids.get(memo, (None, None))
-    if grid is None and cache_path and os.path.exists(cache_path):
-        with open(cache_path) as fh:
-            table = json.load(fh)
-        for entry in table.get("entries", []):
-            if all(entry[k] == v for k, v in key.items()):
-                grid = (np.array(entry["probs"]), np.array(entry["quantiles"]))
-                prov = entry["provenance"]
-                break
-    if grid is None:
-        draws = np.sort(rosenblatt_sample(d, reps, seed, n_internal))
-        probs = (np.arange(reps) + 0.5) / reps
-        # store a decimated grid; quantiles interpolate between order stats
-        idx = np.unique(np.linspace(0, reps - 1, min(4001, reps)).astype(int))
-        grid = (probs[idx], draws[idx])
-        prov = {**key, "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "method": "second-chaos partial-sum MC"}
-        if cache_path:
-            table = {"entries": []}
-            if os.path.exists(cache_path):
-                with open(cache_path) as fh:
-                    table = json.load(fh)
-            table.setdefault("entries", []).append({
-                **key, "probs": grid[0].tolist(), "quantiles": grid[1].tolist(),
-                "provenance": prov,
-            })
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(cache_path) or ".")
-            with os.fdopen(fd, "w") as fh:
-                json.dump(table, fh)
-            os.replace(tmp, cache_path)
-    _quantile_grids[memo] = grid, prov
-    return float(np.interp(prob, grid[0], grid[1])), prov
+
+class _SecondChaosLaw:
+    """sum_k lam_k (eps_k^2 - 1), lam_k the eigenvalues of the kernel
+    c_d |x - y|^(2d-1) on [0, 1] with c_d = 2 Gamma(1-2d) sin(pi d) (the
+    normalisation of `rosenblatt_sample`), from m cell averages: a Toeplitz
+    matrix whose row is the second difference of |t|^(2d+1)/(2d(2d+1)).
+    A centred Gaussian carries the rest of the closed-form variance.  The
+    characteristic function phi is sampled once on the trapezoid grid of
+    the Gil-Pelaez inversion; quantiles found from it are kept by prob."""
+
+    def __init__(self, d: float, m: int):
+        F = np.abs(np.arange(-1.0, m + 1.0)) ** (2 * d + 1) / (2 * d * (2 * d + 1))
+        c_d = 2.0 * math.gamma(1.0 - 2.0 * d) * math.sin(math.pi * d)
+        i = np.arange(m)
+        toeplitz = (F[2:] - 2.0 * F[1:-1] + F[:-2])[np.abs(i[:, None] - i)]
+        lam = c_d * m ** (-2.0 * d) * np.linalg.eigvalsh(toeplitz)
+        self.m, self.var = m, c_d**2 / (d * (4.0 * d - 1.0))
+        self.tail_var = self.var - 2.0 * float(lam @ lam)
+        self.sd = math.sqrt(self.var)
+        # the trapezoid aliases mass lying 2 pi / h away from y: put that
+        # 40 sd below, and 40 scales of the exp(-x / (2 lam_max)) tail above
+        self.h = 2.0 * math.pi / (40.0 * (self.sd + 2.0 * float(np.abs(lam).max())))
+        t_max = _bisect(lambda t: -0.25 * np.log1p(4.0 * t * t * lam**2).sum()
+                        - 0.5 * self.tail_var * t * t > _LOG_CF_CUTOFF, 0.0, 1.0)
+        t = self.h * np.arange(1, math.ceil(t_max / self.h) + 1)
+        log_cf = -0.5 * self.tail_var * t * t + 0j
+        for lk in lam:
+            log_cf -= 0.5 * np.log(1.0 - 2j * t * lk) + 1j * t * lk
+        self.t, self.cf, self.quantiles = t, np.exp(log_cf), {}
+
+    def cdf(self, y) -> np.ndarray:
+        """F(y) = 1/2 - (1/pi) int_0^inf Im(e^{-ity} phi(t)) / t dt by the
+        trapezoid rule, whose t -> 0 term is -y (the law is centred)."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        # 256 points at a time bound the (points, steps) temporary
+        s = np.concatenate([np.imag(np.exp(-1j * np.multiply.outer(ys, self.t)) * self.cf) @ (1.0 / self.t)
+                            for ys in np.split(y, range(256, y.size, 256))])
+        return np.clip(0.5 - self.h / math.pi * (s - 0.5 * y), 0.0, 1.0)
+
+
+_second_chaos_law = lru_cache(maxsize=64)(_SecondChaosLaw)  # the per-d memo
+
+
+def rosenblatt_quantile(d: float, prob: float) -> tuple[float, dict]:
+    """Quantile of the second-chaos limit law of index d, with provenance.
+
+    Deterministic: the law's eigen-representation (Dobrushin & Major 1979;
+    Veillette & Taqqu 2013) is inverted by Gil-Pelaez / Imhof (1961), see
+    `_SecondChaosLaw`, and memoised per d in process; no seed, no file.
+    The provenance records the kernel cells m and the Gaussian tail term's
+    share of the variance."""
+    if not (0.25 < d < 0.5):
+        raise ValueError(f"second-chaos limit requires d in (1/4, 1/2), got {d}")
+    if not (0.0 < prob < 1.0):
+        raise ValueError("prob must lie in (0, 1)")
+    law = _second_chaos_law(float(d), _KERNEL_CELLS)
+    if prob not in law.quantiles:  # a Monte Carlo row asks once per replicate
+        law.quantiles[prob] = _bisect(lambda y: law.cdf(y)[0] < prob, -10.0 * law.sd, law.sd)
+    return law.quantiles[prob], {"method": "eigenvalue CF inversion", "d": float(d), "m": law.m,
+               "tail_var_share": law.tail_var / law.var, "steps": len(law.t)}
 
 
 # --- hypothesis test -------------------------------------------------------
@@ -574,10 +594,6 @@ def run_test(
     j0: int,
     p: int,
     beta_smooth: float = 2.0,
-    quantile_reps: int = 10_000,
-    quantile_seed: int = 20_07_04,
-    quantile_n_internal: int = 2**14,
-    quantile_cache: Optional[str] = None,
     law: Optional[LimitLaw] = None,
 ) -> TestReport:
     """Two-sided test of the memory parameter taking the hypothesised value.
@@ -611,10 +627,7 @@ def run_test(
         s_N = law.sigma_d0 * zq / u_N
         prov = {"kind": "gaussian", "sigma_d0": law.sigma_d0, **law.provenance}
     else:
-        zq, prov = rosenblatt_quantile(
-            d_star, 1.0 - alpha / 2.0, reps=quantile_reps, seed=quantile_seed,
-            n_internal=quantile_n_internal, cache_path=quantile_cache,
-        )
+        zq, prov = rosenblatt_quantile(d_star, 1.0 - alpha / 2.0)
         s_N = law.c_scale * zq / u_N
         prov = {"kind": "rosenblatt", "c_scale": law.c_scale, **prov}
 

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,8 +179,10 @@ def test_nuc_mode_illustration(tmp_path, capsys):
         "out": str(tmp_path),
     })
     paths = run(cfg)
-    printed = capsys.readouterr().out
-    assert '"nu_c"' in printed
+    assert capsys.readouterr().out == ""  # the CLI prints the artifact paths
+    r = _cli("nu-c", "--config", _write(tmp_path, "nu.json", {**cfg.raw, "out": str(tmp_path / "c")}))
+    assert r.returncode == 0
+    assert r.stdout.splitlines() == [str(tmp_path / "c" / "nu_c_report.json")]
     rep = json.loads(open(paths[0]).read())["reports"]
     assert rep[0]["Q_set"] == [0] and rep[0]["Jd_set"] == [1, 2]
     assert rep[1]["Q_set"] == [0, 1] and rep[1]["Jd_set"] == [0, 1, 2]
@@ -268,10 +272,9 @@ def test_mc_plan_built_once_per_run(tmp_path, monkeypatch):
     cfg = parse_config({
         "mode": "mc-experiment", "model": {"d": 0.42, "K": 0}, "g": "hermite:2",
         "bank": {"family": "db2", "jmax": 8}, "n": 4096, "j": 3, "p": 2,
-        "d0_star": 0.34, "alpha": 0.1, "replicates": 3, "seed": 4,
-        "quantile_reps": 500, "quantile_n_internal": 1024, "out": str(tmp_path),
+        "d0_star": 0.34, "alpha": 0.1, "replicates": 3, "seed": 4, "out": str(tmp_path),
     })
-    calls = {"rosenblatt_sample": 0, "parse_config": 0}
+    calls = {"rosenblatt_sample": 0, "parse_config": 0, "eigvalsh": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -284,9 +287,10 @@ def test_mc_plan_built_once_per_run(tmp_path, monkeypatch):
 
     counted(scalolab.inference, "rosenblatt_sample")
     counted(scalolab.config, "parse_config")
-    monkeypatch.setattr(scalolab.inference, "_quantile_grids", {}, raising=False)
+    counted(np.linalg, "eigvalsh")  # the quantile's one eigen-solve
+    scalolab.inference._second_chaos_law.cache_clear()
     run(cfg)
-    assert calls == {"rosenblatt_sample": 1, "parse_config": 0}
+    assert calls == {"rosenblatt_sample": 0, "parse_config": 0, "eigvalsh": 1}
 
 
 def test_failed_run_leaves_no_partial_output(tmp_path):
@@ -344,6 +348,11 @@ def test_cli_exit_codes(tmp_path):
     pytest.param("estimate", {"bank": {"family": "db6", "jmax": 10}, "j": 7, "p": 2}, "j",
                  id="db6-filter-over-quarter-n"),
     pytest.param("estimate", {"n": 32}, "n", id="n-below-64"),
+    # rank 1 turns d0* = 0.25 into d* = 0.25 = 1/2 - 1/(2*2), known only once G is expanded
+    pytest.param("test", {"d0_star": 0.25, "j": 3, "p": 2}, "d0_star", id="d0_star-boundary-lattice"),
+    pytest.param("test", {"quantile_reps": 500}, "quantile_reps", id="quantile_reps-retired"),
+    pytest.param("mc-experiment", {"quantile_n_internal": 1024}, "quantile_n_internal",
+                 id="quantile_n_internal-retired"),
 ])
 def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
     cfgp = _write(tmp_path, "e.json", {
@@ -404,10 +413,42 @@ def test_cli_precondition_enforcement_exit_4(tmp_path):
         "bank": {"family": "db2", "jmax": 7},
         "n": 4096, "j": 3, "p": 2, "seed": 6,
         "d0_star": 0.35, "alpha": 0.1, "k_bar": 0,
-        "quantile_reps": 500, "quantile_n_internal": 1024,
         "enforce_preconditions": {"bias_max": 0.0},
         "out": str(tmp_path / "t"),
     })
     r = _cli("test", "--config", cfgp)
     assert r.returncode == 4
     assert "precondition" in r.stderr
+
+
+def test_cli_rank_two_test_end_to_end(tmp_path):
+    out = tmp_path / "t"
+    cfgp = _write(tmp_path, "t.json", {
+        "mode": "test", "model": {"d": 0.42, "K": 0}, "g": "hermite:2",
+        "bank": {"family": "db2", "jmax": 8}, "n": 4096, "j": 3, "p": 2, "seed": 5,
+        "d0_star": 0.34, "alpha": 0.1, "out": str(out),
+    })
+    r = _cli("test", "--config", cfgp)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [str(out / "test_report.json")]
+    rep = json.loads((out / "test_report.json").read_text())["test"]
+    assert rep["kind"] == "rosenblatt"
+    prov = rep["quantile_provenance"]
+    assert prov["method"] == "eigenvalue CF inversion" and prov["m"] >= 256
+    assert 0.0 <= prov["tail_var_share"] < 0.01
+    assert sorted(os.listdir(out)) == ["test_report.json"]  # no quantile cache file
+
+
+def test_mc_one_replicate_preset_row_has_nan_gap(tmp_path):
+    cfg = parse_config({
+        "mode": "mc-experiment", "model": {"d": 0.41, "K": 0},
+        "g": {"kind": "hermite-coeffs", "coeffs": {"2": 2, "3": 1}},
+        "bank": {"family": "db2", "jmax": 8}, "n": 2**13, "j": 2, "p": 1,
+        "preset": "small-scale", "replicates": 1, "seed": 3, "out": str(tmp_path),
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths = run(cfg)
+    rows = json.loads(open(paths[1]).read())["results"]
+    gaps = [v for k, v in rows[0].items() if k.startswith("rel_gap_j")]
+    assert gaps and all(math.isnan(v) for v in gaps)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from scalolab import inference
 from scalolab.errors import (
     BoundaryValueError,
     DegenerateScalogramError,
@@ -250,22 +251,54 @@ def test_rosenblatt_determinism():
     np.testing.assert_array_equal(a, b)
 
 
-def test_rosenblatt_quantile_cache(tmp_path):
-    cache = str(tmp_path / "quantiles.json")
-    v1, prov1 = rosenblatt_quantile(0.3, 0.95, reps=2000, seed=9, n_internal=2**11,
-                                    cache_path=cache)
-    v2, prov2 = rosenblatt_quantile(0.3, 0.95, reps=2000, seed=9, n_internal=2**11,
-                                    cache_path=cache)
-    assert v1 == v2
-    table = json.loads(open(cache).read())
-    assert len(table["entries"]) == 1
-    entry = table["entries"][0]
-    assert entry["d"] == 0.3 and entry["reps"] == 2000
-    assert "created" in entry["provenance"]
-    # medians of a positively skewed law sit below the mean
-    med, _ = rosenblatt_quantile(0.3, 0.5, reps=2000, seed=9, n_internal=2**11,
-                                 cache_path=cache)
-    assert med < 0.0
+@pytest.mark.parametrize("d", [0.26, 0.3, 0.35, 0.42, 0.48])
+def test_rosenblatt_quantile_converges_in_kernel_cells(d, monkeypatch):
+    q, prov = rosenblatt_quantile(d, 0.95)
+    assert prov["m"] == inference._KERNEL_CELLS
+    monkeypatch.setattr(inference, "_KERNEL_CELLS", 2 * prov["m"])
+    q2, prov2 = rosenblatt_quantile(d, 0.95)
+    assert prov2["m"] == 2 * prov["m"]
+    assert q2 == pytest.approx(q, rel=1e-3)
+
+
+@pytest.mark.parametrize("d", [0.3, 0.42])
+def test_rosenblatt_cdf_is_a_distribution(d):
+    law = inference._second_chaos_law(d, inference._KERNEL_CELLS)
+    y = np.linspace(-5 * law.sd, 30 * law.sd, 3001)
+    F = law.cdf(y)
+    assert F.min() >= 0.0 and F.max() <= 1.0
+    assert np.all(np.diff(F) >= -1e-12)  # rounding only
+    for prob in (0.05, 0.5, 0.95, 0.995):
+        q, _ = rosenblatt_quantile(d, prob)
+        assert abs(law.cdf(q)[0] - prob) < 1e-6
+    # positively skewed: the median sits below the mean 0
+    assert rosenblatt_quantile(d, 0.5)[0] < 0.0
+
+
+# d = 0.3 stays out: the Monte Carlo oracle's finite-n bias grows as d -> 1/4
+# (KS 0.019 there against the 0.0215 bound, where these two read below 0.01)
+@pytest.mark.parametrize("d", [0.35, 0.42])
+def test_rosenblatt_cdf_matches_monte_carlo_oracle(d):
+    draws = rosenblatt_sample(d, 4000, 77, 2**14)
+    law = inference._second_chaos_law(d, inference._KERNEL_CELLS)
+    assert stats.kstest(draws, law.cdf).statistic < 1.36 / math.sqrt(len(draws))
+
+
+def test_rosenblatt_quantile_memoised_per_d(monkeypatch):
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
+    inference._second_chaos_law.cache_clear()
+    v1, prov1 = rosenblatt_quantile(0.37, 0.95)
+    v2, prov2 = rosenblatt_quantile(0.37, 0.9)
+    v3, prov3 = rosenblatt_quantile(0.37, 0.95)
+    assert solves == [inference._KERNEL_CELLS]
+    assert v1 == v3 and v2 < v1 and prov1 == prov2 == prov3
+    assert prov1["method"] == "eigenvalue CF inversion" and 0.0 < prov1["tail_var_share"] < 0.1
+    with pytest.raises(ValueError):
+        rosenblatt_quantile(0.2, 0.95)
+    with pytest.raises(ValueError):
+        rosenblatt_quantile(0.37, 1.0)
 
 
 # --- target inversion ---------------------------------------------------------------
@@ -321,7 +354,7 @@ def test_run_test_report_fields(bank_db2, tmp_path):
     assert loaded["estimation"]["d0_hat"] == pytest.approx(rep.d0_hat)
 
 
-def test_run_test_rank_two_quantile_path(bank_db2, tmp_path):
+def test_run_test_rank_two_quantile_path(bank_db2):
     # transform with consecutive ranks: finite critical exponent reported
     d_true = 0.41
     m = model(d_true)
@@ -331,8 +364,7 @@ def test_run_test_rank_two_quantile_path(bank_db2, tmp_path):
 
     y = apply_G(g, x)
     rep = run_test(y, bank_db2, d0_star=0.32, alpha=0.1, K_bar=0, expansion=g,
-                   j0=4, p=3, quantile_reps=1500, quantile_n_internal=2**11,
-                   quantile_cache=str(tmp_path / "q.json"))
+                   j0=4, p=3)
     assert rep.kind == "rosenblatt"
     assert rep.q0 == 2
     # consecutive ranks starting at q0: the marker rank is q0 itself, so the
@@ -342,6 +374,8 @@ def test_run_test_rank_two_quantile_path(bank_db2, tmp_path):
     assert rep.u_N == pytest.approx((2**15 * 2.0**-7) ** (1 - 2 * rep.d_star))
     assert rep.s_N > 0
     assert rep.quantile_provenance["kind"] == "rosenblatt"
+    zq, _ = rosenblatt_quantile(rep.d_star, 0.95)
+    assert rep.s_N == pytest.approx(rep.quantile_provenance["c_scale"] * zq / rep.u_N, rel=1e-12)
 
 
 def test_run_test_requires_enough_moments(bank_db2):
