@@ -7,14 +7,15 @@ The estimator is d0_hat = sum_i w_i log sigma2_hat_{j0+i} with least-squares
 contrast weights satisfying sum w_i = 0 and sum i w_i = 1/(2 log 2), so a
 log2-linear scalogram maps to its slope/2.  Its fluctuation limit is
 Gaussian when the leading Hermite rank is 1 and Rosenblatt otherwise; the
-constants of both laws are evaluated numerically from the filter bank's
-limit shape.
+constants of both laws are deterministic quadratures of the filter bank's
+limit shape (no Monte Carlo, no seed).
 """
 
 import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -137,6 +138,13 @@ def _level_samples(bank: FilterBank, level: int, F: int) -> np.ndarray:
     return np.fft.fft(pad) * 2.0 ** (-level / 2.0)
 
 
+_GRID_S = 1024  # grid points per pi of absolute frequency
+_SHAPE_J = 11  # deepest filter level standing in for the limit shape
+_TAIL_TOL = 1e-4  # largest share of a shape integral its outer half may carry
+_SHIFT_P0, _SHIFT_PMAX = 64, 2048  # first and largest shift range of the cov_Q series
+_SERIES_TOL = 1e-8  # relative change at which the cov_Q series counts as converged
+
+
 class _LimitShape:
     """Sampled limit transfer shape |g_inf| on a uniform frequency grid.
 
@@ -144,14 +152,14 @@ class _LimitShape:
     reuse level J-m so that every lookup lands on the same grid.
     """
 
-    def __init__(self, bank: FilterBank, S: int = 1024, J: Optional[int] = None, max_m: int = 6):
+    def __init__(self, bank: FilterBank, max_m: int = 6):
         self.bank = bank
-        self.S = S
-        self.J = min(bank.jmax, 11) if J is None else J
+        self.S = _GRID_S
+        self.J = min(bank.jmax, _SHAPE_J)
         if self.J < max_m + 1:
             max_m = self.J - 1
         self.max_m = max_m
-        self.F = 2 * S * 2**self.J
+        self.F = 2 * self.S * 2**self.J
         self._levels: dict[int, np.ndarray] = {}
 
     def level(self, m: int) -> np.ndarray:
@@ -185,31 +193,57 @@ class _LimitShape:
         return math.pi * r / self.S, np.abs(lvl[r]) ** 2
 
 
-def _l1_integral(shape: _LimitShape, d: float, K: int, tol: float = 1e-4) -> float:
-    """L_1 = integral over R of |g_inf(x)|^2 |x|^(-2(d+K)) dx by a Riemann
-    sum on the sampled grid (the integrand vanishes at 0 since M > d+K);
-    the outer half of the range must contribute negligibly."""
+def _riesz_constant(p: int, d: float) -> float:
+    """C_p(d), with the p-fold convolution of |u|^(-2d) equal to
+    C_p(d) |s|^(-2 delta(p, d)) while delta(p, d) > 0 (Riesz composition,
+    Stein 1970, Singular Integrals, ch. V).  With a = 1 - 2d, convolving
+    |u|^(ka-1) with |u|^(a-1) gives |s|^((k+1)a-1) times
+    B(ka, a) + B(ka, 1-(k+1)a) + B(a, 1-(k+1)a), the integrals over
+    (0, 1), (-inf, 0) and (1, inf)."""
+    a = 1.0 - 2.0 * d
+    if p * a >= 1.0:
+        raise ValueError(f"rank {p} is not long-range dependent at d={d}")
+
+    def beta(x: float, y: float) -> float:
+        return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+    c = 1.0
+    for k in range(1, p):
+        b = 1.0 - (k + 1) * a
+        c *= beta(k * a, a) + beta(k * a, b) + beta(a, b)
+    return c
+
+
+def _lp_integral(shape: _LimitShape, p: int, d: float, K: int) -> float:
+    """L_p = int_{R^p} |g_inf(u_1+..+u_p)|^2 |sum u|^(-2K) prod |u_i|^(-2d) du.
+
+    The integrand depends on u only through s = sum u, so
+    L_p = C_p(d) int_R |g_inf(s)|^2 |s|^(-2(delta(p, d)+K)) ds, a Riemann
+    sum on the sampled grid (the integrand vanishes at 0 since
+    M > delta + K); the outer half of the range must contribute negligibly.
+    """
+    c_p = _riesz_constant(p, d)
     rcap = min(1024 * shape.S, shape.trusted_rmax)
     xs, ys = shape.abs2_grid(rcap)
     step = float(xs[1] - xs[0])
-    vals = ys[1:] * xs[1:] ** (-2.0 * (d + K))
+    vals = ys[1:] * xs[1:] ** (-2.0 * (delta(p, d) + K))
     total = 2.0 * step * float(vals.sum())
     tail = 2.0 * step * float(vals[len(vals) // 2 :].sum())
     if total <= 0.0:
         raise QuadratureError("limit-shape integral collapsed to zero")
-    if tail > tol * total:
+    if tail > _TAIL_TOL * total:
         raise QuadratureError(
             f"limit-shape integral tail {tail / total:.2e} above tolerance; "
             "decay of the transfer function is too slow"
         )
-    return total
+    return c_p * total
 
 
-def _cov_q_integral(shape: _LimitShape, d: float, K: int, m: int,
-                    P0: int = 64, Pmax: int = 2048, series_tol: float = 1e-8) -> float:
+def _cov_q_integral(shape: _LimitShape, d: float, K: int, m: int) -> tuple[float, dict]:
     """sum_{v=0}^{2^m - 1} int_{-pi}^{pi} |sum_l |x|^{-2(d+K)} e^{-i 2^-m v x}
     g_inf(x) conj(g_inf(2^-m x))|^2 dlam with x = lam + 2 pi l, truncated
-    adaptively in l."""
+    adaptively in l.  Also returns the series state: the largest |l| summed,
+    the last relative change and whether that change fell below tolerance."""
     S = shape.S
     F = shape.F
     lvl0 = shape.level(0)
@@ -220,12 +254,11 @@ def _cov_q_integral(shape: _LimitShape, d: float, K: int, m: int,
 
     # beyond the trusted zone the periodic transfer stops decaying, so the
     # shift range is capped there; the genuine tail it drops is negligible
-    Pmax = min(Pmax, shape.trusted_shift_cap)
-    P0 = min(P0, Pmax)
+    Pmax = min(_SHIFT_PMAX, shape.trusted_shift_cap)
+    P = min(_SHIFT_P0, Pmax)
     acc = np.zeros((2**m, S), dtype=complex)
     result = None
     l_done = 0
-    P = P0
     while True:
         if l_done:
             ls = np.concatenate([np.arange(l_done, P + 1), np.arange(-P, -l_done + 1)])
@@ -246,17 +279,20 @@ def _cov_q_integral(shape: _LimitShape, d: float, K: int, m: int,
         integral = float(np.sum(np.abs(acc) ** 2)) * (2.0 * math.pi / S)
         if result is not None:
             change = abs(integral - result) / max(abs(integral), 1e-300)
-            if change < series_tol or P >= Pmax:
-                result = integral
-                break
+            if change < _SERIES_TOL or P >= Pmax:
+                return integral, {"m": m, "max_shift": int(P), "last_change": change,
+                                  "converged": change < _SERIES_TOL}
         result = integral
         P *= 2
-    return result
 
 
 @dataclass
 class LimitLaw:
-    """Distributional constants for the estimator's fluctuation limit."""
+    """Distributional constants for the estimator's fluctuation limit.
+
+    Every constant is a deterministic quadrature of the bank's sampled
+    limit shape; `provenance` records the grid and, at rank one, the state
+    of each offset's shift series."""
 
     kind: str  # "gaussian" or "rosenblatt"
     q0: int
@@ -274,27 +310,18 @@ class LimitLaw:
 _limit_cache: dict = {}
 
 
-def limit_constants(
-    bank: FilterBank,
-    params: MemoryParams,
-    q0: int,
-    p: int,
-    mc_samples: int = 2_000_000,
-    seed: int = 1848,
-    series_tol: float = 1e-8,
-) -> LimitLaw:
+def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> LimitLaw:
     """Limit-law constants for the estimator over scales jc-p..jc.
 
     Rank one: the per-offset covariance of the normalised scalogram
     fluctuations is integrated from the bank's limit shape, and the
     estimator variance is the contrast quadratic form in it.  Rank >= 2:
-    the relevant shape integrals L_{q0} and L_{q0-1} are evaluated (1-D
-    quadrature and importance-sampled Monte Carlo respectively for the
-    multi-argument one), giving the scale factor multiplying the
+    the shape integrals L_{q0} and L_{q0-1} (`_lp_integral`, one 1-D
+    quadrature each, no random draw) give the scale factor multiplying the
     second-chaos limit variable.
     """
     # build_bank is deterministic, so (family, jmax) identifies the bank
-    key = (bank.family, bank.jmax, params.d, params.K, q0, p, mc_samples, seed, series_tol)
+    key = (bank.family, bank.jmax, params.d, params.K, q0, p)
     if key in _limit_cache:
         return _limit_cache[key]
     d, K = params.d, params.K
@@ -303,8 +330,8 @@ def limit_constants(
     shape = _LimitShape(bank, max_m=p)
     w = regression_weights(p)
     if q0 == 1:
-        L1 = _l1_integral(shape, d, K)
-        ints = [_cov_q_integral(shape, d, K, m, series_tol=series_tol) for m in range(p + 1)]
+        L1 = _lp_integral(shape, 1, d, K)
+        ints, series = zip(*(_cov_q_integral(shape, d, K, m) for m in range(p + 1)))
         cov = np.empty((p + 1, p + 1))
         for u in range(p + 1):
             for up in range(u, p + 1):
@@ -322,11 +349,12 @@ def limit_constants(
             kind="gaussian", q0=1, d=d, K=K, p=p, u_N_exponent=0.5,
             cov_Q=cov, sigma_d0=math.sqrt(var),
             L_values={"L1": L1},
-            provenance={"S": shape.S, "J": shape.J, "series_tol": series_tol},
+            provenance={"S": shape.S, "J": shape.J, "series_tol": _SERIES_TOL,
+                        "shift_series": list(series)},
         )
     else:
-        Lq0, se_q0 = _lp_integral(shape, q0, d, K, mc_samples, seed)
-        Lq0m1, se_m1 = _lp_integral(shape, q0 - 1, d, K, mc_samples, seed + 1)
+        Lq0 = _lp_integral(shape, q0, d, K)
+        Lq0m1 = _lp_integral(shape, q0 - 1, d, K)
         # scale of the normalised fluctuation sigma2_hat/sigma2 - 1: the
         # c_{q0} dependence cancels in the ratio, leaving q0 L_{q0-1}/L_{q0}
         # (verified against simulated scalogram fluctuations across scales)
@@ -334,76 +362,14 @@ def limit_constants(
         drift = float(np.dot(w, 2.0 ** ((2.0 * d - 1.0) * (p - np.arange(p + 1)))))
         law = LimitLaw(
             kind="rosenblatt", q0=q0, d=d, K=K, p=p, u_N_exponent=1.0 - 2.0 * d,
-            L_values={f"L{q0}": Lq0, f"L{q0-1}": Lq0m1,
-                      f"se_L{q0}": se_q0, f"se_L{q0-1}": se_m1},
+            L_values={f"L{q0}": Lq0, f"L{q0-1}": Lq0m1},
             c_scale=ratio * drift,
-            provenance={"S": shape.S, "J": shape.J, "mc_samples": mc_samples, "seed": seed},
+            provenance={"S": shape.S, "J": shape.J},
         )
     if len(_limit_cache) > 16:
         _limit_cache.clear()
     _limit_cache[key] = law
     return law
-
-
-def _lp_integral(shape: _LimitShape, p: int, d: float, K: int,
-                 samples: int, seed: int) -> tuple[float, float]:
-    """L_p = int_{R^p} |g_inf(u_1+..+u_p)|^2 |sum u|^(-2K) prod |u_i|^(-2d) du.
-
-    p = 1 falls back to deterministic quadrature.  Otherwise importance
-    sampling with per-coordinate proposal |u|^(-2d) inside [-a, a] and a
-    1/u^2 tail; the integrand's shape factor is interpolated from the
-    sampled limit transfer.
-    """
-    if p == 1:
-        return _l1_integral(shape, d, K), 0.0
-    rmax = min(256 * shape.S, shape.trusted_rmax)
-    xs, ys = shape.abs2_grid(rmax)
-    a = 2.0 * math.pi
-    one = 1.0 - 2.0 * d
-    # proposal: piecewise |u|^(-2d) core, 1/u^2 tail, equal-mass bookkeeping
-    z_core = a**one / one
-    z_tail = a**one  # integral of a^(1-2d)/ (u/a)^2 /a ... collapses to a^(1-2d)
-    z = 2.0 * (z_core + z_tail)
-    m_core = z_core / (z_core + z_tail)
-    rng = stream(seed, 0xAB5)
-    block = 250_000
-    total = 0.0
-    total2 = 0.0
-    ndone = 0
-    while ndone < samples:
-        nb = min(block, samples - ndone)
-        u = np.empty((p, nb))
-        logw = np.zeros(nb)
-        for c in range(p):
-            pick = rng.random(nb)
-            mag = np.empty(nb)
-            core = pick < m_core
-            v = rng.random(nb)
-            mag[core] = a * v[core] ** (1.0 / one)
-            mag[~core] = a / np.maximum(v[~core], 1e-300)
-            sign = np.where(rng.random(nb) < 0.5, -1.0, 1.0)
-            u[c] = sign * mag
-            # weight = target/proposal; proposal density is (1/z)|u|^{-2d} on the
-            # core and (1/z) a^{2-2d} |u|^{-2} on the tail
-            logw = logw + np.where(
-                core,
-                math.log(z),
-                math.log(z) + (2.0 - 2.0 * d) * (np.log(mag) - math.log(a)),
-            )
-        s = u.sum(axis=0)
-        shape_vals = np.interp(np.abs(s), xs, ys, right=0.0)
-        integrand = shape_vals * np.exp(logw)
-        if K:
-            integrand = integrand * np.abs(s) ** (-2.0 * K)
-        total += float(integrand.sum())
-        total2 += float((integrand**2).sum())
-        ndone += nb
-    mean = total / ndone
-    var = max(total2 / ndone - mean**2, 0.0)
-    se = math.sqrt(var / ndone)
-    if not (mean > 0.0) or not math.isfinite(mean):
-        raise QuadratureError(f"L_{p} Monte Carlo integral failed (value {mean!r})")
-    return mean, se
 
 
 # --- second-chaos limit sampler -------------------------------------------
@@ -621,9 +587,7 @@ def run_test(
     u_N = n_base**law.u_N_exponent
 
     if law.kind == "gaussian":
-        from scipy.stats import norm as _norm
-
-        zq = float(_norm.ppf(1.0 - alpha / 2.0))
+        zq = NormalDist().inv_cdf(1.0 - alpha / 2.0)
         s_N = law.sigma_d0 * zq / u_N
         prov = {"kind": "gaussian", "sigma_d0": law.sigma_d0, **law.provenance}
     else:

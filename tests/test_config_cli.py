@@ -396,6 +396,26 @@ def test_cli_import_loads_no_scipy():
     assert r.stdout.strip() == "[]"
 
 
+def test_cli_rank_one_test_loads_no_scipy(tmp_path):
+    # the Gaussian critical value comes from the standard library
+    out = tmp_path / "t"
+    cfgp = _write(tmp_path, "t.json", {
+        "mode": "test", "model": {"d": 0.35, "K": 0}, "g": "hermite:1",
+        "bank": {"family": "db2", "jmax": 7}, "n": 4096, "j": 3, "p": 2, "seed": 6,
+        "d0_star": 0.35, "alpha": 0.1, "out": str(out),
+    })
+    code = ("import sys, scalolab.cli; rc = scalolab.cli.main(sys.argv[1:]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    r = subprocess.run([sys.executable, "-c", code, "test", "--config", cfgp],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 []"
+    rep = json.loads((out / "test_report.json").read_text())["test"]
+    assert rep["kind"] == "gaussian"
+    # each offset's shift series reports where it stopped
+    assert [s["m"] for s in rep["quantile_provenance"]["shift_series"]] == [0, 1, 2]
+
+
 def test_cli_seed_and_out_overrides(tmp_path):
     cfgp = _write(tmp_path, "c.json", {
         "mode": "simulate", "model": {"d": 0.3}, "g": "hermite:1",

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from scalolab import inference
+from scalolab.config import parse_config
 from scalolab.errors import (
     BoundaryValueError,
     DegenerateScalogramError,
     InvalidTargetError,
 )
 from scalolab.exponents import MemoryParams, delta
+from scalolab.harness import run
 from scalolab.hermite import expansion_from_coeffs
 from scalolab.inference import (
     _lp_integral,
@@ -135,6 +137,12 @@ def test_cov_q_diagonal_matches_brute_force(bank_db2):
     # symmetric positive semidefinite
     np.testing.assert_allclose(law.cov_Q, law.cov_Q.T, rtol=1e-12)
     assert np.linalg.eigvalsh(law.cov_Q).min() > -1e-10
+    # each offset's shift series reports where it stopped and whether it converged
+    series = law.provenance["shift_series"]
+    assert [s["m"] for s in series] == list(range(p + 1))
+    for s in series:
+        assert s["converged"] == (s["last_change"] < law.provenance["series_tol"])
+        assert s["max_shift"] >= 64
 
 
 def test_limit_cache_keyed_on_bank_contents():
@@ -185,39 +193,71 @@ def _convolution_kernel_constant(d: float) -> float:
     return cb
 
 
+def _third_riesz_constant(d: float) -> float:
+    """C_3(d) = C_B(d) * int |u|^{2a-1} |1-u|^{a-1} du with a = 1 - 2d, by
+    quadrature: algebraic weights take the singularities at 0 and 1."""
+    a = 1 - 2 * d
+
+    def f(u):
+        return abs(u) ** (2 * a - 1) * abs(1 - u) ** (a - 1)
+
+    pieces = (
+        integrate.quad(lambda u: (1 - u) ** (a - 1), -1, 0, weight="alg", wvar=(0, 2 * a - 1)),
+        integrate.quad(lambda u: 1.0, 0, 1, weight="alg", wvar=(2 * a - 1, a - 1)),
+        integrate.quad(lambda u: u ** (2 * a - 1), 1, 2, weight="alg", wvar=(a - 1, 0)),
+        integrate.quad(f, -math.inf, -1, epsabs=0, epsrel=1e-12, limit=200),
+        integrate.quad(f, 2, math.inf, epsabs=0, epsrel=1e-12, limit=200),
+    )
+    return _convolution_kernel_constant(d) * sum(v for v, _ in pieces)
+
+
 def test_lp_box_indicator_matches_analytic():
     d = 0.4
     a0, b = 0.05, 3.0
     shape = _annulus_shape(a0, b)
     one = 1 - 2 * d
     # p = 1: integral of |u|^{-2d} over a0 <= |u| <= b
-    val1, _ = _lp_integral(shape, 1, d, 0, samples=0, seed=0)
-    assert val1 == pytest.approx(2 * (b**one - a0**one) / one, rel=1e-3)
+    assert _lp_integral(shape, 1, d, 0) == pytest.approx(2 * (b**one - a0**one) / one, rel=1e-3)
     # p = 2 collapses to C_B(d) * int_{a0<=|s|<=b} |s|^{1-4d} ds
-    cb = _convolution_kernel_constant(d)
     two = 2 - 4 * d
-    expect2 = cb * 2 * (b**two - a0**two) / two
-    val2, se2 = _lp_integral(shape, 2, d, 0, samples=400_000, seed=11)
-    assert val2 == pytest.approx(expect2, rel=0.05)
-    assert abs(val2 - expect2) < 5 * se2 + 0.02 * expect2
+    expect2 = _convolution_kernel_constant(d) * 2 * (b**two - a0**two) / two
+    assert _lp_integral(shape, 2, d, 0) == pytest.approx(expect2, rel=1e-3)
+    # p = 3 collapses to C_3(d) * int_{a0<=|s|<=b} |s|^{2-6d} ds
+    three = 3 - 6 * d
+    expect3 = _third_riesz_constant(d) * 2 * (b**three - a0**three) / three
+    assert _lp_integral(shape, 3, d, 0) == pytest.approx(expect3, rel=1e-3)
+    # the reduction needs delta(p, d) > 0
+    with pytest.raises(ValueError, match="not long-range dependent"):
+        _lp_integral(shape, 3, 0.3, 0)
 
 
 def test_l2_of_bank_matches_reduction_oracle(bank_db2):
-    # 1-D reduction: int int |g(u+v)|^2 |u|^{-2d}|v|^{-2d} du dv equals
-    # C_B(d) * int |g(s)|^2 |s|^{1-4d} ds
+    # 1-D reduction: int int |g(u+v)|^2 |u+v|^{-2K} |u|^{-2d}|v|^{-2d} du dv
+    # equals C_B(d) * int |g(s)|^2 |s|^{1-4d-2K} ds
     d = 0.4
-    law = limit_constants(bank_db2, MemoryParams(d, 0), 2, 1,
-                          mc_samples=1_500_000, seed=3)
-    cb = _convolution_kernel_constant(d)
     u = np.linspace(1e-4, 128 * math.pi, 400_000)
     gu = np.abs(bank_db2.asymptotic_transfer(u, j=10)) ** 2
-    one_d = 2.0 * float(np.trapezoid(gu * u ** (1 - 4 * d), u))
-    expect = cb * one_d
-    got = law.L_values["L2"]
-    se = law.L_values["se_L2"]
-    assert abs(got - expect) < 4 * se + 0.03 * expect
-    assert law.c_scale > 0
-    assert law.u_N_exponent == pytest.approx(1 - 2 * d)
+    for K in (0, 1):
+        law = limit_constants(bank_db2, MemoryParams(d, K), 2, 1)
+        expect = _convolution_kernel_constant(d) * 2.0 * float(np.trapezoid(gu * u ** (1 - 4 * d - 2 * K), u))
+        assert law.L_values["L2"] == pytest.approx(expect, rel=1e-3)
+        assert law.c_scale > 0
+        assert law.u_N_exponent == pytest.approx(1 - 2 * d)
+
+
+def test_rank_two_integrated_null_calibration(tmp_path):
+    # rank 2 with one integration (d0 = 1 + delta(2, 0.42) = 1.34): the
+    # rejection rate under the null stays in the criterion-10 band
+    alpha, reps = 0.1, 200
+    cfg = parse_config({
+        "mode": "mc-experiment", "model": {"d": 0.42, "K": 1}, "g": "hermite:2",
+        "bank": {"family": "db2", "jmax": 10}, "n": 2**16, "j": 5, "p": 3,
+        "d0_star": 1.34, "alpha": alpha, "replicates": reps, "seed": 3, "out": str(tmp_path),
+    })
+    (csv_path, _) = run(cfg)
+    header, row = open(csv_path).read().strip().splitlines()
+    rate = float(dict(zip(header.split(","), row.split(",")))["rejection_rate"])
+    assert abs(rate - alpha) <= 2 * math.sqrt(alpha * (1 - alpha) / reps) + 0.04
 
 
 # --- second-chaos sampler ----------------------------------------------------------
