@@ -7,7 +7,7 @@ principle, and a hypothesis test on the memory parameter with Gaussian or
 second-chaos (Rosenblatt) calibration.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .exponents import (  # noqa: F401
     ChaosExponents,
@@ -50,7 +50,6 @@ from .wavelet import (  # noqa: F401
     FilterBank,
     ScalogramSummary,
     build_bank,
-    multiscale_scalogram,
     n_coeffs,
     scalogram,
     scalograms,

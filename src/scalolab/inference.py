@@ -8,10 +8,12 @@ contrast weights satisfying sum w_i = 0 and sum i w_i = 1/(2 log 2), so a
 log2-linear scalogram maps to its slope/2.  Its fluctuation limit is
 Gaussian when the leading Hermite rank is 1 and Rosenblatt otherwise; the
 constants of both laws are deterministic quadratures of the filter bank's
-limit shape (no Monte Carlo, no seed).
+limit shape (no Monte Carlo, no seed), sampled over its trusted zone only.
+At rank one each offset's covariance is the lag-domain sum of the limit
+wavelet spectral density (Moulines, Roueff & Taqqu 2007), one fold of the
+shape samples; at rank >= 2 the shape integrals reduce to one dimension.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -129,68 +131,41 @@ def estimate_d0(
 # --- limit-law constants ---------------------------------------------------
 
 
-def _level_samples(bank: FilterBank, level: int, F: int) -> np.ndarray:
-    """FFT samples of the rescaled transfer at level `level` on the common
-    absolute-frequency grid x_r = pi r / S (F = 2 S gamma_J)."""
-    taps = bank.taps(level)
-    pad = np.zeros(F)
-    pad[: len(taps)] = taps
-    return np.fft.fft(pad) * 2.0 ** (-level / 2.0)
-
-
 _GRID_S = 1024  # grid points per pi of absolute frequency
 _SHAPE_J = 11  # deepest filter level standing in for the limit shape
 _TAIL_TOL = 1e-4  # largest share of a shape integral its outer half may carry
-_SHIFT_P0, _SHIFT_PMAX = 64, 2048  # first and largest shift range of the cov_Q series
-_SERIES_TOL = 1e-8  # relative change at which the cov_Q series counts as converged
 
 
 class _LimitShape:
-    """Sampled limit transfer shape |g_inf| on a uniform frequency grid.
+    """Limit transfer shape g_inf sampled at x_r = pi r / S, r = 0..F/4.
 
-    Level J approximates the limit; evaluations at 2^-m-scaled arguments
-    reuse level J-m so that every lookup lands on the same grid.
+    Level J stands in for the limit and is kept; g_inf(2^-m x) on the same
+    grid is level J-m, built afresh by `level(m)`.  Each level's samples
+    are its F-point rfft (F = 2 S 2^J) cut to the trusted zone, the
+    |omega| <= pi/2 of the filter's fundamental domain: beyond it the
+    2 pi-periodic transfer no longer approximates the decaying limit shape.
+    The taps are real, so g_inf(-x) = conj(g_inf(x)).
     """
 
-    def __init__(self, bank: FilterBank, max_m: int = 6):
+    def __init__(self, bank: FilterBank):
         self.bank = bank
         self.S = _GRID_S
         self.J = min(bank.jmax, _SHAPE_J)
-        if self.J < max_m + 1:
-            max_m = self.J - 1
-        self.max_m = max_m
         self.F = 2 * self.S * 2**self.J
-        self._levels: dict[int, np.ndarray] = {}
+        self.trusted_rmax = self.F // 4
+        self.g0 = self.level(0)
 
     def level(self, m: int) -> np.ndarray:
-        if self.J - m < 1:
-            raise ValueError(
-                f"bank too shallow: offset {m} needs filters down to level {self.J - m}"
-            )
-        if m not in self._levels:
-            if len(self._levels) > 3:
-                self._levels.clear()
-            self._levels[m] = _level_samples(self.bank, self.J - m, self.F)
-        return self._levels[m]
-
-    @property
-    def trusted_rmax(self) -> int:
-        """Largest grid index whose lookup stays within |omega| <= pi/2 of the
-        sampled filter's fundamental domain; beyond it the 2 pi-periodic
-        transfer no longer approximates the decaying limit shape."""
-        return self.F // 4
-
-    @property
-    def trusted_shift_cap(self) -> int:
-        """Largest frequency shift l keeping lam + 2 pi l inside the trusted zone."""
-        return max(1, 2**self.J // 4 - 1)
+        lev = self.J - m
+        if lev < 1:
+            raise ValueError(f"bank too shallow: offset {m} needs filters down to level {lev}")
+        zone = np.fft.rfft(self.bank.taps(lev), n=self.F)[: self.trusted_rmax + 1]
+        return zone * 2.0 ** (-lev / 2.0)
 
     def abs2_grid(self, rmax: int) -> tuple[np.ndarray, np.ndarray]:
         """(x_r, |g_inf(x_r)|^2) for r = 0..rmax on the positive axis."""
         rmax = min(rmax, self.trusted_rmax)
-        lvl = self.level(0)
-        r = np.arange(rmax + 1)
-        return math.pi * r / self.S, np.abs(lvl[r]) ** 2
+        return math.pi * np.arange(rmax + 1) / self.S, np.abs(self.g0[: rmax + 1]) ** 2
 
 
 def _riesz_constant(p: int, d: float) -> float:
@@ -239,51 +214,34 @@ def _lp_integral(shape: _LimitShape, p: int, d: float, K: int) -> float:
     return c_p * total
 
 
-def _cov_q_integral(shape: _LimitShape, d: float, K: int, m: int) -> tuple[float, dict]:
-    """sum_{v=0}^{2^m - 1} int_{-pi}^{pi} |sum_l |x|^{-2(d+K)} e^{-i 2^-m v x}
-    g_inf(x) conj(g_inf(2^-m x))|^2 dlam with x = lam + 2 pi l, truncated
-    adaptively in l.  Also returns the series state: the largest |l| summed,
-    the last relative change and whether that change fell below tolerance."""
-    S = shape.S
-    F = shape.F
-    lvl0 = shape.level(0)
-    lvlm = shape.level(m)
-    i = np.arange(S)
-    twom = 2.0**-m
-    vs = np.arange(2**m)
+def _cov_q_integral(shape: _LimitShape, d: float, K: int, m: int) -> tuple[float, float]:
+    """sum_{v=0}^{2^m - 1} int_0^{2 pi} |sum_l phi(x) e^{-i 2^-m v x}|^2 dlam
+    with x = lam + 2 pi l and phi(x) = |x|^{-2(d+K)} g_inf(x) conj(g_inf(2^-m x)),
+    by the midpoint rule at x_k = pi k / S, k odd, over the trusted zone
+    |k| < F/4.
 
-    # beyond the trusted zone the periodic transfer stops decaying, so the
-    # shift range is capped there; the genuine tail it drops is negligible
-    Pmax = min(_SHIFT_PMAX, shape.trusted_shift_cap)
-    P = min(_SHIFT_P0, Pmax)
-    acc = np.zeros((2**m, S), dtype=complex)
-    result = None
-    l_done = 0
-    while True:
-        if l_done:
-            ls = np.concatenate([np.arange(l_done, P + 1), np.arange(-P, -l_done + 1)])
-        else:
-            ls = np.arange(-P, P + 1)
-        for l in ls:
-            k = 2 * i + 1 + 2 * S * l
-            x = (math.pi / S) * k
-            g0 = lvl0[np.mod(k, F)]
-            gm = lvlm[np.mod(k, F)]
-            t = np.abs(x) ** (-2.0 * (d + K)) * g0 * np.conj(gm)
-            if m == 0:
-                acc[0] += t
-            else:
-                for v in vs:
-                    acc[v] += t * np.exp(-1j * twom * v * x)
-        l_done = P + 1
-        integral = float(np.sum(np.abs(acc) ** 2)) * (2.0 * math.pi / S)
-        if result is not None:
-            change = abs(integral - result) / max(abs(integral), 1e-300)
-            if change < _SERIES_TOL or P >= Pmax:
-                return integral, {"m": m, "max_shift": int(P), "last_change": change,
-                                  "converged": change < _SERIES_TOL}
-        result = integral
-        P *= 2
+    The phase at x_k depends only on k mod N, N = 2 S 2^m.  Writing the
+    shells as l = l1 + 2^m l2 turns the sum over v into a 2^m-point DFT
+    over l1, which Parseval collapses: the value is
+    2^m (2 pi / S) sum_{k' odd} |c_k'|^2, with c the samples phi(x_k) folded
+    modulo N.  Also returns the tail change, the relative change of the
+    value when the outer half of the zone is dropped.
+    """
+    S, n = shape.S, shape.trusted_rmax
+    gm = shape.g0 if m == 0 else shape.level(m)
+    k = np.arange(1, n, 2)
+    phi = (math.pi / S * k) ** (-2.0 * (d + K)) * shape.g0[1:n:2] * np.conj(gm[1:n:2])
+    half = S * 2**m  # odd residues modulo N
+
+    def fold(a: np.ndarray) -> float:
+        # zero-padded to whole periods: deep offsets have more residues than samples
+        a = np.concatenate([a, np.zeros(-len(a) % half, complex)]).reshape(-1, half).sum(axis=0)
+        # phi(-x) = conj(phi(x)): residue of -k is N - k
+        c = a + np.conj(a[::-1])
+        return 2**m * (2.0 * math.pi / S) * float(np.vdot(c, c).real)
+
+    total = fold(phi)
+    return total, abs(total - fold(phi[: len(phi) // 2])) / total
 
 
 @dataclass
@@ -291,8 +249,10 @@ class LimitLaw:
     """Distributional constants for the estimator's fluctuation limit.
 
     Every constant is a deterministic quadrature of the bank's sampled
-    limit shape; `provenance` records the grid and, at rank one, the state
-    of each offset's shift series."""
+    limit shape; `provenance` records the grid (S, J) and, at rank one,
+    each offset's `tail_change`: the relative change of its cov_Q integral
+    when the outer half of the trusted zone is dropped, a measure of the
+    error from standing level J in for the limit shape."""
 
     kind: str  # "gaussian" or "rosenblatt"
     q0: int
@@ -327,11 +287,11 @@ def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> 
     d, K = params.d, params.K
     if q0 < 1:
         raise ValueError("rank must be >= 1")
-    shape = _LimitShape(bank, max_m=p)
+    shape = _LimitShape(bank)
     w = regression_weights(p)
     if q0 == 1:
         L1 = _lp_integral(shape, 1, d, K)
-        ints, series = zip(*(_cov_q_integral(shape, d, K, m) for m in range(p + 1)))
+        ints, tails = zip(*(_cov_q_integral(shape, d, K, m) for m in range(p + 1)))
         cov = np.empty((p + 1, p + 1))
         for u in range(p + 1):
             for up in range(u, p + 1):
@@ -339,18 +299,14 @@ def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> 
                 val = 4.0 * math.pi * 2.0 ** (2.0 * (d + K) * m - up - m) / L1**2 * ints[m]
                 cov[u, up] = cov[up, u] = val
         # estimator uses scale j0+i = jc-(p-i): offset u = p-i
-        var = 0.0
-        for ii in range(p + 1):
-            for jj in range(p + 1):
-                var += w[ii] * w[jj] * cov[p - ii, p - jj]
+        var = float(w[::-1] @ cov @ w[::-1])
         if var <= 0:
             raise QuadratureError("estimator variance came out nonpositive")
         law = LimitLaw(
             kind="gaussian", q0=1, d=d, K=K, p=p, u_N_exponent=0.5,
             cov_Q=cov, sigma_d0=math.sqrt(var),
             L_values={"L1": L1},
-            provenance={"S": shape.S, "J": shape.J, "series_tol": _SERIES_TOL,
-                        "shift_series": list(series)},
+            provenance={"S": shape.S, "J": shape.J, "tail_change": list(tails)},
         )
     else:
         Lq0 = _lp_integral(shape, q0, d, K)
@@ -544,10 +500,6 @@ class TestReport:
         out = dict(self.__dict__)
         out["estimation"] = self.estimation
         return out
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, default=float)
 
 
 def run_test(

@@ -12,8 +12,6 @@ W_{j,k} = sum_t g_j(2^j k - t) Y_t is computed with interior taps only, for
 all scales of a series in one Mallat pyramid pass.
 """
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -114,21 +112,6 @@ class FilterBank:
         jj = self.jmax if j is None else j
         g = 2.0**jj
         return self.transfer(jj, np.asarray(lams, dtype=float) / g) / math.sqrt(g)
-
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "vanishing_moments": self.M,
-            "jmax": self.jmax,
-            "base_support": self.T,
-            "filter_lengths": [self.filter_length(j) for j in range(1, self.jmax + 1)],
-            "filter_l2_norms": [float(np.linalg.norm(f)) for f in self.filters],
-            "support_bound": self.validation.support_bound,
-        }
-
-    def save_description(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.describe(), fh, indent=2, sort_keys=True)
 
 
 def _filter_length(T: int, j: int) -> int:
@@ -344,80 +327,3 @@ def scalogram(
     if theoretical_mean is not None:
         s.centered = s.sigma2 - theoretical_mean
     return s
-
-
-@dataclass
-class MultiscaleScalogram:
-    """Joint scalogram of the p scales j, j-1, ..., j-p+1 on a shared lattice.
-
-    Entries are indexed by ell = 2^u + v (u = scale offset below j,
-    v = sub-position): entry ell holds the coefficients W_{j-u, 2^u k + v}
-    for k in the shared range, which coincide exactly with the scale-(j-u)
-    coefficients at those locations.
-    """
-
-    j: int
-    p: int
-    count: int
-    k_start: int
-    entries: dict  # ell -> ScalogramSummary (with u, v derivable from ell)
-    scale_sigma2: dict  # scale -> pooled average of squares across its entries
-
-    def sigma2_at_offset(self, u: int) -> float:
-        return self.scale_sigma2[self.j - u]
-
-
-def multiscale_scalogram(series, bank: FilterBank, j: int, p: int, keep_coeffs: bool = False) -> MultiscaleScalogram:
-    """Scalograms of the p scales at and directly below the coarsest scale j.
-
-    All entries are sampled on the absolute coefficient lattice of scale j,
-    so the identity W_{ell, j, k} = W_{j-u, 2^u k + v} holds exactly; counts
-    at finer scales differ from their standalone values only through the
-    shared-boundary convention.
-    """
-    series = np.asarray(series, dtype=float)
-    if p < 1:
-        raise ValueError("need at least one scale")
-    if j - (p - 1) < 1:
-        raise ScaleTooCoarseError(f"p={p} scales below j={j} fall under scale 1")
-    n_shared = n_coeffs(len(series), bank.T, j)
-    pyr = _pyramid(series, bank, range(j - p + 1, j + 1))
-    k0 = pyr[j][0]
-    # clip the shared range so every (u, v) entry stays interior
-    kmax = k0 + n_shared - 1
-    for u in range(p):
-        k_min_u, vals_u = pyr[j - u]
-        upper = (k_min_u + len(vals_u) - 1 - (2**u - 1)) // 2**u
-        kmax = min(kmax, upper)
-    count = kmax - k0 + 1
-    if count < 1:
-        raise ScaleTooCoarseError("shared interior range is empty")
-
-    entries = {}
-    scale_acc: dict[int, list] = {}
-    ks = np.arange(k0, k0 + count)
-    for u in range(p):
-        k_min_u, vals_u = pyr[j - u]
-        for v in range(2**u):
-            ell = 2**u + v
-            idx = (2**u) * ks + v - k_min_u
-            w = vals_u[idx]
-            entries[ell] = ScalogramSummary(
-                j=j - u, n=count, sigma2=float(np.mean(w * w)), k_start=k0,
-                coeffs=w if keep_coeffs else None,
-            )
-            scale_acc.setdefault(j - u, []).append(w)
-    scale_sigma2 = {
-        sc: float(np.mean(np.concatenate(ws) ** 2)) for sc, ws in scale_acc.items()
-    }
-    return MultiscaleScalogram(j=j, p=p, count=count, k_start=k0, entries=entries, scale_sigma2=scale_sigma2)
-
-
-def dump_coeffs_csv(path, bank: FilterBank, series, scales) -> None:
-    """Write (j, k, value) rows for the requested scales."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["j", "k", "value"])
-        for s in scalograms(series, bank, scales, keep_coeffs=True):
-            for i, v in enumerate(s.coeffs):
-                wr.writerow([s.j, s.k_start + i, f"{v:.17g}"])

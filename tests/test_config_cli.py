@@ -412,8 +412,9 @@ def test_cli_rank_one_test_loads_no_scipy(tmp_path):
     assert r.stdout.splitlines()[-1] == "0 []"
     rep = json.loads((out / "test_report.json").read_text())["test"]
     assert rep["kind"] == "gaussian"
-    # each offset's shift series reports where it stopped
-    assert [s["m"] for s in rep["quantile_provenance"]["shift_series"]] == [0, 1, 2]
+    # one tail change per offset, a relative change
+    tails = rep["quantile_provenance"]["tail_change"]
+    assert len(tails) == 3 and all(0.0 <= t < 1.0 for t in tails)
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,12 +138,48 @@ def test_cov_q_diagonal_matches_brute_force(bank_db2):
     # symmetric positive semidefinite
     np.testing.assert_allclose(law.cov_Q, law.cov_Q.T, rtol=1e-12)
     assert np.linalg.eigvalsh(law.cov_Q).min() > -1e-10
-    # each offset's shift series reports where it stopped and whether it converged
-    series = law.provenance["shift_series"]
-    assert [s["m"] for s in series] == list(range(p + 1))
-    for s in series:
-        assert s["converged"] == (s["last_change"] < law.provenance["series_tol"])
-        assert s["max_shift"] >= 64
+    # one tail change per offset, a relative change
+    tails = law.provenance["tail_change"]
+    assert len(tails) == p + 1
+    assert all(0.0 <= t < 1.0 for t in tails)
+
+
+@pytest.mark.parametrize("jmax, p", [(8, 3), (7, 6)])
+def test_cov_q_matches_shell_and_phase_sum_over_trusted_zone(jmax, p):
+    # cov_Q[0, m] holds the offset-m integral
+    # sum_v int_0^{2 pi} |sum_l phi(x) e^{-i 2^-m v x}|^2 dlam, x = lam + 2 pi l,
+    # phi(x) = |x|^{-2d} g_inf(x) conj(g_inf(2^-m x)); here it is summed shell by
+    # shell and phase by phase at the midpoints x = pi k / S, odd |k| < F/4, with
+    # the shape from the bank's product formula at levels J and J - m.  At
+    # jmax 7 the deepest offsets span more residues than the zone holds samples
+    bank, d = build_bank("db2", jmax), 0.3
+    law = limit_constants(bank, MemoryParams(d, 0), 1, p)
+    S, J = law.provenance["S"], law.provenance["J"]
+    shells = 2**J // 4  # F/4 = 2 S * shells
+    lam = math.pi / S * (2 * np.arange(S) + 1)
+    xs = lam[None, :] + 2 * math.pi * np.arange(-shells, shells)[:, None]
+    g0 = bank.asymptotic_transfer(xs.ravel(), j=J).reshape(xs.shape)
+    for m in range(p + 1):
+        gm = bank.asymptotic_transfer(2.0**-m * xs.ravel(), j=J - m).reshape(xs.shape)
+        phi = np.abs(xs) ** (-2 * d) * g0 * np.conj(gm)
+        brute = sum(float(np.sum(np.abs(np.sum(phi * np.exp(-1j * 2.0**-m * v * xs), axis=0)) ** 2))
+                    for v in range(2**m)) * (2 * math.pi / S)
+        got = law.cov_Q[0, m] * law.L_values["L1"] ** 2 / (4 * math.pi * 2.0 ** ((2 * d - 2) * m))
+        assert got == pytest.approx(brute, rel=1e-10)
+
+
+def test_rank_one_limit_constants_memory(monkeypatch):
+    # the shape is held on the trusted zone only, one offset level at a time;
+    # full-period level arrays would peak at 176 MiB here
+    bank = build_bank("db2", 10)
+    monkeypatch.setattr(inference, "_limit_cache", {})
+    tracemalloc.start()
+    try:
+        limit_constants(bank, MemoryParams(0.35, 0), 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_limit_cache_keyed_on_bank_contents():
@@ -375,7 +412,7 @@ def test_run_test_alpha_one_always_rejects(bank_db2):
     assert rep.decision
 
 
-def test_run_test_report_fields(bank_db2, tmp_path):
+def test_run_test_report_fields(bank_db2):
     d = 0.35
     x = sample_gaussian(model(d), 2**15, seed=72)
     rep = run_test(x, bank_db2, d0_star=0.35, alpha=0.1, K_bar=0,
@@ -387,9 +424,7 @@ def test_run_test_report_fields(bank_db2, tmp_path):
     assert rep.reduction_ratio is None
     assert rep.bias_ratio > 0
     assert rep.u_N == pytest.approx(math.sqrt(2**15 * 2.0**-7))
-    out = tmp_path / "report.json"
-    rep.to_json(out)
-    loaded = json.loads(out.read_text())
+    loaded = json.loads(json.dumps(rep.to_dict(), default=float))
     assert loaded["decision"] == rep.decision
     assert loaded["estimation"]["d0_hat"] == pytest.approx(rep.d0_hat)
 

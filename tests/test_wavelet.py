@@ -12,9 +12,7 @@ from scalolab.synthesis import sample_gaussian_batch, stream
 from scalolab.wavelet import (
     build_bank,
     daubechies_scaling,
-    dump_coeffs_csv,
     mirror_highpass,
-    multiscale_scalogram,
     n_coeffs,
     scalogram,
     wavelet_coeffs,
@@ -47,7 +45,7 @@ def test_highpass_vanishing_moments(M):
         assert abs(np.dot(t**m, g)) < 1e-10
 
 
-def test_build_bank_validation_and_description(tmp_path):
+def test_build_bank_validation():
     bank = build_bank("db2", jmax=8)
     v = bank.validation
     assert v.support_bound <= 2 * bank.M
@@ -56,9 +54,6 @@ def test_build_bank_validation_and_description(tmp_path):
     assert len(v.limit_gaps) >= 2
     # locally uniform convergence: sup gaps shrink across consecutive levels
     assert v.limit_gaps[-1] < v.limit_gaps[0]
-    p = tmp_path / "bank.json"
-    bank.save_description(p)
-    assert "db2" in p.read_text()
 
 
 def test_build_bank_rejects_unknown_family():
@@ -212,47 +207,7 @@ def test_scalogram_slope_smoke(bank_db2):
     assert np.mean(slopes) == pytest.approx(2 * (K + d), abs=0.12)
 
 
-# --- multiscale -----------------------------------------------------------------
-
-
-def test_multiscale_p1_reduces_to_scalogram(bank_db2):
-    rng = stream(9, 0)
-    y = rng.standard_normal(4096)
-    ms = multiscale_scalogram(y, bank_db2, 4, 1)
-    assert ms.scale_sigma2[4] == pytest.approx(scalogram(y, bank_db2, 4).sigma2, rel=1e-12)
-    assert ms.count == scalogram(y, bank_db2, 4).n
-
-
-def test_multiscale_index_identity(bank_db2):
-    # W_{ell, j, k} with ell = 2^u + v equals W_{j-u, 2^u k + v} exactly
-    rng = stream(9, 1)
-    y = rng.standard_normal(2**13)
-    j, p = 5, 3
-    ms = multiscale_scalogram(y, bank_db2, j, p, keep_coeffs=True)
-    ks = np.arange(ms.k_start, ms.k_start + ms.count)
-    for u in range(p):
-        full = wavelet_coeffs(y, bank_db2, j - u)
-        L = len(bank_db2.taps(j - u))
-        kmin_u = math.ceil((L - 1) / 2 ** (j - u))
-        for v in range(2**u):
-            ell = 2**u + v
-            got = ms.entries[ell].coeffs
-            idx = 2**u * ks + v - kmin_u
-            valid = idx < len(full)
-            np.testing.assert_allclose(got[valid], full[idx[valid]], rtol=1e-12)
-
-
-def test_multiscale_counts_double_per_finer_scale(bank_db2):
-    rng = stream(9, 2)
-    y = rng.standard_normal(2**13)
-    ms = multiscale_scalogram(y, bank_db2, 5, 3)
-    for u in range(3):
-        ells = [2**u + v for v in range(2**u)]
-        total = sum(ms.entries[e].n for e in ells)
-        assert total == 2**u * ms.count  # scale j-u carries 2^u times the k-range
-
-
-def test_multiscale_weak_stationarity_halves(bank_db2):
+def test_coeff_weak_stationarity_halves(bank_db2):
     d = 0.3
     m = SpectralModel(MemoryParams(d, 1))
     from scalolab.synthesis import integrate_K, sample_gaussian
@@ -264,14 +219,3 @@ def test_multiscale_weak_stationarity_halves(bank_db2):
     v1, v2 = np.mean(h1**2), np.mean(h2**2)
     se = np.std(w**2, ddof=1) / math.sqrt(len(h1))
     assert abs(v1 - v2) < 5 * se
-
-
-def test_coeff_dump_csv(tmp_path, bank_db2):
-    rng = stream(10, 0)
-    y = rng.standard_normal(2048)
-    p = tmp_path / "coeffs.csv"
-    dump_coeffs_csv(p, bank_db2, y, scales=(2, 3))
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "j,k,value"
-    js = {int(l.split(",")[0]) for l in lines[1:]}
-    assert js == {2, 3}
