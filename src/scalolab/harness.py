@@ -3,14 +3,15 @@
 Every report embeds the full configuration, the root seed, and the package
 version, so rerunning from a report's embedded config reproduces its
 numbers exactly.  All randomness flows from the root seed through named
-Philox substreams; replicate r of schedule row s uses stream index
-(s << 32) | r, so aggregate statistics cannot depend on execution order.
+Philox substreams; replicates 2i and 2i+1 of schedule row s are the real
+and the imaginary half of stream (s << 32) | i (an odd count drops the
+last imaginary half), so aggregates cannot depend on execution order.
 
-Every simulated series comes from `synthesis.sample_path`.  A Monte Carlo
-run builds one plan per process (bank, schedule, expansion, rank and
-centred transform) and, with workers > 1, opens one process pool whose
-initializer builds each worker's plan from the raw config; a replicate is
-then a function of (plan, row position, r) alone.
+A Monte Carlo run builds one plan per process (bank, schedule, expansion,
+rank, centred transform, each row's limit law) and, with workers > 1,
+opens one process pool whose initializer builds each worker's plan from
+the raw config and the parent's laws; a replicate pair is then a function
+of (plan, row position, pair index) alone.
 """
 
 import csv
@@ -28,10 +29,10 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, ingest
 from .errors import PreconditionError
-from .exponents import critical_exponent_report, delta, rank_profile
+from .exponents import MemoryParams, critical_exponent_report, delta, rank_profile
 from .hermite import HermiteExpansion, hermite_eval, hermite_rank
-from .inference import estimate_d0, run_test
-from .synthesis import export_path, integrate_K, sample_path
+from .inference import estimate_d0, invert_target, limit_constants, run_test
+from .synthesis import export_path, integrate_K, sample_gaussian_pair, sample_path, transform_path
 from .wavelet import FilterBank, build_bank, n_coeffs, scalograms
 
 @lru_cache(maxsize=None)
@@ -79,19 +80,7 @@ def run(cfg: ExperimentConfig) -> list:
     """Dispatch one experiment; returns the list of artifact paths written."""
     art = _Artifacts(cfg.out_dir)
     try:
-        if cfg.mode == "simulate":
-            return _run_simulate(cfg, art)
-        if cfg.mode == "analyze":
-            return _run_analyze(cfg, art)
-        if cfg.mode == "estimate":
-            return _run_estimate(cfg, art)
-        if cfg.mode == "test":
-            return _run_test_mode(cfg, art)
-        if cfg.mode == "nu-c":
-            return _run_nuc(cfg, art)
-        if cfg.mode == "mc-experiment":
-            return _run_mc(cfg, art)
-        raise ValueError(f"unhandled mode {cfg.mode}")
+        return _RUNNERS[cfg.mode](cfg, art)  # parse_config admits only these modes
     except BaseException:
         art.cleanup()
         raise
@@ -246,39 +235,50 @@ class _Plan:
     expansion: HermiteExpansion
     q0: int
     g: Callable  # the centred transform
+    laws: Optional[tuple]  # each row's limit law when the run tests d0*
 
 
-def _plan(cfg: ExperimentConfig) -> _Plan:
+def _plan(cfg: ExperimentConfig, laws: Optional[tuple] = None) -> _Plan:
     bank = _bank(cfg.bank_family, cfg.bank_jmax)
     expansion = cfg.g.expansion()
-    return _Plan(cfg, bank, _schedule(cfg, bank), expansion,
-                 hermite_rank(expansion)[0], cfg.g.centered_callable())
+    q0, rows = hermite_rank(expansion)[0], _schedule(cfg, bank)
+    if laws is None and cfg.d0_star is not None and cfg.alpha is not None:
+        params = MemoryParams(*invert_target(cfg.d0_star, q0))
+        laws = tuple(limit_constants(bank, params, q0, row.p) for row in rows)
+    return _Plan(cfg, bank, rows, expansion, q0, cfg.g.centered_callable(), laws)
 
 
 _worker_plan: Optional[_Plan] = None
 
 
-def _init_worker(raw: dict):
-    # the centred transform is a lambda, which cannot be pickled: each
-    # worker builds its own plan from the raw config, once
+def _init_worker(raw: dict, laws: Optional[tuple]):
+    # the centred transform is a lambda, which cannot be pickled: each worker
+    # builds its own plan from the raw config, once, with the parent's laws
     global _worker_plan
     from .config import parse_config
 
-    _worker_plan = _plan(parse_config(raw))
+    _worker_plan = _plan(parse_config(raw), laws)
 
 
-def _pool_replicate(task):
-    return _mc_replicate(_worker_plan, *task)
+def _pool_pair(task):
+    return _mc_pair(_worker_plan, *task)
 
 
-def _mc_replicate(plan: _Plan, pos: int, r: int) -> dict:
-    """Replicate r of schedule row `pos`."""
+def _mc_pair(plan: _Plan, pos: int, i: int) -> list:
+    """Replicates 2i and 2i+1 of schedule row `pos`, from one stream."""
+    row = plan.rows[pos]
+    xs = sample_gaussian_pair(plan.cfg.model, row.n, plan.cfg.seed, (pos << 32) | i)
+    return [_mc_replicate(plan, pos, x) for x in xs[: row.replicates - 2 * i]]
+
+
+def _mc_replicate(plan: _Plan, pos: int, x: np.ndarray) -> dict:
+    """The replicate of schedule row `pos` whose Gaussian path is x."""
     cfg, row, bank = plan.cfg, plan.rows[pos], plan.bank
-    x, y = sample_path(cfg.model, plan.g, row.n, cfg.seed, (pos << 32) | r)
+    y = transform_path(cfg.model, plan.g, x)
     out = {}
-    if cfg.d0_star is not None and cfg.alpha is not None:
+    if plan.laws is not None:
         rep = run_test(y, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, plan.expansion,
-                       row.j0, row.p, beta_smooth=cfg.model.beta_smooth)
+                       row.j0, row.p, beta_smooth=cfg.model.beta_smooth, law=plan.laws[pos])
         # run_test estimates d0 on the same series and scales
         out["d0_hat"], out["reject"] = rep.d0_hat, bool(rep.decision)
     else:
@@ -294,19 +294,19 @@ def _mc_replicate(plan: _Plan, pos: int, r: int) -> dict:
 
 def _run_mc(cfg, art):
     plan = _plan(cfg)
-    tasks = [(pos, r) for pos, row in enumerate(plan.rows) for r in range(row.replicates)]
+    tasks = [(pos, i) for pos, row in enumerate(plan.rows) for i in range((row.replicates + 1) // 2)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
-                                 initargs=(cfg.raw,)) as ex:
-            recs = list(ex.map(_pool_replicate, tasks, chunksize=8))
+                                 initargs=(cfg.raw, plan.laws)) as ex:
+            pairs = list(ex.map(_pool_pair, tasks, chunksize=4))
     else:
-        recs = [_mc_replicate(plan, *t) for t in tasks]
+        pairs = [_mc_pair(plan, *t) for t in tasks]
     d0_true = cfg.model.K + delta(plan.q0, cfg.model.d)
     # imported after the replicates, so its footprint does not stack on theirs
     from scipy import stats
 
     results = []
-    recs = iter(recs)  # in task order: row by row, r ascending
+    recs = (rec for pair in pairs for rec in pair)  # row by row, replicate ascending
     for pos, row in enumerate(plan.rows):
         row_recs = list(islice(recs, row.replicates))
         d0s = np.array([rec["d0_hat"] for rec in row_recs])
@@ -341,3 +341,7 @@ def _run_mc(cfg, art):
     with open(rp, "w") as fh:
         json.dump({**_meta(cfg), "results": results}, fh, indent=2, default=float)
     return art.paths
+
+
+_RUNNERS = {"simulate": _run_simulate, "analyze": _run_analyze, "estimate": _run_estimate,
+            "test": _run_test_mode, "nu-c": _run_nuc, "mc-experiment": _run_mc}

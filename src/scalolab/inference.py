@@ -268,6 +268,7 @@ class LimitLaw:
 
 
 _limit_cache: dict = {}
+_TAIL_CHANGE_TOL = 0.1  # above it, an offset's integral is not resolved by the bank
 
 
 def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> LimitLaw:
@@ -520,7 +521,8 @@ def run_test(
     estimator's limit law under the hypothesis, scaled back by the
     normalisation rate u_N.  The two asymptotic side conditions (reduction
     regime and bias negligibility) are reported as finite-sample ratios and
-    never enforced; callers decide what "much smaller than 1" means.
+    never enforced; callers decide what "much smaller than 1" means.  A
+    rank-one law whose tail_change exceeds _TAIL_CHANGE_TOL raises QuadratureError.
     """
     series = np.asarray(series, dtype=float)
     if not (0.0 < alpha <= 1.0):
@@ -539,6 +541,10 @@ def run_test(
     u_N = n_base**law.u_N_exponent
 
     if law.kind == "gaussian":
+        for m, t in enumerate(law.provenance["tail_change"]):
+            if t > _TAIL_CHANGE_TOL:
+                raise QuadratureError(f"limit law offset m={m}: tail_change {t:.3g} exceeds "
+                                      f"{_TAIL_CHANGE_TOL} (bank jmax too shallow for p={p})")
         zq = NormalDist().inv_cdf(1.0 - alpha / 2.0)
         s_N = law.sigma_d0 * zq / u_N
         prov = {"kind": "gaussian", "sigma_d0": law.sigma_d0, **law.provenance}

@@ -1,11 +1,10 @@
 """Sample-path synthesis: exact-covariance Gaussian input via circulant
 embedding, pointwise nonlinear transform, and K-fold integration.
 
-`sample_path` is the one path builder: every simulated series, in every
-mode and Monte Carlo replicate, is its Y = K-fold integral of G(X).
-Randomness flows from counter-based Philox streams keyed by
-(seed, stream index), so replicate generation is reproducible and
-embarrassingly parallel.
+Every simulated series, in every mode and Monte Carlo replicate, is
+`transform_path` of a Gaussian path X drawn from counter-based Philox
+streams keyed by (seed, stream index), so generation is reproducible and
+embarrassingly parallel; one stream's FFT yields two paths.
 """
 
 import csv
@@ -65,21 +64,21 @@ def _embedding_for(model: SpectralModel, N: int) -> _Embedding:
     return _Embedding(autocov_X(model, N, method="auto").values)
 
 
-def sample_gaussian(model: SpectralModel, N: int, seed: int, stream_index: int = 0) -> np.ndarray:
-    """One unit-variance Gaussian path of length N with the model's correlation.
-
+def sample_gaussian_pair(model: SpectralModel, N: int, seed: int, stream_index: int = 0) -> tuple:
+    """Two independent unit-variance Gaussian paths of length N with the
+    model's correlation: the real and the imaginary half of one FFT of
+    stream (seed, stream_index); only the two paths outlive the call.
     Exact in distribution when the circulant embedding is nonnegative
     definite; otherwise negative modes are clipped (logged warning) and the
-    covariance is approximate.
-    """
+    covariance is approximate."""
     emb = _embedding_for(model, N)
-    y = emb.spectrum(stream(seed, stream_index), np.empty((1, emb.M)), np.empty((1, emb.M)))
-    return np.real(y[0, :N]) / math.sqrt(emb.M)
+    y = emb.spectrum(stream(seed, stream_index), np.empty((1, emb.M)), np.empty((1, emb.M)))[0, :N]
+    return np.real(y) / math.sqrt(emb.M), np.imag(y) / math.sqrt(emb.M)
 
 
-def sample_gaussian_batch(model: SpectralModel, N: int, seed: int, reps: int, base_index: int = 0) -> np.ndarray:
-    """reps paths, one Philox stream per replicate: row r uses (seed, base_index + r)."""
-    return np.array([sample_gaussian(model, N, seed, base_index + r) for r in range(reps)])
+def sample_gaussian(model: SpectralModel, N: int, seed: int, stream_index: int = 0) -> np.ndarray:
+    """The real half of `sample_gaussian_pair`: one path per stream."""
+    return sample_gaussian_pair(model, N, seed, stream_index)[0]
 
 
 def apply_G(g: Union[HermiteExpansion, Callable], x: np.ndarray) -> np.ndarray:
@@ -89,11 +88,7 @@ def apply_G(g: Union[HermiteExpansion, Callable], x: np.ndarray) -> np.ndarray:
     a bare callable is applied as-is — callers pass pre-centered callables
     or rely on the expansion's recorded mean shift.
     """
-    x = np.asarray(x, dtype=float)
-    if isinstance(g, HermiteExpansion):
-        out = g(x)
-        return out
-    return np.asarray(g(x), dtype=float)
+    return np.asarray(g(np.asarray(x, dtype=float)), dtype=float)
 
 
 def integrate_K(series: np.ndarray, K: int) -> np.ndarray:
@@ -111,22 +106,18 @@ def integrate_K(series: np.ndarray, K: int) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def difference_K(series: np.ndarray, K: int) -> np.ndarray:
-    """K-fold differencing; inverse of integrate_K up to the first K points."""
-    out = np.asarray(series, dtype=float)
-    for _ in range(K):
-        out = np.diff(out)
-    return out
+def transform_path(model: SpectralModel, g: Optional[Callable], x: np.ndarray) -> np.ndarray:
+    """Y = K-fold integral of g(X) for a Gaussian path X, g a centred
+    transform (None for the identity)."""
+    return integrate_K(x if g is None else apply_G(g, x), model.K)
 
 
 def sample_path(model: SpectralModel, g: Optional[Callable], N: int, seed: int,
                 stream_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(X, Y) on stream (seed, stream_index): an exact-covariance Gaussian
-    path X of length N and Y = K-fold integral of g(X), g a centred
-    transform (None for the identity)."""
+    path X of length N and Y = `transform_path(model, g, X)`."""
     x = sample_gaussian(model, N, seed, stream_index)
-    y = x if g is None else apply_G(g, x)
-    return x, integrate_K(y, model.K)
+    return x, transform_path(model, g, x)
 
 
 def export_path(series: np.ndarray, csv_path, sidecar: Optional[dict] = None):
@@ -136,6 +127,5 @@ def export_path(series: np.ndarray, csv_path, sidecar: Optional[dict] = None):
         for v in series:
             wr.writerow([f"{v:.17g}"])
     if sidecar is not None:
-        side_path = str(csv_path) + ".json"
-        with open(side_path, "w") as fh:
+        with open(str(csv_path) + ".json", "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import scalolab.config
+import scalolab.harness as harness
 import scalolab.inference
 from scalolab.config import ConfigError, ingest, parse_config, parse_g_spec
 from scalolab.harness import run
 from scalolab.inference import run_test
-from scalolab.synthesis import export_path, sample_gaussian
+from scalolab.synthesis import export_path, sample_gaussian, sample_gaussian_pair
 from scalolab.wavelet import build_bank
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -263,9 +264,54 @@ def test_mc_test_uses_hypothesised_law(tmp_path):
     header, row = open(csv_path).read().strip().splitlines()
     rec = dict(zip(header.split(","), row.split(",")))
     bank, expansion = build_bank("db2", 8), cfg.g.expansion()
-    decisions = [run_test(sample_gaussian(cfg.model, 4096, 10, r), bank, 0.2, 0.1, 0,
-                          expansion, 3, 2).decision for r in range(40)]
+    # replicates 2i and 2i+1 are the two halves of stream i
+    decisions = [run_test(x, bank, 0.2, 0.1, 0, expansion, 3, 2).decision
+                 for i in range(20) for x in sample_gaussian_pair(cfg.model, 4096, 10, i)]
     assert float(rec["rejection_rate"]) == np.mean(decisions)
+
+
+def test_mc_pairs_take_both_halves_of_one_stream(tmp_path, monkeypatch):
+    cfg = parse_config({
+        "mode": "mc-experiment", "model": {"d": 0.3, "K": 0}, "g": "hermite:1",
+        "bank": {"family": "db2", "jmax": 6}, "n": 1024, "j": 2, "p": 2,
+        "replicates": 5, "seed": 10,
+        "schedule": [{"n": 1024, "j": 2}, {"n": 2048, "j": 3}],
+        "out": str(tmp_path),
+    })
+    plan = harness._plan(cfg)
+    seen = []
+    monkeypatch.setattr(harness, "_mc_replicate", lambda plan, pos, x: seen.append(x) or {})
+    for pos, n in enumerate((1024, 2048)):
+        for i in range(3):
+            seen.clear()
+            assert len(harness._mc_pair(plan, pos, i)) == (2 if i < 2 else 1)  # 5 replicates
+            np.testing.assert_array_equal(seen[0], sample_gaussian(cfg.model, n, 10, (pos << 32) | i))
+            if i < 2:
+                np.testing.assert_array_equal(
+                    seen[1], sample_gaussian_pair(cfg.model, n, 10, (pos << 32) | i)[1])
+
+
+def test_pool_worker_takes_the_parents_law(tmp_path, monkeypatch):
+    # the worker initializer gets the laws the parent built: no worker
+    # integrates a limit shape again
+    cfg = parse_config({
+        "mode": "mc-experiment", "model": {"d": 0.35, "K": 0}, "g": "hermite:1",
+        "bank": {"family": "db2", "jmax": 7}, "n": 4096, "j": 3, "p": 2,
+        "d0_star": 0.35, "alpha": 0.1, "replicates": 2, "seed": 6, "out": str(tmp_path),
+    })
+    laws = harness._plan(cfg).laws
+
+    def no_shape(bank):
+        raise AssertionError("a worker built a limit shape")
+
+    monkeypatch.setattr(scalolab.inference, "_LimitShape", no_shape)
+    monkeypatch.setattr(scalolab.inference, "_limit_cache", {})
+    monkeypatch.setattr(harness, "_worker_plan", None)
+    with pytest.raises(AssertionError, match="limit shape"):
+        harness._init_worker(cfg.raw, None)
+    harness._init_worker(cfg.raw, laws)
+    recs = harness._pool_pair((0, 0))
+    assert len(recs) == 2 and all(set(rec) == {"d0_hat", "reject"} for rec in recs)
 
 
 def test_mc_plan_built_once_per_run(tmp_path, monkeypatch):
@@ -415,6 +461,22 @@ def test_cli_rank_one_test_loads_no_scipy(tmp_path):
     # one tail change per offset, a relative change
     tails = rep["quantile_provenance"]["tail_change"]
     assert len(tails) == 3 and all(0.0 <= t < 1.0 for t in tails)
+
+
+def test_cli_test_on_unresolved_law_exits_3(tmp_path):
+    # p = jmax - 1 leaves offsets m = 4..6 on levels too shallow for the
+    # limit shape: their tail_change reads 0.23, 1.02 and 0.35
+    out = tmp_path / "t"
+    cfgp = _write(tmp_path, "t.json", {
+        "mode": "test", "model": {"d": 0.3, "K": 0}, "g": "hermite:1",
+        "bank": {"family": "db2", "jmax": 7}, "n": 4096, "j": 1, "p": 6, "seed": 6,
+        "d0_star": 0.3, "alpha": 0.1, "out": str(out),
+    })
+    r = _cli("test", "--config", cfgp)
+    assert r.returncode == 3
+    assert "numeric failure: limit law offset m=4: tail_change 0.228 exceeds 0.1" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (out / "test_report.json").exists()
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

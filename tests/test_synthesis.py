@@ -11,13 +11,13 @@ from scalolab.inference import rosenblatt_sample
 from scalolab.spectral import ShortRangeSpec, SpectralModel, autocov_X
 from scalolab.synthesis import (
     apply_G,
-    difference_K,
     export_path,
     integrate_K,
     sample_gaussian,
-    sample_gaussian_batch,
+    sample_gaussian_pair,
     sample_path,
     stream,
+    transform_path,
 )
 from scalolab.wavelet import build_bank, wavelet_coeffs
 
@@ -52,13 +52,16 @@ def test_seeded_draws_are_pinned():
     for (d, reps, seed, n), digest in ros.items():
         assert _sha(rosenblatt_sample(d, reps, seed, n)) == digest, (d, reps, seed, n)
     ma = ShortRangeSpec("ma", 0.1, (1.0, 0.5))
+    # (real half, imaginary half): Monte Carlo replicates 2i and 2i+1
     gauss = [
-        (model(0.3), 1000, 3, 5, "bd1f58d71a861742"),
-        (model(0.42, K=1), 4096, 11, (1 << 32) | 7, "016316713695b580"),
-        (SpectralModel(MemoryParams(0.2, 0), ma), 2048, 0, 0, "25675d1f0de3a6cb"),
+        (model(0.3), 1000, 3, 5, "bd1f58d71a861742", "3753bfbf87968d84"),
+        (model(0.42, K=1), 4096, 11, (1 << 32) | 7, "016316713695b580", "3f453cb13f6eb385"),
+        (SpectralModel(MemoryParams(0.2, 0), ma), 2048, 0, 0, "25675d1f0de3a6cb", "8b38f8066d4240a1"),
     ]
-    for m, N, seed, index, digest in gauss:
+    for m, N, seed, index, digest, imag_digest in gauss:
         assert _sha(sample_gaussian(m, N, seed, index)) == digest, (m, N, seed, index)
+        xr, xi = sample_gaussian_pair(m, N, seed, index)
+        assert (_sha(xr), _sha(xi)) == (digest, imag_digest), (m, N, seed, index)
 
 
 def test_sample_path_is_integrated_transform_of_its_gaussian():
@@ -68,6 +71,26 @@ def test_sample_path_is_integrated_transform_of_its_gaussian():
     np.testing.assert_array_equal(x, sample_gaussian(m, 512, 4, 9))
     np.testing.assert_array_equal(y, integrate_K(apply_G(g, x), 2))
     np.testing.assert_array_equal(sample_path(m, None, 512, 4, 9)[1], integrate_K(x, 2))
+    np.testing.assert_array_equal(transform_path(m, g, x), y)
+
+
+def test_pair_halves_are_independent_paths_with_the_target_covariance():
+    # one stream's two halves: each has the model's autocovariance, and the
+    # cross-covariance between them vanishes at every lag
+    m = model(0.35)
+    reps, N, lags = 300, 2**12, 6
+    rho = autocov_X(m, lags).values[:lags]
+    auto, cross = np.empty((2, reps, lags)), np.empty((2, reps, lags))
+    for r in range(reps):
+        xr, xi = sample_gaussian_pair(m, N, 8, r)
+        for lag in range(lags):
+            auto[0, r, lag] = np.mean(xr[: N - lag] * xr[lag:])
+            auto[1, r, lag] = np.mean(xi[: N - lag] * xi[lag:])
+            cross[0, r, lag] = np.mean(xr[: N - lag] * xi[lag:])
+            cross[1, r, lag] = np.mean(xi[: N - lag] * xr[lag:])
+    se = lambda a: a.std(axis=1, ddof=1) / math.sqrt(reps)
+    assert np.all(np.abs(cross.mean(axis=1)) < 4.0 * se(cross))
+    assert np.all(np.abs(auto.mean(axis=1) - rho) < 4.0 * se(auto))
 
 
 def test_streams_are_independent_by_index():
@@ -86,7 +109,7 @@ def test_white_noise_limit():
 
 def test_marginal_variance_near_one():
     m = model(0.4)
-    xs = sample_gaussian_batch(m, 2**12, seed=11, reps=120)
+    xs = np.array([sample_gaussian(m, 2**12, 11, r) for r in range(120)])
     assert np.mean(xs**2) == pytest.approx(1.0, abs=0.02)
 
 
@@ -95,7 +118,7 @@ def test_sample_acf_matches_target():
     m = model(d)
     reps, N = 200, 2**14
     rho = autocov_X(m, 20).values
-    xs = sample_gaussian_batch(m, N, seed=21, reps=reps)
+    xs = np.array([sample_gaussian(m, N, 21, r) for r in range(reps)])
     for lag in range(1, 21):
         per_rep = np.mean(xs[:, : N - lag] * xs[:, lag:], axis=1)
         est = per_rep.mean()
@@ -113,7 +136,7 @@ def test_apply_identity():
 
 def test_apply_rank2_centered_and_variance():
     m = model(0.3)
-    xs = sample_gaussian_batch(m, 2**12, seed=33, reps=100)
+    xs = np.array([sample_gaussian(m, 2**12, 33, r) for r in range(100)])
     e = expansion_from_coeffs({2: 2.0})
     vals = apply_G(e, xs)
     se = vals.mean(axis=1).std(ddof=1) / math.sqrt(len(vals))
@@ -133,7 +156,7 @@ def test_integrate_identity_and_ones():
 def test_integrate_difference_roundtrip():
     rng = np.random.default_rng(5)
     s = rng.standard_normal(4096)
-    back = difference_K(integrate_K(s, 2), 2)
+    back = np.diff(integrate_K(s, 2), n=2)
     np.testing.assert_allclose(back, s[2:], atol=1e-10)
 
 
@@ -161,7 +184,7 @@ def test_stationarity_of_differenced_path():
     dm, dv = np.empty(reps), np.empty(reps)
     for r in range(reps):
         _, y = sample_path(m, expansion_from_coeffs({1: 1.0}), 2**13, seed=12, stream_index=r)
-        dy = difference_K(y, 1)
+        dy = np.diff(y, n=1)
         h1, h2 = dy[: len(dy) // 2], dy[len(dy) // 2 :]
         dm[r] = h1.mean() - h2.mean()
         dv[r] = h1.var() - h2.var()
