@@ -24,7 +24,6 @@ from .exponents import (  # noqa: F401
 )
 from .hermite import (  # noqa: F401
     HermiteExpansion,
-    decay_check,
     expand,
     expansion_from_coeffs,
     hermite_eval,
@@ -32,13 +31,11 @@ from .hermite import (  # noqa: F401
 )
 from .spectral import (  # noqa: F401
     CovarianceSequence,
-    GeneralizedDensity,
     ShortRangeSpec,
     SpectralModel,
     autocov_X,
     autocov_transformed,
     density_at,
-    generalized_density,
 )
 from .synthesis import (  # noqa: F401
     apply_G,

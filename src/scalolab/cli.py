@@ -1,22 +1,15 @@
 """Command-line entry point: scalolab <mode> --config path [--seed N] [--out dir].
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 precondition hard-fail (only when the config opts into enforcement).
+Exit codes: 0 success, 2 input rejected (by the configuration check or
+during the run), 3 numeric failure, 4 precondition hard-fail (only when the
+config opts into enforcement).
 """
 
 import argparse
 import sys
 
-from .config import ConfigError, load_config, parse_config
-from .errors import (
-    BoundaryValueError,
-    InvalidTargetError,
-    NonIntegrabilityError,
-    PreconditionError,
-    QuadratureError,
-    ResolutionError,
-    ScaleTooCoarseError,
-)
+from .config import load_config, parse_config
+from .errors import BoundaryValueError, InvalidTargetError, NumericError, PreconditionError, UserInputError
 from .harness import run
 
 
@@ -43,24 +36,18 @@ def main(argv=None) -> int:
             raw["mode"] = args.mode
             raw.update(overrides)
             cfg = parse_config(raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         paths = run(cfg)
+    except UserInputError as exc:
+        # in a run, only invert_target raises these two: they reject d0_star
+        field = "d0_star: " if isinstance(exc, (InvalidTargetError, BoundaryValueError)) else ""
+        print(f"config error: {field}{exc}", file=sys.stderr)
+        return 2
+    except (NumericError, FloatingPointError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
     except PreconditionError as exc:
         print(f"precondition hard-fail: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ScaleTooCoarseError) as exc:  # the latter: scales too coarse for input_csv
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidTargetError, BoundaryValueError) as exc:  # only invert_target raises these in a run
-        print(f"config error: d0_star: {exc}", file=sys.stderr)
-        return 2
-    except (QuadratureError, ResolutionError, NonIntegrabilityError, FloatingPointError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     for p in paths:
         print(p)
     return 0

@@ -251,6 +251,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
     # the fractional part splits d0* into (d*, K*); an infinite d0* fails it too
     if d0s is not None and not (isinstance(d0s, (int, float)) and d0s > 0 and 0.0 < d0s % 1.0 < 0.5):
         raise ConfigError("d0_star", "must be positive with fractional part in (0, 1/2)")
+    if not isinstance(cfg.d_values, list):
+        raise ConfigError("d_values", "must be a list of numbers in (0, 1/2)")
+    for i, d in enumerate(cfg.d_values):
+        if not (isinstance(d, (int, float)) and 0.0 < d < 0.5):
+            raise ConfigError(f"d_values[{i}]", "must be a number in (0, 1/2)")
     if mode == "nu-c":
         if g is None:
             raise ConfigError("g", "required for mode 'nu-c'")

@@ -1,53 +1,62 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Two roots sort them by exit code: UserInputError (exit 2) for inputs the
+theory or the configuration rejects, NumericError (exit 3) for numerical
+procedures that failed on admissible input.  PreconditionError (exit 4)
+stands apart.
+"""
 
 
-class BoundaryValueError(ValueError):
+class UserInputError(ValueError):
+    """An input (configuration, series, bank or model) the program rejects."""
+
+
+class NumericError(RuntimeError):
+    """A numerical procedure failed on admissible input."""
+
+
+class BoundaryValueError(UserInputError):
     """Memory parameter sits on the lattice d = 1/2 - 1/(2q) where the
     power-law machinery picks up logarithmic corrections."""
 
 
-class LongMemoryError(ValueError):
+class LongMemoryError(UserInputError):
     """The leading expansion rank q0 violates q0 < 1/(1 - 2d), so the
     transformed series is not long-range dependent."""
 
 
-class SingularityError(ValueError):
+class SingularityError(UserInputError):
     """Evaluation requested at the spectral singularity lambda = 0."""
 
 
-class NonIntegrabilityError(RuntimeError):
+class NonIntegrabilityError(NumericError):
     """Quadrature of the transform's second moment fails to stabilise
     across refinement levels."""
 
 
-class ResolutionError(RuntimeError):
-    """Grid-based Fourier inversion drifted beyond tolerance between two
-    refinement levels."""
-
-
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericError):
     """A limit-constant integral did not converge within tolerance."""
 
 
-class ScaleTooCoarseError(ValueError):
+class ScaleTooCoarseError(UserInputError):
     """Requested scale leaves fewer than one interior wavelet coefficient
     (or the filter would swallow the whole sample)."""
 
 
-class DegenerateScalogramError(ValueError):
+class DegenerateScalogramError(UserInputError):
     """A scalogram value of exactly zero makes the log-regression undefined."""
 
 
-class FilterValidationError(ValueError):
+class FilterValidationError(UserInputError):
     """A filter bank failed one of its structural admissibility checks;
     the message names the violated assumption."""
 
 
-class InvalidTargetError(ValueError):
+class InvalidTargetError(UserInputError):
     """A hypothesised memory parameter admits no valid (d*, K*) split."""
 
 
-class ConfigError(ValueError):
+class ConfigError(UserInputError):
     """Configuration rejected; the message carries the offending field path."""
 
     def __init__(self, field: str, message: str):

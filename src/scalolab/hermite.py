@@ -189,44 +189,3 @@ def hermite_rank(expansion: HermiteExpansion) -> tuple[int, Optional[int]]:
         raise ValueError("expansion has no nonzero coefficient")
     return idx[0], (idx[1] if len(idx) > 1 else None)
 
-
-@dataclass
-class DecayDiagnostic:
-    """Advisory check of the coefficient decay needed for the L2 theory.
-
-    The admissibility condition requires c_q = O((q!)^d e^{-lam q}) for
-    every lam > 0; a finite truncation can refute it but never confirm it.
-    """
-
-    passed: bool
-    lambda_hat: float
-    n_tail: int
-    finite_support: bool
-    message: str
-
-
-def decay_check(expansion: HermiteExpansion, d: float) -> DecayDiagnostic:
-    """Fit log|c_q| - d*log(q!) against -lambda*q on the nonzero tail."""
-    idx = expansion.nonzero_indices()
-    if not idx:
-        raise ValueError("expansion has no nonzero coefficient")
-    finite = max(idx) < expansion.qmax  # tail of exact zeros observed
-    if len(idx) < 3:
-        return DecayDiagnostic(
-            True, math.inf, len(idx), finite,
-            "fewer than three nonzero coefficients; decay is unconstrained",
-        )
-    qs = np.array(idx, dtype=float)
-    ys = np.array(
-        [math.log(abs(expansion.coeffs[q])) - d * math.lgamma(q + 1.0) for q in idx]
-    )
-    slope, _ = np.polyfit(qs, ys, 1)
-    lam = -slope
-    if finite and lam <= 0:
-        # polynomial transforms end in exact zeros; decay holds trivially
-        return DecayDiagnostic(True, lam, len(idx), True, "finite support")
-    passed = lam > 0
-    msg = "geometric decay consistent" if passed else (
-        "coefficients grow too fast relative to (q!)^d; admissibility violated"
-    )
-    return DecayDiagnostic(passed, float(lam), len(idx), finite, msg)

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateScalogramError,
     InvalidTargetError,
     QuadratureError,
+    UserInputError,
 )
 from .exponents import (
     MemoryParams,
@@ -108,7 +109,7 @@ def estimate_d0(
     if params is not None and q0 is not None:
         need = params.K + delta(q0, params.d)
         if bank.M < need:
-            raise ValueError(
+            raise UserInputError(
                 f"bank has M={bank.M} vanishing moments; theory requires M >= {need:.3g}"
             )
     sums = scalograms(series, bank, range(j0, j0 + p + 1))
@@ -267,7 +268,6 @@ class LimitLaw:
     provenance: dict = field(default_factory=dict)
 
 
-_limit_cache: dict = {}
 _TAIL_CHANGE_TOL = 0.1  # above it, an offset's integral is not resolved by the bank
 
 
@@ -281,14 +281,28 @@ def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> 
     quadrature each, no random draw) give the scale factor multiplying the
     second-chaos limit variable.
     """
-    # build_bank is deterministic, so (family, jmax) identifies the bank
-    key = (bank.family, bank.jmax, params.d, params.K, q0, p)
-    if key in _limit_cache:
-        return _limit_cache[key]
-    d, K = params.d, params.K
     if q0 < 1:
         raise ValueError("rank must be >= 1")
-    shape = _LimitShape(bank)
+    return _limit_law(_SameBank(bank), params.d, params.K, q0, p)
+
+
+class _SameBank:
+    """Cache key of a bank: build_bank is deterministic, so (family, jmax)
+    identifies it.  The bank rides along for the cache miss."""
+
+    def __init__(self, bank: FilterBank):
+        self.bank, self.key = bank, (bank.family, bank.jmax)
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@lru_cache(maxsize=16)
+def _limit_law(same: _SameBank, d: float, K: int, q0: int, p: int) -> LimitLaw:
+    shape = _LimitShape(same.bank)
     w = regression_weights(p)
     if q0 == 1:
         L1 = _lp_integral(shape, 1, d, K)
@@ -303,30 +317,25 @@ def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> 
         var = float(w[::-1] @ cov @ w[::-1])
         if var <= 0:
             raise QuadratureError("estimator variance came out nonpositive")
-        law = LimitLaw(
+        return LimitLaw(
             kind="gaussian", q0=1, d=d, K=K, p=p, u_N_exponent=0.5,
             cov_Q=cov, sigma_d0=math.sqrt(var),
             L_values={"L1": L1},
             provenance={"S": shape.S, "J": shape.J, "tail_change": list(tails)},
         )
-    else:
-        Lq0 = _lp_integral(shape, q0, d, K)
-        Lq0m1 = _lp_integral(shape, q0 - 1, d, K)
-        # scale of the normalised fluctuation sigma2_hat/sigma2 - 1: the
-        # c_{q0} dependence cancels in the ratio, leaving q0 L_{q0-1}/L_{q0}
-        # (verified against simulated scalogram fluctuations across scales)
-        ratio = q0 * Lq0m1 / Lq0
-        drift = float(np.dot(w, 2.0 ** ((2.0 * d - 1.0) * (p - np.arange(p + 1)))))
-        law = LimitLaw(
-            kind="rosenblatt", q0=q0, d=d, K=K, p=p, u_N_exponent=1.0 - 2.0 * d,
-            L_values={f"L{q0}": Lq0, f"L{q0-1}": Lq0m1},
-            c_scale=ratio * drift,
-            provenance={"S": shape.S, "J": shape.J},
-        )
-    if len(_limit_cache) > 16:
-        _limit_cache.clear()
-    _limit_cache[key] = law
-    return law
+    Lq0 = _lp_integral(shape, q0, d, K)
+    Lq0m1 = _lp_integral(shape, q0 - 1, d, K)
+    # scale of the normalised fluctuation sigma2_hat/sigma2 - 1: the
+    # c_{q0} dependence cancels in the ratio, leaving q0 L_{q0-1}/L_{q0}
+    # (verified against simulated scalogram fluctuations across scales)
+    ratio = q0 * Lq0m1 / Lq0
+    drift = float(np.dot(w, 2.0 ** ((2.0 * d - 1.0) * (p - np.arange(p + 1)))))
+    return LimitLaw(
+        kind="rosenblatt", q0=q0, d=d, K=K, p=p, u_N_exponent=1.0 - 2.0 * d,
+        L_values={f"L{q0}": Lq0, f"L{q0-1}": Lq0m1},
+        c_scale=ratio * drift,
+        provenance={"S": shape.S, "J": shape.J},
+    )
 
 
 # --- second-chaos limit sampler -------------------------------------------
@@ -528,7 +537,7 @@ def run_test(
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     if bank.M <= K_bar:
-        raise ValueError(f"need M > K_bar (bank has M={bank.M}, K_bar={K_bar})")
+        raise UserInputError(f"need M > K_bar (bank has M={bank.M}, K_bar={K_bar})")
     q0, q1 = hermite_rank(expansion)
     d_star, K_star = invert_target(d0_star, q0)
     params = MemoryParams(d_star, K_star)

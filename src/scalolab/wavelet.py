@@ -285,7 +285,6 @@ class ScalogramSummary:
     sigma2: float
     k_start: int = 0
     coeffs: Optional[np.ndarray] = None
-    centered: Optional[float] = None  # sigma2 minus a supplied theoretical mean
 
 
 def scalograms(series, bank: FilterBank, scales, keep_coeffs: bool = False) -> list:
@@ -315,15 +314,6 @@ def scalograms(series, bank: FilterBank, scales, keep_coeffs: bool = False) -> l
     return out
 
 
-def scalogram(
-    series,
-    bank: FilterBank,
-    j: int,
-    keep_coeffs: bool = False,
-    theoretical_mean: Optional[float] = None,
-) -> ScalogramSummary:
+def scalogram(series, bank: FilterBank, j: int) -> ScalogramSummary:
     """Average of squared wavelet coefficients at scale j."""
-    s = scalograms(series, bank, [j], keep_coeffs)[0]
-    if theoretical_mean is not None:
-        s.centered = s.sigma2 - theoretical_mean
-    return s
+    return scalograms(series, bank, [j])[0]

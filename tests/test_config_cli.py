@@ -305,7 +305,7 @@ def test_pool_worker_takes_the_parents_law(tmp_path, monkeypatch):
         raise AssertionError("a worker built a limit shape")
 
     monkeypatch.setattr(scalolab.inference, "_LimitShape", no_shape)
-    monkeypatch.setattr(scalolab.inference, "_limit_cache", {})
+    scalolab.inference._limit_law.cache_clear()
     monkeypatch.setattr(harness, "_worker_plan", None)
     with pytest.raises(AssertionError, match="limit shape"):
         harness._init_worker(cfg.raw, None)
@@ -399,6 +399,9 @@ def test_cli_exit_codes(tmp_path):
     pytest.param("test", {"quantile_reps": 500}, "quantile_reps", id="quantile_reps-retired"),
     pytest.param("mc-experiment", {"quantile_n_internal": 1024}, "quantile_n_internal",
                  id="quantile_n_internal-retired"),
+    pytest.param("nu-c", {"d_values": [0.7]}, "d_values[0]", id="d_values-above-half"),
+    pytest.param("nu-c", {"d_values": ["x"]}, "d_values[0]", id="d_values-string"),
+    pytest.param("nu-c", {"d_values": 0.3}, "d_values", id="d_values-not-a-list"),
 ])
 def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
     cfgp = _write(tmp_path, "e.json", {
@@ -409,6 +412,32 @@ def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
     r = _cli(mode, "--config", cfgp)
     assert r.returncode == 2
     assert f"config error: {field}:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("mode, change", [
+    pytest.param("nu-c", {"g": "hermite:3", "d_values": [0.2]}, id="nu-c-short-memory-rank"),
+    pytest.param("mc-experiment", {"preset": "large-scale", "g": "hermite:3", "model": {"d": 0.2}},
+                 id="mc-short-memory-rank"),
+    pytest.param("estimate", {"bank": {"family": "db1", "jmax": 8}, "model": {"d": 0.3, "K": 1}},
+                 id="estimate-too-few-moments"),
+    pytest.param("test", {"k_bar": 2}, id="test-k_bar-not-below-M"),
+    pytest.param("estimate", {"input_csv": "const", "j": 1, "p": 1}, id="estimate-constant-series"),
+])
+def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change):
+    # each passes the configuration check and is rejected only once the run starts
+    if change.get("input_csv") == "const":
+        series = tmp_path / "const.csv"
+        export_path(np.ones(100), series)
+        change = {**change, "input_csv": str(series)}
+    cfgp = _write(tmp_path, "e.json", {
+        "mode": mode, "model": {"d": 0.3}, "g": "hermite:1", "n": 4096,
+        "bank": {"family": "db2", "jmax": 8}, "j": 5, "p": 3, "seed": 1,
+        "d0_star": 0.3, "alpha": 0.1, "replicates": 2, "out": str(tmp_path / "e"), **change,
+    })
+    r = _cli(mode, "--config", cfgp)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error: ")
     assert "Traceback" not in r.stderr
 
 

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from scalolab.errors import NonIntegrabilityError
 from scalolab.hermite import (
-    DecayDiagnostic,
     HermiteExpansion,
-    decay_check,
     expand,
     expansion_from_coeffs,
     gauss_hermite_rule,
@@ -160,26 +158,3 @@ def test_hermite_rank_empty_errors():
         expansion_from_coeffs({})
     with pytest.raises(ValueError):
         expansion_from_coeffs({3: 0.0})
-
-
-# --- decay diagnostic -----------------------------------------------------------
-
-
-def test_decay_polynomial_passes():
-    assert decay_check(expand(lambda x: x**3), 0.3).passed
-
-
-def test_decay_synthetic_violation_fails():
-    coeffs = {q: math.sqrt(math.factorial(q)) for q in range(1, 21)}
-    e = expansion_from_coeffs(coeffs)
-    diag = decay_check(e, 0.3)
-    assert isinstance(diag, DecayDiagnostic)
-    assert not diag.passed
-    assert diag.lambda_hat < 0
-
-
-def test_decay_exp_centered_passes():
-    e = expand(lambda x: np.exp(x / 2.0) - math.exp(0.125))
-    diag = decay_check(e, 0.3)
-    assert diag.passed
-    assert diag.lambda_hat > 0

@@ -168,11 +168,11 @@ def test_cov_q_matches_shell_and_phase_sum_over_trusted_zone(jmax, p):
         assert got == pytest.approx(brute, rel=1e-10)
 
 
-def test_rank_one_limit_constants_memory(monkeypatch):
+def test_rank_one_limit_constants_memory():
     # the shape is held on the trusted zone only, one offset level at a time;
     # full-period level arrays would peak at 176 MiB here
     bank = build_bank("db2", 10)
-    monkeypatch.setattr(inference, "_limit_cache", {})
+    inference._limit_law.cache_clear()
     tracemalloc.start()
     try:
         limit_constants(bank, MemoryParams(0.35, 0), 1, 3)

@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from scalolab.errors import SingularityError
-from scalolab.exponents import MemoryParams, delta
+from scalolab.exponents import MemoryParams
 from scalolab.hermite import expansion_from_coeffs
 from scalolab.spectral import (
-    GeneralizedDensity,
     ShortRangeSpec,
     SpectralModel,
+    _autocov_grid_raw,
     autocov_X,
     autocov_transformed,
     convolve_density,
     density_at,
     farima_gamma0,
     farima_rho,
-    generalized_density,
     grid_autocov,
-    holder_fit,
     spectral_grid,
 )
 from scalolab.synthesis import _Embedding, sample_gaussian
@@ -76,14 +74,13 @@ def test_autocov_matches_farima_oracle():
 
 
 def test_autocov_grid_matches_exact():
+    # dense-grid Fourier inversion is the independent reference for the closed form
     m = model(0.35)
-    e = autocov_X(m, 64, method="exact")
-    g = autocov_X(m, 64, method="grid")
-    np.testing.assert_allclose(g.values, e.values, atol=1e-10)
+    g = _autocov_grid_raw(m, 64, 2**20)
+    np.testing.assert_allclose(g / g[0], autocov_X(m, 64).values, atol=1e-10)
     mm = SpectralModel(MemoryParams(0.3, 0), ShortRangeSpec("ma", 0.2, (1.0, 0.4, -0.1)))
-    e2 = autocov_X(mm, 48, method="exact")
-    g2 = autocov_X(mm, 48, method="grid")
-    np.testing.assert_allclose(g2.values, e2.values, atol=1e-8)
+    g2 = _autocov_grid_raw(mm, 48, 2**20)
+    np.testing.assert_allclose(g2 / g2[0], autocov_X(mm, 48).values, atol=1e-8)
 
 
 def test_autocov_white_limit():
@@ -124,18 +121,6 @@ def test_autocov_transformed_variance_is_parseval_mass():
     assert out.values[0] == pytest.approx(e.parseval_mass, rel=1e-12)
 
 
-def test_generalized_density_even_and_nonnegative():
-    # includes a short-memory remainder so the lag-window path is exercised
-    gd = GeneralizedDensity(
-        expansion_from_coeffs({1: 1.0, 3: 1.0, 5: 0.5}), model(0.3), size=2**16
-    )
-    lams, vals = gd.grid()
-    assert vals.min() > -1e-12 * vals.max()
-    pos = lams > 0
-    mirrored = np.interp(-lams[pos][::-1], lams, vals)
-    np.testing.assert_allclose(mirrored, vals[pos][::-1], rtol=1e-8, atol=1e-12)
-
-
 def test_autocov_transformed_monte_carlo_cross_check():
     # synthesis-side check: sample covariance of H2(X) against 2 rho^2
     d = 0.35
@@ -171,64 +156,3 @@ def test_grid_covariance_close_to_exact():
     gam = grid_autocov(vals, 64)
     rho_grid = gam / gam[0]
     np.testing.assert_allclose(rho_grid, rho_oracle(0.3, 64), atol=5e-3)
-
-
-# --- generalized density ----------------------------------------------------------
-
-
-def test_generalized_density_rank_one_is_scaled_input():
-    m = model(0.3)
-    gd = GeneralizedDensity(expansion_from_coeffs({1: 2.0}), m, size=2**18)
-    for lam in (0.4, 1.0, 2.5):
-        assert gd.at(lam) == pytest.approx(4.0 * density_at(m, lam), rel=1e-6)
-    assert gd.f_star_at_zero == pytest.approx(4.0 * m.f_star_at_zero(), rel=1e-12)
-
-
-def test_generalized_density_memory_slope():
-    d, K = 0.3, 1
-    gd = GeneralizedDensity(expansion_from_coeffs({1: 1.0, 3: 1.0}), model(d, K), size=2**18)
-    ls = np.geomspace(1e-3, 1e-2, 9)
-    slope = np.polyfit(np.log(ls), np.log(gd.at(ls)), 1)[0]
-    assert slope == pytest.approx(-2 * (K + delta(1, d)), abs=0.02)
-
-
-def test_generalized_density_rank_two_level():
-    d = 0.4
-    gd = GeneralizedDensity(expansion_from_coeffs({2: 2.0}), model(d), size=2**18)
-    # f_{G,K}(lam) |lam|^{2 d0} stays near the short-range level at the origin
-    for lam in (1e-2, 1e-3):
-        val = gd.at(lam) * abs(2 * math.sin(lam / 2)) ** (2 * delta(2, d))
-        assert val == pytest.approx(gd.f_star_at_zero, rel=0.1)
-
-
-def test_generalized_density_holder_bounded():
-    d = 0.3
-    gd = GeneralizedDensity(expansion_from_coeffs({1: 1.0, 3: 2.0}), model(d), size=2**18)
-    from scalolab.exponents import zeta_exponent
-
-    zeta = zeta_exponent(2.0, d, 1, 3)
-    c_all, c_inner = holder_fit(gd, zeta)
-    assert math.isfinite(c_all) and c_all > 0
-    assert c_inner <= 2.0 * c_all  # no blow-up toward the origin
-
-
-def test_generalized_density_rejects_origin_and_caches():
-    m = model(0.3)
-    e = expansion_from_coeffs({1: 1.0})
-    with pytest.raises(SingularityError):
-        GeneralizedDensity(e, m, size=2**16).at(0.0)
-    v1, f1 = generalized_density(e, m, 0.7, size=2**16)
-    v2, f2 = generalized_density(e, m, 0.7, size=2**16)
-    assert v1 == v2 and f1 == f2
-
-
-def test_generalized_density_csv_export(tmp_path):
-    m = model(0.3)
-    gd = GeneralizedDensity(expansion_from_coeffs({1: 1.0}), m, size=2**16)
-    out = tmp_path / "dens.csv"
-    gd.to_csv(out, stride=1024)
-    rows = out.read_text().strip().splitlines()
-    assert rows[0] == "lambda,density"
-    assert len(rows) > 10
-    lam, val = map(float, rows[5].split(","))
-    assert val == pytest.approx(gd.at(lam), rel=1e-6)

@@ -188,13 +188,6 @@ def test_scalogram_quadratic_scaling(bank_db2):
     assert scalogram(2.5 * y, bank_db2, 3).sigma2 == pytest.approx(2.5**2 * base, rel=1e-12)
 
 
-def test_scalogram_centered_field(bank_db2):
-    rng = stream(8, 1)
-    y = rng.standard_normal(4096)
-    s = scalogram(y, bank_db2, 3, theoretical_mean=0.9)
-    assert s.centered == pytest.approx(s.sigma2 - 0.9)
-
-
 def test_scalogram_slope_smoke(bank_db2):
     # light slope sanity at rank one (tighter version runs in acceptance)
     d, K = 0.35, 0
