@@ -56,6 +56,7 @@ from .inference import (  # noqa: F401
     EstimationReport,
     LimitLaw,
     TestReport,
+    calibrate_test,
     estimate_d0,
     limit_constants,
     regression_weights,

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .config import load_config, parse_config
-from .errors import BoundaryValueError, InvalidTargetError, NumericError, PreconditionError, UserInputError
+from .errors import NumericError, PreconditionError, UserInputError
 from .harness import run
 
 
@@ -38,9 +38,8 @@ def main(argv=None) -> int:
             cfg = parse_config(raw)
         paths = run(cfg)
     except UserInputError as exc:
-        # in a run, only invert_target raises these two: they reject d0_star
-        field = "d0_star: " if isinstance(exc, (InvalidTargetError, BoundaryValueError)) else ""
-        print(f"config error: {field}{exc}", file=sys.stderr)
+        # a ConfigError, from the check or named by the run, leads with its field
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -44,37 +44,30 @@ def _normal_moment(n: int) -> float:
 @dataclass(frozen=True)
 class GSpec:
     """Declarative transform: a named builtin, a polynomial in x with
-    rational coefficients, or an explicit Hermite coefficient map."""
+    rational coefficients, or an explicit Hermite coefficient map.  Calling
+    it applies the centred transform; being plain data, it pickles."""
 
     kind: str
     q: Optional[int] = None
     poly_coeffs: tuple = ()
     hermite_coeffs: tuple = ()  # ((q, c), ...)
 
-    def centered_callable(self):
-        """Vectorised, exactly centered version of the transform."""
+    def __call__(self, x):
+        """The transform, vectorised and exactly centred."""
         if self.kind == "hermite":
-            q = self.q
-
-            return lambda x: hermite_eval(q, x)
+            return hermite_eval(self.q, x)
         if self.kind == "polynomial":
             coeffs = np.array(self.poly_coeffs, dtype=float)
             mean = sum(c * _normal_moment(n) for n, c in enumerate(coeffs))
-
-            def poly(x):
-                return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs) - mean
-
-            return poly
+            return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs) - mean
         if self.kind == "exp-centered":
-            return lambda x: np.exp(np.asarray(x, dtype=float) / 2.0) - math.exp(0.125)
+            return np.exp(np.asarray(x, dtype=float) / 2.0) - math.exp(0.125)
         if self.kind == "sign":
-            return lambda x: np.sign(x)
+            return np.sign(x)
         if self.kind == "abs-centered":
-            return lambda x: np.abs(x) - math.sqrt(2.0 / math.pi)
+            return np.abs(x) - math.sqrt(2.0 / math.pi)
         if self.kind == "hermite-coeffs":
-            coeffs = dict(self.hermite_coeffs)
-
-            return lambda x: hermite_series(coeffs, x)
+            return hermite_series(dict(self.hermite_coeffs), x)
         raise ConfigError("g.kind", f"unknown transform kind {self.kind!r}")
 
     def expansion(self, qmax: int = DEFAULT_QMAX, quad_order: int = DEFAULT_QUAD_ORDER) -> HermiteExpansion:
@@ -83,7 +76,7 @@ class GSpec:
             return expansion_from_coeffs({self.q: float(math.factorial(self.q))}, qmax=qmax)
         if self.kind == "hermite-coeffs":
             return expansion_from_coeffs(dict(self.hermite_coeffs), qmax=qmax)
-        return expand(self.centered_callable(), qmax=qmax, quad_order=quad_order)
+        return expand(self, qmax=qmax, quad_order=quad_order)
 
 
 def parse_g_spec(obj, path: str = "g") -> GSpec:

@@ -48,8 +48,8 @@ class DegenerateScalogramError(UserInputError):
 
 
 class FilterValidationError(UserInputError):
-    """A filter bank failed one of its structural admissibility checks;
-    the message names the violated assumption."""
+    """A filter bank failed an admissibility check, structural or too few
+    vanishing moments for the model; the message names the assumption."""
 
 
 class InvalidTargetError(UserInputError):

@@ -7,11 +7,12 @@ Philox substreams; replicates 2i and 2i+1 of schedule row s are the real
 and the imaginary half of stream (s << 32) | i (an odd count drops the
 last imaginary half), so aggregates cannot depend on execution order.
 
-A Monte Carlo run builds one plan per process (bank, schedule, expansion,
-rank, centred transform, each row's limit law) and, with workers > 1,
-opens one process pool whose initializer builds each worker's plan from
-the raw config and the parent's laws; a replicate pair is then a function
-of (plan, row position, pair index) alone.
+A Monte Carlo run builds one plan, in the parent (bank, schedule, expansion,
+rank and, when it tests d0*, each row's `calibrate_test` report) and, with
+workers > 1, opens one process pool whose initializer hands each worker
+that plan; a replicate pair is then a function of (plan, row position, pair
+index) alone, and a replicate compares |d0_hat - d0*| with its row's s_N.
+A rejection raised during a run names its config field (`_naming`).
 """
 
 import csv
@@ -19,19 +20,21 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, ingest
-from .errors import PreconditionError
-from .exponents import MemoryParams, critical_exponent_report, delta, rank_profile
+from .errors import (BoundaryValueError, ConfigError, DegenerateScalogramError, FilterValidationError,
+                     InvalidTargetError, LongMemoryError, PreconditionError, ScaleTooCoarseError)
+from .exponents import critical_exponent_report, delta, rank_profile
 from .hermite import HermiteExpansion, hermite_eval, hermite_rank
-from .inference import estimate_d0, invert_target, limit_constants, run_test
+from .inference import calibrate_test, estimate_d0, run_test
 from .synthesis import export_path, integrate_K, sample_gaussian_pair, sample_path, transform_path
 from .wavelet import FilterBank, build_bank, n_coeffs, scalograms
 
@@ -42,6 +45,20 @@ def _bank(family: str, jmax: int) -> FilterBank:
 
 def _meta(cfg: ExperimentConfig) -> dict:
     return {"config": cfg.raw, "seed": cfg.seed, "version": __version__}
+
+
+@contextmanager
+def _naming(fields: dict):
+    """A rejection of a kind in `fields` becomes a ConfigError naming the field."""
+    try:
+        yield
+    except tuple(fields) as exc:
+        raise ConfigError(next(f for k, f in fields.items() if isinstance(exc, k)), str(exc)) from None
+
+
+# calibrate_test checks d0* and the bank's M against k_bar; estimate_d0 the series
+_TEST_FIELDS = {InvalidTargetError: "d0_star", BoundaryValueError: "d0_star",
+                FilterValidationError: "k_bar", DegenerateScalogramError: "input_csv"}
 
 
 class _Artifacts:
@@ -64,15 +81,10 @@ class _Artifacts:
                     os.unlink(q)
 
 
-def _simulate_series(cfg: ExperimentConfig) -> np.ndarray:
-    g = cfg.g.centered_callable() if cfg.g is not None else None
-    return sample_path(cfg.model, g, cfg.n, cfg.seed)[1]
-
-
 def _load_or_simulate(cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
     if cfg.input_csv:
         return ingest(cfg.input_csv)
-    series = _simulate_series(cfg)
+    series = sample_path(cfg.model, cfg.g, cfg.n, cfg.seed)[1]
     return series, {"simulated": True, "n": cfg.n, "seed": cfg.seed}
 
 
@@ -87,7 +99,7 @@ def run(cfg: ExperimentConfig) -> list:
 
 
 def _run_simulate(cfg, art):
-    series = _simulate_series(cfg)
+    series = sample_path(cfg.model, cfg.g, cfg.n, cfg.seed)[1]
     p = art.path("path.csv")
     export_path(series, p, sidecar=_meta(cfg))
     return art.paths
@@ -116,10 +128,11 @@ def _run_estimate(cfg, art):
     if cfg.g is not None and cfg.model is not None:
         q0, _ = hermite_rank(cfg.g.expansion())
         kwargs = {"params": cfg.model.params, "q0": q0}
-    report = estimate_d0(series, bank, cfg.j0, cfg.p, **kwargs)
+    with _naming({FilterValidationError: "bank.family", DegenerateScalogramError: "input_csv"}):
+        report = estimate_d0(series, bank, cfg.j0, cfg.p, **kwargs)
     rp = art.path("estimate_report.json")
     with open(rp, "w") as fh:
-        json.dump({**_meta(cfg), "input": prov, "estimate": report.to_dict()},
+        json.dump({**_meta(cfg), "input": prov, "estimate": asdict(report)},
                   fh, indent=2, default=float)
     return art.paths
 
@@ -128,8 +141,9 @@ def _run_test_mode(cfg, art):
     series, prov = _load_or_simulate(cfg)
     bank = _bank(cfg.bank_family, cfg.bank_jmax)
     expansion = cfg.g.expansion()
-    report = run_test(series, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
-                      cfg.j0, cfg.p, beta_smooth=cfg.model.beta_smooth)
+    with _naming(_TEST_FIELDS):
+        report = run_test(series, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
+                          cfg.j0, cfg.p, beta_smooth=cfg.model.beta_smooth)
     enforce = cfg.enforce_preconditions or {}
     red_max, bias_max = enforce.get("reduction_max"), enforce.get("bias_max")
     if red_max is not None and report.reduction_ratio is not None and report.reduction_ratio > red_max:
@@ -138,7 +152,7 @@ def _run_test_mode(cfg, art):
         raise PreconditionError(f"bias ratio {report.bias_ratio:.3g} exceeds {bias_max}")
     rp = art.path("test_report.json")
     with open(rp, "w") as fh:
-        json.dump({**_meta(cfg), "input": prov, "test": report.to_dict()},
+        json.dump({**_meta(cfg), "input": prov, "test": asdict(report)},
                   fh, indent=2, default=float)
     return art.paths
 
@@ -148,8 +162,9 @@ def _run_nuc(cfg, art):
     indices = expansion.nonzero_indices()
     ds = list(cfg.d_values) or [cfg.model.d]
     reports = []
-    for d in ds:
-        profile = rank_profile(indices, d)
+    for i, d in enumerate(ds):
+        with _naming({LongMemoryError: f"d_values[{i}]" if cfg.d_values else "model.d"}):
+            profile = rank_profile(indices, d)
         rep = critical_exponent_report(profile, d)
         reports.append({
             "d": d,
@@ -183,7 +198,7 @@ class _Row:
     gap_scales: tuple = ()
 
 
-def _schedule(cfg: ExperimentConfig, bank: FilterBank) -> list:
+def _schedule(cfg: ExperimentConfig, bank: FilterBank, expansion: HermiteExpansion) -> list:
     rows = []
     base = {"n": cfg.n, "j0": cfg.j0, "p": cfg.p, "replicates": cfg.replicates}
     if cfg.schedule:
@@ -192,14 +207,14 @@ def _schedule(cfg: ExperimentConfig, bank: FilterBank) -> list:
             rows.append(_Row(merged["n"], merged["j0"], merged["p"], merged["replicates"]))
     elif cfg.preset in ("large-scale", "small-scale"):
         d = cfg.model.d
-        expansion = cfg.g.expansion()
-        profile = rank_profile(expansion.nonzero_indices(), d)
+        with _naming({LongMemoryError: "model.d"}):
+            profile = rank_profile(expansion.nonzero_indices(), d)
         nu = critical_exponent_report(profile, d).nu_c
         js = []
         for j in range(2, bank.jmax - 1):
             try:
                 nj = n_coeffs(cfg.n, bank.T, j + 1)
-            except Exception:
+            except ScaleTooCoarseError:
                 continue
             if nj < 32:
                 continue
@@ -227,37 +242,35 @@ def _schedule(cfg: ExperimentConfig, bank: FilterBank) -> list:
 
 @dataclass(frozen=True)
 class _Plan:
-    """What every replicate of a Monte Carlo run shares; built once per process."""
+    """What every replicate of a Monte Carlo run shares; built once, in the parent."""
 
     cfg: ExperimentConfig
     bank: FilterBank
     rows: list
     expansion: HermiteExpansion
     q0: int
-    g: Callable  # the centred transform
-    laws: Optional[tuple]  # each row's limit law when the run tests d0*
+    calibrations: Optional[tuple]  # each row's calibrate_test report when the run tests d0*
 
 
-def _plan(cfg: ExperimentConfig, laws: Optional[tuple] = None) -> _Plan:
+def _plan(cfg: ExperimentConfig) -> _Plan:
     bank = _bank(cfg.bank_family, cfg.bank_jmax)
     expansion = cfg.g.expansion()
-    q0, rows = hermite_rank(expansion)[0], _schedule(cfg, bank)
-    if laws is None and cfg.d0_star is not None and cfg.alpha is not None:
-        params = MemoryParams(*invert_target(cfg.d0_star, q0))
-        laws = tuple(limit_constants(bank, params, q0, row.p) for row in rows)
-    return _Plan(cfg, bank, rows, expansion, q0, cfg.g.centered_callable(), laws)
+    q0, rows = hermite_rank(expansion)[0], _schedule(cfg, bank, expansion)
+    calibrations = None
+    if cfg.d0_star is not None and cfg.alpha is not None:
+        with _naming(_TEST_FIELDS):
+            calibrations = tuple(calibrate_test(bank, row.n, cfg.d0_star, cfg.alpha, cfg.k_bar,
+                                                expansion, row.j0, row.p, cfg.model.beta_smooth)
+                                 for row in rows)
+    return _Plan(cfg, bank, rows, expansion, q0, calibrations)
 
 
 _worker_plan: Optional[_Plan] = None
 
 
-def _init_worker(raw: dict, laws: Optional[tuple]):
-    # the centred transform is a lambda, which cannot be pickled: each worker
-    # builds its own plan from the raw config, once, with the parent's laws
+def _init_worker(plan: _Plan):
     global _worker_plan
-    from .config import parse_config
-
-    _worker_plan = _plan(parse_config(raw), laws)
+    _worker_plan = plan
 
 
 def _pool_pair(task):
@@ -274,15 +287,10 @@ def _mc_pair(plan: _Plan, pos: int, i: int) -> list:
 def _mc_replicate(plan: _Plan, pos: int, x: np.ndarray) -> dict:
     """The replicate of schedule row `pos` whose Gaussian path is x."""
     cfg, row, bank = plan.cfg, plan.rows[pos], plan.bank
-    y = transform_path(cfg.model, plan.g, x)
-    out = {}
-    if plan.laws is not None:
-        rep = run_test(y, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, plan.expansion,
-                       row.j0, row.p, beta_smooth=cfg.model.beta_smooth, law=plan.laws[pos])
-        # run_test estimates d0 on the same series and scales
-        out["d0_hat"], out["reject"] = rep.d0_hat, bool(rep.decision)
-    else:
-        out["d0_hat"] = estimate_d0(y, bank, row.j0, row.p).d0_hat
+    y = transform_path(cfg.model, cfg.g, x)
+    out = {"d0_hat": estimate_d0(y, bank, row.j0, row.p).d0_hat}
+    if plan.calibrations is not None:
+        out["reject"] = abs(out["d0_hat"] - cfg.d0_star) > plan.calibrations[pos].s_N
     if row.gap_scales:
         q0, cq0 = plan.q0, plan.expansion.coeffs[plan.q0]
         lead = integrate_K((cq0 / math.factorial(q0)) * hermite_eval(q0, x), cfg.model.K)
@@ -297,7 +305,7 @@ def _run_mc(cfg, art):
     tasks = [(pos, i) for pos, row in enumerate(plan.rows) for i in range((row.replicates + 1) // 2)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
-                                 initargs=(cfg.raw, plan.laws)) as ex:
+                                 initargs=(plan,)) as ex:
             pairs = list(ex.map(_pool_pair, tasks, chunksize=4))
     else:
         pairs = [_mc_pair(plan, *t) for t in tasks]

@@ -15,7 +15,7 @@ shape samples; at rank >= 2 the shape integrals reduce to one dimension.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from statistics import NormalDist
 from typing import Optional
@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import (
     DegenerateScalogramError,
+    FilterValidationError,
     InvalidTargetError,
     QuadratureError,
-    UserInputError,
 )
 from .exponents import (
     MemoryParams,
@@ -72,14 +72,6 @@ class EstimationReport:
     rate_bias: Optional[float] = None  # 2^(-zeta j0), finest scale
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "d0_hat": self.d0_hat, "j0": self.j0, "p": self.p,
-            "n": self.n, "sigma2": self.sigma2, "weights": self.weights,
-            "rate_stat": self.rate_stat, "rate_bias": self.rate_bias,
-            "notes": self.notes,
-        }
-
 
 def d0_from_scalograms(sigma2s) -> float:
     """Apply the contrast weights to given per-scale scalogram values."""
@@ -109,7 +101,7 @@ def estimate_d0(
     if params is not None and q0 is not None:
         need = params.K + delta(q0, params.d)
         if bank.M < need:
-            raise UserInputError(
+            raise FilterValidationError(
                 f"bank has M={bank.M} vanishing moments; theory requires M >= {need:.3g}"
             )
     sums = scalograms(series, bank, range(j0, j0 + p + 1))
@@ -455,7 +447,7 @@ def rosenblatt_quantile(d: float, prob: float) -> tuple[float, dict]:
     if not (0.0 < prob < 1.0):
         raise ValueError("prob must lie in (0, 1)")
     law = _second_chaos_law(float(d), _KERNEL_CELLS)
-    if prob not in law.quantiles:  # a Monte Carlo row asks once per replicate
+    if prob not in law.quantiles:  # a process running many sweeps asks once per run
         law.quantiles[prob] = _bisect(lambda y: law.cdf(y)[0] < prob, -10.0 * law.sd, law.sd)
     return law.quantiles[prob], {"method": "eigenvalue CF inversion", "d": float(d), "m": law.m,
                "tail_var_share": law.tail_var / law.var, "steps": len(law.t)}
@@ -487,13 +479,14 @@ def invert_target(d0_star: float, q0: int) -> tuple[float, int]:
 
 @dataclass
 class TestReport:
-    """Decision and full provenance of the memory-parameter test."""
+    """Decision and full provenance of the memory-parameter test; a
+    `calibrate_test` report leaves the three series-dependent fields unset."""
 
     d0_star: float
     alpha: float
-    d0_hat: float
+    d0_hat: Optional[float]
     s_N: float
-    decision: bool  # True = reject
+    decision: Optional[bool]  # True = reject
     q0: int
     d_star: float
     K_star: int
@@ -504,49 +497,30 @@ class TestReport:
     zeta_star: float
     bias_ratio: float  # 2^(-zeta jc) * u_N; small is good
     quantile_provenance: dict = field(default_factory=dict)
-    estimation: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["estimation"] = self.estimation
-        return out
+    estimation: Optional[EstimationReport] = None
 
 
-def run_test(
-    series,
-    bank: FilterBank,
-    d0_star: float,
-    alpha: float,
-    K_bar: int,
-    expansion: HermiteExpansion,
-    j0: int,
-    p: int,
-    beta_smooth: float = 2.0,
-    law: Optional[LimitLaw] = None,
-) -> TestReport:
-    """Two-sided test of the memory parameter taking the hypothesised value.
+def calibrate_test(bank: FilterBank, N: int, d0_star: float, alpha: float, K_bar: int,
+                   expansion: HermiteExpansion, j0: int, p: int, beta_smooth: float = 2.0) -> TestReport:
+    """The test's critical value s_N and side-condition ratios for series of
+    length N on scales j0..j0+p: everything but the series values decides them.
 
-    Rejects when |d0_hat - d0*| exceeds the (1-alpha/2) quantile of the
-    estimator's limit law under the hypothesis, scaled back by the
-    normalisation rate u_N.  The two asymptotic side conditions (reduction
-    regime and bias negligibility) are reported as finite-sample ratios and
-    never enforced; callers decide what "much smaller than 1" means.  A
-    rank-one law whose tail_change exceeds _TAIL_CHANGE_TOL raises QuadratureError.
+    s_N is the (1-alpha/2) quantile of the estimator's limit law under the
+    hypothesis, scaled back by the normalisation rate u_N.  The two
+    asymptotic side conditions (reduction regime and bias negligibility) are
+    reported as finite-sample ratios and never enforced; callers decide what
+    "much smaller than 1" means.  A rank-one law whose tail_change exceeds
+    _TAIL_CHANGE_TOL raises QuadratureError.
     """
-    series = np.asarray(series, dtype=float)
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     if bank.M <= K_bar:
-        raise UserInputError(f"need M > K_bar (bank has M={bank.M}, K_bar={K_bar})")
+        raise FilterValidationError(f"need M > K_bar (bank has M={bank.M}, K_bar={K_bar})")
     q0, q1 = hermite_rank(expansion)
     d_star, K_star = invert_target(d0_star, q0)
-    params = MemoryParams(d_star, K_star)
-
-    report = estimate_d0(series, bank, j0, p)
     jc = j0 + p
-    n_base = len(series) * 2.0**-jc
-    if law is None:
-        law = limit_constants(bank, params, q0, p)
+    n_base = N * 2.0**-jc
+    law = limit_constants(bank, MemoryParams(d_star, K_star), q0, p)
     u_N = n_base**law.u_N_exponent
 
     if law.kind == "gaussian":
@@ -571,13 +545,32 @@ def run_test(
         red_ratio = n_base / 2.0 ** (jc * nu_val)
     zeta_star = zeta_exponent(beta_smooth, d_star, q0, q1)
     bias_ratio = 2.0 ** (-zeta_star * jc) * u_N
-
-    decision = abs(report.d0_hat - d0_star) > s_N
     return TestReport(
-        d0_star=d0_star, alpha=alpha, d0_hat=report.d0_hat, s_N=float(s_N),
-        decision=bool(decision), q0=q0, d_star=d_star, K_star=K_star,
+        d0_star=d0_star, alpha=alpha, d0_hat=None, s_N=float(s_N),
+        decision=None, q0=q0, d_star=d_star, K_star=K_star,
         u_N=float(u_N), kind=law.kind,
         nu_c_star=nu_val, reduction_ratio=red_ratio,
         zeta_star=zeta_star, bias_ratio=float(bias_ratio),
-        quantile_provenance=prov, estimation=report.to_dict(),
+        quantile_provenance=prov,
     )
+
+
+def run_test(
+    series,
+    bank: FilterBank,
+    d0_star: float,
+    alpha: float,
+    K_bar: int,
+    expansion: HermiteExpansion,
+    j0: int,
+    p: int,
+    beta_smooth: float = 2.0,
+) -> TestReport:
+    """Two-sided test of the memory parameter taking the hypothesised value:
+    rejects when |d0_hat - d0*| exceeds the critical value s_N of
+    `calibrate_test`.  The series is estimated first, so an input both the
+    estimate and the calibration reject fails on the estimate."""
+    est = estimate_d0(series, bank, j0, p)
+    cal = calibrate_test(bank, len(series), d0_star, alpha, K_bar, expansion, j0, p, beta_smooth)
+    return replace(cal, d0_hat=est.d0_hat, decision=abs(est.d0_hat - d0_star) > cal.s_N,
+                   estimation=est)

@@ -369,12 +369,11 @@ def test_accept_10_test_calibration_and_power(bank):
     d0_star, alpha, N, j0, p = 0.35, 0.1, 2**16, 5, 3
     exp_h1 = expansion_from_coeffs({1: 1.0})
     reps = 500
-    law = limit_constants(bank, MemoryParams(0.35, 0), 1, p)
     null_model = SpectralModel(MemoryParams(0.35, 0))
     rejects = 0
     for r in range(reps):
         x = sample_gaussian(null_model, N, seed=1100, stream_index=r)
-        rep = run_test(x, bank, d0_star, alpha, 0, exp_h1, j0, p, law=law)
+        rep = run_test(x, bank, d0_star, alpha, 0, exp_h1, j0, p)
         rejects += rep.decision
     rate = rejects / reps
     slack = 2 * math.sqrt(alpha * (1 - alpha) / reps) + 0.04
@@ -384,7 +383,7 @@ def test_accept_10_test_calibration_and_power(bank):
     power_rejects = 0
     for r in range(reps):
         x = sample_gaussian(alt_model, N, seed=1101, stream_index=r)
-        rep = run_test(x, bank, d0_star, alpha, 0, exp_h1, j0, p, law=law)
+        rep = run_test(x, bank, d0_star, alpha, 0, exp_h1, j0, p)
         power_rejects += rep.decision
     power = power_rejects / reps
     power_ok = power > 0.8

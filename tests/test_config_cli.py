@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -50,9 +51,8 @@ def test_g_spec_errors():
 
 def test_g_spec_polynomial_centering_and_expansion():
     g = parse_g_spec({"kind": "polynomial", "coeffs": [1, 0, 1]})  # 1 + x^2
-    call = g.centered_callable()
     xs = np.array([0.0, 1.0, -2.0])
-    np.testing.assert_allclose(call(xs), xs**2 - 1.0)  # mean removed exactly
+    np.testing.assert_allclose(g(xs), xs**2 - 1.0)  # mean removed exactly
     e = g.expansion()
     assert set(e.coeffs) == {2}
 
@@ -215,14 +215,22 @@ def test_analyze_and_estimate_modes(tmp_path):
 
 
 def test_mc_experiment_order_invariance(tmp_path):
-    # two rows sharing one pool: a chunk of tasks crosses the row boundary
-    base = {"mode": "mc-experiment", "model": {"d": 0.3, "K": 0},
-            "g": "hermite:1", "bank": {"family": "db2", "jmax": 6},
-            "n": 1024, "j": 2, "p": 2, "replicates": 6, "seed": 10,
-            "schedule": [{"n": 1024, "j": 2}, {"n": 2048, "j": 3, "replicates": 5}]}
-    (c1, _) = run(parse_config({**base, "out": str(tmp_path / "w1")}))
-    (c2, _) = run(parse_config({**base, "workers": 2, "out": str(tmp_path / "w2")}))
-    assert open(c1).read() == open(c2).read()
+    # two rows sharing one pool: a chunk of tasks crosses the row boundary;
+    # the second run tests d0* at rank 2, each row against its own s_N
+    estimate = {"mode": "mc-experiment", "model": {"d": 0.3, "K": 0},
+                "g": "hermite:1", "bank": {"family": "db2", "jmax": 6},
+                "n": 1024, "j": 2, "p": 2, "replicates": 6, "seed": 10,
+                "schedule": [{"n": 1024, "j": 2}, {"n": 2048, "j": 3, "replicates": 5}]}
+    tested = {**estimate, "model": {"d": 0.42, "K": 0}, "g": "hermite:2",
+              "bank": {"family": "db2", "jmax": 8}, "d0_star": 0.34, "alpha": 0.1,
+              "schedule": [{"n": 4096, "j": 3}, {"n": 8192, "j": 4, "replicates": 5}]}
+    for name, base in (("estimate", estimate), ("tested", tested)):
+        (c1, r1) = run(parse_config({**base, "out": str(tmp_path / name / "w1")}))
+        (c2, r2) = run(parse_config({**base, "workers": 2, "out": str(tmp_path / name / "w2")}))
+        assert open(c1).read() == open(c2).read()
+        results = [json.dumps(json.loads(open(r).read())["results"]) for r in (r1, r2)]
+        assert results[0] == results[1]  # compared as text: NaN never equals itself
+    assert "rejection_rate" in open(c1).readline()
 
 
 def test_mc_experiment_slope_preset_end_to_end(tmp_path):
@@ -291,27 +299,30 @@ def test_mc_pairs_take_both_halves_of_one_stream(tmp_path, monkeypatch):
                     seen[1], sample_gaussian_pair(cfg.model, n, 10, (pos << 32) | i)[1])
 
 
-def test_pool_worker_takes_the_parents_law(tmp_path, monkeypatch):
-    # the worker initializer gets the laws the parent built: no worker
-    # integrates a limit shape again
+def test_pool_worker_takes_the_parents_plan(tmp_path, monkeypatch):
+    # the worker initializer gets the plan the parent built, through pickle:
+    # no worker parses the config, builds a bank or integrates a limit shape
     cfg = parse_config({
         "mode": "mc-experiment", "model": {"d": 0.35, "K": 0}, "g": "hermite:1",
         "bank": {"family": "db2", "jmax": 7}, "n": 4096, "j": 3, "p": 2,
         "d0_star": 0.35, "alpha": 0.1, "replicates": 2, "seed": 6, "out": str(tmp_path),
     })
-    laws = harness._plan(cfg).laws
+    plan = harness._plan(cfg)
+    expected = harness._mc_pair(plan, 0, 0)
 
-    def no_shape(bank):
-        raise AssertionError("a worker built a limit shape")
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a worker rebuilt part of the plan")
 
-    monkeypatch.setattr(scalolab.inference, "_LimitShape", no_shape)
+    for module, name in ((scalolab.config, "parse_config"), (harness, "build_bank"),
+                         (scalolab.inference, "_LimitShape")):
+        monkeypatch.setattr(module, name, rebuilt)
+    harness._bank.cache_clear()
     scalolab.inference._limit_law.cache_clear()
     monkeypatch.setattr(harness, "_worker_plan", None)
-    with pytest.raises(AssertionError, match="limit shape"):
-        harness._init_worker(cfg.raw, None)
-    harness._init_worker(cfg.raw, laws)
+    harness._init_worker(pickle.loads(pickle.dumps(plan)))
     recs = harness._pool_pair((0, 0))
     assert len(recs) == 2 and all(set(rec) == {"d0_hat", "reject"} for rec in recs)
+    assert recs == expected
 
 
 def test_mc_plan_built_once_per_run(tmp_path, monkeypatch):
@@ -415,17 +426,20 @@ def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
     assert "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize("mode, change", [
-    pytest.param("nu-c", {"g": "hermite:3", "d_values": [0.2]}, id="nu-c-short-memory-rank"),
+@pytest.mark.parametrize("mode, change, field", [
+    pytest.param("nu-c", {"g": "hermite:3", "d_values": [0.2]}, "d_values[0]",
+                 id="nu-c-short-memory-rank"),
     pytest.param("mc-experiment", {"preset": "large-scale", "g": "hermite:3", "model": {"d": 0.2}},
-                 id="mc-short-memory-rank"),
+                 "model.d", id="mc-short-memory-rank"),
     pytest.param("estimate", {"bank": {"family": "db1", "jmax": 8}, "model": {"d": 0.3, "K": 1}},
-                 id="estimate-too-few-moments"),
-    pytest.param("test", {"k_bar": 2}, id="test-k_bar-not-below-M"),
-    pytest.param("estimate", {"input_csv": "const", "j": 1, "p": 1}, id="estimate-constant-series"),
+                 "bank.family", id="estimate-too-few-moments"),
+    pytest.param("test", {"k_bar": 2}, "k_bar", id="test-k_bar-not-below-M"),
+    pytest.param("estimate", {"input_csv": "const", "j": 1, "p": 1}, "input_csv",
+                 id="estimate-constant-series"),
 ])
-def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change):
-    # each passes the configuration check and is rejected only once the run starts
+def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
+    # each passes the configuration check and is rejected only once the run
+    # starts, which names the field that supplied the rejected value
     if change.get("input_csv") == "const":
         series = tmp_path / "const.csv"
         export_path(np.ones(100), series)
@@ -437,7 +451,7 @@ def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change):
     })
     r = _cli(mode, "--config", cfgp)
     assert r.returncode == 2, r.stderr
-    assert r.stderr.startswith("config error: ")
+    assert r.stderr.startswith(f"config error: {field}: ")
     assert "Traceback" not in r.stderr
 
 
@@ -452,6 +466,13 @@ def test_cli_scales_too_coarse_for_input_csv_exit_2(tmp_path):
     assert r.returncode == 2
     assert "config error: scale" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_pyproject_version_matches_package():
+    # reports embed __version__: the packaging metadata must not drift from it
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == scalolab.__version__
 
 
 def test_calibration_script_smoke(tmp_path):

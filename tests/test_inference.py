@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from scalolab.harness import run
 from scalolab.hermite import expansion_from_coeffs
 from scalolab.inference import (
     _lp_integral,
+    calibrate_test,
     d0_from_scalograms,
     estimate_d0,
     invert_target,
@@ -424,7 +426,7 @@ def test_run_test_report_fields(bank_db2):
     assert rep.reduction_ratio is None
     assert rep.bias_ratio > 0
     assert rep.u_N == pytest.approx(math.sqrt(2**15 * 2.0**-7))
-    loaded = json.loads(json.dumps(rep.to_dict(), default=float))
+    loaded = json.loads(json.dumps(asdict(rep), default=float))
     assert loaded["decision"] == rep.decision
     assert loaded["estimation"]["d0_hat"] == pytest.approx(rep.d0_hat)
 
@@ -451,6 +453,18 @@ def test_run_test_rank_two_quantile_path(bank_db2):
     assert rep.quantile_provenance["kind"] == "rosenblatt"
     zq, _ = rosenblatt_quantile(rep.d_star, 0.95)
     assert rep.s_N == pytest.approx(rep.quantile_provenance["c_scale"] * zq / rep.u_N, rel=1e-12)
+
+
+def test_calibrate_test_is_run_test_without_the_series(bank_db2):
+    # a calibration fixes every field but the three that read the series
+    x = sample_gaussian(model(0.41), 2**14, seed=74)
+    series_fields = ("d0_hat", "decision", "estimation")
+    for coeffs, d0_star in (({1: 1.0}, 0.41), ({2: 2.0, 3: 1.0}, 0.32)):
+        g = expansion_from_coeffs(coeffs)
+        cal = asdict(calibrate_test(bank_db2, len(x), d0_star, 0.1, 0, g, 4, 3, beta_smooth=1.5))
+        rep = asdict(run_test(x, bank_db2, d0_star, 0.1, 0, g, 4, 3, beta_smooth=1.5))
+        assert all(cal.pop(k) is None and rep.pop(k) is not None for k in series_fields)
+        assert cal == rep
 
 
 def test_run_test_requires_enough_moments(bank_db2):
