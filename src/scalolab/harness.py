@@ -300,6 +300,44 @@ def _mc_replicate(plan: _Plan, pos: int, x: np.ndarray) -> dict:
     return out
 
 
+def _skewness(x: np.ndarray) -> float:
+    """Biased sample skewness m3 / m2^1.5; NaN when x is constant to rounding."""
+    mean = x.mean()
+    dev = x - mean
+    m2, m3 = np.mean(dev**2), np.mean(dev**2 * dev)
+    return math.nan if m2 <= (np.finfo(float).eps * mean) ** 2 else float(m3 / m2**1.5)
+
+
+def _normality_p(x: np.ndarray) -> float:
+    """D'Agostino-Pearson omnibus p-value, NaN below 8 points.
+
+    K^2 = z_s^2 + z_k^2 of the skewness z-score (D'Agostino 1970) and the
+    kurtosis z-score (Anscombe & Glynn 1983); its chi^2_2 tail is exp(-K^2/2).
+    """
+    n, b1 = float(len(x)), _skewness(x)
+    if n < 8 or math.isnan(b1):
+        return math.nan
+    dev = x - x.mean()
+    b2 = np.mean((dev**2) ** 2) / np.mean(dev**2) ** 2
+    # y = 0 is read as 1, as the reference normaltest does
+    y = b1 * math.sqrt((n + 1) * (n + 3) / (6.0 * (n - 2))) or 1.0
+    beta2 = 3.0 * (n**2 + 27 * n - 70) * (n + 1) * (n + 3) / ((n - 2.0) * (n + 5) * (n + 7) * (n + 9))
+    w2 = -1 + math.sqrt(2 * (beta2 - 1))
+    alpha = math.sqrt(2.0 / (w2 - 1))
+    z_s = math.log(y / alpha + math.sqrt((y / alpha) ** 2 + 1)) / math.sqrt(0.5 * math.log(w2))
+    e = 3.0 * (n - 1) / (n + 1)
+    var_b2 = 24.0 * n * (n - 2) * (n - 3) / ((n + 1) * (n + 1.0) * (n + 3) * (n + 5))
+    sqrt_beta1 = (6.0 * (n * n - 5 * n + 2) / ((n + 7) * (n + 9))
+                  * (6.0 * (n + 3) * (n + 5) / (n * (n - 2) * (n - 3))) ** 0.5)
+    a = 6.0 + 8.0 / sqrt_beta1 * (2.0 / sqrt_beta1 + (1 + 4.0 / sqrt_beta1**2) ** 0.5)
+    denom = 1 + (b2 - e) / var_b2**0.5 * (2 / (a - 4.0)) ** 0.5
+    if denom == 0.0:
+        return math.nan
+    term2 = math.copysign(((1 - 2.0 / a) / abs(denom)) ** (1 / 3), denom)
+    z_k = (1 - 2 / (9.0 * a) - term2) / (2 / (9.0 * a)) ** 0.5
+    return math.exp(-(z_s**2 + z_k**2) / 2)
+
+
 def _run_mc(cfg, art):
     plan = _plan(cfg)
     tasks = [(pos, i) for pos, row in enumerate(plan.rows) for i in range((row.replicates + 1) // 2)]
@@ -310,9 +348,6 @@ def _run_mc(cfg, art):
     else:
         pairs = [_mc_pair(plan, *t) for t in tasks]
     d0_true = cfg.model.K + delta(plan.q0, cfg.model.d)
-    # imported after the replicates, so its footprint does not stack on theirs
-    from scipy import stats
-
     results = []
     recs = (rec for pair in pairs for rec in pair)  # row by row, replicate ascending
     for pos, row in enumerate(plan.rows):
@@ -326,8 +361,8 @@ def _run_mc(cfg, art):
             "sd": float(d0s.std(ddof=1)) if len(d0s) > 1 else 0.0,
             "rmse": float(np.sqrt(np.mean((d0s - d0_true) ** 2))),
             "slope": float(2.0 * d0s.mean()),
-            "skewness": float(stats.skew(d0s)) if len(d0s) > 2 else 0.0,
-            "normality_p": float(stats.normaltest(d0s).pvalue) if len(d0s) >= 20 else float("nan"),
+            "skewness": _skewness(d0s) if len(d0s) > 2 else 0.0,
+            "normality_p": _normality_p(d0s) if len(d0s) >= 20 else math.nan,
         }
         if any("reject" in rec for rec in row_recs):
             agg["rejection_rate"] = float(np.mean([rec["reject"] for rec in row_recs]))
@@ -345,9 +380,12 @@ def _run_mc(cfg, art):
         wr = csv.DictWriter(fh, fieldnames=keys)
         wr.writeheader()
         wr.writerows(results)
+    # strict JSON: an undefined statistic (nan in the CSV) is null
+    strict = [{k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
+              for row in results]
     rp = art.path("mc_report.json")
     with open(rp, "w") as fh:
-        json.dump({**_meta(cfg), "results": results}, fh, indent=2, default=float)
+        json.dump({**_meta(cfg), "results": strict}, fh, indent=2, default=float)
     return art.paths
 
 

@@ -228,8 +228,7 @@ def test_mc_experiment_order_invariance(tmp_path):
         (c1, r1) = run(parse_config({**base, "out": str(tmp_path / name / "w1")}))
         (c2, r2) = run(parse_config({**base, "workers": 2, "out": str(tmp_path / name / "w2")}))
         assert open(c1).read() == open(c2).read()
-        results = [json.dumps(json.loads(open(r).read())["results"]) for r in (r1, r2)]
-        assert results[0] == results[1]  # compared as text: NaN never equals itself
+        assert json.loads(open(r1).read())["results"] == json.loads(open(r2).read())["results"]
     assert "rejection_rate" in open(c1).readline()
 
 
@@ -276,6 +275,47 @@ def test_mc_test_uses_hypothesised_law(tmp_path):
     decisions = [run_test(x, bank, 0.2, 0.1, 0, expansion, 3, 2).decision
                  for i in range(20) for x in sample_gaussian_pair(cfg.model, 4096, 10, i)]
     assert float(rec["rejection_rate"]) == np.mean(decisions)
+
+
+def test_mc_report_is_strict_json(tmp_path):
+    # two replicates: normality_p is undefined below 20 and reads null
+    cfg = parse_config({
+        "mode": "mc-experiment", "model": {"d": 0.3, "K": 0}, "g": "hermite:1",
+        "bank": {"family": "db2", "jmax": 6}, "n": 1024, "j": 2, "p": 2,
+        "replicates": 2, "seed": 10, "out": str(tmp_path),
+    })
+    (csv_path, rep_path) = run(cfg)
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    (rec,) = json.loads(open(rep_path).read(), parse_constant=reject)["results"]
+    assert rec["normality_p"] is None
+    assert all(math.isfinite(rec[k]) for k in ("mean_d0", "sd", "rmse", "skewness"))
+    assert "nan" in open(csv_path).read().splitlines()[1].split(",")
+
+
+@pytest.mark.parametrize("n", [3, 8, 20, 21, 200, 5000])
+@pytest.mark.parametrize("draw", [
+    pytest.param(lambda rng, n: rng.standard_normal(n), id="gaussian"),
+    pytest.param(lambda rng, n: rng.exponential(size=n), id="exponential"),
+    pytest.param(lambda rng, n: rng.standard_t(2, n), id="student-t2"),
+    pytest.param(lambda rng, n: 0.35 + 1e-3 * rng.standard_normal(n), id="d0-scale"),
+    pytest.param(lambda rng, n: np.arange(float(n)), id="symmetric"),  # skewness exactly 0
+    pytest.param(lambda rng, n: np.full(n, 0.35), id="constant"),  # NaN on both sides
+])
+def test_mc_row_statistics_match_scipy(n, draw):
+    from scipy import stats
+
+    sample = draw(np.random.default_rng(n), n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small and constant samples warn
+        ref = stats.skew(sample), stats.normaltest(sample).pvalue
+    assert not np.isnan(ref[1]) or n < 8 or np.ptp(sample) == 0  # NaN only where undefined
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = harness._skewness(sample), harness._normality_p(sample)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
 def test_mc_pairs_take_both_halves_of_one_stream(tmp_path, monkeypatch):
@@ -513,6 +553,29 @@ def test_cli_rank_one_test_loads_no_scipy(tmp_path):
     assert len(tails) == 3 and all(0.0 <= t < 1.0 for t in tails)
 
 
+def test_cli_sweeps_load_no_scipy(tmp_path):
+    # skewness and normality_p come from numpy; a polynomial G needs no quadrature
+    base = {"mode": "mc-experiment", "model": {"d": 0.35, "K": 0}, "g": "hermite:1",
+            "bank": {"family": "db2", "jmax": 7}, "n": 4096, "j": 3, "p": 2,
+            "replicates": 3, "seed": 6}
+    configs = [
+        {**base, "d0_star": 0.35, "alpha": 0.1},
+        {**base, "model": {"d": 0.42, "K": 0}, "g": "hermite:2", "d0_star": 0.34, "alpha": 0.1},
+        {**base, "model": {"d": 0.41, "K": 0}, "g": {"kind": "hermite-coeffs", "coeffs": {"2": 2, "3": 1}},
+         "bank": {"family": "db2", "jmax": 8}, "n": 2**13, "j": 2, "p": 1, "preset": "small-scale"},
+    ]
+    paths = [_write(tmp_path, f"c{i}.json", {**c, "out": str(tmp_path / f"o{i}")})
+             for i, c in enumerate(configs)]
+    code = ("import sys, scalolab.cli\n"
+            "for p in sys.argv[1:]:\n"
+            "    rc = scalolab.cli.main(['mc-experiment', '--config', p])\n"
+            "    print('scipy:', rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    r = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert [ln for ln in r.stdout.splitlines() if ln.startswith("scipy:")] == ["scipy: 0 []"] * 3
+    assert all((tmp_path / f"o{i}" / "mc_report.json").exists() for i in range(3))
+
+
 def test_cli_test_on_unresolved_law_exits_3(tmp_path):
     # p = jmax - 1 leaves offsets m = 4..6 on levels too shallow for the
     # limit shape: their tail_change reads 0.23, 1.02 and 0.35
@@ -584,4 +647,7 @@ def test_mc_one_replicate_preset_row_has_nan_gap(tmp_path):
         paths = run(cfg)
     rows = json.loads(open(paths[1]).read())["results"]
     gaps = [v for k, v in rows[0].items() if k.startswith("rel_gap_j")]
-    assert gaps and all(math.isnan(v) for v in gaps)
+    assert gaps and all(v is None for v in gaps)  # NaN in mc_results.csv, null in the report
+    header, row = open(paths[0]).read().strip().splitlines()
+    rec = dict(zip(header.split(","), row.split(",")))
+    assert all(math.isnan(float(rec[k])) for k in rec if k.startswith("rel_gap_j"))
