@@ -60,6 +60,5 @@ from .inference import (  # noqa: F401
     estimate_d0,
     limit_constants,
     regression_weights,
-    rosenblatt_sample,
     run_test,
 )

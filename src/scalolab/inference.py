@@ -1,7 +1,7 @@
 """Log-scale regression estimation of the memory parameter, asymptotic
-limit-law constants, the second-chaos (Rosenblatt) law (a deterministic
-quantile, and a Monte Carlo sampler kept as its oracle), and the two-sided
-hypothesis test on the memory parameter.
+limit-law constants, the second-chaos (Rosenblatt) law and its
+deterministic quantile, and the two-sided hypothesis test on the memory
+parameter.
 
 The estimator is d0_hat = sum_i w_i log sigma2_hat_{j0+i} with least-squares
 contrast weights satisfying sum w_i = 0 and sum i w_i = 1/(2 log 2), so a
@@ -37,8 +37,6 @@ from .exponents import (
     zeta_exponent,
 )
 from .hermite import HermiteExpansion, hermite_rank
-from .spectral import farima_gamma0, farima_rho
-from .synthesis import _Embedding, stream
 from .wavelet import FilterBank, scalograms
 
 LOG2 = math.log(2.0)
@@ -330,51 +328,6 @@ def _limit_law(same: _SameBank, d: float, K: int, q0: int, p: int) -> LimitLaw:
     )
 
 
-# --- second-chaos limit sampler -------------------------------------------
-
-
-def rosenblatt_sample(d: float, reps: int, seed: int, n_internal: int = 2**14) -> np.ndarray:
-    """Monte Carlo draws approximating the second-chaos self-similar limit
-    variable of index d at unit time.
-
-    Each draw is a normalised partial sum of H_2 over an exact-covariance
-    fractionally-integrated Gaussian path of length n: with f*(0) the
-    short-range level of that path's spectral density,
-    draw = n^(-2d) * sum_t H_2(X_t) / f*(0).  This converges in
-    distribution as n grows; n is finite here, so draws are a documented
-    approximation (mean -> 0, positive skewness, variance
-    4 Gamma(1-2d)^2 sin(pi d)^2 / (d (4d-1))).
-    """
-    if not (0.25 < d < 0.5):
-        raise ValueError(f"second-chaos limit requires d in (1/4, 1/2), got {d}")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    n = int(n_internal)
-    emb = _Embedding(farima_rho(d, n))
-    # unit-variance path: effective short-range level is 1/(2 pi gamma0)
-    norm = (n ** (-2.0 * d)) * 2.0 * math.pi * farima_gamma0(d)
-    rng = stream(seed, 0x526F73)
-    out = np.empty(reps)
-    done = 0
-    rows = max(1, min(64, (reps + 1) // 2))
-    # reused buffers: fresh mid-sized ones would be mmapped and faulted in per block
-    zr, zi, sq = np.empty((rows, emb.M)), np.empty((rows, emb.M)), np.empty((rows, n))
-    while done < reps:
-        # both halves of the FFT are independent paths
-        y = emb.spectrum(rng, zr, zi) / math.sqrt(emb.M)
-        for part in (np.real(y), np.imag(y)):
-            if done >= reps:
-                break
-            x = part[:, :n]
-            np.multiply(x, x, out=sq)
-            sq -= 1.0
-            draws = norm * np.sum(sq, axis=1)
-            take = min(len(draws), reps - done)
-            out[done : done + take] = draws[:take]
-            done += take
-    return out
-
-
 # --- second-chaos limit law ------------------------------------------------
 
 _KERNEL_CELLS = 512  # cells discretising the kernel |x - y|^(2d-1) on [0, 1]
@@ -395,7 +348,8 @@ def _bisect(pred, lo: float, hi: float) -> float:
 class _SecondChaosLaw:
     """sum_k lam_k (eps_k^2 - 1), lam_k the eigenvalues of the kernel
     c_d |x - y|^(2d-1) on [0, 1] with c_d = 2 Gamma(1-2d) sin(pi d) (the
-    normalisation of `rosenblatt_sample`), from m cell averages: a Toeplitz
+    law of the limit of n^(-2d) sum_t H_2(X_t) / f*(0), X a unit-variance
+    path of short-range level f*(0)), from m cell averages: a Toeplitz
     matrix whose row is the second difference of |t|^(2d+1)/(2d(2d+1)).
     A centred Gaussian carries the rest of the closed-form variance.  The
     characteristic function phi is sampled once on the trapezoid grid of

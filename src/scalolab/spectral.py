@@ -140,22 +140,6 @@ class CovarianceSequence:
             raise ValueError("values must cover lags 0..lag_cap")
 
 
-def _autocov_grid_raw(model: SpectralModel, L: int, grid: int) -> np.ndarray:
-    """Fourier inversion on a dense grid; the fractional singular factor is
-    handled by subtracting f*(0)|1-e|^{-2d} (inverted in closed form) and
-    transforming only the smooth remainder.  An independent reference for
-    the closed form of _autocov_exact_raw."""
-    d = model.d
-    lams = 2.0 * math.pi * np.fft.fftfreq(grid)
-    resid = np.zeros(grid)
-    nz = lams != 0.0
-    base = np.abs(2.0 * np.sin(lams[nz] / 2.0)) ** (-2.0 * d)
-    resid[nz] = (model.f_star(lams[nz]) - model.f_star_at_zero()) * base
-    gamma_resid = 2.0 * math.pi * np.real(np.fft.ifft(resid))[: L + 1]
-    gamma_far = 2.0 * math.pi * model.f_star_at_zero() * farima_gamma0(d) * farima_rho(d, L)
-    return gamma_far + gamma_resid
-
-
 def _autocov_exact_raw(model: SpectralModel, L: int) -> np.ndarray:
     """Closed-form covariance for the analytic short-range menu."""
     d = model.d

@@ -30,10 +30,10 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 class _Embedding:
     """Circulant square root of the covariance to lag n, reusable across draws.
 
-    The only circulant embedding in the package: path synthesis and the
-    second-chaos sampler both draw from it.  `exact` records whether the
-    embedding was nonnegative definite, so that draws have the target
+    The only circulant embedding in the package.  `exact` records whether
+    the embedding was nonnegative definite, so that draws have the target
     covariance exactly (always so for the pure fractional model).
+    `sqrt_eigs` is read-only: one cached embedding serves every later draw.
     """
 
     def __init__(self, rho: np.ndarray):
@@ -48,15 +48,8 @@ class _Embedding:
                 eigs.min(),
             )
         self.sqrt_eigs = np.sqrt(np.clip(eigs, 0.0, None))
+        self.sqrt_eigs.setflags(write=False)
         self.M = len(c)
-
-    def spectrum(self, rng: np.random.Generator, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
-        """FFT of one block of weighted complex noise, refilling the (rows, M)
-        buffers zr and zi in place.  Divided by sqrt(M), the real and the
-        imaginary part of each row are two independent paths whose first
-        M/2 points have the target covariance."""
-        return np.fft.fft((rng.standard_normal(out=zr) + 1j * rng.standard_normal(out=zi))
-                          * self.sqrt_eigs, axis=1)
 
 
 @lru_cache(maxsize=8)
@@ -72,8 +65,15 @@ def sample_gaussian_pair(model: SpectralModel, N: int, seed: int, stream_index: 
     definite; otherwise negative modes are clipped (logged warning) and the
     covariance is approximate."""
     emb = _embedding_for(model, N)
-    y = emb.spectrum(stream(seed, stream_index), np.empty((1, emb.M)), np.empty((1, emb.M)))[0, :N]
-    return np.real(y) / math.sqrt(emb.M), np.imag(y) / math.sqrt(emb.M)
+    rng = stream(seed, stream_index)
+    # one complex buffer, weighted and transformed in place; the generator
+    # fills only contiguous arrays, so each normal block is a temporary
+    y = np.empty(emb.M, dtype=complex)
+    y.real = rng.standard_normal(emb.M)
+    y.imag = rng.standard_normal(emb.M)
+    y *= emb.sqrt_eigs
+    np.fft.fft(y, out=y)
+    return y[:N].real / math.sqrt(emb.M), y[:N].imag / math.sqrt(emb.M)
 
 
 def sample_gaussian(model: SpectralModel, N: int, seed: int, stream_index: int = 0) -> np.ndarray:

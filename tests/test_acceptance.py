@@ -25,7 +25,7 @@ from scalolab.hermite import (
     gauss_hermite_rule,
     hermite_eval,
 )
-from scalolab.inference import estimate_d0, limit_constants, rosenblatt_sample, run_test
+from scalolab.inference import estimate_d0, limit_constants, run_test
 from scalolab.spectral import (
     SpectralModel,
     autocov_X,
@@ -36,6 +36,7 @@ from scalolab.spectral import (
 from scalolab.synthesis import integrate_K, sample_gaussian
 from scalolab.wavelet import build_bank, n_coeffs, scalogram
 
+from oracles import rosenblatt_sample
 from test_exponents import nu_c_oracle
 
 

@@ -28,12 +28,13 @@ from scalolab.inference import (
     limit_constants,
     regression_weights,
     rosenblatt_quantile,
-    rosenblatt_sample,
     run_test,
 )
 from scalolab.spectral import SpectralModel
 from scalolab.synthesis import sample_gaussian, stream
 from scalolab.wavelet import build_bank
+
+from oracles import rosenblatt_sample
 
 LOG2 = math.log(2.0)
 

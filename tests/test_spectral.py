@@ -9,7 +9,6 @@ from scalolab.hermite import expansion_from_coeffs
 from scalolab.spectral import (
     ShortRangeSpec,
     SpectralModel,
-    _autocov_grid_raw,
     autocov_X,
     autocov_transformed,
     convolve_density,
@@ -20,6 +19,8 @@ from scalolab.spectral import (
     spectral_grid,
 )
 from scalolab.synthesis import _Embedding, sample_gaussian
+
+from oracles import _autocov_grid_raw
 
 FLAT = ShortRangeSpec("constant", 1.0 / (2.0 * math.pi))
 

@@ -1,15 +1,16 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scalolab.exponents import MemoryParams
 from scalolab.hermite import expansion_from_coeffs
-from scalolab.inference import rosenblatt_sample
 from scalolab.spectral import ShortRangeSpec, SpectralModel, autocov_X
 from scalolab.synthesis import (
+    _embedding_for,
     apply_G,
     export_path,
     integrate_K,
@@ -20,6 +21,8 @@ from scalolab.synthesis import (
     transform_path,
 )
 from scalolab.wavelet import build_bank, wavelet_coeffs
+
+from oracles import rosenblatt_sample
 
 
 def model(d, K=0):
@@ -62,6 +65,37 @@ def test_seeded_draws_are_pinned():
         assert _sha(sample_gaussian(m, N, seed, index)) == digest, (m, N, seed, index)
         xr, xi = sample_gaussian_pair(m, N, seed, index)
         assert (_sha(xr), _sha(xi)) == (digest, imag_digest), (m, N, seed, index)
+
+
+def test_cached_embedding_is_read_only():
+    # every later draw reads the cached square root: none may write it
+    m = model(0.37)
+    emb = _embedding_for(m, 1024)
+    with pytest.raises(ValueError):
+        emb.sqrt_eigs *= 2.0
+    before = emb.sqrt_eigs.copy()
+    pairs = [sample_gaussian_pair(m, 1024, 5, i) for i in range(3)]
+    assert _embedding_for(m, 1024) is emb
+    np.testing.assert_array_equal(emb.sqrt_eigs, before)
+    for (xr, xi), (nr, ni) in zip(pairs, pairs[1:]):
+        assert not np.shares_memory(xr, xi)
+        assert not any(np.shares_memory(a, b) for a in (xr, xi) for b in (nr, ni))
+
+
+def test_pair_draw_allocates_one_complex_buffer():
+    # the draw's temporaries, counted in bytes: one complex buffer of M
+    # points (16 M bytes) and the two real paths of N = M/2 points, with at
+    # most one real normal block besides, within 32 M bytes
+    m, N = model(0.3), 2**14
+    M = _embedding_for(m, N).M
+    sample_gaussian_pair(m, N, 1)  # warm: the embedding is cached
+    tracemalloc.start()
+    try:
+        sample_gaussian_pair(m, N, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * M + 64 * 1024, peak
 
 
 def test_sample_path_is_integrated_transform_of_its_gaussian():
