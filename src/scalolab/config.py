@@ -83,7 +83,10 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
     """Accept 'hermite:3'-style shorthand or a {'kind': ...} mapping."""
     if isinstance(obj, str):
         if obj.startswith("hermite:"):
-            return GSpec("hermite", q=int(obj.split(":", 1)[1]))
+            q = obj.split(":", 1)[1]
+            if not (q.isdecimal() and int(q) >= 1):
+                raise ConfigError(path, f"rank in {obj!r} must be a positive integer")
+            return GSpec("hermite", q=int(q))
         if obj in ("exp-centered", "sign", "abs-centered"):
             return GSpec(obj)
         raise ConfigError(path, f"unknown transform shorthand {obj!r}")
@@ -103,7 +106,7 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
             raise ConfigError(f"{path}.coeffs", "polynomial needs a coefficient list (a0, a1, ...)")
         try:
             coeffs = tuple(float(Fraction(str(c))) for c in raw)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"{path}.coeffs", f"unparsable coefficient: {exc}") from None
         return GSpec("polynomial", poly_coeffs=coeffs)
     if kind == "hermite-coeffs":
@@ -112,7 +115,7 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
             raise ConfigError(f"{path}.coeffs", "hermite-coeffs needs a {rank: value} map")
         try:
             items = tuple(sorted((int(k), float(Fraction(str(v)))) for k, v in raw.items()))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"{path}.coeffs", f"unparsable entry: {exc}") from None
         if any(q < 1 for q, _ in items):
             raise ConfigError(f"{path}.coeffs", "ranks must be >= 1")
@@ -131,28 +134,30 @@ def parse_model(obj, path: str = "model") -> SpectralModel:
     if not isinstance(K, int) or K < 0:
         raise ConfigError(f"{path}.K", "integration order must be a nonnegative integer")
     sr_obj = obj.get("short_range", {"kind": "constant", "value": 1.0 / (2.0 * math.pi)})
-    kind = sr_obj.get("kind", "constant")
+    if not isinstance(sr_obj, dict):
+        raise ConfigError(f"{path}.short_range", "must be an object")
+    kind, coeffs = sr_obj.get("kind", "constant"), sr_obj.get("coeffs", [1.0])
+    if kind not in ("constant", "ma"):
+        raise ConfigError(f"{path}.short_range.kind", f"unknown kind {kind!r}")
+    if kind == "ma" and not isinstance(coeffs, list):
+        raise ConfigError(f"{path}.short_range.coeffs", "must be a list of numbers")
     try:
         if kind == "constant":
             sr = ShortRangeSpec("constant", float(sr_obj.get("value", 1.0 / (2.0 * math.pi))))
-        elif kind == "ma":
-            sr = ShortRangeSpec(
-                "ma",
-                float(sr_obj.get("scale", 1.0 / (2.0 * math.pi))),
-                tuple(float(c) for c in sr_obj.get("coeffs", (1.0,))),
-            )
         else:
-            raise ConfigError(f"{path}.short_range.kind", f"unknown kind {kind!r}")
-        beta = float(obj.get("beta", 2.0))
-        try:
-            params = MemoryParams(d, K)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.d", str(exc)) from None
-        return SpectralModel(params, sr, beta)
-    except ConfigError:
-        raise
-    except ValueError as exc:
+            sr = ShortRangeSpec("ma", float(sr_obj.get("scale", 1.0 / (2.0 * math.pi))),
+                                tuple(float(c) for c in coeffs))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}.short_range", str(exc)) from None
+    try:
+        beta = float(obj.get("beta", 2.0))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}.beta", "must be a number") from None
+    try:
+        params = MemoryParams(d, K)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.d", str(exc)) from None
+    return SpectralModel(params, sr, beta)
 
 
 _MODES = ("simulate", "analyze", "estimate", "test", "mc-experiment", "nu-c")
@@ -160,6 +165,7 @@ _MODES = ("simulate", "analyze", "estimate", "test", "mc-experiment", "nu-c")
 _INT_FIELDS = (("n", 64), ("j", 1), ("p", 1), ("replicates", 1), ("k_bar", 0), ("workers", 1))
 # 0.1.x quantile controls: ignored, they would misstate how a report was made
 _RETIRED = ("quantile_reps", "quantile_n_internal")
+_ENFORCED = ("reduction_max", "bias_max")  # the bounds enforce_preconditions may set
 
 
 @dataclass
@@ -205,6 +211,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     g = parse_g_spec(obj["g"]) if obj.get("g") is not None else None
 
     bank_obj = obj.get("bank", {})
+    if not isinstance(bank_obj, dict):
+        raise ConfigError("bank", "must be an object")
     family = bank_obj.get("family", "db2")
     try:
         M = _parse_family(str(family))  # any non-string is no family name
@@ -228,6 +236,18 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
     if not isinstance(cfg.seed, int) or cfg.seed < 0 or cfg.seed > 2**64 - 1:
         raise ConfigError("seed", "must be an unsigned 64-bit integer")
+    for key in ("out", "input_csv"):
+        if obj.get(key) is not None and not (isinstance(obj[key], str) and obj[key]):
+            raise ConfigError(key, "must be a nonempty path string")
+    enforce = cfg.enforce_preconditions
+    if enforce is not None and not isinstance(enforce, dict):
+        raise ConfigError("enforce_preconditions", f"must be an object with keys among {_ENFORCED}")
+    for key, bound in (enforce or {}).items():
+        if key not in _ENFORCED:
+            raise ConfigError(f"enforce_preconditions.{key}", f"unknown bound; expected one of {_ENFORCED}")
+        if bound is not None and (isinstance(bound, bool) or not isinstance(bound, (int, float))
+                                  or math.isnan(bound)):
+            raise ConfigError(f"enforce_preconditions.{key}", "must be a number or null")
     if not (isinstance(cfg.schedule, list) and all(isinstance(e, dict) for e in cfg.schedule)):
         raise ConfigError("schedule", "must be a list of objects")
     entries = [("", obj), *((f"schedule[{i}].", e) for i, e in enumerate(cfg.schedule))]

@@ -22,7 +22,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from itertools import islice
 from typing import Optional
 
@@ -34,13 +33,9 @@ from .errors import (BoundaryValueError, ConfigError, DegenerateScalogramError, 
                      InvalidTargetError, LongMemoryError, PreconditionError, ScaleTooCoarseError)
 from .exponents import critical_exponent_report, delta, rank_profile
 from .hermite import HermiteExpansion, hermite_eval, hermite_rank
-from .inference import calibrate_test, estimate_d0, run_test
+from .inference import calibrate_test, d0_from_scalograms, estimate_d0, run_test
 from .synthesis import export_path, integrate_K, sample_gaussian_pair, sample_path, transform_path
 from .wavelet import FilterBank, build_bank, n_coeffs, scalograms
-
-@lru_cache(maxsize=None)
-def _bank(family: str, jmax: int) -> FilterBank:
-    return build_bank(family, jmax)
 
 
 def _meta(cfg: ExperimentConfig) -> dict:
@@ -107,7 +102,7 @@ def _run_simulate(cfg, art):
 
 def _run_analyze(cfg, art):
     series, prov = _load_or_simulate(cfg)
-    bank = _bank(cfg.bank_family, cfg.bank_jmax)
+    bank = build_bank(cfg.bank_family, cfg.bank_jmax)
     sums = scalograms(series, bank, range(cfg.j0, cfg.j0 + cfg.p + 1))
     rows = [(s.j, s.n, s.sigma2) for s in sums]
     cp = art.path("scalogram.csv")
@@ -123,7 +118,7 @@ def _run_analyze(cfg, art):
 
 def _run_estimate(cfg, art):
     series, prov = _load_or_simulate(cfg)
-    bank = _bank(cfg.bank_family, cfg.bank_jmax)
+    bank = build_bank(cfg.bank_family, cfg.bank_jmax)
     kwargs = {}
     if cfg.g is not None and cfg.model is not None:
         q0, _ = hermite_rank(cfg.g.expansion())
@@ -139,7 +134,7 @@ def _run_estimate(cfg, art):
 
 def _run_test_mode(cfg, art):
     series, prov = _load_or_simulate(cfg)
-    bank = _bank(cfg.bank_family, cfg.bank_jmax)
+    bank = build_bank(cfg.bank_family, cfg.bank_jmax)
     expansion = cfg.g.expansion()
     with _naming(_TEST_FIELDS):
         report = run_test(series, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
@@ -221,7 +216,7 @@ def _schedule(cfg: ExperimentConfig, bank: FilterBank, expansion: HermiteExpansi
             if nu.is_infinite:
                 ratio = 0.0
             else:
-                ratio = cfg.n * 2.0**-j / 2.0 ** (j * nu.value)
+                ratio = cfg.n * 2.0**-j * 2.0 ** (-j * nu.value)  # underflows to 0 at large nu
             if cfg.preset == "large-scale" and ratio <= 0.25:
                 js.append(j)
             elif cfg.preset == "small-scale" and ratio >= 4.0:
@@ -253,7 +248,7 @@ class _Plan:
 
 
 def _plan(cfg: ExperimentConfig) -> _Plan:
-    bank = _bank(cfg.bank_family, cfg.bank_jmax)
+    bank = build_bank(cfg.bank_family, cfg.bank_jmax)
     expansion = cfg.g.expansion()
     q0, rows = hermite_rank(expansion)[0], _schedule(cfg, bank, expansion)
     calibrations = None
@@ -288,15 +283,16 @@ def _mc_replicate(plan: _Plan, pos: int, x: np.ndarray) -> dict:
     """The replicate of schedule row `pos` whose Gaussian path is x."""
     cfg, row, bank = plan.cfg, plan.rows[pos], plan.bank
     y = transform_path(cfg.model, cfg.g, x)
-    out = {"d0_hat": estimate_d0(y, bank, row.j0, row.p).d0_hat}
+    est = range(row.j0, row.j0 + row.p + 1)
+    # one pyramid pass serves the estimate and the gap scales
+    sG = {s.j: s.sigma2 for s in scalograms(y, bank, sorted({*est, *row.gap_scales}))}
+    out = {"d0_hat": d0_from_scalograms([sG[j] for j in est])}
     if plan.calibrations is not None:
         out["reject"] = abs(out["d0_hat"] - cfg.d0_star) > plan.calibrations[pos].s_N
     if row.gap_scales:
         q0, cq0 = plan.q0, plan.expansion.coeffs[plan.q0]
         lead = integrate_K((cq0 / math.factorial(q0)) * hermite_eval(q0, x), cfg.model.K)
-        sG = scalograms(y, bank, row.gap_scales)
-        sL = scalograms(lead, bank, row.gap_scales)
-        out["gaps"] = {a.j: (a.sigma2, b.sigma2) for a, b in zip(sG, sL)}
+        out["gaps"] = {b.j: (sG[b.j], b.sigma2) for b in scalograms(lead, bank, row.gap_scales)}
     return out
 
 

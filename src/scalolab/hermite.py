@@ -65,12 +65,16 @@ def gauss_hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     Golub-Welsch applied to the probabilists' recurrence (scipy's
     roots_hermitenorm stays stable past order 512, where numpy's variant
     overflows); rescaling the weights by sqrt(2*pi) turns the e^{-x^2/2}
-    weight into the N(0,1) density.
+    weight into the N(0,1) density.  Both arrays are the memo's own, so
+    they are read-only.
     """
     from scipy.special import roots_hermitenorm
 
     x, w = roots_hermitenorm(order)
-    return x, w / math.sqrt(2.0 * math.pi)
+    w = w / math.sqrt(2.0 * math.pi)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @dataclass
@@ -118,13 +122,13 @@ def expand(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x, w = gauss_hermite_rule(quad_order)
-        gx = np.asarray(G(x), dtype=float)
+        gx = np.asarray(G(x.copy()), dtype=float)  # G may write into its argument
         if gx.shape != x.shape:
             gx = np.broadcast_to(gx, x.shape).astype(float)
         m2_raw = float(w @ gx**2)
 
         x2, w2 = gauss_hermite_rule(2 * quad_order)
-        gx2 = np.asarray(G(x2), dtype=float)
+        gx2 = np.asarray(G(x2.copy()), dtype=float)
         if gx2.shape != x2.shape:
             gx2 = np.broadcast_to(gx2, x2.shape).astype(float)
         m2_ref = float(w2 @ gx2**2)

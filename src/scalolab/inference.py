@@ -235,7 +235,7 @@ def _cov_q_integral(shape: _LimitShape, d: float, K: int, m: int) -> tuple[float
     return total, abs(total - fold(phi[: len(phi) // 2])) / total
 
 
-@dataclass
+@dataclass(frozen=True)
 class LimitLaw:
     """Distributional constants for the estimator's fluctuation limit.
 
@@ -243,7 +243,8 @@ class LimitLaw:
     limit shape; `provenance` records the grid (S, J) and, at rank one,
     each offset's `tail_change`: the relative change of its cov_Q integral
     when the outer half of the trusted zone is dropped, a measure of the
-    error from standing level J in for the limit shape."""
+    error from standing level J in for the limit shape.  A law is the memo's
+    own object, so its cov_Q is read-only."""
 
     kind: str  # "gaussian" or "rosenblatt"
     q0: int
@@ -273,26 +274,12 @@ def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> 
     """
     if q0 < 1:
         raise ValueError("rank must be >= 1")
-    return _limit_law(_SameBank(bank), params.d, params.K, q0, p)
+    return _limit_law(bank, params.d, params.K, q0, p)
 
 
-class _SameBank:
-    """Cache key of a bank: build_bank is deterministic, so (family, jmax)
-    identifies it.  The bank rides along for the cache miss."""
-
-    def __init__(self, bank: FilterBank):
-        self.bank, self.key = bank, (bank.family, bank.jmax)
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-
-@lru_cache(maxsize=16)
-def _limit_law(same: _SameBank, d: float, K: int, q0: int, p: int) -> LimitLaw:
-    shape = _LimitShape(same.bank)
+@lru_cache(maxsize=16)  # keyed on the bank's identity: build_bank returns one per (family, jmax)
+def _limit_law(bank: FilterBank, d: float, K: int, q0: int, p: int) -> LimitLaw:
+    shape = _LimitShape(bank)
     w = regression_weights(p)
     if q0 == 1:
         L1 = _lp_integral(shape, 1, d, K)
@@ -305,13 +292,14 @@ def _limit_law(same: _SameBank, d: float, K: int, q0: int, p: int) -> LimitLaw:
                 cov[u, up] = cov[up, u] = val
         # estimator uses scale j0+i = jc-(p-i): offset u = p-i
         var = float(w[::-1] @ cov @ w[::-1])
+        cov.setflags(write=False)
         if var <= 0:
             raise QuadratureError("estimator variance came out nonpositive")
         return LimitLaw(
             kind="gaussian", q0=1, d=d, K=K, p=p, u_N_exponent=0.5,
             cov_Q=cov, sigma_d0=math.sqrt(var),
             L_values={"L1": L1},
-            provenance={"S": shape.S, "J": shape.J, "tail_change": list(tails)},
+            provenance={"S": shape.S, "J": shape.J, "tail_change": tails},
         )
     Lq0 = _lp_integral(shape, q0, d, K)
     Lq0m1 = _lp_integral(shape, q0 - 1, d, K)
@@ -496,7 +484,7 @@ def calibrate_test(bank: FilterBank, N: int, d0_star: float, alpha: float, K_bar
         nu_val, red_ratio = None, None
     else:
         nu_val = nu_rep.nu_c.value
-        red_ratio = n_base / 2.0 ** (jc * nu_val)
+        red_ratio = n_base * 2.0 ** (-jc * nu_val)  # underflows to 0 at large nu_c
     zeta_star = zeta_exponent(beta_smooth, d_star, q0, q1)
     bias_ratio = 2.0 ** (-zeta_star * jc) * u_N
     return TestReport(

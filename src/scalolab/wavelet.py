@@ -13,8 +13,10 @@ all scales of a series in one Mallat pyramid pass.
 """
 
 import math
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -57,10 +59,10 @@ def mirror_highpass(h: np.ndarray) -> np.ndarray:
 
 
 def _dft(taps: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    return np.exp(-1j * np.outer(lams, np.arange(len(taps)))) @ taps
+    return np.polynomial.polynomial.polyval(np.exp(-1j * lams), taps)  # Horner in e^{-i lam}
 
 
-@dataclass
+@dataclass(frozen=True)
 class WValidation:
     """Numeric diagnostics for the bank's admissibility assumptions."""
 
@@ -68,21 +70,21 @@ class WValidation:
     max_moment_residual: float  # worst normalised moment below order M
     envelope_alpha: float  # fitted decay exponent (> 1 required)
     envelope_constant: float  # fitted envelope constant across scales
-    envelope_table: dict = field(default_factory=dict)
-    limit_gaps: list = field(default_factory=list)  # sup-norm gaps across last scales
+    envelope_table: tuple = ()  # ((alpha, (C_1, .., C_jmax)), ...) in fit order
+    limit_gaps: tuple = ()  # sup-norm gaps across last scales
     notes: str = ""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FilterBank:
-    """Immutable family of per-scale filters g_j, j = 1..jmax, gamma_j = 2^j."""
+    """Read-only family of per-scale filters g_j, j = 1..jmax, gamma_j = 2^j."""
 
     family: str
     M: int
     jmax: int
     scaling: np.ndarray
     highpass: np.ndarray
-    filters: list  # filters[j-1] holds the taps of g_j, support starting at 0
+    filters: tuple  # filters[j-1] holds the taps of g_j, support starting at 0
     T: int  # support length of the base pair (2M)
     validation: Optional[WValidation] = None  # set by build_bank
 
@@ -178,7 +180,7 @@ def _validate_bank(bank: FilterBank) -> WValidation:
             env = gam**0.5 * np.abs(gam * lam_grid) ** M / (1.0 + gam * lam_grid) ** (alpha + M)
             Cs.append(float(np.max(mod / env)))
         stable = Cs[-1] <= 1.5 * max(Cs[:-1] or Cs)
-        table[alpha] = Cs
+        table[alpha] = tuple(Cs)
         if stable and best_alpha is None:
             best_alpha, best_C = alpha, max(Cs)
     if best_alpha is None:
@@ -195,14 +197,14 @@ def _validate_bank(bank: FilterBank) -> WValidation:
         max_moment_residual=worst,
         envelope_alpha=best_alpha,
         envelope_constant=best_C,
-        envelope_table=table,
-        limit_gaps=gaps,
+        envelope_table=tuple(table.items()),
+        limit_gaps=tuple(gaps),
         notes="phase of the limit shape not tracked; modulus convergence only",
     )
 
 
 def build_bank(family: str = "db2", jmax: int = 10) -> FilterBank:
-    """Construct and validate the per-scale filters of a Daubechies-type family.
+    """Per-scale filters of a Daubechies-type family, built and validated once per (family, jmax).
 
     Raises FilterValidationError naming the violated assumption when the
     structural checks fail.  Envelope and limit-shape diagnostics are
@@ -211,15 +213,19 @@ def build_bank(family: str = "db2", jmax: int = 10) -> FilterBank:
     """
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
-    M = _parse_family(family)
+    return _built_bank(family.lower().strip(), _parse_family(family), operator.index(jmax))
+
+
+@lru_cache(maxsize=None)
+def _built_bank(family: str, M: int, jmax: int) -> FilterBank:
     h = daubechies_scaling(M)
     g1 = mirror_highpass(h)
-    bank = FilterBank(
-        family=family.lower(), M=M, jmax=jmax, scaling=h, highpass=g1,
-        filters=_cascade(g1, h, jmax), T=2 * M,
-    )
-    bank.validation = _validate_bank(bank)
-    return bank
+    filters = _cascade(g1, h, jmax)
+    for taps in (h, *filters):  # filters[0] is g1
+        taps.setflags(write=False)
+    bank = FilterBank(family=family, M=M, jmax=jmax, scaling=h, highpass=g1,
+                      filters=tuple(filters), T=2 * M)
+    return replace(bank, validation=_validate_bank(bank))
 
 
 def n_coeffs(N: int, T: int, j: int) -> int:

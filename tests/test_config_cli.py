@@ -13,6 +13,7 @@ import pytest
 import scalolab.config
 import scalolab.harness as harness
 import scalolab.inference
+import scalolab.wavelet
 from scalolab.config import ConfigError, ingest, parse_config, parse_g_spec
 from scalolab.harness import run
 from scalolab.inference import run_test
@@ -356,7 +357,7 @@ def test_pool_worker_takes_the_parents_plan(tmp_path, monkeypatch):
     for module, name in ((scalolab.config, "parse_config"), (harness, "build_bank"),
                          (scalolab.inference, "_LimitShape")):
         monkeypatch.setattr(module, name, rebuilt)
-    harness._bank.cache_clear()
+    scalolab.wavelet._built_bank.cache_clear()
     scalolab.inference._limit_law.cache_clear()
     monkeypatch.setattr(harness, "_worker_plan", None)
     harness._init_worker(pickle.loads(pickle.dumps(plan)))
@@ -455,6 +456,28 @@ def test_cli_exit_codes(tmp_path):
     pytest.param("nu-c", {"d_values": [0.7]}, "d_values[0]", id="d_values-above-half"),
     pytest.param("nu-c", {"d_values": ["x"]}, "d_values[0]", id="d_values-string"),
     pytest.param("nu-c", {"d_values": 0.3}, "d_values", id="d_values-not-a-list"),
+    # values of the wrong JSON shape, each named without a traceback
+    pytest.param("estimate", {"bank": 5}, "bank", id="bank-not-an-object"),
+    pytest.param("simulate", {"model": {"d": 0.3, "short_range": 5}}, "model.short_range",
+                 id="short_range-not-an-object"),
+    pytest.param("simulate", {"model": {"d": 0.3, "short_range": {"kind": "ma", "coeffs": 3}}},
+                 "model.short_range.coeffs", id="ma-coeffs-not-a-list"),
+    pytest.param("simulate", {"model": {"d": 0.3, "beta": [2]}}, "model.beta", id="beta-list"),
+    pytest.param("simulate", {"out": 7}, "out", id="out-number"),
+    # os.path.exists(1) is true: fd 1 is a file descriptor
+    pytest.param("estimate", {"input_csv": 1}, "input_csv", id="input_csv-number"),
+    pytest.param("simulate", {"g": "hermite:x"}, "g", id="hermite-shorthand-rank"),
+    pytest.param("test", {"g": {"kind": "polynomial", "coeffs": ["0", "1e400"]}}, "g.coeffs",
+                 id="polynomial-coeff-overflow"),
+    pytest.param("test", {"g": {"kind": "hermite-coeffs", "coeffs": {"1": "1e400"}}}, "g.coeffs",
+                 id="hermite-coeff-overflow"),
+    pytest.param("test", {"enforce_preconditions": 5}, "enforce_preconditions",
+                 id="enforce-not-an-object"),
+    # a misspelt bound would otherwise turn enforcement off without a word
+    pytest.param("test", {"enforce_preconditions": {"reduction_mx": 0.5}},
+                 "enforce_preconditions.reduction_mx", id="enforce-unknown-key"),
+    pytest.param("test", {"enforce_preconditions": {"bias_max": "0.1"}},
+                 "enforce_preconditions.bias_max", id="enforce-bound-string"),
 ])
 def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
     cfgp = _write(tmp_path, "e.json", {
@@ -466,6 +489,29 @@ def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
     assert r.returncode == 2
     assert f"config error: {field}:" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("mode, change", [
+    pytest.param("test", {"j": 5}, id="test"),
+    pytest.param("mc-experiment", {"preset": "large-scale", "j": 2, "replicates": 2}, id="large-scale"),
+])
+def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, change):
+    # d = 0.001 with ranks 1 and 2 gives nu_c = 499: 2^(j nu_c) overflows a
+    # float, its reciprocal underflows to 0
+    out = tmp_path / "o"
+    cfgp = _write(tmp_path, "e.json", {
+        "mode": mode, "model": {"d": 0.001}, "g": {"kind": "hermite-coeffs", "coeffs": {"1": 1, "2": 1}},
+        "bank": {"family": "db2", "jmax": 10}, "n": 4096, "p": 1, "seed": 1,
+        "d0_star": 0.001, "alpha": 0.1, "out": str(out), **change,
+    })
+    r = _cli(mode, "--config", cfgp)
+    assert r.returncode == 0, r.stderr
+    if mode == "test":
+        rep = json.loads((out / "test_report.json").read_text())["test"]
+        assert rep["nu_c_star"] == pytest.approx(499.0) and rep["reduction_ratio"] == 0.0
+    else:
+        row = json.loads((out / "mc_report.json").read_text())["results"][0]
+        assert row["regime"] == "large-scale"
 
 
 @pytest.mark.parametrize("mode, change, field", [

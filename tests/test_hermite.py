@@ -93,6 +93,21 @@ def test_expand_even_transform_kills_odd_ranks():
     assert all(q % 2 == 0 for q in e.coeffs)
 
 
+@pytest.mark.filterwarnings("ignore:transform has nonzero mean")
+def test_expand_cannot_write_into_the_cached_rule():
+    # the rule is memoised per order: a G that works in place gets a copy,
+    # and the cached nodes and weights refuse writes
+    x, w = gauss_hermite_rule(256)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    expand(lambda x: np.abs(x, out=x) - math.sqrt(2.0 / math.pi))
+    e = expand(lambda x: x**3)
+    assert set(e.coeffs) == {1, 3}
+    assert e.coeffs[1] == pytest.approx(3.0, rel=1e-12)
+    assert e.coeffs[3] == pytest.approx(6.0, rel=1e-12)
+
+
 def test_parseval_polynomial_exact():
     rng = np.random.default_rng(42)
     coeffs = rng.standard_normal(6)

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -186,12 +186,27 @@ def test_rank_one_limit_constants_memory():
 
 
 def test_limit_cache_keyed_on_bank_contents():
-    # two separately built banks with the same family and depth are the same
-    # bank, so the second call is a cache hit rather than a recomputation
+    # two builds with the same family and depth are the same bank, so the
+    # second call is a cache hit rather than a recomputation
     first, second = build_bank("db2", 8), build_bank("db2", 8)
     law = limit_constants(first, MemoryParams(0.3, 0), 1, 1)
     assert limit_constants(second, MemoryParams(0.3, 0), 1, 1) is law
-    assert first is not second
+    # a bank built by hand with the same (family, jmax) but other taps is
+    # another bank: it gets its own law, whose L1 sees the doubled taps
+    other = replace(first, filters=tuple(2.0 * t for t in first.filters))
+    other_law = limit_constants(other, MemoryParams(0.3, 0), 1, 1)
+    assert other_law is not law
+    assert other_law.L_values["L1"] == pytest.approx(4.0 * law.L_values["L1"], rel=1e-12)
+
+
+def test_cached_limit_law_is_read_only():
+    # the law is the memo's own object: a caller cannot change it for the next
+    law = limit_constants(build_bank("db2", 8), MemoryParams(0.3, 0), 1, 2)
+    with pytest.raises(ValueError):
+        law.cov_Q[0, 0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        law.sigma_d0 = 0.0
+    assert isinstance(law.provenance["tail_change"], tuple)
 
 
 # --- limit constants: rank two ----------------------------------------------------

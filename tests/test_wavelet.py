@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,12 +62,28 @@ def test_build_bank_rejects_unknown_family():
         build_bank("sym4")
 
 
+def test_bank_is_built_once_and_read_only():
+    # one bank per normalised (family, jmax), shared by every caller, so
+    # nothing a caller does can change what the next one gets
+    bank = build_bank("DB2", 8)
+    assert build_bank("db2", 8) is bank
+    assert isinstance(bank.filters, tuple)
+    for arr in (bank.taps(3), bank.taps(1), bank.scaling, bank.highpass):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bank.jmax = 9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bank.validation.envelope_alpha = 2.0
+    assert isinstance(bank.validation.limit_gaps, tuple)
+
+
 def test_haar_transfer_zero_at_dc(bank_haar):
     for j in (1, 3, 5):
         assert abs(bank_haar.transfer(j, 0.0)[0]) < 1e-12
 
 
-@pytest.mark.parametrize("family", ["haar", "db2", "db4"])
+@pytest.mark.parametrize("family", ["haar", "db2", "db4", "db6"])
 def test_transfer_matches_dense_dft_of_taps(family):
     bank = build_bank(family, jmax=8)
     lams = np.linspace(-math.pi, math.pi, 301)
