@@ -8,7 +8,7 @@ config opts into enforcement).
 import argparse
 import sys
 
-from .config import load_config, parse_config
+from .config import parse_config, read_config
 from .errors import NumericError, PreconditionError, UserInputError
 from .harness import run
 
@@ -25,18 +25,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out"] = args.out
-        if cfg.mode != args.mode or overrides:
-            raw = dict(cfg.raw)
-            raw["mode"] = args.mode
-            raw.update(overrides)
-            cfg = parse_config(raw)
-        paths = run(cfg)
+        raw = read_config(args.config)
+        if isinstance(raw, dict):  # parse_config names any other value <root>
+            overrides = {"mode": args.mode, "seed": args.seed, "out": args.out}
+            raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+        paths = run(parse_config(raw))
     except UserInputError as exc:
         # a ConfigError, from the check or named by the run, leads with its field
         print(f"config error: {exc}", file=sys.stderr)

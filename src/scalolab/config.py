@@ -16,15 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, FilterValidationError
 from .exponents import MemoryParams, check_off_boundary
-from .hermite import (
-    DEFAULT_QMAX,
-    DEFAULT_QUAD_ORDER,
-    HermiteExpansion,
-    expand,
-    expansion_from_coeffs,
-    hermite_eval,
-    hermite_series,
-)
+from .hermite import (DEFAULT_QMAX, HermiteExpansion, expansion_from_coeffs, hermite_eval, hermite_series,
+                      truncated)
 from .spectral import ShortRangeSpec, SpectralModel
 from .wavelet import _filter_length, _parse_family
 
@@ -39,6 +32,11 @@ def _normal_moment(n: int) -> float:
     for k in range(n - 1, 0, -2):
         out *= k
     return out
+
+
+def _hermite_at_zero(n: int) -> float:
+    """H_n(0) = (-1)^(n/2) (n-1)!! for even n, 0 for odd n."""
+    return (-1) ** (n // 2) * _normal_moment(n)
 
 
 @dataclass(frozen=True)
@@ -70,13 +68,37 @@ class GSpec:
             return hermite_series(dict(self.hermite_coeffs), x)
         raise ConfigError("g.kind", f"unknown transform kind {self.kind!r}")
 
-    def expansion(self, qmax: int = DEFAULT_QMAX, quad_order: int = DEFAULT_QUAD_ORDER) -> HermiteExpansion:
-        """Hermite expansion; exact (no quadrature) where the menu allows it."""
+    def expansion(self) -> HermiteExpansion:
+        """The exact Hermite expansion (Nourdin & Peccati 2012, ch. 1).
+
+        An infinite series keeps its ranks q <= DEFAULT_QMAX above the
+        `truncated` floor, and second_moment is the exact E[G(X)^2].
+        """
         if self.kind == "hermite":
-            return expansion_from_coeffs({self.q: float(math.factorial(self.q))}, qmax=qmax)
+            return expansion_from_coeffs({self.q: float(math.factorial(self.q))})
         if self.kind == "hermite-coeffs":
-            return expansion_from_coeffs(dict(self.hermite_coeffs), qmax=qmax)
-        return expand(self, qmax=qmax, quad_order=quad_order)
+            return expansion_from_coeffs(dict(self.hermite_coeffs))
+        ranks, two_phi0 = range(1, DEFAULT_QMAX + 1), math.sqrt(2.0 / math.pi)
+        if self.kind == "exp-centered":  # E[e^{X/2} H_q(X)] = e^{1/8} 2^{-q}
+            coeffs, m2 = {q: math.exp(0.125) * 2.0**-q for q in ranks}, math.exp(0.5) - math.exp(0.25)
+        elif self.kind == "sign":
+            # odd q: 2 int_0^inf H_q phi = 2 phi(0) H_{q-1}(0), since (H_{q-1} phi)' = -H_q phi
+            coeffs, m2 = {q: two_phi0 * _hermite_at_zero(q - 1) for q in ranks[::2]}, 1.0
+        elif self.kind == "abs-centered":
+            # even q: 2 int_0^inf x H_q phi = 2 phi(0) (H_q(0) + q H_{q-2}(0)) = 2 phi(0) H_{q-2}(0)
+            coeffs, m2 = {q: two_phi0 * _hermite_at_zero(q - 2) for q in ranks[1::2]}, 1.0 - 2.0 / math.pi
+        else:  # polynomial: x^n = sum_k n!/(2^k k! (n-2k)!) H_{n-2k}, exactly
+            exact = {}
+            for n, a in enumerate(self.poly_coeffs):
+                for k in range((n + 1) // 2):  # H_0 carries the mean, which G subtracts
+                    term = Fraction(a) * math.factorial(n) / (2**k * math.factorial(k))
+                    exact[n - 2 * k] = exact.get(n - 2 * k, 0) + term
+            try:
+                coeffs = {q: float(c) for q, c in exact.items() if q <= DEFAULT_QMAX}
+                m2 = float(sum(c * c / math.factorial(q) for q, c in exact.items()))
+            except OverflowError:
+                raise ConfigError("g.coeffs", "E[G(X)^2] overflows a float") from None
+        return truncated(coeffs, m2)
 
 
 def parse_g_spec(obj, path: str = "g") -> GSpec:
@@ -314,7 +336,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config(path):
+    """The JSON value in the file at `path`, for `parse_config` to check."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -322,7 +345,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("<config>", f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("<config>", f"invalid JSON: {exc}") from None
-    return parse_config(obj)
+    return obj
 
 
 def ingest(csv_path) -> tuple[np.ndarray, dict]:

@@ -31,7 +31,7 @@ from . import __version__
 from .config import ExperimentConfig, ingest
 from .errors import (BoundaryValueError, ConfigError, DegenerateScalogramError, FilterValidationError,
                      InvalidTargetError, LongMemoryError, PreconditionError, ScaleTooCoarseError)
-from .exponents import critical_exponent_report, delta, rank_profile
+from .exponents import critical_exponent_report, delta, rank_profile, zeta_exponent
 from .hermite import HermiteExpansion, hermite_eval, hermite_rank
 from .inference import calibrate_test, d0_from_scalograms, estimate_d0, run_test
 from .synthesis import export_path, integrate_K, sample_gaussian_pair, sample_path, transform_path
@@ -40,6 +40,13 @@ from .wavelet import FilterBank, build_bank, n_coeffs, scalograms
 
 def _meta(cfg: ExperimentConfig) -> dict:
     return {"config": cfg.raw, "seed": cfg.seed, "version": __version__}
+
+
+def _write_report(cfg: ExperimentConfig, art, name: str, **body) -> list:
+    """Write `name`: the run's metadata, then `body` in order; returns every artifact path."""
+    with open(art.path(name), "w") as fh:
+        json.dump({**_meta(cfg), **body}, fh, indent=2, default=float)
+    return art.paths
 
 
 @contextmanager
@@ -110,10 +117,7 @@ def _run_analyze(cfg, art):
         wr = csv.writer(fh)
         wr.writerow(["j", "n_j", "sigma2"])
         wr.writerows(rows)
-    rp = art.path("analyze_report.json")
-    with open(rp, "w") as fh:
-        json.dump({**_meta(cfg), "input": prov, "table": rows}, fh, indent=2, default=float)
-    return art.paths
+    return _write_report(cfg, art, "analyze_report.json", input=prov, table=rows)
 
 
 def _run_estimate(cfg, art):
@@ -121,15 +125,13 @@ def _run_estimate(cfg, art):
     bank = build_bank(cfg.bank_family, cfg.bank_jmax)
     kwargs = {}
     if cfg.g is not None and cfg.model is not None:
-        q0, _ = hermite_rank(cfg.g.expansion())
+        q0, q1 = hermite_rank(cfg.g.expansion())
         kwargs = {"params": cfg.model.params, "q0": q0}
+        if delta(q0, cfg.model.d) > 0:  # a short-memory rank has no bias rate
+            kwargs["zeta"] = zeta_exponent(cfg.model.beta_smooth, cfg.model.d, q0, q1)
     with _naming({FilterValidationError: "bank.family", DegenerateScalogramError: "input_csv"}):
         report = estimate_d0(series, bank, cfg.j0, cfg.p, **kwargs)
-    rp = art.path("estimate_report.json")
-    with open(rp, "w") as fh:
-        json.dump({**_meta(cfg), "input": prov, "estimate": asdict(report)},
-                  fh, indent=2, default=float)
-    return art.paths
+    return _write_report(cfg, art, "estimate_report.json", input=prov, estimate=asdict(report))
 
 
 def _run_test_mode(cfg, art):
@@ -145,11 +147,7 @@ def _run_test_mode(cfg, art):
         raise PreconditionError(f"reduction ratio {report.reduction_ratio:.3g} exceeds {red_max}")
     if bias_max is not None and report.bias_ratio > bias_max:
         raise PreconditionError(f"bias ratio {report.bias_ratio:.3g} exceeds {bias_max}")
-    rp = art.path("test_report.json")
-    with open(rp, "w") as fh:
-        json.dump({**_meta(cfg), "input": prov, "test": asdict(report)},
-                  fh, indent=2, default=float)
-    return art.paths
+    return _write_report(cfg, art, "test_report.json", input=prov, test=asdict(report))
 
 
 def _run_nuc(cfg, art):
@@ -174,10 +172,7 @@ def _run_nuc(cfg, art):
             "nu_c": None if rep.nu_c.is_infinite else rep.nu_c.value,
             "nu_c_infinite": rep.nu_c.is_infinite,
         })
-    rp = art.path("nu_c_report.json")
-    with open(rp, "w") as fh:
-        json.dump({**_meta(cfg), "reports": reports}, fh, indent=2, default=float)
-    return art.paths
+    return _write_report(cfg, art, "nu_c_report.json", reports=reports)
 
 
 # --- Monte Carlo sweeps ----------------------------------------------------
@@ -379,10 +374,7 @@ def _run_mc(cfg, art):
     # strict JSON: an undefined statistic (nan in the CSV) is null
     strict = [{k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
               for row in results]
-    rp = art.path("mc_report.json")
-    with open(rp, "w") as fh:
-        json.dump({**_meta(cfg), "results": strict}, fh, indent=2, default=float)
-    return art.paths
+    return _write_report(cfg, art, "mc_report.json", results=strict)
 
 
 _RUNNERS = {"simulate": _run_simulate, "analyze": _run_analyze, "estimate": _run_estimate,

@@ -1,8 +1,10 @@
-"""Hermite polynomials (probabilists' convention) and numerical expansion
-of a square-integrable transform G in the Hermite basis.
+"""Hermite polynomials (probabilists' convention) and expansion of a
+square-integrable transform G in the Hermite basis.
 
-Coefficients are computed by Gauss-Hermite quadrature of E[G(X) H_q(X)]
-for X standard normal; ranks are read off the thresholded coefficient map.
+A user callable is expanded by Gauss-Hermite quadrature of E[G(X) H_q(X)]
+for X standard normal (`expand`); the configured transform menu has exact
+coefficients (`config.GSpec.expansion`).  Both truncate with `truncated`,
+and ranks are read off the thresholded coefficient map.
 """
 
 import math
@@ -82,15 +84,13 @@ class HermiteExpansion:
     """Thresholded Hermite coefficient map of a centered transform.
 
     coeffs maps rank q >= 1 to c_q = E[G(X) H_q(X)]; exact zeros are
-    dropped.  parseval_mass is sum c_q^2/q!, which equals E[G(X)^2] when
-    the truncation captures everything.  mean_shift records the constant
-    subtracted by auto-centering (0 when G was already centered).
+    dropped.  parseval_mass is sum c_q^2/q!, which equals second_moment,
+    E[G(X)^2], when the truncation captures everything.  mean_shift records
+    the constant subtracted by auto-centering (0 when G was already centered).
     """
 
     coeffs: dict[int, float]
-    qmax: int
     parseval_mass: float
-    quadrature_order: int
     mean_shift: float = 0.0
     second_moment: float = field(default=float("nan"))
 
@@ -105,33 +105,25 @@ def expand(
     G: Callable[[np.ndarray], np.ndarray],
     qmax: int = DEFAULT_QMAX,
     quad_order: int = DEFAULT_QUAD_ORDER,
-    zero_tol: float = ZERO_TOL,
 ) -> HermiteExpansion:
     """Expand G in Hermite polynomials by Gauss-Hermite quadrature.
 
     The rule of order m is exact for polynomial integrands up to degree
     2m-1, so polynomial transforms up to degree qmax are expanded exactly
     (to rounding).  A nonzero mean is subtracted automatically with a
-    warning, since the downstream theory assumes E[G(X)] = 0.  Coefficients
-    with |c_q|/sqrt(q!) below zero_tol (relative to the L2 norm of G) are
-    set to exact zero: rank extraction requires honest zeros, and leaving
-    quadrature noise in place would corrupt the gap sets.
+    warning, since the downstream theory assumes E[G(X)] = 0.  `truncated`
+    sets the quadrature noise to exact zero, which would otherwise corrupt
+    the gap sets.
 
     Raises NonIntegrabilityError when the second moment fails to stabilise
     between quadrature orders m and 2m.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        x, w = gauss_hermite_rule(quad_order)
-        gx = np.asarray(G(x.copy()), dtype=float)  # G may write into its argument
-        if gx.shape != x.shape:
-            gx = np.broadcast_to(gx, x.shape).astype(float)
-        m2_raw = float(w @ gx**2)
-
-        x2, w2 = gauss_hermite_rule(2 * quad_order)
-        gx2 = np.asarray(G(x2.copy()), dtype=float)
-        if gx2.shape != x2.shape:
-            gx2 = np.broadcast_to(gx2, x2.shape).astype(float)
-        m2_ref = float(w2 @ gx2**2)
+        (x, w), (x2, w2) = gauss_hermite_rule(quad_order), gauss_hermite_rule(2 * quad_order)
+        # G may write into its argument, or return a scalar
+        gx, gx2 = (np.broadcast_to(np.asarray(G(t.copy()), dtype=float), t.shape).astype(float)
+                   for t in (x, x2))
+        m2_raw, m2_ref = float(w @ gx**2), float(w2 @ gx2**2)
     if not (np.isfinite(m2_raw) and np.isfinite(m2_ref)):
         raise NonIntegrabilityError("E[G(X)^2] is not finite under quadrature")
     if m2_ref > 2.0 * m2_raw + 1.0:
@@ -143,7 +135,7 @@ def expand(
     scale = math.sqrt(max(m2_ref, 1.0))
     mean = float(w2 @ gx2)
     mean_shift = 0.0
-    if abs(mean) > zero_tol * scale:
+    if abs(mean) > ZERO_TOL * scale:
         warnings.warn(
             f"transform has nonzero mean {mean:.3g} under N(0,1); auto-centering",
             stacklevel=2,
@@ -154,36 +146,33 @@ def expand(
     coeffs: dict[int, float] = {}
     h_prev = np.ones_like(x)
     h = x.copy()
-    fact = 1.0
-    threshold = zero_tol * max(1.0, scale)
     for q in range(1, qmax + 1):
-        fact *= q
-        cq = float(w @ (gx * h))
-        if abs(cq) / math.sqrt(fact) >= threshold:
-            coeffs[q] = cq
+        coeffs[q] = float(w @ (gx * h))
         h_prev, h = h, x * h - q * h_prev
-
-    mass = sum(c * c / math.factorial(q) for q, c in coeffs.items())
-    return HermiteExpansion(
-        coeffs=coeffs,
-        qmax=qmax,
-        parseval_mass=mass,
-        quadrature_order=quad_order,
-        mean_shift=mean_shift,
-        second_moment=m2_ref - mean_shift**2,
-    )
+    return truncated(coeffs, m2_ref - mean_shift**2, mean_shift)
 
 
-def expansion_from_coeffs(coeffs: dict[int, float], qmax: Optional[int] = None) -> HermiteExpansion:
+def truncated(coeffs: dict[int, float], second_moment: float, mean_shift: float = 0.0) -> HermiteExpansion:
+    """The expansion keeping each c_q with |c_q|/sqrt(q!) >= ZERO_TOL * max(1, ||G + mean_shift||_2).
+
+    Rank extraction requires honest zeros: a coefficient under the floor,
+    relative to the L2 norm of the uncentred G, is set to exact zero.
+    """
+    threshold = ZERO_TOL * max(1.0, math.sqrt(second_moment + mean_shift**2))
+    kept = {q: c for q, c in coeffs.items() if abs(c) / math.sqrt(math.factorial(q)) >= threshold}
+    mass = sum(c * c / math.factorial(q) for q, c in kept.items())
+    return HermiteExpansion(kept, mass, mean_shift, second_moment)
+
+
+def expansion_from_coeffs(coeffs: dict[int, float]) -> HermiteExpansion:
     """Wrap an explicit coefficient map (already centered, ranks >= 1)."""
     clean = {int(q): float(c) for q, c in coeffs.items() if c != 0.0}
     if any(q < 1 for q in clean):
         raise ValueError("expansion ranks must be >= 1 (centered transform)")
     if not clean:
         raise ValueError("coefficient map has no nonzero entry")
-    qm = qmax if qmax is not None else max(clean)
     mass = sum(c * c / math.factorial(q) for q, c in clean.items())
-    return HermiteExpansion(clean, qm, mass, quadrature_order=0, second_moment=mass)
+    return HermiteExpansion(clean, mass, second_moment=mass)
 
 
 def hermite_rank(expansion: HermiteExpansion) -> tuple[int, Optional[int]]:

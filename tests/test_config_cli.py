@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import scalolab.inference
 import scalolab.wavelet
 from scalolab.config import ConfigError, ingest, parse_config, parse_g_spec
 from scalolab.harness import run
+from scalolab.hermite import hermite_eval
 from scalolab.inference import run_test
 from scalolab.synthesis import export_path, sample_gaussian, sample_gaussian_pair
 from scalolab.wavelet import build_bank
@@ -67,18 +69,101 @@ def test_g_spec_exact_hermite_expansions():
 
 
 def test_g_spec_builtin_rank_structure():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # kinked transforms carry tiny quad means
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         sgn = parse_g_spec("sign").expansion()
         ab = parse_g_spec("abs-centered").expansion()
+        ex = parse_g_spec("exp-centered").expansion()
+    assert not caught  # the exact maps are centred: no auto-centering warning
     assert all(q % 2 == 1 for q in sgn.coeffs)  # odd transform
     assert sgn.nonzero_indices()[0] == 1
     assert all(q % 2 == 0 for q in ab.coeffs)  # even transform
     assert ab.nonzero_indices()[0] == 2
-    ex = parse_g_spec("exp-centered").expansion()
     assert ex.nonzero_indices()[0] == 1 and 2 in ex.coeffs
+
+
+def _normal_moment(m: int) -> int:
+    return 0 if m % 2 else math.prod(range(m - 1, 0, -2))
+
+
+def _hermite_at_zero(n: int) -> int:
+    return (-1) ** (n // 2) * _normal_moment(n)
+
+
+def _hermite_power_series(q: int) -> dict:
+    """H_q(x) = sum_k (-1)^k q! / (k! (q-2k)! 2^k) x^(q-2k), as {power: Fraction}."""
+    f = math.factorial
+    return {q - 2 * k: Fraction((-1) ** k * f(q), f(k) * f(q - 2 * k) * 2**k) for k in range(q // 2 + 1)}
+
+
+_POLY = ("1/3", "-2", "5/7", "0", "1/11", "3/2")  # degree 5, rational coefficients
+
+
+def _exact_reference(kind: str, q: int) -> float:
+    """c_q = E[G(X) H_q(X)] in exact arithmetic from the power series of H_q:
+    the normal moments for the polynomial, and for e^{X/2} the shifted moments
+    E[e^{X/2} X^m] = e^{1/8} E[(X + 1/2)^m]."""
+    h = _hermite_power_series(q)
+    if kind == "polynomial":
+        a = [Fraction(c) for c in _POLY]
+        return float(sum(c * hc * _normal_moment(n + m) for n, c in enumerate(a) for m, hc in h.items()))
+    shifted = lambda m: sum(math.comb(m, j) * Fraction(1, 2 ** (m - j)) * _normal_moment(j)  # noqa: E731
+                            for j in range(m + 1))
+    return math.exp(0.125) * float(sum(hc * shifted(m) for m, hc in h.items()))
+
+
+def _quad_reference(G, q: int) -> float:
+    """c_q = E[G(X) H_q(X)] by adaptive quadrature, split at the kink x = 0."""
+    from scipy import integrate
+
+    f = lambda x: G(x) * hermite_eval(q, x) * math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quad flags roundoff at epsrel 1e-14
+        return sum(integrate.quad(f, lo, hi, epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+                   for lo, hi in ((-np.inf, 0.0), (0.0, np.inf)))
+
+
+def test_g_spec_menu_expansions_are_exact():
+    # every kept rank against its closed form (Nourdin & Peccati 2012, ch. 1),
+    # and ranks q <= 10 against an independent reference.  Quadrature of the
+    # smooth e^{x/2} loses 3e-12 to cancellation at q = 9, so that reference
+    # is exact arithmetic, like the polynomial's
+    r = math.sqrt(2.0 / math.pi)
+    a = [Fraction(c) for c in _POLY]
+    poly_mean = sum(c * _normal_moment(n) for n, c in enumerate(a))
+    poly_m2 = sum(c * cp * _normal_moment(n + m) for n, c in enumerate(a) for m, cp in enumerate(a))
+    poly_var = poly_m2 - poly_mean**2
+    cases = {  # kind: (closed form, Var G, reference, kept ranks)
+        "exp-centered": (lambda q: math.exp(0.125) * 2.0**-q, math.exp(0.5) - math.exp(0.25),
+                         lambda q: _exact_reference("exp-centered", q), tuple(range(1, 15))),
+        "sign": (lambda q: r * _hermite_at_zero(q - 1) if q % 2 else 0.0, 1.0,
+                 lambda q: _quad_reference(lambda x: math.copysign(1.0, x), q), tuple(range(1, 40, 2))),
+        "abs-centered": (lambda q: 0.0 if q % 2 else r * (_hermite_at_zero(q) + q * _hermite_at_zero(q - 2)),
+                         1.0 - 2.0 / math.pi, lambda q: _quad_reference(lambda x: abs(x) - r, q),
+                         tuple(range(2, 41, 2))),
+        "polynomial": (lambda q: _exact_reference("polynomial", q), float(poly_var),
+                       lambda q: _exact_reference("polynomial", q), (1, 2, 3, 4, 5)),
+    }
+    for kind, (closed, var, reference, ranks) in cases.items():
+        spec = {"kind": "polynomial", "coeffs": list(_POLY)} if kind == "polynomial" else kind
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            e = parse_g_spec(spec).expansion()
+        assert not caught, kind
+        assert e.nonzero_indices() == ranks, kind
+        assert e.mean_shift == 0.0
+        assert e.second_moment == pytest.approx(var, rel=1e-12), kind
+        assert e.parseval_mass <= e.second_moment * (1 + 1e-12), kind
+        if kind == "polynomial":  # a finite series: the truncation drops nothing
+            assert e.parseval_mass == pytest.approx(var, rel=1e-12)
+        for q in range(1, 41):  # the ranks left out fall below the 1e-10 floor
+            if q in ranks:
+                assert e.coeffs[q] == pytest.approx(closed(q), rel=1e-12, abs=0.0), (kind, q)
+            else:
+                assert abs(closed(q)) / math.sqrt(math.factorial(q)) < 1e-10 * max(1.0, math.sqrt(var))
+        for q in range(1, 11):
+            tol = {"rel": 1e-12, "abs": 0.0} if q in ranks else {"abs": 1e-13}  # a zero by parity
+            assert e.coeffs.get(q, 0.0) == pytest.approx(reference(q), **tol), (kind, q)
 
 
 # --- config validation ------------------------------------------------------
@@ -204,6 +289,12 @@ def test_analyze_and_estimate_modes(tmp_path):
     (rp,) = run(est)
     rep = json.loads(open(rp).read())
     assert abs(rep["estimate"]["d0_hat"] - 0.3) < 0.25
+    # zeta = min(beta, 2 delta(1)) = 0.6 for a single rank-1 term at d = 0.3
+    assert rep["estimate"]["rate_bias"] == pytest.approx(2.0 ** (-0.6 * 3), rel=1e-12)
+    # rank 3 at d = 0.2 has short memory, delta(3) = -0.4: no bias rate
+    short = parse_config({**est.raw, "g": "hermite:3", "model": {"d": 0.2, "K": 0},
+                          "out": str(tmp_path / "short")})
+    assert json.loads(open(run(short)[0]).read())["estimate"]["rate_bias"] is None
     assert rep["input"]["sha256"]
     ana = parse_config({"mode": "analyze", "model": {"d": 0.3, "K": 0},
                         "bank": {"family": "db2", "jmax": 8},
@@ -524,6 +615,11 @@ def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, chang
     pytest.param("test", {"k_bar": 2}, "k_bar", id="test-k_bar-not-below-M"),
     pytest.param("estimate", {"input_csv": "const", "j": 1, "p": 1}, "input_csv",
                  id="estimate-constant-series"),
+    # finite coefficients whose exact E[G(X)^2] overflows a float: 1e320, and 200! from x^200
+    pytest.param("test", {"g": {"kind": "polynomial", "coeffs": ["0", "1e160"]}}, "g.coeffs",
+                 id="polynomial-second-moment-overflow"),
+    pytest.param("estimate", {"g": {"kind": "polynomial", "coeffs": ["0"] * 200 + ["1"]}}, "g.coeffs",
+                 id="polynomial-degree-200-overflow"),
 ])
 def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
     # each passes the configuration check and is rejected only once the run
@@ -602,25 +698,36 @@ def test_cli_rank_one_test_loads_no_scipy(tmp_path):
 
 
 def test_cli_sweeps_load_no_scipy(tmp_path):
-    # skewness and normality_p come from numpy; a polynomial G needs no quadrature
+    # skewness and normality_p come from numpy; every menu transform has
+    # exact Hermite coefficients, so no mode runs quadrature
     base = {"mode": "mc-experiment", "model": {"d": 0.35, "K": 0}, "g": "hermite:1",
             "bank": {"family": "db2", "jmax": 7}, "n": 4096, "j": 3, "p": 2,
             "replicates": 3, "seed": 6}
-    configs = [
-        {**base, "d0_star": 0.35, "alpha": 0.1},
-        {**base, "model": {"d": 0.42, "K": 0}, "g": "hermite:2", "d0_star": 0.34, "alpha": 0.1},
-        {**base, "model": {"d": 0.41, "K": 0}, "g": {"kind": "hermite-coeffs", "coeffs": {"2": 2, "3": 1}},
-         "bank": {"family": "db2", "jmax": 8}, "n": 2**13, "j": 2, "p": 1, "preset": "small-scale"},
+    runs = [
+        ("mc-experiment", {**base, "d0_star": 0.35, "alpha": 0.1}),
+        ("mc-experiment", {**base, "model": {"d": 0.42, "K": 0}, "g": "hermite:2", "d0_star": 0.34,
+                           "alpha": 0.1}),
+        ("mc-experiment", {**base, "model": {"d": 0.41, "K": 0},
+                           "g": {"kind": "hermite-coeffs", "coeffs": {"2": 2, "3": 1}},
+                           "bank": {"family": "db2", "jmax": 8}, "n": 2**13, "j": 2, "p": 1,
+                           "preset": "small-scale"}),
     ]
+    menu = [("exp-centered", 0.35), ("sign", 0.35), ("abs-centered", 0.42),
+            ({"kind": "polynomial", "coeffs": ["0", "1", "0", "1/3"]}, 0.35)]
+    for g, d in menu:
+        cfg = {**base, "model": {"d": d, "K": 0}, "g": g, "d0_star": d if d < 0.4 else 0.34, "alpha": 0.1,
+               "d_values": [0.3, 0.42]}
+        runs += [(mode, cfg) for mode in ("test", "estimate", "nu-c", "mc-experiment")]
     paths = [_write(tmp_path, f"c{i}.json", {**c, "out": str(tmp_path / f"o{i}")})
-             for i, c in enumerate(configs)]
+             for i, (_, c) in enumerate(runs)]
     code = ("import sys, scalolab.cli\n"
-            "for p in sys.argv[1:]:\n"
-            "    rc = scalolab.cli.main(['mc-experiment', '--config', p])\n"
+            "for mode, p in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    rc = scalolab.cli.main([mode, '--config', p])\n"
             "    print('scipy:', rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    r = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True)
+    argv = [a for (mode, _), p in zip(runs, paths) for a in (mode, p)]
+    r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert [ln for ln in r.stdout.splitlines() if ln.startswith("scipy:")] == ["scipy: 0 []"] * 3
+    assert [ln for ln in r.stdout.splitlines() if ln.startswith("scipy:")] == ["scipy: 0 []"] * len(runs)
     assert all((tmp_path / f"o{i}" / "mc_report.json").exists() for i in range(3))
 
 
@@ -649,6 +756,28 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert r1.returncode == 0
     side = json.loads((tmp_path / "o2" / "path.csv.json").read_text())
     assert side["seed"] == 9
+
+
+def test_cli_checks_the_config_once_under_the_mode_argument(tmp_path):
+    # the file's own mode is not checked first: a test config with no test
+    # fields simulates, and a config with no mode runs
+    cfg = {"mode": "test", "model": {"d": 0.3}, "g": "hermite:1", "n": 128, "seed": 3}
+    r = _cli("simulate", "--config", _write(tmp_path, "t.json", {**cfg, "out": str(tmp_path / "a")}))
+    assert r.returncode == 0, r.stderr
+    side = json.loads((tmp_path / "a" / "path.csv.json").read_text())
+    assert side["config"] == {**cfg, "mode": "simulate", "out": str(tmp_path / "a")}  # the merged object
+    nomode = {k: v for k, v in cfg.items() if k != "mode"}
+    r = _cli("simulate", "--config", _write(tmp_path, "n.json", nomode), "--out", str(tmp_path / "b"))
+    assert r.returncode == 0, r.stderr
+    side = json.loads((tmp_path / "b" / "path.csv.json").read_text())
+    assert side["config"] == {**nomode, "mode": "simulate", "out": str(tmp_path / "b")}
+    # still rejected, with exit 2: invalid JSON and a value that is no object
+    (tmp_path / "bad.json").write_text("{")
+    r = _cli("simulate", "--config", str(tmp_path / "bad.json"))
+    assert r.returncode == 2 and r.stderr.startswith("config error: <config>: invalid JSON")
+    r = _cli("simulate", "--config", _write(tmp_path, "list.json", [nomode]), "--seed", "4")
+    assert r.returncode == 2 and r.stderr.startswith("config error: <root>: ")
+    assert "Traceback" not in r.stderr
 
 
 def test_cli_precondition_enforcement_exit_4(tmp_path):
