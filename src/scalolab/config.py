@@ -72,7 +72,8 @@ class GSpec:
         """The exact Hermite expansion (Nourdin & Peccati 2012, ch. 1).
 
         An infinite series keeps its ranks q <= DEFAULT_QMAX above the
-        `truncated` floor, and second_moment is the exact E[G(X)^2].
+        `truncated` floor, and second_moment is the exact E[G(X)^2].  A
+        transform that keeps no rank, zero once centred, raises ConfigError.
         """
         if self.kind == "hermite":
             return expansion_from_coeffs({self.q: float(math.factorial(self.q))})
@@ -98,7 +99,10 @@ class GSpec:
                 m2 = float(sum(c * c / math.factorial(q) for q, c in exact.items()))
             except OverflowError:
                 raise ConfigError("g.coeffs", "E[G(X)^2] overflows a float") from None
-        return truncated(coeffs, m2)
+        expansion = truncated(coeffs, m2)
+        if not expansion.coeffs:
+            raise ConfigError("g.coeffs", "the centred transform is zero: no Hermite rank above the floor")
+        return expansion
 
 
 def parse_g_spec(obj, path: str = "g") -> GSpec:
@@ -141,6 +145,8 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
             raise ConfigError(f"{path}.coeffs", f"unparsable entry: {exc}") from None
         if any(q < 1 for q, _ in items):
             raise ConfigError(f"{path}.coeffs", "ranks must be >= 1")
+        if not any(c for _, c in items):
+            raise ConfigError(f"{path}.coeffs", "needs a nonzero coefficient")
         return GSpec("hermite-coeffs", hermite_coeffs=items)
     return GSpec(kind)
 
@@ -172,14 +178,13 @@ def parse_model(obj, path: str = "model") -> SpectralModel:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}.short_range", str(exc)) from None
     try:
-        beta = float(obj.get("beta", 2.0))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.beta", "must be a number") from None
-    try:
         params = MemoryParams(d, K)
     except ValueError as exc:
         raise ConfigError(f"{path}.d", str(exc)) from None
-    return SpectralModel(params, sr, beta)
+    try:
+        return SpectralModel(params, sr, float(obj.get("beta", 2.0)))
+    except (TypeError, ValueError):  # not a number, or outside (0, 2]
+        raise ConfigError(f"{path}.beta", "must be a number in (0, 2]") from None
 
 
 _MODES = ("simulate", "analyze", "estimate", "test", "mc-experiment", "nu-c")
@@ -339,12 +344,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
 def read_config(path):
     """The JSON value in the file at `path`, for `parse_config` to check."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8, whatever the locale
             obj = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("<config>", f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("<config>", f"invalid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("<config>", f"cannot read {path}: {exc}") from None
     return obj
 
 
@@ -356,11 +363,12 @@ def ingest(csv_path) -> tuple[np.ndarray, dict]:
     of data are required.
     """
     values = []
-    hasher = hashlib.sha256()
-    with open(csv_path, "rb") as fh:
-        raw = fh.read()
-    hasher.update(raw)
-    lines = raw.decode("utf-8").splitlines()
+    try:
+        with open(csv_path, "rb") as fh:
+            raw = fh.read()
+        lines = raw.decode("utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("input_csv", f"cannot read {csv_path}: {exc}") from None
     start = 0
     if lines:
         try:
@@ -384,7 +392,7 @@ def ingest(csv_path) -> tuple[np.ndarray, dict]:
         raise ConfigError("input_csv", f"need at least 64 rows, found {len(values)}")
     provenance = {
         "path": str(csv_path),
-        "sha256": hasher.hexdigest(),
+        "sha256": hashlib.sha256(raw).hexdigest(),
         "rows": len(values),
         "header_skipped": bool(start),
     }

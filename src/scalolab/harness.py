@@ -121,23 +121,23 @@ def _run_analyze(cfg, art):
 
 
 def _run_estimate(cfg, art):
-    series, prov = _load_or_simulate(cfg)
-    bank = build_bank(cfg.bank_family, cfg.bank_jmax)
     kwargs = {}
     if cfg.g is not None and cfg.model is not None:
         q0, q1 = hermite_rank(cfg.g.expansion())
         kwargs = {"params": cfg.model.params, "q0": q0}
         if delta(q0, cfg.model.d) > 0:  # a short-memory rank has no bias rate
             kwargs["zeta"] = zeta_exponent(cfg.model.beta_smooth, cfg.model.d, q0, q1)
+    series, prov = _load_or_simulate(cfg)
+    bank = build_bank(cfg.bank_family, cfg.bank_jmax)
     with _naming({FilterValidationError: "bank.family", DegenerateScalogramError: "input_csv"}):
         report = estimate_d0(series, bank, cfg.j0, cfg.p, **kwargs)
     return _write_report(cfg, art, "estimate_report.json", input=prov, estimate=asdict(report))
 
 
 def _run_test_mode(cfg, art):
+    expansion = cfg.g.expansion()
     series, prov = _load_or_simulate(cfg)
     bank = build_bank(cfg.bank_family, cfg.bank_jmax)
-    expansion = cfg.g.expansion()
     with _naming(_TEST_FIELDS):
         report = run_test(series, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
                           cfg.j0, cfg.p, beta_smooth=cfg.model.beta_smooth)

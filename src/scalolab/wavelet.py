@@ -4,9 +4,8 @@ Filters come from compactly supported orthonormal (Daubechies-type) mirror
 pairs (h, g) with M vanishing moments, extended to coarser scales by the
 cascade g_{j+1}(z) = g_j(z^2) h(z): the family whose transfer functions,
 rescaled by gamma_j^(1/2), converge to a limit shape.  The cascade taps are
-the reference filters; transfers use the product formula g_j-hat(lam) =
-g-hat(2^(j-1) lam) prod_{i<j-1} h-hat(2^i lam), and every bank records
-diagnostics for finite support, the smoothness envelope and convergence.
+the filters; a bank holds them and nothing measured from them.  Building a
+bank rejects taps whose vanishing moments do not hold to _MOMENT_TOL.
 
 W_{j,k} = sum_t g_j(2^j k - t) Y_t is computed with interior taps only, for
 all scales of a series in one Mallat pyramid pass.
@@ -14,8 +13,7 @@ all scales of a series in one Mallat pyramid pass.
 
 import math
 import operator
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -58,23 +56,6 @@ def mirror_highpass(h: np.ndarray) -> np.ndarray:
     return ((-1.0) ** n) * h[::-1]
 
 
-def _dft(taps: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(np.exp(-1j * lams), taps)  # Horner in e^{-i lam}
-
-
-@dataclass(frozen=True)
-class WValidation:
-    """Numeric diagnostics for the bank's admissibility assumptions."""
-
-    support_bound: float  # measured A with supp(g_j) within gamma_j * [-A, A]
-    max_moment_residual: float  # worst normalised moment below order M
-    envelope_alpha: float  # fitted decay exponent (> 1 required)
-    envelope_constant: float  # fitted envelope constant across scales
-    envelope_table: tuple = ()  # ((alpha, (C_1, .., C_jmax)), ...) in fit order
-    limit_gaps: tuple = ()  # sup-norm gaps across last scales
-    notes: str = ""
-
-
 @dataclass(frozen=True, eq=False)
 class FilterBank:
     """Read-only family of per-scale filters g_j, j = 1..jmax, gamma_j = 2^j."""
@@ -86,7 +67,6 @@ class FilterBank:
     highpass: np.ndarray
     filters: tuple  # filters[j-1] holds the taps of g_j, support starting at 0
     T: int  # support length of the base pair (2M)
-    validation: Optional[WValidation] = None  # set by build_bank
 
     def _scale(self, j: int) -> int:
         if not (1 <= j <= self.jmax):
@@ -99,21 +79,6 @@ class FilterBank:
     def filter_length(self, j: int) -> int:
         """Number of taps of g_j."""
         return _filter_length(self.T, self._scale(j))
-
-    def transfer(self, j: int, lams) -> np.ndarray:
-        """DFT of g_j at the given frequencies, by the product formula."""
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        out = _dft(self.highpass, 2.0 ** (self._scale(j) - 1) * lams)
-        for i in range(j - 1):
-            out *= _dft(self.scaling, 2.0**i * lams)
-        return out
-
-    def asymptotic_transfer(self, lams, j: Optional[int] = None) -> np.ndarray:
-        """Limit shape estimate gamma_j^(-1/2) g_j-hat(gamma_j^(-1) lam) at the
-        deepest built scale (or at j if given)."""
-        jj = self.jmax if j is None else j
-        g = 2.0**jj
-        return self.transfer(jj, np.asarray(lams, dtype=float) / g) / math.sqrt(g)
 
 
 def _filter_length(T: int, j: int) -> int:
@@ -146,15 +111,11 @@ def _parse_family(family: str) -> int:
     raise FilterValidationError(f"unknown filter family {family!r}")
 
 
-def _validate_bank(bank: FilterBank) -> WValidation:
-    M, js = bank.M, range(1, bank.jmax + 1)
-    # finite support: measured A (always finite for compactly supported taps)
-    A = max(bank.filter_length(j) / 2.0**j for j in js)
-
-    # vanishing moments up to order M-1, normalised by the moment scale
+def _check_moments(filters, M: int) -> None:
+    """Raise unless every g_j has M vanishing moments, each moment normalised
+    by the moment of |g_j|."""
     worst = 0.0
-    for j in js:
-        taps = bank.taps(j)
+    for taps in filters:
         t = np.arange(len(taps), dtype=float)
         for m in range(M):
             num = abs(float(np.dot(t**m, taps)))
@@ -166,50 +127,13 @@ def _validate_bank(bank: FilterBank) -> WValidation:
             f"{_MOMENT_TOL:.0e} (uniform-smoothness envelope cannot hold at order {M})"
         )
 
-    # smoothness envelope |g_j-hat(lam)| <= C gamma^(1/2)|gamma lam|^M / (1+gamma|lam|)^(alpha+M)
-    lam_grid = np.concatenate([
-        np.geomspace(1e-4, 0.1, 120), np.linspace(0.1, math.pi, 240)
-    ])
-    moduli = [np.abs(bank.transfer(j, lam_grid)) for j in js]
-    table = {}
-    best_alpha, best_C = None, None
-    for alpha in (3.0, 2.5, 2.0, 1.5, 1.25, 1.05):
-        Cs = []
-        for j, mod in zip(js, moduli):
-            gam = 2.0**j
-            env = gam**0.5 * np.abs(gam * lam_grid) ** M / (1.0 + gam * lam_grid) ** (alpha + M)
-            Cs.append(float(np.max(mod / env)))
-        stable = Cs[-1] <= 1.5 * max(Cs[:-1] or Cs)
-        table[alpha] = tuple(Cs)
-        if stable and best_alpha is None:
-            best_alpha, best_C = alpha, max(Cs)
-    if best_alpha is None:
-        best_alpha, best_C = 1.05, max(table[1.05])
-        warnings.warn("smoothness envelope constant grows across scales; recorded anyway")
-
-    # locally uniform convergence of the rescaled transfer moduli
-    lam_w = np.linspace(-8.0 * math.pi, 8.0 * math.pi, 1024)
-    last = range(max(1, bank.jmax - 3), bank.jmax + 1)
-    cur = [np.abs(bank.asymptotic_transfer(lam_w, j)) for j in last]
-    gaps = [float(np.max(np.abs(b - a))) for a, b in zip(cur, cur[1:])]
-    return WValidation(
-        support_bound=A,
-        max_moment_residual=worst,
-        envelope_alpha=best_alpha,
-        envelope_constant=best_C,
-        envelope_table=tuple(table.items()),
-        limit_gaps=tuple(gaps),
-        notes="phase of the limit shape not tracked; modulus convergence only",
-    )
-
 
 def build_bank(family: str = "db2", jmax: int = 10) -> FilterBank:
-    """Per-scale filters of a Daubechies-type family, built and validated once per (family, jmax).
+    """Per-scale filters of a Daubechies-type family, built once per (family, jmax).
 
-    Raises FilterValidationError naming the violated assumption when the
-    structural checks fail.  Envelope and limit-shape diagnostics are
-    advisory at build time; consumers that need a specific moment order
-    check M themselves.
+    Raises FilterValidationError when the family is unknown or its taps
+    lose their vanishing moments (db40 does, in floating point); consumers
+    that need a specific moment order check M themselves.
     """
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
@@ -221,11 +145,11 @@ def _built_bank(family: str, M: int, jmax: int) -> FilterBank:
     h = daubechies_scaling(M)
     g1 = mirror_highpass(h)
     filters = _cascade(g1, h, jmax)
+    _check_moments(filters, M)
     for taps in (h, *filters):  # filters[0] is g1
         taps.setflags(write=False)
-    bank = FilterBank(family=family, M=M, jmax=jmax, scaling=h, highpass=g1,
+    return FilterBank(family=family, M=M, jmax=jmax, scaling=h, highpass=g1,
                       filters=tuple(filters), T=2 * M)
-    return replace(bank, validation=_validate_bank(bank))
 
 
 def n_coeffs(N: int, T: int, j: int) -> int:

@@ -1,12 +1,16 @@
 """Independent references that only the tests use.
 
-`rosenblatt_sample` is the Monte Carlo oracle of the second-chaos law and
-`_autocov_grid_raw` the dense-grid oracle of the closed-form covariance.
+`rosenblatt_sample` is the Monte Carlo oracle of the second-chaos law,
+`_autocov_grid_raw` the dense-grid oracle of the closed-form covariance, and
+`transfer` / `asymptotic_transfer` the product-formula oracle of a bank's
+transfer functions, against which the cascade taps and the limit shape are
+checked.
 `rosenblatt_sample` draws from the package's circulant embedding; its
 seeded draws are pinned in `test_synthesis.py`.
 """
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -75,3 +79,25 @@ def _autocov_grid_raw(model: SpectralModel, L: int, grid: int) -> np.ndarray:
     gamma_resid = 2.0 * math.pi * np.real(np.fft.ifft(resid))[: L + 1]
     gamma_far = 2.0 * math.pi * model.f_star_at_zero() * farima_gamma0(d) * farima_rho(d, L)
     return gamma_far + gamma_resid
+
+
+def _dft(taps: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    return np.polynomial.polynomial.polyval(np.exp(-1j * lams), taps)  # Horner in e^{-i lam}
+
+
+def transfer(bank, j: int, lams) -> np.ndarray:
+    """DFT of g_j at the given frequencies, by the product formula
+    g_j-hat(lam) = g-hat(2^(j-1) lam) prod_{i<j-1} h-hat(2^i lam)."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    out = _dft(bank.highpass, 2.0 ** (bank._scale(j) - 1) * lams)
+    for i in range(j - 1):
+        out *= _dft(bank.scaling, 2.0**i * lams)
+    return out
+
+
+def asymptotic_transfer(bank, lams, j: Optional[int] = None) -> np.ndarray:
+    """Limit shape estimate gamma_j^(-1/2) g_j-hat(gamma_j^(-1) lam) at the
+    deepest built scale (or at j if given)."""
+    jj = bank.jmax if j is None else j
+    g = 2.0**jj
+    return transfer(bank, jj, np.asarray(lams, dtype=float) / g) / math.sqrt(g)

@@ -554,6 +554,9 @@ def test_cli_exit_codes(tmp_path):
     pytest.param("simulate", {"model": {"d": 0.3, "short_range": {"kind": "ma", "coeffs": 3}}},
                  "model.short_range.coeffs", id="ma-coeffs-not-a-list"),
     pytest.param("simulate", {"model": {"d": 0.3, "beta": [2]}}, "model.beta", id="beta-list"),
+    pytest.param("simulate", {"model": {"d": 0.3, "beta": 3}}, "model.beta", id="beta-above-2"),
+    pytest.param("simulate", {"model": {"d": 0.3, "beta": -1}}, "model.beta", id="beta-negative"),
+    pytest.param("estimate", {"model": {"d": 0.3, "beta": math.nan}}, "model.beta", id="beta-nan"),
     pytest.param("simulate", {"out": 7}, "out", id="out-number"),
     # os.path.exists(1) is true: fd 1 is a file descriptor
     pytest.param("estimate", {"input_csv": 1}, "input_csv", id="input_csv-number"),
@@ -562,6 +565,8 @@ def test_cli_exit_codes(tmp_path):
                  id="polynomial-coeff-overflow"),
     pytest.param("test", {"g": {"kind": "hermite-coeffs", "coeffs": {"1": "1e400"}}}, "g.coeffs",
                  id="hermite-coeff-overflow"),
+    pytest.param("nu-c", {"g": {"kind": "hermite-coeffs", "coeffs": {"1": "0"}}}, "g.coeffs",
+                 id="hermite-coeffs-all-zero"),
     pytest.param("test", {"enforce_preconditions": 5}, "enforce_preconditions",
                  id="enforce-not-an-object"),
     # a misspelt bound would otherwise turn enforcement off without a word
@@ -620,6 +625,10 @@ def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, chang
                  id="polynomial-second-moment-overflow"),
     pytest.param("estimate", {"g": {"kind": "polynomial", "coeffs": ["0"] * 200 + ["1"]}}, "g.coeffs",
                  id="polynomial-degree-200-overflow"),
+    # a constant polynomial is zero once centred: no rank to estimate or test
+    *(pytest.param(mode, {"g": {"kind": "polynomial", "coeffs": ["1"]}}, "g.coeffs",
+                   id=f"{mode}-zero-transform")
+      for mode in ("nu-c", "estimate", "test", "mc-experiment")),
 ])
 def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
     # each passes the configuration check and is rejected only once the run
@@ -634,6 +643,28 @@ def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
         "d0_star": 0.3, "alpha": 0.1, "replicates": 2, "out": str(tmp_path / "e"), **change,
     })
     r = _cli(mode, "--config", cfgp)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith(f"config error: {field}: ")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("field, content", [
+    pytest.param("<config>", None, id="config-directory"),
+    pytest.param("<config>", b'{"mode": "estimate"}\xff', id="config-not-utf8"),
+    pytest.param("input_csv", None, id="csv-directory"),
+    pytest.param("input_csv", b"x\n1.0\n\xff\n", id="csv-not-utf8"),
+])
+def test_cli_unreadable_input_exit_2(tmp_path, field, content):
+    bad = tmp_path / "bad"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    cfgp = str(bad) if field == "<config>" else _write(tmp_path, "e.json", {
+        "mode": "estimate", "model": {"d": 0.3}, "input_csv": str(bad),
+        "bank": {"family": "db2", "jmax": 8}, "j": 3, "p": 3, "out": str(tmp_path / "e"),
+    })
+    r = _cli("estimate", "--config", cfgp)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith(f"config error: {field}: ")
     assert "Traceback" not in r.stderr
@@ -699,7 +730,8 @@ def test_cli_rank_one_test_loads_no_scipy(tmp_path):
 
 def test_cli_sweeps_load_no_scipy(tmp_path):
     # skewness and normality_p come from numpy; every menu transform has
-    # exact Hermite coefficients, so no mode runs quadrature
+    # exact Hermite coefficients, so no mode runs quadrature.  Nor does any
+    # run load numpy.polynomial until a polynomial G is evaluated
     base = {"mode": "mc-experiment", "model": {"d": 0.35, "K": 0}, "g": "hermite:1",
             "bank": {"family": "db2", "jmax": 7}, "n": 4096, "j": 3, "p": 2,
             "replicates": 3, "seed": 6}
@@ -723,11 +755,14 @@ def test_cli_sweeps_load_no_scipy(tmp_path):
     code = ("import sys, scalolab.cli\n"
             "for mode, p in zip(sys.argv[1::2], sys.argv[2::2]):\n"
             "    rc = scalolab.cli.main([mode, '--config', p])\n"
-            "    print('scipy:', rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "    print('scipy:', rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "    print('numpy.polynomial:', 'numpy.polynomial' in sys.modules)")
     argv = [a for (mode, _), p in zip(runs, paths) for a in (mode, p)]
     r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert [ln for ln in r.stdout.splitlines() if ln.startswith("scipy:")] == ["scipy: 0 []"] * len(runs)
+    polynomial = [ln for ln in r.stdout.splitlines() if ln.startswith("numpy.polynomial:")]
+    assert polynomial[:-4] == ["numpy.polynomial: False"] * (len(runs) - 4)  # the last four run a polynomial
     assert all((tmp_path / f"o{i}" / "mc_report.json").exists() for i in range(3))
 
 

@@ -34,7 +34,7 @@ from scalolab.spectral import SpectralModel
 from scalolab.synthesis import sample_gaussian, stream
 from scalolab.wavelet import build_bank
 
-from oracles import rosenblatt_sample
+from oracles import asymptotic_transfer, rosenblatt_sample
 
 LOG2 = math.log(2.0)
 
@@ -117,12 +117,12 @@ def brute_var_q0(bank, d, K, S=256, P=64, J=9):
     straight from the deep-scale taps, no shared code with the fast path."""
     lam = -math.pi + (np.arange(S) + 0.5) * (2 * math.pi / S)
     xs = lam[None, :] + 2 * math.pi * np.arange(-P, P + 1)[:, None]
-    g = bank.asymptotic_transfer(xs.ravel(), j=J).reshape(xs.shape)
+    g = asymptotic_transfer(bank, xs.ravel(), j=J).reshape(xs.shape)
     dsum = np.sum(np.abs(xs) ** (-2 * (d + K)) * np.abs(g) ** 2, axis=0)
     integral = float(np.sum(dsum**2)) * (2 * math.pi / S)
     # L1 on a fine half-line grid
     u = np.linspace(1e-4, 64 * math.pi, 120_000)
-    gu = bank.asymptotic_transfer(u, j=J)
+    gu = asymptotic_transfer(bank, u, j=J)
     L1 = 2.0 * float(np.trapezoid(np.abs(gu) ** 2 * u ** (-2 * (d + K)), u))
     return 4 * math.pi / L1**2 * integral
 
@@ -153,7 +153,7 @@ def test_cov_q_matches_shell_and_phase_sum_over_trusted_zone(jmax, p):
     # sum_v int_0^{2 pi} |sum_l phi(x) e^{-i 2^-m v x}|^2 dlam, x = lam + 2 pi l,
     # phi(x) = |x|^{-2d} g_inf(x) conj(g_inf(2^-m x)); here it is summed shell by
     # shell and phase by phase at the midpoints x = pi k / S, odd |k| < F/4, with
-    # the shape from the bank's product formula at levels J and J - m.  At
+    # the shape from the product-formula oracle at levels J and J - m.  At
     # jmax 7 the deepest offsets span more residues than the zone holds samples
     bank, d = build_bank("db2", jmax), 0.3
     law = limit_constants(bank, MemoryParams(d, 0), 1, p)
@@ -161,9 +161,9 @@ def test_cov_q_matches_shell_and_phase_sum_over_trusted_zone(jmax, p):
     shells = 2**J // 4  # F/4 = 2 S * shells
     lam = math.pi / S * (2 * np.arange(S) + 1)
     xs = lam[None, :] + 2 * math.pi * np.arange(-shells, shells)[:, None]
-    g0 = bank.asymptotic_transfer(xs.ravel(), j=J).reshape(xs.shape)
+    g0 = asymptotic_transfer(bank, xs.ravel(), j=J).reshape(xs.shape)
     for m in range(p + 1):
-        gm = bank.asymptotic_transfer(2.0**-m * xs.ravel(), j=J - m).reshape(xs.shape)
+        gm = asymptotic_transfer(bank, 2.0**-m * xs.ravel(), j=J - m).reshape(xs.shape)
         phi = np.abs(xs) ** (-2 * d) * g0 * np.conj(gm)
         brute = sum(float(np.sum(np.abs(np.sum(phi * np.exp(-1j * 2.0**-m * v * xs), axis=0)) ** 2))
                     for v in range(2**m)) * (2 * math.pi / S)
@@ -291,7 +291,7 @@ def test_l2_of_bank_matches_reduction_oracle(bank_db2):
     # equals C_B(d) * int |g(s)|^2 |s|^{1-4d-2K} ds
     d = 0.4
     u = np.linspace(1e-4, 128 * math.pi, 400_000)
-    gu = np.abs(bank_db2.asymptotic_transfer(u, j=10)) ** 2
+    gu = np.abs(asymptotic_transfer(bank_db2, u, j=10)) ** 2
     for K in (0, 1):
         law = limit_constants(bank_db2, MemoryParams(d, K), 2, 1)
         expect = _convolution_kernel_constant(d) * 2.0 * float(np.trapezoid(gu * u ** (1 - 4 * d - 2 * K), u))

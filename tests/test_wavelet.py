@@ -19,6 +19,8 @@ from scalolab.wavelet import (
     wavelet_coeffs,
 )
 
+from oracles import asymptotic_transfer, transfer
+
 
 def test_daubechies_reference_taps():
     # db2 scaling filter admits the closed form sqrt(2)/8 * (1±sqrt(3), 3±sqrt(3))
@@ -47,14 +49,25 @@ def test_highpass_vanishing_moments(M):
 
 
 def test_build_bank_validation():
-    bank = build_bank("db2", jmax=8)
-    v = bank.validation
-    assert v.support_bound <= 2 * bank.M
-    assert v.max_moment_residual < 1e-10
-    assert v.envelope_alpha > 1.0
-    assert len(v.limit_gaps) >= 2
-    # locally uniform convergence: sup gaps shrink across consecutive levels
-    assert v.limit_gaps[-1] < v.limit_gaps[0]
+    # (a) the kept check: every g_j of db1-db4 has M vanishing moments, each
+    # moment normalised by the moment of |g_j|
+    for M in (1, 2, 3, 4):
+        bank = build_bank(f"db{M}", jmax=8)
+        for j in range(1, 9):
+            taps = bank.taps(j)
+            t = np.arange(len(taps), dtype=float)
+            for m in range(M):
+                resid = abs(np.dot(t**m, taps)) / (np.dot(t**m, np.abs(taps)) + 1.0)
+                assert resid < 1e-10
+    # (b) locally uniform convergence: the sup gaps of the rescaled transfer
+    # moduli shrink across the last four levels
+    bank, lams = build_bank("db2", jmax=8), np.linspace(-8 * math.pi, 8 * math.pi, 1024)
+    cur = [np.abs(asymptotic_transfer(bank, lams, j)) for j in range(5, 9)]
+    gaps = [np.max(np.abs(b - a)) for a, b in zip(cur, cur[1:])]
+    assert gaps[-1] < gaps[0]
+    # (c) db40's taps lose their moments in floating point, and the build says so
+    with pytest.raises(FilterValidationError, match="vanishing moments"):
+        build_bank("db40", 10)
 
 
 def test_build_bank_rejects_unknown_family():
@@ -73,14 +86,11 @@ def test_bank_is_built_once_and_read_only():
             arr[0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         bank.jmax = 9
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        bank.validation.envelope_alpha = 2.0
-    assert isinstance(bank.validation.limit_gaps, tuple)
 
 
 def test_haar_transfer_zero_at_dc(bank_haar):
     for j in (1, 3, 5):
-        assert abs(bank_haar.transfer(j, 0.0)[0]) < 1e-12
+        assert abs(transfer(bank_haar, j, 0.0)[0]) < 1e-12
 
 
 @pytest.mark.parametrize("family", ["haar", "db2", "db4", "db6"])
@@ -91,7 +101,7 @@ def test_transfer_matches_dense_dft_of_taps(family):
         taps = bank.taps(j)
         assert len(taps) == bank.filter_length(j)
         dense = np.exp(-1j * np.outer(lams, np.arange(len(taps)))) @ taps
-        np.testing.assert_allclose(bank.transfer(j, lams), dense, rtol=1e-12,
+        np.testing.assert_allclose(transfer(bank, j, lams), dense, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(dense)))
 
 
