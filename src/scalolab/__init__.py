@@ -17,7 +17,6 @@ from .exponents import (  # noqa: F401
     chaos_exponents,
     critical_exponent,
     critical_exponent_report,
-    delta_exponents,
     rank_profile,
     rate_bound,
     zeta_exponent,
@@ -38,7 +37,6 @@ from .spectral import (  # noqa: F401
     density_at,
 )
 from .synthesis import (  # noqa: F401
-    apply_G,
     integrate_K,
     sample_gaussian,
     sample_path,

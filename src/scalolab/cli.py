@@ -8,7 +8,7 @@ config opts into enforcement).
 import argparse
 import sys
 
-from .config import parse_config, read_config
+from .config import _MODES, parse_config, read_config
 from .errors import NumericError, PreconditionError, UserInputError
 from .harness import run
 
@@ -18,7 +18,7 @@ def main(argv=None) -> int:
         prog="scalolab",
         description="Wavelet scalogram toolkit for nonlinear long-memory series",
     )
-    parser.add_argument("mode", choices=["simulate", "analyze", "estimate", "test", "mc-experiment", "nu-c"])
+    parser.add_argument("mode", choices=_MODES)
     parser.add_argument("--config", required=True, help="path to a JSON configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory")

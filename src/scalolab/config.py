@@ -105,6 +105,16 @@ class GSpec:
         return expansion
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; true and false are not numbers."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A JSON number; true and false are not numbers."""
+    return _is_int(v) or isinstance(v, float)
+
+
 def parse_g_spec(obj, path: str = "g") -> GSpec:
     """Accept 'hermite:3'-style shorthand or a {'kind': ...} mapping."""
     if isinstance(obj, str):
@@ -123,7 +133,7 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
         raise ConfigError(f"{path}.kind", f"must be one of {_BUILTIN_KINDS}")
     if kind == "hermite":
         q = obj.get("q")
-        if not isinstance(q, int) or q < 1:
+        if not _is_int(q) or q < 1:
             raise ConfigError(f"{path}.q", "hermite transform needs a positive integer rank")
         return GSpec("hermite", q=q)
     if kind == "polynomial":
@@ -159,7 +169,7 @@ def parse_model(obj, path: str = "model") -> SpectralModel:
     except (KeyError, TypeError, ValueError):
         raise ConfigError(f"{path}.d", "memory parameter d (real in (0, 1/2)) is required") from None
     K = obj.get("K", 0)
-    if not isinstance(K, int) or K < 0:
+    if not _is_int(K) or K < 0:
         raise ConfigError(f"{path}.K", "integration order must be a nonnegative integer")
     sr_obj = obj.get("short_range", {"kind": "constant", "value": 1.0 / (2.0 * math.pi)})
     if not isinstance(sr_obj, dict):
@@ -167,8 +177,11 @@ def parse_model(obj, path: str = "model") -> SpectralModel:
     kind, coeffs = sr_obj.get("kind", "constant"), sr_obj.get("coeffs", [1.0])
     if kind not in ("constant", "ma"):
         raise ConfigError(f"{path}.short_range.kind", f"unknown kind {kind!r}")
-    if kind == "ma" and not isinstance(coeffs, list):
+    if kind == "ma" and (not isinstance(coeffs, list) or any(isinstance(c, bool) for c in coeffs)):
         raise ConfigError(f"{path}.short_range.coeffs", "must be a list of numbers")
+    for key in ("value", "scale"):
+        if isinstance(sr_obj.get(key), bool):
+            raise ConfigError(f"{path}.short_range.{key}", "must be a number")
     try:
         if kind == "constant":
             sr = ShortRangeSpec("constant", float(sr_obj.get("value", 1.0 / (2.0 * math.pi))))
@@ -181,10 +194,13 @@ def parse_model(obj, path: str = "model") -> SpectralModel:
         params = MemoryParams(d, K)
     except ValueError as exc:
         raise ConfigError(f"{path}.d", str(exc)) from None
-    try:
-        return SpectralModel(params, sr, float(obj.get("beta", 2.0)))
-    except (TypeError, ValueError):  # not a number, or outside (0, 2]
-        raise ConfigError(f"{path}.beta", "must be a number in (0, 2]") from None
+    beta = obj.get("beta", 2.0)
+    if not isinstance(beta, bool):
+        try:
+            return SpectralModel(params, sr, float(beta))
+        except (TypeError, ValueError):  # not a number, or outside (0, 2]
+            pass
+    raise ConfigError(f"{path}.beta", "must be a number in (0, 2]")
 
 
 _MODES = ("simulate", "analyze", "estimate", "test", "mc-experiment", "nu-c")
@@ -246,7 +262,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     except FilterValidationError as exc:
         raise ConfigError("bank.family", str(exc)) from None
     jmax = bank_obj.get("jmax", 10)
-    if not isinstance(jmax, int) or jmax < 1:
+    if not _is_int(jmax) or jmax < 1:
         raise ConfigError("bank.jmax", "must be a positive integer")
 
     cfg = ExperimentConfig(
@@ -261,7 +277,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         workers=obj.get("workers", 1), raw=obj,
     )
 
-    if not isinstance(cfg.seed, int) or cfg.seed < 0 or cfg.seed > 2**64 - 1:
+    if not _is_int(cfg.seed) or cfg.seed < 0 or cfg.seed > 2**64 - 1:
         raise ConfigError("seed", "must be an unsigned 64-bit integer")
     for key in ("out", "input_csv"):
         if obj.get(key) is not None and not (isinstance(obj[key], str) and obj[key]):
@@ -272,8 +288,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     for key, bound in (enforce or {}).items():
         if key not in _ENFORCED:
             raise ConfigError(f"enforce_preconditions.{key}", f"unknown bound; expected one of {_ENFORCED}")
-        if bound is not None and (isinstance(bound, bool) or not isinstance(bound, (int, float))
-                                  or math.isnan(bound)):
+        if bound is not None and not (_is_number(bound) and not math.isnan(bound)):
             raise ConfigError(f"enforce_preconditions.{key}", "must be a number or null")
     if not (isinstance(cfg.schedule, list) and all(isinstance(e, dict) for e in cfg.schedule)):
         raise ConfigError("schedule", "must be a list of objects")
@@ -283,18 +298,18 @@ def parse_config(obj: dict) -> ExperimentConfig:
             if key in entry:
                 raise ConfigError(prefix + key, "retired: the Rosenblatt quantile is now deterministic")
         for key, lo in _INT_FIELDS:
-            if key in entry and not (isinstance(entry[key], int) and entry[key] >= lo):
+            if key in entry and not (_is_int(entry[key]) and entry[key] >= lo):
                 raise ConfigError(prefix + key, f"must be an integer >= {lo}")
-    if cfg.alpha is not None and not (isinstance(cfg.alpha, (int, float)) and 0.0 < cfg.alpha <= 1.0):
+    if cfg.alpha is not None and not (_is_number(cfg.alpha) and 0.0 < cfg.alpha <= 1.0):
         raise ConfigError("alpha", "must be a number in (0, 1]")
     d0s = cfg.d0_star
     # the fractional part splits d0* into (d*, K*); an infinite d0* fails it too
-    if d0s is not None and not (isinstance(d0s, (int, float)) and d0s > 0 and 0.0 < d0s % 1.0 < 0.5):
+    if d0s is not None and not (_is_number(d0s) and d0s > 0 and 0.0 < d0s % 1.0 < 0.5):
         raise ConfigError("d0_star", "must be positive with fractional part in (0, 1/2)")
     if not isinstance(cfg.d_values, list):
         raise ConfigError("d_values", "must be a list of numbers in (0, 1/2)")
     for i, d in enumerate(cfg.d_values):
-        if not (isinstance(d, (int, float)) and 0.0 < d < 0.5):
+        if not (_is_number(d) and 0.0 < d < 0.5):
             raise ConfigError(f"d_values[{i}]", "must be a number in (0, 1/2)")
     if mode == "nu-c":
         if g is None:

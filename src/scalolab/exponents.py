@@ -45,12 +45,6 @@ def delta_plus(q: int, d: float) -> float:
     return max(delta(q, d), 0.0)
 
 
-def delta_exponents(q: int, d: float) -> tuple[float, float]:
-    """Return (delta(q), delta_plus(q)) for rank q at memory d."""
-    dq = delta(q, d)
-    return dq, max(dq, 0.0)
-
-
 def epsilon_flag(p: int, d: float) -> int:
     """1 when some s in {1..p} satisfies s*(1-2d) = 1 (within LATTICE_TOL),
     which is exactly when logarithmic corrections appear at order p."""
@@ -61,15 +55,10 @@ def epsilon_flag(p: int, d: float) -> int:
     return 0
 
 
-def is_boundary_d(d: float, smax: int = 128) -> bool:
-    """True when d lies on the lattice {1/2 - 1/(2q), q >= 1} within tolerance."""
-    _check_d(d)
-    return epsilon_flag(smax, d) == 1
-
-
-def check_off_boundary(d: float, smax: int = 128) -> None:
-    """Raise BoundaryValueError when d sits on the logarithmic lattice."""
-    if is_boundary_d(d, smax):
+def check_off_boundary(d: float) -> None:
+    """Raise BoundaryValueError when d sits on the logarithmic lattice
+    {1/2 - 1/(2q), q = 1..128}, within LATTICE_TOL."""
+    if epsilon_flag(128, d):
         q = round(1.0 / (1.0 - 2.0 * d))
         raise BoundaryValueError(
             f"d={d!r} sits on the boundary lattice (d = 1/2 - 1/(2*{q})); "
@@ -98,10 +87,6 @@ class MemoryParams:
         _check_d(self.d)
         if not (isinstance(self.K, int) and self.K >= 0):
             raise ValueError(f"integration order K must be a nonnegative int, got {self.K!r}")
-
-    def d0(self, q0: int) -> float:
-        """Memory parameter K + delta(q0) of the integrated transformed series."""
-        return self.K + delta(q0, self.d)
 
 
 @dataclass(frozen=True)
@@ -301,19 +286,13 @@ def critical_exponent(profile: RankProfile, d: float) -> CriticalExponent:
     return critical_exponent_report(profile, d).nu_c
 
 
-def zeta_exponent(
-    beta_smooth: float,
-    d: float,
-    q0: int,
-    q1: Optional[int] = None,
-    shrink: float = 1e-6,
-) -> float:
+def zeta_exponent(beta_smooth: float, d: float, q0: int, q1: Optional[int] = None) -> float:
     """Hoelder exponent of the short-range factor of the transformed density.
 
     Returns min(beta_smooth, 2*(delta(q0) - delta+(q1))), with delta+(q1)
     taken as 0 when no second rank exists.  For q0 >= 2 the exponent must
     additionally be strictly below 2*delta(q0); when the minimum saturates
-    that bound it is shrunk by the relative factor `shrink` (the strict
+    that bound it is shrunk by the relative factor 1e-6 (the strict
     inequality admits no canonical choice).
     """
     if not (0.0 < beta_smooth <= 2.0):
@@ -324,7 +303,7 @@ def zeta_exponent(
     if q0 >= 2:
         cap = 2.0 * delta(q0, d)
         if zeta >= cap:
-            zeta = cap * (1.0 - shrink)
+            zeta = cap * (1.0 - 1e-6)
     return zeta
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, ingest
 from .errors import (BoundaryValueError, ConfigError, DegenerateScalogramError, FilterValidationError,
-                     InvalidTargetError, LongMemoryError, PreconditionError, ScaleTooCoarseError)
+                     InvalidTargetError, LongMemoryError, NumericError, PreconditionError, ScaleTooCoarseError)
 from .exponents import critical_exponent_report, delta, rank_profile, zeta_exponent
 from .hermite import HermiteExpansion, hermite_eval, hermite_rank
 from .inference import calibrate_test, d0_from_scalograms, estimate_d0, run_test
@@ -43,9 +43,15 @@ def _meta(cfg: ExperimentConfig) -> dict:
 
 
 def _write_report(cfg: ExperimentConfig, art, name: str, **body) -> list:
-    """Write `name`: the run's metadata, then `body` in order; returns every artifact path."""
+    """Write `name`: the run's metadata, then `body` in order; returns every artifact path.
+
+    A non-finite number has no JSON form: it raises NumericError, and `run`
+    deletes the partial file."""
     with open(art.path(name), "w") as fh:
-        json.dump({**_meta(cfg), **body}, fh, indent=2, default=float)
+        try:
+            json.dump({**_meta(cfg), **body}, fh, indent=2, default=float, allow_nan=False)
+        except ValueError as exc:
+            raise NumericError(f"{name}: {exc}") from None
     return art.paths
 
 
@@ -101,6 +107,8 @@ def run(cfg: ExperimentConfig) -> list:
 
 
 def _run_simulate(cfg, art):
+    if cfg.g is not None:
+        cfg.g.expansion()  # rejects a transform that is zero once centred
     series = sample_path(cfg.model, cfg.g, cfg.n, cfg.seed)[1]
     p = art.path("path.csv")
     export_path(series, p, sidecar=_meta(cfg))

@@ -22,41 +22,38 @@ DEFAULT_QUAD_ORDER = 256
 ZERO_TOL = 1e-10
 
 
-def hermite_eval(q: int, x):
-    """H_q(x) by the three-term recurrence H_{q+1} = x H_q - q H_{q-1}.
+def _hermite_polys(x: np.ndarray, qmax: int):
+    """H_0(x), ..., H_qmax(x) in turn, by the three-term recurrence
+    H_{q+1} = x H_q - q H_{q-1}; no step is taken past H_qmax."""
+    h_prev, h = np.ones_like(x), x.copy()
+    yield h_prev
+    for q in range(1, qmax + 1):
+        yield h
+        if q < qmax:
+            h_prev, h = h, x * h - q * h_prev
 
-    Probabilists' convention: H_0 = 1, H_1 = x, H_2 = x^2 - 1.
+
+def hermite_eval(q: int, x):
+    """H_q(x), probabilists' convention: H_0 = 1, H_1 = x, H_2 = x^2 - 1.
+
     Accepts scalars or arrays.
     """
     if q < 0:
         raise ValueError("Hermite index must be >= 0")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if q == 0:
-        return h_prev if h_prev.shape else float(h_prev)
-    h = x.copy()
-    for k in range(1, q):
-        h_prev, h = h, x * h - k * h_prev
+    for h in _hermite_polys(np.asarray(x, dtype=float), q):
+        pass
     return h if h.shape else float(h)
 
 
 def hermite_series(coeffs: dict[int, float], x):
     """Evaluate sum_q (c_q / q!) H_q(x) with a single recurrence sweep."""
     x = np.asarray(x, dtype=float)
-    if not coeffs:
-        return np.zeros_like(x)
-    qmax = max(coeffs)
     out = np.zeros_like(x)
-    h_prev = np.ones_like(x)  # H_0
-    h = x.copy()  # H_1
-    if 0 in coeffs:
-        out += coeffs[0] * h_prev
     fact = 1.0
-    for q in range(1, qmax + 1):
-        fact *= q
+    for q, h in enumerate(_hermite_polys(x, max(coeffs, default=0))):
+        fact *= max(q, 1)
         if q in coeffs:
             out += (coeffs[q] / fact) * h
-        h_prev, h = h, x * h - q * h_prev
     return out
 
 
@@ -101,16 +98,13 @@ class HermiteExpansion:
         return hermite_series(self.coeffs, x)
 
 
-def expand(
-    G: Callable[[np.ndarray], np.ndarray],
-    qmax: int = DEFAULT_QMAX,
-    quad_order: int = DEFAULT_QUAD_ORDER,
-) -> HermiteExpansion:
-    """Expand G in Hermite polynomials by Gauss-Hermite quadrature.
+def expand(G: Callable[[np.ndarray], np.ndarray]) -> HermiteExpansion:
+    """Expand G in Hermite polynomials H_1..H_DEFAULT_QMAX by Gauss-Hermite
+    quadrature of order m = DEFAULT_QUAD_ORDER.
 
     The rule of order m is exact for polynomial integrands up to degree
-    2m-1, so polynomial transforms up to degree qmax are expanded exactly
-    (to rounding).  A nonzero mean is subtracted automatically with a
+    2m-1, so polynomial transforms up to degree DEFAULT_QMAX are expanded
+    exactly (to rounding).  A nonzero mean is subtracted automatically with a
     warning, since the downstream theory assumes E[G(X)] = 0.  `truncated`
     sets the quadrature noise to exact zero, which would otherwise corrupt
     the gap sets.
@@ -119,7 +113,7 @@ def expand(
     between quadrature orders m and 2m.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        (x, w), (x2, w2) = gauss_hermite_rule(quad_order), gauss_hermite_rule(2 * quad_order)
+        (x, w), (x2, w2) = gauss_hermite_rule(DEFAULT_QUAD_ORDER), gauss_hermite_rule(2 * DEFAULT_QUAD_ORDER)
         # G may write into its argument, or return a scalar
         gx, gx2 = (np.broadcast_to(np.asarray(G(t.copy()), dtype=float), t.shape).astype(float)
                    for t in (x, x2))
@@ -143,12 +137,7 @@ def expand(
         mean_shift = mean
     gx = gx - mean_shift
 
-    coeffs: dict[int, float] = {}
-    h_prev = np.ones_like(x)
-    h = x.copy()
-    for q in range(1, qmax + 1):
-        coeffs[q] = float(w @ (gx * h))
-        h_prev, h = h, x * h - q * h_prev
+    coeffs = {q: float(w @ (gx * h)) for q, h in enumerate(_hermite_polys(x, DEFAULT_QMAX)) if q}
     return truncated(coeffs, m2_ref - mean_shift**2, mean_shift)
 
 

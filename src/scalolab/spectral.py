@@ -90,12 +90,6 @@ class SpectralModel:
     def K(self) -> int:
         return self.params.K
 
-    def f_star(self, lams):
-        return self.short_range.at(lams)
-
-    def f_star_at_zero(self) -> float:
-        return self.short_range.at_zero()
-
 
 def density_at(model: SpectralModel, lam):
     """f(lambda) = |1-e^{-i lambda}|^{-2d} f*(lambda) on (-pi, pi], lambda != 0.
@@ -108,7 +102,7 @@ def density_at(model: SpectralModel, lam):
         raise SingularityError("spectral density diverges at lambda = 0")
     if np.any((lam_arr <= -math.pi) | (lam_arr > math.pi)):
         raise ValueError("lambda must lie in (-pi, pi]")
-    vals = np.abs(2.0 * np.sin(lam_arr / 2.0)) ** (-2.0 * model.d) * model.f_star(lam_arr)
+    vals = np.abs(2.0 * np.sin(lam_arr / 2.0)) ** (-2.0 * model.d) * model.short_range.at(lam_arr)
     return vals if np.ndim(lam) else float(vals[0])
 
 
@@ -198,7 +192,7 @@ def spectral_grid(model: SpectralModel, size: int = DEFAULT_GRID) -> tuple[np.nd
     lams = 2.0 * math.pi * np.fft.fftfreq(size)
     vals = np.empty(size)
     far = np.abs(lams) > _ANALYTIC_CELLS * dlam
-    vals[far] = np.abs(2.0 * np.sin(lams[far] / 2.0)) ** (-2.0 * d) * model.f_star(lams[far])
+    vals[far] = np.abs(2.0 * np.sin(lams[far] / 2.0)) ** (-2.0 * d) * model.short_range.at(lams[far])
     one = 1.0 - 2.0 * d
     for m in range(-_ANALYTIC_CELLS, _ANALYTIC_CELLS + 1):
         lam_c = m * dlam
@@ -208,7 +202,7 @@ def spectral_grid(model: SpectralModel, size: int = DEFAULT_GRID) -> tuple[np.nd
         else:
             mass = (hi**one - lo**one) / one
         idx = m % size
-        vals[idx] = model.f_star(np.array([lam_c]))[0] * mass / dlam
+        vals[idx] = model.short_range.at(np.array([lam_c]))[0] * mass / dlam
     return lams, vals, dlam
 
 

@@ -12,11 +12,11 @@ import json
 import logging
 import math
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from .hermite import HermiteExpansion
+from .errors import NumericError
 from .spectral import SpectralModel, autocov_X
 
 log = logging.getLogger(__name__)
@@ -40,6 +40,8 @@ class _Embedding:
         # rho covers lags 0..n; the circulant extension has period M = 2n
         c = np.concatenate([rho, rho[-2:0:-1]])
         eigs = np.real(np.fft.fft(c))
+        if not np.isfinite(eigs).all():
+            raise NumericError("circulant embedding has a non-finite eigenvalue: the model's covariance overflows")
         self.exact = bool(eigs.min() >= -1e-10 * eigs.max())
         if not self.exact:
             log.warning(
@@ -81,16 +83,6 @@ def sample_gaussian(model: SpectralModel, N: int, seed: int, stream_index: int =
     return sample_gaussian_pair(model, N, seed, stream_index)[0]
 
 
-def apply_G(g: Union[HermiteExpansion, Callable], x: np.ndarray) -> np.ndarray:
-    """Pointwise transform of the Gaussian path.
-
-    A HermiteExpansion is evaluated as its (centered) coefficient series;
-    a bare callable is applied as-is — callers pass pre-centered callables
-    or rely on the expansion's recorded mean shift.
-    """
-    return np.asarray(g(np.asarray(x, dtype=float)), dtype=float)
-
-
 def integrate_K(series: np.ndarray, K: int) -> np.ndarray:
     """K-fold cumulative summation with zero initial values.
 
@@ -109,7 +101,7 @@ def integrate_K(series: np.ndarray, K: int) -> np.ndarray:
 def transform_path(model: SpectralModel, g: Optional[Callable], x: np.ndarray) -> np.ndarray:
     """Y = K-fold integral of g(X) for a Gaussian path X, g a centred
     transform (None for the identity)."""
-    return integrate_K(x if g is None else apply_G(g, x), model.K)
+    return integrate_K(x if g is None else g(x), model.K)
 
 
 def sample_path(model: SpectralModel, g: Optional[Callable], N: int, seed: int,

@@ -15,7 +15,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -169,28 +168,33 @@ def n_coeffs(N: int, T: int, j: int) -> int:
 
 
 def _pyramid(series: np.ndarray, bank: FilterBank, scales) -> dict:
-    """{j: (k_min, values)}, values[i] = W_{j, k_min + i}, for all interior
-    coefficients of the requested scales from one pass.
+    """{j: values} for the requested scales from one pass, values[i] =
+    W_{j, k_j + i} over the first n_j interior coefficients of scale j, k_j
+    its smallest interior location.
+
+    Raises ScaleTooCoarseError unless every filter fits in N/4 taps, which
+    leaves each scale at least its n_j interior coefficients.
 
     The approximation a[n] = sum_t phi_i(2^i n - t) Y_t, with phi_i(z) =
     prod_{l<i} h(z^(2^l)), is held on its interior n = lo, lo + 1, ...
     Filtering it with g (or h) and keeping even absolute positions 2n gives
     scale i+1 (or the next approximation), starting at ceil((lo + T - 1)/2).
     """
-    top = max(bank._scale(j) for j in scales)
-    a, lo, T = series, 0, bank.T
+    N, T = len(series), bank.T
+    for j in scales:
+        if bank.filter_length(j) > N // 4:
+            raise ScaleTooCoarseError(
+                f"scale {j} filter ({bank.filter_length(j)} taps) too long for N={N} (cap N/4)"
+            )
+    top, a, lo = max(scales), series, 0
     out = {}
     for j in range(1, top + 1):
-        if len(a) < T:
-            raise ScaleTooCoarseError(
-                f"filter length {bank.filter_length(j)} exceeds series length {len(series)}"
-            )
         k_min = (lo + T) // 2
         # np 'valid' convolution: entry s is the filter output at absolute
         # position lo + s + T - 1, so even positions start at s = first
         first = 2 * k_min - lo - (T - 1)
         if j in scales:
-            out[j] = (k_min, np.convolve(a, bank.highpass, "valid")[first::2])
+            out[j] = np.convolve(a, bank.highpass, "valid")[first::2][: n_coeffs(N, T, j)]
         if j < top:
             a = np.convolve(a, bank.scaling, "valid")[first::2]
         lo = k_min
@@ -203,7 +207,7 @@ def wavelet_coeffs(series, bank: FilterBank, j: int) -> np.ndarray:
     The k-range starts at the smallest interior location; no padding is ever
     applied, matching the interior-only coefficient count.
     """
-    return scalograms(series, bank, [j], keep_coeffs=True)[0].coeffs
+    return _pyramid(np.asarray(series, dtype=float), bank, [j])[j]
 
 
 @dataclass
@@ -213,35 +217,14 @@ class ScalogramSummary:
     j: int
     n: int
     sigma2: float
-    k_start: int = 0
-    coeffs: Optional[np.ndarray] = None
 
 
-def scalograms(series, bank: FilterBank, scales, keep_coeffs: bool = False) -> list:
+def scalograms(series, bank: FilterBank, scales) -> list:
     """Scalograms of the given scales, in order, from one pyramid pass, each
     over the first n_j interior coefficients of its scale."""
-    series = np.asarray(series, dtype=float)
-    scales, N = list(scales), len(series)
-    for j in scales:
-        if bank.filter_length(j) > N // 4:
-            raise ScaleTooCoarseError(
-                f"scale {j} filter ({bank.filter_length(j)} taps) too long for N={N} (cap N/4)"
-            )
-    pyr = _pyramid(series, bank, scales)
-    out = []
-    for j in scales:
-        k_start, vals = pyr[j]
-        n = n_coeffs(N, bank.T, j)
-        if len(vals) < n:
-            raise ScaleTooCoarseError(
-                f"only {len(vals)} interior coefficients available at scale {j}, need {n}"
-            )
-        w = vals[:n]
-        out.append(ScalogramSummary(
-            j=j, n=n, sigma2=float(np.mean(w * w)), k_start=k_start,
-            coeffs=w if keep_coeffs else None,
-        ))
-    return out
+    scales = list(scales)
+    pyr = _pyramid(np.asarray(series, dtype=float), bank, scales)
+    return [ScalogramSummary(j, len(pyr[j]), float(np.mean(pyr[j] * pyr[j]))) for j in scales]
 
 
 def scalogram(series, bank: FilterBank, j: int) -> ScalogramSummary:

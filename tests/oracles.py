@@ -75,9 +75,9 @@ def _autocov_grid_raw(model: SpectralModel, L: int, grid: int) -> np.ndarray:
     resid = np.zeros(grid)
     nz = lams != 0.0
     base = np.abs(2.0 * np.sin(lams[nz] / 2.0)) ** (-2.0 * d)
-    resid[nz] = (model.f_star(lams[nz]) - model.f_star_at_zero()) * base
+    resid[nz] = (model.short_range.at(lams[nz]) - model.short_range.at_zero()) * base
     gamma_resid = 2.0 * math.pi * np.real(np.fft.ifft(resid))[: L + 1]
-    gamma_far = 2.0 * math.pi * model.f_star_at_zero() * farima_gamma0(d) * farima_rho(d, L)
+    gamma_far = 2.0 * math.pi * model.short_range.at_zero() * farima_gamma0(d) * farima_rho(d, L)
     return gamma_far + gamma_resid
 
 

@@ -16,6 +16,7 @@ import scalolab.harness as harness
 import scalolab.inference
 import scalolab.wavelet
 from scalolab.config import ConfigError, ingest, parse_config, parse_g_spec
+from scalolab.errors import NumericError
 from scalolab.harness import run
 from scalolab.hermite import hermite_eval
 from scalolab.inference import run_test
@@ -628,7 +629,7 @@ def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, chang
     # a constant polynomial is zero once centred: no rank to estimate or test
     *(pytest.param(mode, {"g": {"kind": "polynomial", "coeffs": ["1"]}}, "g.coeffs",
                    id=f"{mode}-zero-transform")
-      for mode in ("nu-c", "estimate", "test", "mc-experiment")),
+      for mode in ("simulate", "nu-c", "estimate", "test", "mc-experiment")),
 ])
 def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
     # each passes the configuration check and is rejected only once the run
@@ -646,6 +647,66 @@ def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith(f"config error: {field}: ")
     assert "Traceback" not in r.stderr
+
+
+_MA = {"kind": "ma", "coeffs": [1.0, 0.5]}
+
+
+# a JSON true is a Python int equal to 1, which each of these fields would take
+@pytest.mark.parametrize("mode, change, field", [
+    *(pytest.param("estimate", {key: True}, key, id=key) for key in ("j", "p")),
+    pytest.param("mc-experiment", {"replicates": True}, "replicates", id="replicates"),
+    pytest.param("mc-experiment", {"workers": True}, "workers", id="workers"),
+    pytest.param("test", {"k_bar": True}, "k_bar", id="k_bar"),
+    pytest.param("mc-experiment", {"schedule": [{"replicates": True}]}, "schedule[0].replicates",
+                 id="schedule-replicates"),
+    pytest.param("simulate", {"seed": True}, "seed", id="seed"),
+    pytest.param("test", {"alpha": True}, "alpha", id="alpha"),
+    pytest.param("simulate", {"bank": {"family": "db2", "jmax": True}}, "bank.jmax", id="bank.jmax"),
+    pytest.param("simulate", {"model": {"d": 0.3, "K": True}}, "model.K", id="model.K"),
+    pytest.param("simulate", {"g": {"kind": "hermite", "q": True}}, "g.q", id="g.q"),
+    pytest.param("simulate", {"model": {"d": 0.3, "beta": True}}, "model.beta", id="model.beta"),
+    pytest.param("simulate", {"model": {"d": 0.3, "short_range": {"kind": "constant", "value": True}}},
+                 "model.short_range.value", id="short_range.value"),
+    pytest.param("simulate", {"model": {"d": 0.3, "short_range": {**_MA, "scale": True}}},
+                 "model.short_range.scale", id="short_range.scale"),
+    pytest.param("simulate", {"model": {"d": 0.3, "short_range": {**_MA, "coeffs": [True, 0.5]}}},
+                 "model.short_range.coeffs", id="short_range.coeffs"),
+])
+def test_cli_rejects_json_true_as_a_number(tmp_path, mode, change, field):
+    cfgp = _write(tmp_path, "e.json", {
+        "mode": mode, "model": {"d": 0.3}, "g": "hermite:1", "n": 4096,
+        "bank": {"family": "db2", "jmax": 8}, "j": 5, "p": 3, "seed": 1,
+        "d0_star": 0.3, "alpha": 0.1, "replicates": 2, "out": str(tmp_path / "e"), **change,
+    })
+    r = _cli(mode, "--config", cfgp)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "e").exists()
+
+
+# the MA covariance overflows a float: its correlations are inf / inf
+@pytest.mark.parametrize("mode", ["simulate", "estimate"])
+def test_cli_overflowing_covariance_exits_3(tmp_path, mode):
+    out = tmp_path / "o"
+    cfgp = _write(tmp_path, "c.json", {
+        "mode": mode, "model": {"d": 0.3, "short_range": {"kind": "ma", "scale": 1e308, "coeffs": [1e200, 1]}},
+        "n": 4096, "j": 5, "p": 3, "seed": 1, "out": str(out),
+    })
+    r = _cli(mode, "--config", cfgp)
+    assert r.returncode == 3, r.stderr
+    assert "numeric failure: circulant embedding has a non-finite eigenvalue" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_report_with_a_non_finite_number_raises_numeric_error(tmp_path, value):
+    cfg = parse_config({"mode": "simulate", "model": {"d": 0.3}, "n": 128, "out": str(tmp_path)})
+    art = harness._Artifacts(str(tmp_path))
+    with pytest.raises(NumericError, match="^x_report.json: Out of range float values"):
+        harness._write_report(cfg, art, "x_report.json", body={"d0_hat": value})
+    assert art.paths == [str(tmp_path / "x_report.json")]  # for run to delete
 
 
 @pytest.mark.parametrize("field, content", [

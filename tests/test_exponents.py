@@ -12,10 +12,8 @@ from scalolab.exponents import (
     critical_exponent,
     critical_exponent_report,
     delta,
-    delta_exponents,
     delta_plus,
     epsilon_flag,
-    is_boundary_d,
     rank_profile,
     rate_bound,
     zeta_exponent,
@@ -59,22 +57,24 @@ def nu_c_oracle(q_indices, d):
 
 
 def test_delta_examples():
-    assert delta_exponents(1, 0.3) == (pytest.approx(0.3), pytest.approx(0.3))
-    dq, dqp = delta_exponents(2, 0.25)
-    assert dq == pytest.approx(0.0, abs=1e-15)
-    assert dqp == 0.0
-    dq, dqp = delta_exponents(3, 0.3)
-    assert dq == pytest.approx(-0.1)
-    assert dqp == 0.0
-    assert delta_exponents(0, 0.17) == (0.5, 0.5)
+    assert (delta(1, 0.3), delta_plus(1, 0.3)) == (pytest.approx(0.3), pytest.approx(0.3))
+    assert delta(2, 0.25) == pytest.approx(0.0, abs=1e-15)
+    assert delta_plus(2, 0.25) == 0.0
+    assert delta(3, 0.3) == pytest.approx(-0.1)
+    assert delta_plus(3, 0.3) == 0.0
+    assert (delta(0, 0.17), delta_plus(0, 0.17)) == (0.5, 0.5)
 
 
 def test_delta_domain_errors():
     for bad in (0.0, 0.5, -0.1, 0.7):
         with pytest.raises(ValueError):
-            delta_exponents(1, bad)
+            delta(1, bad)
+        with pytest.raises(ValueError):
+            delta_plus(1, bad)
     with pytest.raises(ValueError):
-        delta_exponents(-1, 0.3)
+        delta(-1, 0.3)
+    with pytest.raises(ValueError):
+        delta_plus(-1, 0.3)
 
 
 @given(st.floats(0.01, 0.49), st.integers(0, 40))
@@ -129,9 +129,10 @@ def test_epsilon_boundary_detection():
     assert epsilon_flag(5, 0.4) == 1  # 5*(1-0.8) = 1
     assert epsilon_flag(4, 0.4) == 0
     assert epsilon_flag(2, 0.25) == 1
-    assert is_boundary_d(0.25)
-    assert is_boundary_d(0.4)
-    assert not is_boundary_d(0.3)
+    for d in (0.25, 0.4):
+        with pytest.raises(BoundaryValueError):
+            check_off_boundary(d)
+    check_off_boundary(0.3)
     with pytest.raises(BoundaryValueError):
         check_off_boundary(1.0 / 3.0)
     check_off_boundary(0.35)

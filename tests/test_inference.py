@@ -453,9 +453,7 @@ def test_run_test_rank_two_quantile_path(bank_db2):
     m = model(d_true)
     x = sample_gaussian(m, 2**15, seed=73)
     g = expansion_from_coeffs({2: 2.0, 3: 1.0})
-    from scalolab.synthesis import apply_G
-
-    y = apply_G(g, x)
+    y = g(x)
     rep = run_test(y, bank_db2, d0_star=0.32, alpha=0.1, K_bar=0, expansion=g,
                    j0=4, p=3)
     assert rep.kind == "rosenblatt"

@@ -62,7 +62,7 @@ def test_density_singularity_and_domain():
 def test_density_origin_power_law():
     m = model(0.3)
     for lam in (1e-3, 1e-4):
-        assert density_at(m, lam) * lam**0.6 == pytest.approx(m.f_star_at_zero(), rel=1e-5)
+        assert density_at(m, lam) * lam**0.6 == pytest.approx(m.short_range.at_zero(), rel=1e-5)
 
 
 # --- autocovariance ------------------------------------------------------------

@@ -11,7 +11,6 @@ from scalolab.hermite import expansion_from_coeffs
 from scalolab.spectral import ShortRangeSpec, SpectralModel, autocov_X
 from scalolab.synthesis import (
     _embedding_for,
-    apply_G,
     export_path,
     integrate_K,
     sample_gaussian,
@@ -103,7 +102,7 @@ def test_sample_path_is_integrated_transform_of_its_gaussian():
     g = expansion_from_coeffs({2: 2.0})
     x, y = sample_path(m, g, 512, seed=4, stream_index=9)
     np.testing.assert_array_equal(x, sample_gaussian(m, 512, 4, 9))
-    np.testing.assert_array_equal(y, integrate_K(apply_G(g, x), 2))
+    np.testing.assert_array_equal(y, integrate_K(g(x), 2))
     np.testing.assert_array_equal(sample_path(m, None, 512, 4, 9)[1], integrate_K(x, 2))
     np.testing.assert_array_equal(transform_path(m, g, x), y)
 
@@ -165,14 +164,14 @@ def test_sample_acf_matches_target():
 
 def test_apply_identity():
     x = np.linspace(-1, 1, 33)
-    np.testing.assert_array_equal(apply_G(expansion_from_coeffs({1: 1.0}), x), x)
+    np.testing.assert_array_equal(expansion_from_coeffs({1: 1.0})(x), x)
 
 
 def test_apply_rank2_centered_and_variance():
     m = model(0.3)
     xs = np.array([sample_gaussian(m, 2**12, 33, r) for r in range(100)])
     e = expansion_from_coeffs({2: 2.0})
-    vals = apply_G(e, xs)
+    vals = e(xs)
     se = vals.mean(axis=1).std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean()) < 3 * se
     assert np.mean(vals**2) == pytest.approx(e.parseval_mass, rel=0.1)
