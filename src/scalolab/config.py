@@ -238,6 +238,24 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
+def _non_finite_path(obj, path: str) -> Optional[str]:
+    """Key path of the first number in a raw JSON value that is NaN or
+    infinite (Python's json reads NaN, Infinity and 1e400 so), else None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in obj.items())
+    elif isinstance(obj, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for key, v in items:
+        bad = _non_finite_path(v, key)
+        if bad is not None:
+            return bad
+    return None
+
+
 def _require(cfg: dict, key: str, mode: str):
     if cfg.get(key) is None:
         raise ConfigError(key, f"required for mode {mode!r}")
@@ -246,6 +264,9 @@ def _require(cfg: dict, key: str, mode: str):
 def parse_config(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
+    bad = _non_finite_path(obj, "")
+    if bad is not None:
+        raise ConfigError(bad, "must be a finite number: NaN and Infinity are not JSON, and null leaves a bound unset")
     mode = obj.get("mode")
     if mode not in _MODES:
         raise ConfigError("mode", f"must be one of {_MODES}")
@@ -288,7 +309,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     for key, bound in (enforce or {}).items():
         if key not in _ENFORCED:
             raise ConfigError(f"enforce_preconditions.{key}", f"unknown bound; expected one of {_ENFORCED}")
-        if bound is not None and not (_is_number(bound) and not math.isnan(bound)):
+        if bound is not None and not _is_number(bound):
             raise ConfigError(f"enforce_preconditions.{key}", "must be a number or null")
     if not (isinstance(cfg.schedule, list) and all(isinstance(e, dict) for e in cfg.schedule)):
         raise ConfigError("schedule", "must be a list of objects")

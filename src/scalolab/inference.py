@@ -8,10 +8,12 @@ contrast weights satisfying sum w_i = 0 and sum i w_i = 1/(2 log 2), so a
 log2-linear scalogram maps to its slope/2.  Its fluctuation limit is
 Gaussian when the leading Hermite rank is 1 and Rosenblatt otherwise; the
 constants of both laws are deterministic quadratures of the filter bank's
-limit shape (no Monte Carlo, no seed), sampled over its trusted zone only.
-At rank one each offset's covariance is the lag-domain sum of the limit
-wavelet spectral density (Moulines, Roueff & Taqqu 2007), one fold of the
-shape samples; at rank >= 2 the shape integrals reduce to one dimension.
+limit shape (no Monte Carlo, no seed), sampled over its trusted zone only:
+one FFT, of the shallowest filter level a law reads, then the wavelet
+cascade in the frequency domain for every deeper level.  At rank one each
+offset's covariance is the lag-domain sum of the limit wavelet spectral
+density (Moulines, Roueff & Taqqu 2007), one fold of the shape samples; at
+rank >= 2 the shape integrals reduce to one dimension.
 """
 
 import math
@@ -127,31 +129,103 @@ _SHAPE_J = 11  # deepest filter level standing in for the limit shape
 _TAIL_TOL = 1e-4  # largest share of a shape integral its outer half may carry
 
 
-class _LimitShape:
-    """Limit transfer shape g_inf sampled at x_r = pi r / S, r = 0..F/4.
+def _unit_roots(count: int, period: int) -> np.ndarray:
+    """exp(-2 pi i t / period) for t = 0..count-1, each the product of a
+    coarse and a fine table entry (t = 1024 a + b): two short `exp` tables
+    instead of one over every t."""
+    rows = -(-count // 1024)
+    coarse = np.exp(-2j * math.pi * 1024 / period * np.arange(rows))
+    fine = np.exp(-2j * math.pi / period * np.arange(1024))
+    return np.multiply.outer(coarse, fine).ravel()[:count]
 
-    Level J stands in for the limit and is kept; g_inf(2^-m x) on the same
-    grid is level J-m, built afresh by `level(m)`.  Each level's samples
-    are its F-point rfft (F = 2 S 2^J) cut to the trusted zone, the
-    |omega| <= pi/2 of the filter's fundamental domain: beyond it the
-    2 pi-periodic transfer no longer approximates the decaying limit shape.
-    The taps are real, so g_inf(-x) = conj(g_inf(x)).
+
+def _horner(c: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
+    """out <- sum_k c_k z^k, in place."""
+    out[:] = c[-1]
+    for ck in c[-2::-1]:
+        out *= z
+        out += ck
+
+
+class _LimitShape:
+    """Limit transfer shape g_inf sampled at x_r = pi r / S, r = 0..F/4,
+    from one F-point rfft (F = 2 S 2^J).
+
+    Level J stands in for the limit: g0 holds 2^(-J/2) g_J-hat(2 pi r / F)
+    over the trusted zone r <= F/4, the |omega| <= pi/2 of the filter's
+    fundamental domain, beyond which the 2 pi-periodic transfer no longer
+    approximates the decaying limit shape.  g_inf(2^-m x) on the same grid
+    is level J-m; `odd[m]` keeps its samples at the odd r < F/4, all that
+    the offset-m covariance reads, for m = 0..depth.
+
+    Only the shallowest level lo = J - depth is transformed, from the
+    bank's taps.  Each deeper level follows by the cascade
+    g_{j+1}-hat(omega) = g_j-hat(2 omega) h-hat(omega): on the grid,
+    G_{j+1}[r] = G_j[2r] H[r], with G[2r] = conj(G[F - 2r]) past F/2
+    because the taps are real.  A level short of J is read only on
+    [0, F/4] and at the even r of (F/4, F/2], so it is held on just that
+    reduced set, r = 0..F/4 and then those even r, as is H.
     """
 
-    def __init__(self, bank: FilterBank):
-        self.bank = bank
+    def __init__(self, bank: FilterBank, depth: int = 0):
         self.S = _GRID_S
         self.J = min(bank.jmax, _SHAPE_J)
         self.F = 2 * self.S * 2**self.J
-        self.trusted_rmax = self.F // 4
-        self.g0 = self.level(0)
+        self.trusted_rmax = n = self.F // 4
+        lo = self.J - depth
+        if lo < 1:
+            raise ValueError(f"bank too shallow: offset {depth} needs filters down to level {lo}")
+        full = np.fft.rfft(bank.taps(lo), n=self.F)
+        if depth == 0:
+            self.g0 = full[: n + 1] * 2.0 ** (-lo / 2.0)
+            self.odd = [self.g0[1:n:2]]
+            return
+        g = np.empty(n + 1 + n // 2, complex)  # r = 0..F/4, then the even r of (F/4, F/2]
+        g[: n + 1] = full[: n + 1]
+        g[n + 1 :] = full[n + 2 :: 2]
+        del full
+        g *= 2.0 ** (-lo / 2.0)
+        h = self._reduced_h(bank.scaling)
+        odd = []
+        for lev in range(lo, self.J):
+            odd.append(g[1:n:2].copy())
+            last = lev == self.J - 1
+            self._double(g, last)
+            top = n + 1 if last else len(g)
+            g[:top] *= h[:top]
+        self.g0 = g[: n + 1]
+        self.odd = [self.g0[1:n:2], *reversed(odd)]
 
-    def level(self, m: int) -> np.ndarray:
-        lev = self.J - m
-        if lev < 1:
-            raise ValueError(f"bank too shallow: offset {m} needs filters down to level {lev}")
-        zone = np.fft.rfft(self.bank.taps(lev), n=self.F)[: self.trusted_rmax + 1]
-        return zone * 2.0 ** (-lev / 2.0)
+    def _reduced_h(self, scaling: np.ndarray) -> np.ndarray:
+        """2^(-1/2) h-hat on the reduced set, by Horner's rule in
+        z = e^{-2 pi i r / F}; at r = F/4 + 2k, z = -i e^{-2 pi i k / (F/2)}."""
+        n = self.trusted_rmax
+        c = scaling * 2.0**-0.5
+        out = np.empty(n + 1 + n // 2, complex)
+        _horner(c, _unit_roots(n + 1, self.F), out[: n + 1])
+        _horner(c, -1j * _unit_roots(n // 2 + 1, self.F // 2)[1:], out[n + 1 :])
+        return out
+
+    def _double(self, g: np.ndarray, last: bool) -> None:
+        """g[r] <- g[2r] in place on the reduced set, or on r <= F/4 alone
+        when `last`.  The copies forward (g[r] <- g[2r], r <= F/8) go in
+        disjoint doubling blocks, so none needs a temporary."""
+        n, e = self.trusted_rmax, self.trusted_rmax // 2
+        if not last:
+            # r = F/4 + 2k reads conj(G[F/2 - 4k]), the multiples of 4 below F/2
+            tail = np.empty(e, complex)
+            up = tail[::-1]
+            up[: e // 2 + 1] = g[0 : n + 1 : 4]
+            up[e // 2 + 1 :] = g[n + 2 : n + e : 2]
+            np.conjugate(tail, out=tail)
+        b = 1
+        while b < e:
+            g[b : 2 * b] = g[2 * b : 4 * b : 2]
+            b *= 2
+        g[e] = g[n]
+        g[e + 1 : n + 1] = g[n + 1 :]  # 2r in (F/4, F/2]: the even tail
+        if not last:
+            g[n + 1 :] = tail
 
     def abs2_grid(self, rmax: int) -> tuple[np.ndarray, np.ndarray]:
         """(x_r, |g_inf(x_r)|^2) for r = 0..rmax on the positive axis."""
@@ -219,9 +293,8 @@ def _cov_q_integral(shape: _LimitShape, d: float, K: int, m: int) -> tuple[float
     value when the outer half of the zone is dropped.
     """
     S, n = shape.S, shape.trusted_rmax
-    gm = shape.g0 if m == 0 else shape.level(m)
     k = np.arange(1, n, 2)
-    phi = (math.pi / S * k) ** (-2.0 * (d + K)) * shape.g0[1:n:2] * np.conj(gm[1:n:2])
+    phi = (math.pi / S * k) ** (-2.0 * (d + K)) * shape.odd[0] * np.conj(shape.odd[m])
     half = S * 2**m  # odd residues modulo N
 
     def fold(a: np.ndarray) -> float:
@@ -279,7 +352,7 @@ def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> 
 
 @lru_cache(maxsize=16)  # keyed on the bank's identity: build_bank returns one per (family, jmax)
 def _limit_law(bank: FilterBank, d: float, K: int, q0: int, p: int) -> LimitLaw:
-    shape = _LimitShape(bank)
+    shape = _LimitShape(bank, p if q0 == 1 else 0)
     w = regression_weights(p)
     if q0 == 1:
         L1 = _lp_integral(shape, 1, d, K)
@@ -339,6 +412,9 @@ class _SecondChaosLaw:
     law of the limit of n^(-2d) sum_t H_2(X_t) / f*(0), X a unit-variance
     path of short-range level f*(0)), from m cell averages: a Toeplitz
     matrix whose row is the second difference of |t|^(2d+1)/(2d(2d+1)).
+    Being symmetric Toeplitz, it is centrosymmetric: with m even, its
+    eigenvalues are those of the m/2-square blocks A + BJ and A - BJ (A, B
+    its top-left and top-right blocks, J the exchange), solved in one call.
     A centred Gaussian carries the rest of the closed-form variance.  The
     characteristic function phi is sampled once on the trapezoid grid of
     the Gil-Pelaez inversion; quantiles found from it are kept by prob."""
@@ -346,9 +422,10 @@ class _SecondChaosLaw:
     def __init__(self, d: float, m: int):
         F = np.abs(np.arange(-1.0, m + 1.0)) ** (2 * d + 1) / (2 * d * (2 * d + 1))
         c_d = 2.0 * math.gamma(1.0 - 2.0 * d) * math.sin(math.pi * d)
-        i = np.arange(m)
-        toeplitz = (F[2:] - 2.0 * F[1:-1] + F[:-2])[np.abs(i[:, None] - i)]
-        lam = c_d * m ** (-2.0 * d) * np.linalg.eigvalsh(toeplitz)
+        row = F[2:] - 2.0 * F[1:-1] + F[:-2]
+        i = np.arange(m // 2)
+        a, bj = row[np.abs(i[:, None] - i)], row[m - 1 - i[:, None] - i]  # bj: Hankel
+        lam = c_d * m ** (-2.0 * d) * np.sort(np.linalg.eigvalsh(np.stack([a + bj, a - bj])).ravel())
         self.m, self.var = m, c_d**2 / (d * (4.0 * d - 1.0))
         self.tail_var = self.var - 2.0 * float(lam @ lam)
         self.sd = math.sqrt(self.var)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import NumericError, SingularityError
 from .exponents import MemoryParams
 from .hermite import HermiteExpansion
 
@@ -162,6 +162,8 @@ def autocov_X(model: SpectralModel, L: int) -> CovarianceSequence:
         raise ValueError("lag cap must be >= 1")
     gamma = _autocov_exact_raw(model, L)
     g0 = gamma[0]
+    if not math.isfinite(g0):
+        raise NumericError(f"autocovariance gamma(0) = {g0}: the model's covariance overflows a float")
     return CovarianceSequence(gamma / g0, L, variance=g0)
 
 

@@ -37,11 +37,13 @@ class _Embedding:
     """
 
     def __init__(self, rho: np.ndarray):
+        # checked before the FFT, which would warn on it; a finite correlation,
+        # at most 1 in size, has finite eigenvalues
+        if not np.isfinite(rho).all():
+            raise NumericError("circulant embedding of a non-finite correlation: the model's covariance overflows")
         # rho covers lags 0..n; the circulant extension has period M = 2n
         c = np.concatenate([rho, rho[-2:0:-1]])
         eigs = np.real(np.fft.fft(c))
-        if not np.isfinite(eigs).all():
-            raise NumericError("circulant embedding has a non-finite eigenvalue: the model's covariance overflows")
         self.exact = bool(eigs.min() >= -1e-10 * eigs.max())
         if not self.exact:
             log.warning(

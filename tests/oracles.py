@@ -1,10 +1,11 @@
 """Independent references that only the tests use.
 
 `rosenblatt_sample` is the Monte Carlo oracle of the second-chaos law,
-`_autocov_grid_raw` the dense-grid oracle of the closed-form covariance, and
+`_autocov_grid_raw` the dense-grid oracle of the closed-form covariance,
 `transfer` / `asymptotic_transfer` the product-formula oracle of a bank's
 transfer functions, against which the cascade taps and the limit shape are
-checked.
+checked, and `level_rfft` the per-level transform that the limit shape's
+frequency-domain cascade replaces.
 `rosenblatt_sample` draws from the package's circulant embedding; its
 seeded draws are pinned in `test_synthesis.py`.
 """
@@ -101,3 +102,9 @@ def asymptotic_transfer(bank, lams, j: Optional[int] = None) -> np.ndarray:
     jj = bank.jmax if j is None else j
     g = 2.0**jj
     return transfer(bank, jj, np.asarray(lams, dtype=float) / g) / math.sqrt(g)
+
+
+def level_rfft(bank, lev: int, F: int) -> np.ndarray:
+    """2^(-lev/2) g_lev-hat(2 pi r / F) for r = 0..F/4, by one F-point rfft
+    of the level's taps."""
+    return np.fft.rfft(bank.taps(lev), n=F)[: F // 4 + 1] * 2.0 ** (-lev / 2.0)

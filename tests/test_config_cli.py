@@ -575,6 +575,10 @@ def test_cli_exit_codes(tmp_path):
                  "enforce_preconditions.reduction_mx", id="enforce-unknown-key"),
     pytest.param("test", {"enforce_preconditions": {"bias_max": "0.1"}},
                  "enforce_preconditions.bias_max", id="enforce-bound-string"),
+    # a non-finite number anywhere is named by its key path before it reaches a report
+    pytest.param("nu-c", {"note": math.nan}, "note", id="nan-in-unread-key"),
+    pytest.param("test", {"enforce_preconditions": {"reduction_max": math.inf}},
+                 "enforce_preconditions.reduction_max", id="enforce-bound-infinity"),
 ])
 def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
     cfgp = _write(tmp_path, "e.json", {
@@ -685,7 +689,7 @@ def test_cli_rejects_json_true_as_a_number(tmp_path, mode, change, field):
     assert not (tmp_path / "e").exists()
 
 
-# the MA covariance overflows a float: its correlations are inf / inf
+# the MA covariance overflows a float: gamma(0) is inf, its correlations inf / inf
 @pytest.mark.parametrize("mode", ["simulate", "estimate"])
 def test_cli_overflowing_covariance_exits_3(tmp_path, mode):
     out = tmp_path / "o"
@@ -695,8 +699,9 @@ def test_cli_overflowing_covariance_exits_3(tmp_path, mode):
     })
     r = _cli(mode, "--config", cfgp)
     assert r.returncode == 3, r.stderr
-    assert "numeric failure: circulant embedding has a non-finite eigenvalue" in r.stderr
+    assert "numeric failure: autocovariance gamma(0) = inf: the model's covariance overflows" in r.stderr
     assert "Traceback" not in r.stderr
+    assert "RuntimeWarning" not in r.stderr  # checked before the correlations divide by it
     assert not any(out.iterdir())
 
 

@@ -34,7 +34,7 @@ from scalolab.spectral import SpectralModel
 from scalolab.synthesis import sample_gaussian, stream
 from scalolab.wavelet import build_bank
 
-from oracles import asymptotic_transfer, rosenblatt_sample
+from oracles import asymptotic_transfer, level_rfft, rosenblatt_sample
 
 LOG2 = math.log(2.0)
 
@@ -169,6 +169,24 @@ def test_cov_q_matches_shell_and_phase_sum_over_trusted_zone(jmax, p):
                     for v in range(2**m)) * (2 * math.pi / S)
         got = law.cov_Q[0, m] * law.L_values["L1"] ** 2 / (4 * math.pi * 2.0 ** ((2 * d - 2) * m))
         assert got == pytest.approx(brute, rel=1e-10)
+
+
+@pytest.mark.parametrize("family, jmax, p", [("db2", 8, 3), ("db3", 10, 4), ("db2", 7, 6)])
+def test_limit_shape_cascade_matches_per_level_rfft(family, jmax, p):
+    # the shape transforms level J - p alone and cascades it down to J; each
+    # level it keeps matches that level's own rfft.  db2 jmax 7 p 6
+    # transforms level 1, the shallowest a bank has
+    bank = build_bank(family, jmax)
+    shape = inference._LimitShape(bank, p)
+    n = shape.trusted_rmax
+    for m in range(p + 1):
+        ref = level_rfft(bank, shape.J - m, shape.F)
+        tol = 1e-12 * np.abs(ref).max()
+        if m == 0:
+            np.testing.assert_allclose(shape.g0, ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(shape.odd[m], ref[1:n:2], rtol=0, atol=tol)
+    with pytest.raises(ValueError, match="bank too shallow"):
+        inference._LimitShape(bank, shape.J)
 
 
 def test_rank_one_limit_constants_memory():
@@ -382,12 +400,13 @@ def test_rosenblatt_cdf_matches_monte_carlo_oracle(d):
 def test_rosenblatt_quantile_memoised_per_d(monkeypatch):
     solves = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(np.shape(a)) or eigvalsh(a))
     inference._second_chaos_law.cache_clear()
     v1, prov1 = rosenblatt_quantile(0.37, 0.95)
     v2, prov2 = rosenblatt_quantile(0.37, 0.9)
     v3, prov3 = rosenblatt_quantile(0.37, 0.95)
-    assert solves == [inference._KERNEL_CELLS]
+    half = inference._KERNEL_CELLS // 2
+    assert solves == [(2, half, half)]  # one call: the kernel matrix's two centrosymmetric halves
     assert v1 == v3 and v2 < v1 and prov1 == prov2 == prov3
     assert prov1["method"] == "eigenvalue CF inversion" and 0.0 < prov1["tail_var_share"] < 0.1
     with pytest.raises(ValueError):

@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scalolab.errors import NumericError
 from scalolab.exponents import MemoryParams
 from scalolab.hermite import expansion_from_coeffs
 from scalolab.spectral import ShortRangeSpec, SpectralModel, autocov_X
 from scalolab.synthesis import (
+    _Embedding,
     _embedding_for,
     export_path,
     integrate_K,
@@ -79,6 +81,13 @@ def test_cached_embedding_is_read_only():
     for (xr, xi), (nr, ni) in zip(pairs, pairs[1:]):
         assert not np.shares_memory(xr, xi)
         assert not any(np.shares_memory(a, b) for a in (xr, xi) for b in (nr, ni))
+
+
+def test_embedding_rejects_a_non_finite_correlation():
+    # autocov_X stops an overflowing model first; a correlation handed in
+    # directly is checked here
+    with pytest.raises(NumericError, match="non-finite correlation"):
+        _Embedding(np.array([1.0, math.inf, 0.5]))
 
 
 def test_pair_draw_allocates_one_complex_buffer():
