@@ -8,9 +8,9 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -105,24 +105,88 @@ class GSpec:
         return expansion
 
 
-def _is_int(v) -> bool:
-    """A JSON integer; true and false are not numbers."""
-    return isinstance(v, int) and not isinstance(v, bool)
+class _Range(NamedTuple):
+    """A JSON number (never true or false), an integer when `integer`, in lo..hi, each
+    end included when `ends` shows "[" or "]"; `listed` asks for a nonempty list of them."""
+
+    integer: bool
+    lo: float = -math.inf
+    hi: float = math.inf
+    ends: str = "()"
+    listed: bool = False
+
+    def admits(self, v) -> bool:
+        return (isinstance(v, int if self.integer else (int, float)) and not isinstance(v, bool)
+                and (self.lo < v if self.ends[0] == "(" else self.lo <= v)
+                and (v < self.hi if self.ends[1] == ")" else v <= self.hi))
+
+    def check(self, path: str, v) -> None:
+        """Raise ConfigError naming `path` unless `v` is admitted."""
+        if not (isinstance(v, list) and v and all(map(self.admits, v)) if self.listed else self.admits(v)):
+            what = f"{'a nonempty list, each ' * self.listed}{'an integer' if self.integer else 'a number'}"
+            raise ConfigError(path, f"must be {what} in {self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}")
 
 
-def _is_number(v) -> bool:
-    """A JSON number; true and false are not numbers."""
-    return _is_int(v) or isinstance(v, float)
+_MAX_MOMENTS = 35  # every dbM above fails the vanishing-moment check, or overflows from M = 516
+
+# Every number a configuration holds, by key path; a schedule row's keys read
+# as the top level's, "[]" stands for any list element.  README gives the caps' reasons.
+_NUMBERS = {
+    "n": _Range(True, 64, 2**22, "[]"),
+    "j": _Range(True, 1, ends="[)"),
+    "p": _Range(True, 1, ends="[)"),
+    "replicates": _Range(True, 1, 10**6, "[]"),
+    "workers": _Range(True, 1, 64, "[]"),
+    "seed": _Range(True, 0, 2**64 - 1, "[]"),
+    "k_bar": _Range(True, 0, ends="[)"),
+    "alpha": _Range(False, 1e-15, 1, "[]"),  # 1 - alpha/2 stays a float below 1
+    "d0_star": _Range(False, 0),
+    "d_values[]": _Range(False, 0, 0.5),
+    "bank.jmax": _Range(True, 1, 16, "[]"),
+    "model.d": _Range(False, 0, 0.5),
+    "model.K": _Range(True, 0, _MAX_MOMENTS - 1, "[]"),
+    "model.beta": _Range(False, 0, 2, "(]"),
+    "model.short_range.value": _Range(False, 0),
+    "model.short_range.scale": _Range(False, 0),
+    "model.short_range.coeffs": _Range(False, listed=True),
+    "g.q": _Range(True, 1, 170, "[]"),
+    "enforce_preconditions.reduction_max": _Range(False),
+    "enforce_preconditions.bias_max": _Range(False),
+}
+# the only keys these objects may hold
+_KEYS = {"schedule[]": ("n", "j", "p", "replicates"), "enforce_preconditions": ("reduction_max", "bias_max")}
+
+
+def _checked(obj, path: str = "", key: str = ""):
+    """The JSON value `obj` at `path` less its null members (absent values),
+    each checked by `key` against _NUMBERS and _KEYS before its contents;
+    any NaN or Infinity (json reads them, and 1e400) is rejected."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ConfigError(path, "must be a finite number: NaN and Infinity are not JSON, and null leaves a value unset")
+    if key in _NUMBERS:
+        _NUMBERS[key].check(path, obj)
+    if isinstance(obj, dict):
+        unknown = [k for k in obj if key in _KEYS and k not in _KEYS[key]]
+        if unknown:
+            raise ConfigError(f"{path}.{unknown[0]}", f"unknown key; expected one of {_KEYS[key]}")
+        return {k: _checked(v, f"{path}.{k}" if path else str(k), k if key in ("", "schedule[]") else f"{key}.{k}")
+                for k, v in obj.items() if v is not None}
+    if isinstance(obj, list):
+        return [_checked(v, f"{path}[{i}]", f"{key}[]") for i, v in enumerate(obj)]
+    return obj
 
 
 def parse_g_spec(obj, path: str = "g") -> GSpec:
-    """Accept 'hermite:3'-style shorthand or a {'kind': ...} mapping."""
+    """Accept 'hermite:3'-style shorthand or a {'kind': ...} mapping whose
+    numbers `parse_config` has checked."""
     if isinstance(obj, str):
         if obj.startswith("hermite:"):
-            q = obj.split(":", 1)[1]
-            if not (q.isdecimal() and int(q) >= 1):
-                raise ConfigError(path, f"rank in {obj!r} must be a positive integer")
-            return GSpec("hermite", q=int(q))
+            try:
+                q = int(obj[len("hermite:"):])
+            except ValueError:
+                raise ConfigError(path, f"rank in {obj!r} must be a positive integer") from None
+            _NUMBERS["g.q"].check(path, q)
+            return GSpec("hermite", q=q)
         if obj in ("exp-centered", "sign", "abs-centered"):
             return GSpec(obj)
         raise ConfigError(path, f"unknown transform shorthand {obj!r}")
@@ -132,10 +196,8 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
     if kind not in _BUILTIN_KINDS:
         raise ConfigError(f"{path}.kind", f"must be one of {_BUILTIN_KINDS}")
     if kind == "hermite":
-        q = obj.get("q")
-        if not _is_int(q) or q < 1:
-            raise ConfigError(f"{path}.q", "hermite transform needs a positive integer rank")
-        return GSpec("hermite", q=q)
+        _NUMBERS["g.q"].check(f"{path}.q", obj.get("q"))  # parse_config has checked a q that is given
+        return GSpec("hermite", q=obj["q"])
     if kind == "polynomial":
         raw = obj.get("coeffs")
         if not isinstance(raw, (list, tuple)) or not raw:
@@ -153,8 +215,8 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
             items = tuple(sorted((int(k), float(Fraction(str(v)))) for k, v in raw.items()))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"{path}.coeffs", f"unparsable entry: {exc}") from None
-        if any(q < 1 for q, _ in items):
-            raise ConfigError(f"{path}.coeffs", "ranks must be >= 1")
+        for q, _ in items:
+            _NUMBERS["g.q"].check(f"{path}.coeffs", q)
         if not any(c for _, c in items):
             raise ConfigError(f"{path}.coeffs", "needs a nonzero coefficient")
         return GSpec("hermite-coeffs", hermite_coeffs=items)
@@ -162,218 +224,139 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
 
 
 def parse_model(obj, path: str = "model") -> SpectralModel:
+    """The spectral model of a mapping whose numbers `parse_config` has checked."""
     if not isinstance(obj, dict):
         raise ConfigError(path, "must be an object")
-    try:
-        d = float(obj["d"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(f"{path}.d", "memory parameter d (real in (0, 1/2)) is required") from None
-    K = obj.get("K", 0)
-    if not _is_int(K) or K < 0:
-        raise ConfigError(f"{path}.K", "integration order must be a nonnegative integer")
-    sr_obj = obj.get("short_range", {"kind": "constant", "value": 1.0 / (2.0 * math.pi)})
+    _NUMBERS["model.d"].check(f"{path}.d", obj.get("d"))  # parse_config has checked a d that is given
+    sr_obj, level = obj.get("short_range", {}), 1.0 / (2.0 * math.pi)
     if not isinstance(sr_obj, dict):
         raise ConfigError(f"{path}.short_range", "must be an object")
-    kind, coeffs = sr_obj.get("kind", "constant"), sr_obj.get("coeffs", [1.0])
+    kind = sr_obj.get("kind", "constant")
     if kind not in ("constant", "ma"):
         raise ConfigError(f"{path}.short_range.kind", f"unknown kind {kind!r}")
-    if kind == "ma" and (not isinstance(coeffs, list) or any(isinstance(c, bool) for c in coeffs)):
-        raise ConfigError(f"{path}.short_range.coeffs", "must be a list of numbers")
-    for key in ("value", "scale"):
-        if isinstance(sr_obj.get(key), bool):
-            raise ConfigError(f"{path}.short_range.{key}", "must be a number")
     try:
         if kind == "constant":
-            sr = ShortRangeSpec("constant", float(sr_obj.get("value", 1.0 / (2.0 * math.pi))))
+            sr = ShortRangeSpec("constant", float(sr_obj.get("value", level)))
         else:
-            sr = ShortRangeSpec("ma", float(sr_obj.get("scale", 1.0 / (2.0 * math.pi))),
-                                tuple(float(c) for c in coeffs))
-    except (TypeError, ValueError) as exc:
+            sr = ShortRangeSpec("ma", float(sr_obj.get("scale", level)), tuple(map(float, sr_obj.get("coeffs", [1.0]))))
+    except ValueError as exc:  # an MA transfer that vanishes at 0
         raise ConfigError(f"{path}.short_range", str(exc)) from None
-    try:
-        params = MemoryParams(d, K)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.d", str(exc)) from None
-    beta = obj.get("beta", 2.0)
-    if not isinstance(beta, bool):
-        try:
-            return SpectralModel(params, sr, float(beta))
-        except (TypeError, ValueError):  # not a number, or outside (0, 2]
-            pass
-    raise ConfigError(f"{path}.beta", "must be a number in (0, 2]")
+    return SpectralModel(MemoryParams(float(obj["d"]), obj.get("K", 0)), sr, float(obj.get("beta", 2.0)))
 
 
-_MODES = ("simulate", "analyze", "estimate", "test", "mc-experiment", "nu-c")
-# integer fields and their least values, checked at the top level and in schedule rows
-_INT_FIELDS = (("n", 64), ("j", 1), ("p", 1), ("replicates", 1), ("k_bar", 0), ("workers", 1))
+# the fields each mode cannot run without, where absent, null and empty are
+# alike; a tuple asks for one of its fields (n simulates the series)
+_SERIES = ("model", ("input_csv", "n"), "j", "p")
+_REQUIRED = {"simulate": ("model", "n"), "analyze": _SERIES, "estimate": _SERIES,
+             "test": (*_SERIES, "g", "d0_star", "alpha"), "mc-experiment": ("model", "g", "n", "j", "p"),
+             "nu-c": ("g", ("d_values", "model"))}
+_MODES = tuple(_REQUIRED)
 # 0.1.x quantile controls: ignored, they would misstate how a report was made
 _RETIRED = ("quantile_reps", "quantile_n_internal")
-_ENFORCED = ("reduction_max", "bias_max")  # the bounds enforce_preconditions may set
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description (see README for the JSON schema)."""
+    """Validated experiment description (see README for the JSON schema);
+    `schedule` holds each row merged with the top-level n, j, p, replicates."""
 
     mode: str
-    model: Optional[SpectralModel] = None
-    g: Optional[GSpec] = None
-    bank_family: str = "db2"
-    bank_jmax: int = 10
-    n: Optional[int] = None
-    j0: Optional[int] = None
-    p: Optional[int] = None
-    replicates: int = 1
-    seed: int = 0
-    out_dir: str = "."
-    alpha: Optional[float] = None
-    d0_star: Optional[float] = None
-    k_bar: int = 0
-    input_csv: Optional[str] = None
-    schedule: list = field(default_factory=list)
-    preset: Optional[str] = None
-    d_values: list = field(default_factory=list)
-    enforce_preconditions: Optional[dict] = None
-    workers: int = 1
-    raw: dict = field(default_factory=dict)
-
-
-def _non_finite_path(obj, path: str) -> Optional[str]:
-    """Key path of the first number in a raw JSON value that is NaN or
-    infinite (Python's json reads NaN, Infinity and 1e400 so), else None."""
-    if isinstance(obj, float):
-        return None if math.isfinite(obj) else path
-    if isinstance(obj, dict):
-        items = ((f"{path}.{k}" if path else str(k), v) for k, v in obj.items())
-    elif isinstance(obj, list):
-        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
-    else:
-        return None
-    for key, v in items:
-        bad = _non_finite_path(v, key)
-        if bad is not None:
-            return bad
-    return None
-
-
-def _require(cfg: dict, key: str, mode: str):
-    if cfg.get(key) is None:
-        raise ConfigError(key, f"required for mode {mode!r}")
+    model: Optional[SpectralModel]
+    g: Optional[GSpec]
+    bank_family: str
+    bank_jmax: int
+    n: Optional[int]
+    j0: Optional[int]
+    p: Optional[int]
+    replicates: int
+    seed: int
+    out_dir: str
+    alpha: Optional[float]
+    d0_star: Optional[float]
+    k_bar: int
+    input_csv: Optional[str]
+    schedule: list
+    preset: Optional[str]
+    d_values: list
+    enforce_preconditions: Optional[dict]
+    workers: int
+    raw: dict
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
+    """Check a raw JSON configuration; a rejection names its key path, and
+    null stands for an absent value."""
     if not isinstance(obj, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
-    bad = _non_finite_path(obj, "")
-    if bad is not None:
-        raise ConfigError(bad, "must be a finite number: NaN and Infinity are not JSON, and null leaves a bound unset")
-    mode = obj.get("mode")
+    try:
+        c = _checked(obj)
+    except RecursionError:
+        raise ConfigError("<root>", "nested too deeply") from None
+    mode = c.get("mode")
     if mode not in _MODES:
         raise ConfigError("mode", f"must be one of {_MODES}")
-
-    model = parse_model(obj["model"]) if obj.get("model") is not None else None
-    g = parse_g_spec(obj["g"]) if obj.get("g") is not None else None
-
-    bank_obj = obj.get("bank", {})
-    if not isinstance(bank_obj, dict):
+    for key in _RETIRED:
+        if key in c:
+            raise ConfigError(key, "retired: the Rosenblatt quantile is now deterministic")
+    for need in _REQUIRED[mode]:
+        keys = need if isinstance(need, tuple) else (need,)
+        if not any(c.get(k) for k in keys):
+            raise ConfigError(keys[0], f"required for mode {mode!r}{''.join(f', or {k}' for k in keys[1:])}")
+    model = parse_model(c["model"]) if "model" in c else None
+    g = parse_g_spec(c["g"]) if "g" in c else None
+    bank = c.get("bank", {})
+    if not isinstance(bank, dict):
         raise ConfigError("bank", "must be an object")
-    family = bank_obj.get("family", "db2")
+    family, jmax = bank.get("family", "db2"), bank.get("jmax", 10)
     try:
         M = _parse_family(str(family))  # any non-string is no family name
     except FilterValidationError as exc:
         raise ConfigError("bank.family", str(exc)) from None
-    jmax = bank_obj.get("jmax", 10)
-    if not _is_int(jmax) or jmax < 1:
-        raise ConfigError("bank.jmax", "must be a positive integer")
-
+    if M > _MAX_MOMENTS:
+        raise ConfigError("bank.family", f"dbM needs M <= {_MAX_MOMENTS}: higher orders lose their vanishing moments")
+    top = {"n": c.get("n"), "j": c.get("j"), "p": c.get("p"), "replicates": c.get("replicates", 1)}
+    schedule = c.get("schedule", [])
+    if not (isinstance(schedule, list) and all(isinstance(e, dict) for e in schedule)):
+        raise ConfigError("schedule", "must be a list of objects")
+    rows = [{**top, **row} for row in schedule]
     cfg = ExperimentConfig(
-        mode=mode, model=model, g=g, bank_family=family, bank_jmax=jmax,
-        n=obj.get("n"), j0=obj.get("j"), p=obj.get("p"),
-        replicates=obj.get("replicates", 1), seed=obj.get("seed", 0),
-        out_dir=obj.get("out", "."), alpha=obj.get("alpha"),
-        d0_star=obj.get("d0_star"), k_bar=obj.get("k_bar", 0),
-        input_csv=obj.get("input_csv"), schedule=obj.get("schedule", []),
-        preset=obj.get("preset"), d_values=obj.get("d_values", []),
-        enforce_preconditions=obj.get("enforce_preconditions"),
-        workers=obj.get("workers", 1), raw=obj,
+        mode=mode, model=model, g=g, bank_family=family, bank_jmax=jmax, n=top["n"], j0=top["j"], p=top["p"],
+        replicates=top["replicates"], seed=c.get("seed", 0), out_dir=c.get("out", "."), alpha=c.get("alpha"),
+        d0_star=c.get("d0_star"), k_bar=c.get("k_bar", 0), input_csv=c.get("input_csv"), schedule=rows,
+        preset=c.get("preset"), d_values=c.get("d_values", []), enforce_preconditions=c.get("enforce_preconditions"),
+        workers=c.get("workers", 1), raw=obj,
     )
-
-    if not _is_int(cfg.seed) or cfg.seed < 0 or cfg.seed > 2**64 - 1:
-        raise ConfigError("seed", "must be an unsigned 64-bit integer")
     for key in ("out", "input_csv"):
-        if obj.get(key) is not None and not (isinstance(obj[key], str) and obj[key]):
+        if key in c and not (isinstance(c[key], str) and c[key]):
             raise ConfigError(key, "must be a nonempty path string")
     enforce = cfg.enforce_preconditions
     if enforce is not None and not isinstance(enforce, dict):
-        raise ConfigError("enforce_preconditions", f"must be an object with keys among {_ENFORCED}")
-    for key, bound in (enforce or {}).items():
-        if key not in _ENFORCED:
-            raise ConfigError(f"enforce_preconditions.{key}", f"unknown bound; expected one of {_ENFORCED}")
-        if bound is not None and not _is_number(bound):
-            raise ConfigError(f"enforce_preconditions.{key}", "must be a number or null")
-    if not (isinstance(cfg.schedule, list) and all(isinstance(e, dict) for e in cfg.schedule)):
-        raise ConfigError("schedule", "must be a list of objects")
-    entries = [("", obj), *((f"schedule[{i}].", e) for i, e in enumerate(cfg.schedule))]
-    for prefix, entry in entries:
-        for key in _RETIRED:
-            if key in entry:
-                raise ConfigError(prefix + key, "retired: the Rosenblatt quantile is now deterministic")
-        for key, lo in _INT_FIELDS:
-            if key in entry and not (_is_int(entry[key]) and entry[key] >= lo):
-                raise ConfigError(prefix + key, f"must be an integer >= {lo}")
-    if cfg.alpha is not None and not (_is_number(cfg.alpha) and 0.0 < cfg.alpha <= 1.0):
-        raise ConfigError("alpha", "must be a number in (0, 1]")
-    d0s = cfg.d0_star
-    # the fractional part splits d0* into (d*, K*); an infinite d0* fails it too
-    if d0s is not None and not (_is_number(d0s) and d0s > 0 and 0.0 < d0s % 1.0 < 0.5):
+        raise ConfigError("enforce_preconditions", f"must be an object with keys among {_KEYS['enforce_preconditions']}")
+    # the fractional part splits d0* into (d*, K*)
+    if cfg.d0_star is not None and not 0.0 < cfg.d0_star % 1.0 < 0.5:
         raise ConfigError("d0_star", "must be positive with fractional part in (0, 1/2)")
     if not isinstance(cfg.d_values, list):
         raise ConfigError("d_values", "must be a list of numbers in (0, 1/2)")
-    for i, d in enumerate(cfg.d_values):
-        if not (_is_number(d) and 0.0 < d < 0.5):
-            raise ConfigError(f"d_values[{i}]", "must be a number in (0, 1/2)")
-    if mode == "nu-c":
-        if g is None:
-            raise ConfigError("g", "required for mode 'nu-c'")
-        if not cfg.d_values and model is None:
-            raise ConfigError("d_values", "nu-c needs d_values or a model with d")
-    else:
-        _require(obj, "model", mode)
+    if mode != "nu-c":
         try:
             check_off_boundary(model.d)
         except ValueError as exc:
             raise ConfigError("model.d", str(exc)) from None
-    if mode in ("simulate", "mc-experiment"):
-        _require(obj, "n", mode)
-    if mode in ("analyze", "estimate", "test"):
-        if cfg.input_csv is None and cfg.n is None:
-            raise ConfigError("input_csv", f"mode {mode!r} needs input_csv or n (to simulate)")
-    if mode == "test":
-        _require(obj, "d0_star", mode)
-        _require(obj, "alpha", mode)
-        if g is None:
-            raise ConfigError("g", "the test requires a known transform")
-    if mode == "mc-experiment":
-        if g is None:
-            raise ConfigError("g", "required for mode 'mc-experiment'")
-        if cfg.preset not in (None, "slope", "large-scale", "small-scale"):
-            raise ConfigError("preset", "must be one of slope, large-scale, small-scale")
+    if mode == "mc-experiment" and cfg.preset not in (None, "slope", "large-scale", "small-scale"):
+        raise ConfigError("preset", "must be one of slope, large-scale, small-scale")
     if mode in ("analyze", "estimate", "test", "mc-experiment"):
         # a simulated series has a known length: the coarsest scale's filter
         # must fit in n/4, which also leaves it at least one coefficient
-        _require(obj, "j", mode)
-        _require(obj, "p", mode)
         simulated = mode == "mc-experiment" or cfg.input_csv is None
-        for prefix, entry in entries:
-            j, p, n = entry.get("j", cfg.j0), entry.get("p", cfg.p), entry.get("n", cfg.n)
+        for prefix, row in [("", top), *((f"schedule[{i}].", r) for i, r in enumerate(rows))]:
+            j, p, n = row["j"], row["p"], row["n"]
             if j + p > jmax:
                 raise ConfigError("bank.jmax", f"scales {j}..{j + p} need jmax >= {j + p}, got {jmax}")
             taps = _filter_length(2 * M, j + p)
-            if simulated and n is not None and taps > n // 4:
+            if simulated and taps > n // 4:
                 raise ConfigError(prefix + "j", f"scale {j + p} filter ({taps} taps) too long for n={n} (cap n/4)")
-    if cfg.input_csv is not None and mode in ("analyze", "estimate", "test"):
-        if not os.path.exists(cfg.input_csv):
-            raise ConfigError("input_csv", f"file not found: {cfg.input_csv}")
+    if mode in ("analyze", "estimate", "test") and cfg.input_csv is not None and not os.path.exists(cfg.input_csv):
+        raise ConfigError("input_csv", f"file not found: {cfg.input_csv}")
     return cfg
 
 
@@ -384,10 +367,10 @@ def read_config(path):
             obj = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("<config>", f"file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<config>", f"invalid JSON: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("<config>", f"cannot read {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # also an integer past 4,300 digits, or nesting past the stack
+        raise ConfigError("<config>", f"invalid JSON: {exc}") from None
     return obj
 
 

@@ -64,9 +64,11 @@ def _naming(fields: dict):
         raise ConfigError(next(f for k, f in fields.items() if isinstance(exc, k)), str(exc)) from None
 
 
-# calibrate_test checks d0* and the bank's M against k_bar; estimate_d0 the series
-_TEST_FIELDS = {InvalidTargetError: "d0_star", BoundaryValueError: "d0_star",
-                FilterValidationError: "k_bar", DegenerateScalogramError: "input_csv"}
+# calibrate_test checks d0* and the bank's M against k_bar; estimate_d0 the
+# series, which parse_config can size only when it is simulated
+_SERIES_FIELDS = {DegenerateScalogramError: "input_csv", ScaleTooCoarseError: "input_csv"}
+_TEST_FIELDS = {InvalidTargetError: "d0_star", BoundaryValueError: "d0_star", FilterValidationError: "k_bar",
+                **_SERIES_FIELDS}
 
 
 class _Artifacts:
@@ -96,6 +98,12 @@ def _load_or_simulate(cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
     return series, {"simulated": True, "n": cfg.n, "seed": cfg.seed}
 
 
+def _bank(cfg: ExperimentConfig) -> FilterBank:
+    """The run's filter bank; taps that fail the moment check name bank.family."""
+    with _naming({FilterValidationError: "bank.family"}):
+        return build_bank(cfg.bank_family, cfg.bank_jmax)
+
+
 def run(cfg: ExperimentConfig) -> list:
     """Dispatch one experiment; returns the list of artifact paths written."""
     art = _Artifacts(cfg.out_dir)
@@ -117,8 +125,8 @@ def _run_simulate(cfg, art):
 
 def _run_analyze(cfg, art):
     series, prov = _load_or_simulate(cfg)
-    bank = build_bank(cfg.bank_family, cfg.bank_jmax)
-    sums = scalograms(series, bank, range(cfg.j0, cfg.j0 + cfg.p + 1))
+    with _naming(_SERIES_FIELDS):
+        sums = scalograms(series, _bank(cfg), range(cfg.j0, cfg.j0 + cfg.p + 1))
     rows = [(s.j, s.n, s.sigma2) for s in sums]
     cp = art.path("scalogram.csv")
     with open(cp, "w", newline="") as fh:
@@ -136,18 +144,16 @@ def _run_estimate(cfg, art):
         if delta(q0, cfg.model.d) > 0:  # a short-memory rank has no bias rate
             kwargs["zeta"] = zeta_exponent(cfg.model.beta_smooth, cfg.model.d, q0, q1)
     series, prov = _load_or_simulate(cfg)
-    bank = build_bank(cfg.bank_family, cfg.bank_jmax)
-    with _naming({FilterValidationError: "bank.family", DegenerateScalogramError: "input_csv"}):
-        report = estimate_d0(series, bank, cfg.j0, cfg.p, **kwargs)
+    with _naming({FilterValidationError: "bank.family", **_SERIES_FIELDS}):
+        report = estimate_d0(series, _bank(cfg), cfg.j0, cfg.p, **kwargs)
     return _write_report(cfg, art, "estimate_report.json", input=prov, estimate=asdict(report))
 
 
 def _run_test_mode(cfg, art):
     expansion = cfg.g.expansion()
     series, prov = _load_or_simulate(cfg)
-    bank = build_bank(cfg.bank_family, cfg.bank_jmax)
     with _naming(_TEST_FIELDS):
-        report = run_test(series, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
+        report = run_test(series, _bank(cfg), cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
                           cfg.j0, cfg.p, beta_smooth=cfg.model.beta_smooth)
     enforce = cfg.enforce_preconditions or {}
     red_max, bias_max = enforce.get("reduction_max"), enforce.get("bias_max")
@@ -189,7 +195,7 @@ def _run_nuc(cfg, art):
 @dataclass
 class _Row:
     n: int
-    j0: int
+    j: int
     p: int
     replicates: int
     regime: str = ""
@@ -197,13 +203,9 @@ class _Row:
 
 
 def _schedule(cfg: ExperimentConfig, bank: FilterBank, expansion: HermiteExpansion) -> list:
-    rows = []
-    base = {"n": cfg.n, "j0": cfg.j0, "p": cfg.p, "replicates": cfg.replicates}
-    if cfg.schedule:
-        for entry in cfg.schedule:
-            merged = {**base, **{("j0" if k == "j" else k): v for k, v in entry.items()}}
-            rows.append(_Row(merged["n"], merged["j0"], merged["p"], merged["replicates"]))
-    elif cfg.preset in ("large-scale", "small-scale"):
+    if cfg.schedule:  # each row already merged with the top level
+        return [_Row(**row) for row in cfg.schedule]
+    if cfg.preset in ("large-scale", "small-scale"):
         d = cfg.model.d
         with _naming({LongMemoryError: "model.d"}):
             profile = rank_profile(expansion.nonzero_indices(), d)
@@ -230,12 +232,8 @@ def _schedule(cfg: ExperimentConfig, bank: FilterBank, expansion: HermiteExpansi
             )
         pick = js[-3:] if cfg.preset == "large-scale" else js[:3]
         regime = "large-scale" if cfg.preset == "large-scale" else "exploratory-small-scale"
-        rows.append(_Row(cfg.n, min(pick), cfg.p, cfg.replicates,
-                         regime=regime, gap_scales=tuple(pick)))
-    else:
-        rows.append(_Row(cfg.n, cfg.j0, cfg.p, cfg.replicates,
-                         regime="slope" if cfg.preset == "slope" else ""))
-    return rows
+        return [_Row(cfg.n, min(pick), cfg.p, cfg.replicates, regime=regime, gap_scales=tuple(pick))]
+    return [_Row(cfg.n, cfg.j0, cfg.p, cfg.replicates, regime="slope" if cfg.preset == "slope" else "")]
 
 
 @dataclass(frozen=True)
@@ -251,14 +249,14 @@ class _Plan:
 
 
 def _plan(cfg: ExperimentConfig) -> _Plan:
-    bank = build_bank(cfg.bank_family, cfg.bank_jmax)
+    bank = _bank(cfg)
     expansion = cfg.g.expansion()
     q0, rows = hermite_rank(expansion)[0], _schedule(cfg, bank, expansion)
     calibrations = None
     if cfg.d0_star is not None and cfg.alpha is not None:
         with _naming(_TEST_FIELDS):
             calibrations = tuple(calibrate_test(bank, row.n, cfg.d0_star, cfg.alpha, cfg.k_bar,
-                                                expansion, row.j0, row.p, cfg.model.beta_smooth)
+                                                expansion, row.j, row.p, cfg.model.beta_smooth)
                                  for row in rows)
     return _Plan(cfg, bank, rows, expansion, q0, calibrations)
 
@@ -286,7 +284,7 @@ def _mc_replicate(plan: _Plan, pos: int, x: np.ndarray) -> dict:
     """The replicate of schedule row `pos` whose Gaussian path is x."""
     cfg, row, bank = plan.cfg, plan.rows[pos], plan.bank
     y = transform_path(cfg.model, cfg.g, x)
-    est = range(row.j0, row.j0 + row.p + 1)
+    est = range(row.j, row.j + row.p + 1)
     # one pyramid pass serves the estimate and the gap scales
     sG = {s.j: s.sigma2 for s in scalograms(y, bank, sorted({*est, *row.gap_scales}))}
     out = {"d0_hat": d0_from_scalograms([sG[j] for j in est])}
@@ -353,7 +351,7 @@ def _run_mc(cfg, art):
         row_recs = list(islice(recs, row.replicates))
         d0s = np.array([rec["d0_hat"] for rec in row_recs])
         agg = {
-            "row": pos, "n": row.n, "j0": row.j0, "p": row.p,
+            "row": pos, "n": row.n, "j0": row.j, "p": row.p,
             "replicates": row.replicates, "regime": row.regime,
             "d0_true": d0_true,
             "mean_d0": float(d0s.mean()), "bias": float(d0s.mean() - d0_true),

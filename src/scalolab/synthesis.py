@@ -24,7 +24,9 @@ log = logging.getLogger(__name__)
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Independent reproducible generator for (seed, stream index)."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), index & (2**64 - 1)]))
+    # a plain list holding a seed >= 2^63 becomes float64, which rounds neighbouring seeds to one key
+    key = np.array([seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class _Embedding:

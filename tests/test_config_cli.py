@@ -1,7 +1,9 @@
+import functools
 import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -179,6 +181,9 @@ def test_parse_config_field_paths():
         parse_config({"mode": "simulate", "model": {"d": 0.3}})
     with pytest.raises(ConfigError, match="input_csv"):
         parse_config({"mode": "estimate", "model": {"d": 0.3}, "j": 3, "p": 2})
+    deep = functools.reduce(lambda x, _: [x], range(10**5), [])  # deeper than the stack
+    with pytest.raises(ConfigError, match="^<root>: nested too deeply"):
+        parse_config({"mode": "nu-c", "g": "hermite:1", "d_values": [0.3], "note": deep})
 
 
 def test_parse_config_rejects_boundary_lattice_d():
@@ -197,6 +202,29 @@ def test_parse_config_mode_requirements():
     with pytest.raises(ConfigError, match="alpha"):
         parse_config({"mode": "test", "model": {"d": 0.3}, "g": "hermite:1",
                       "n": 256, "j": 3, "p": 2, "d0_star": 0.3, "alpha": 1.7})
+
+
+_CAPPED = {"mode": "mc-experiment", "model": {"d": 0.3}, "g": "hermite:1", "n": 4096,
+           "bank": {"family": "db2", "jmax": 8}, "j": 1, "p": 1, "out": "unused"}
+
+
+# parse time only: a value at or past a cap is never run
+@pytest.mark.parametrize("field, at, past", [
+    ("n", {"n": 2**22}, {"n": 2**22 + 1}),
+    ("schedule[0].n", {"schedule": [{"n": 2**22}]}, {"schedule": [{"n": 2**22 + 1}]}),
+    ("bank.jmax", {"bank": {"family": "db2", "jmax": 16}}, {"bank": {"family": "db2", "jmax": 17}}),
+    ("bank.family", {"bank": {"family": "db35", "jmax": 8}}, {"bank": {"family": "db36", "jmax": 8}}),
+    ("model.K", {"model": {"d": 0.3, "K": 34}}, {"model": {"d": 0.3, "K": 35}}),
+    ("workers", {"workers": 64}, {"workers": 65}),
+    ("replicates", {"replicates": 10**6}, {"replicates": 10**6 + 1}),
+    ("g.q", {"g": {"kind": "hermite", "q": 170}}, {"g": {"kind": "hermite", "q": 171}}),
+    ("g.coeffs", {"g": {"kind": "hermite-coeffs", "coeffs": {"1": 1, "170": 1}}},
+     {"g": {"kind": "hermite-coeffs", "coeffs": {"1": 1, "171": 1}}}),
+])
+def test_parse_config_caps(field, at, past):
+    parse_config({**_CAPPED, **at})
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+        parse_config({**_CAPPED, **past})
 
 
 # --- ingestion ----------------------------------------------------------------
@@ -524,6 +552,9 @@ def test_cli_exit_codes(tmp_path):
     assert (tmp_path / "out" / "path.csv").exists()
 
 
+_MA = {"kind": "ma", "coeffs": [1.0, 0.5]}
+
+
 @pytest.mark.parametrize("mode, change, field", [
     pytest.param("estimate", {"bank": {"family": "sym4", "jmax": 8}}, "bank.family",
                  id="bank0-bank.family"),
@@ -579,6 +610,17 @@ def test_cli_exit_codes(tmp_path):
     pytest.param("nu-c", {"note": math.nan}, "note", id="nan-in-unread-key"),
     pytest.param("test", {"enforce_preconditions": {"reduction_max": math.inf}},
                  "enforce_preconditions.reduction_max", id="enforce-bound-infinity"),
+    # ranks past 170 overflow q!, and orders past db35 overflow or lose their moments
+    pytest.param("simulate", {"g": "hermite:171"}, "g", id="hermite-shorthand-rank-171"),
+    pytest.param("simulate", {"g": {"kind": "hermite", "q": 171}}, "g.q", id="hermite-rank-171"),
+    pytest.param("simulate", {"g": {"kind": "hermite-coeffs", "coeffs": {"1": 1, "400": 1}}}, "g.coeffs",
+                 id="hermite-coeffs-rank-400"),
+    pytest.param("simulate", {"bank": {"family": "db600", "jmax": 8}}, "bank.family", id="db600"),
+    *(pytest.param("simulate", {"model": {"d": 0.3, "short_range": {**_MA, "scale": s}}},
+                   "model.short_range.scale", id=f"ma-scale-{s}") for s in (0, -1)),
+    pytest.param("simulate", {"model": {"d": "0.3"}}, "model.d", id="d-string"),
+    pytest.param("mc-experiment", {"schedule": [{"n": 4096, "k_bar": 7}]}, "schedule[0].k_bar",
+                 id="schedule-row-k_bar"),
 ])
 def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
     cfgp = _write(tmp_path, "e.json", {
@@ -625,6 +667,9 @@ def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, chang
     pytest.param("test", {"k_bar": 2}, "k_bar", id="test-k_bar-not-below-M"),
     pytest.param("estimate", {"input_csv": "const", "j": 1, "p": 1}, "input_csv",
                  id="estimate-constant-series"),
+    # db34's taps miss the moment check by rounding: only building the bank finds it
+    pytest.param("estimate", {"bank": {"family": "db34", "jmax": 2}, "j": 1, "p": 1}, "bank.family",
+                 id="estimate-db34-moments"),
     # finite coefficients whose exact E[G(X)^2] overflows a float: 1e320, and 200! from x^200
     pytest.param("test", {"g": {"kind": "polynomial", "coeffs": ["0", "1e160"]}}, "g.coeffs",
                  id="polynomial-second-moment-overflow"),
@@ -652,8 +697,6 @@ def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
     assert r.stderr.startswith(f"config error: {field}: ")
     assert "Traceback" not in r.stderr
 
-
-_MA = {"kind": "ma", "coeffs": [1.0, 0.5]}
 
 
 # a JSON true is a Python int equal to 1, which each of these fields would take
@@ -717,6 +760,8 @@ def test_report_with_a_non_finite_number_raises_numeric_error(tmp_path, value):
 @pytest.mark.parametrize("field, content", [
     pytest.param("<config>", None, id="config-directory"),
     pytest.param("<config>", b'{"mode": "estimate"}\xff', id="config-not-utf8"),
+    pytest.param("<config>", b'{"note": ' + b"[" * 10**5 + b"]" * 10**5 + b"}", id="config-nested-too-deeply"),
+    pytest.param("<config>", b'{"seed": ' + b"1" * 5000 + b"}", id="config-integer-of-5000-digits"),
     pytest.param("input_csv", None, id="csv-directory"),
     pytest.param("input_csv", b"x\n1.0\n\xff\n", id="csv-not-utf8"),
 ])
@@ -745,7 +790,7 @@ def test_cli_scales_too_coarse_for_input_csv_exit_2(tmp_path):
     })
     r = _cli("estimate", "--config", cfgp)
     assert r.returncode == 2
-    assert "config error: scale" in r.stderr
+    assert r.stderr.startswith("config error: input_csv: scale 4 filter")
     assert "Traceback" not in r.stderr
 
 
