@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import islice
@@ -339,6 +338,9 @@ def _run_mc(cfg, art):
     plan = _plan(cfg)
     tasks = [(pos, i) for pos, row in enumerate(plan.rows) for i in range((row.replicates + 1) // 2)]
     if cfg.workers > 1:
+        # imported here: the process machinery costs every other run its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
                                  initargs=(plan,)) as ex:
             pairs = list(ex.map(_pool_pair, tasks, chunksize=4))

@@ -8,12 +8,13 @@ contrast weights satisfying sum w_i = 0 and sum i w_i = 1/(2 log 2), so a
 log2-linear scalogram maps to its slope/2.  Its fluctuation limit is
 Gaussian when the leading Hermite rank is 1 and Rosenblatt otherwise; the
 constants of both laws are deterministic quadratures of the filter bank's
-limit shape (no Monte Carlo, no seed), sampled over its trusted zone only:
-one FFT, of the shallowest filter level a law reads, then the wavelet
-cascade in the frequency domain for every deeper level.  At rank one each
-offset's covariance is the lag-domain sum of the limit wavelet spectral
-density (Moulines, Roueff & Taqqu 2007), one fold of the shape samples; at
-rank >= 2 the shape integrals reduce to one dimension.
+limit shape (no Monte Carlo, no seed), sampled over its trusted zone only
+and with no FFT: the level-1 and scaling filters are evaluated by Horner's
+rule, and every deeper level follows by the wavelet cascade on the
+frequency grid.  At rank one each offset's covariance is the lag-domain sum
+of the limit wavelet spectral density (Moulines, Roueff & Taqqu 2007), one
+fold of the shape samples; at rank >= 2 the shape integrals reduce to one
+dimension.
 """
 
 import math
@@ -148,8 +149,10 @@ def _horner(c: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
 
 
 class _LimitShape:
-    """Limit transfer shape g_inf sampled at x_r = pi r / S, r = 0..F/4,
-    from one F-point rfft (F = 2 S 2^J).
+    """Limit transfer shape g_inf sampled at x_r = pi r / S, r = 0..F/4
+    (F = 2 S 2^J), with no transform: the bank's level-1 taps and scaling
+    filter, evaluated by Horner's rule, and the wavelet cascade on the
+    frequency grid.
 
     Level J stands in for the limit: g0 holds 2^(-J/2) g_J-hat(2 pi r / F)
     over the trusted zone r <= F/4, the |omega| <= pi/2 of the filter's
@@ -158,13 +161,15 @@ class _LimitShape:
     is level J-m; `odd[m]` keeps its samples at the odd r < F/4, all that
     the offset-m covariance reads, for m = 0..depth.
 
-    Only the shallowest level lo = J - depth is transformed, from the
-    bank's taps.  Each deeper level follows by the cascade
+    Each level follows from the next shallower one by the cascade
     g_{j+1}-hat(omega) = g_j-hat(2 omega) h-hat(omega): on the grid,
-    G_{j+1}[r] = G_j[2r] H[r], with G[2r] = conj(G[F - 2r]) past F/2
-    because the taps are real.  A level short of J is read only on
-    [0, F/4] and at the even r of (F/4, F/2], so it is held on just that
-    reduced set, r = 0..F/4 and then those even r, as is H.
+    G_{j+1}[r] = G_j[2r] H[r], with G[F - r] = conj(G[r]) because the taps
+    are real.  The shallowest level a law reads, lo = J - depth, and every
+    deeper one are read only on [0, F/4] and at the even r of (F/4, F/2],
+    so each is held on just that reduced set, r = 0..F/4 and then those
+    even r, as is H.  Level lo - k is read only at the multiples of 2^k in
+    [0, F/2]: levels 1..lo-1 together take about F/2 multiplies (the
+    frequency form of the product formula of Moulines, Roueff & Taqqu 2007).
     """
 
     def __init__(self, bank: FilterBank, depth: int = 0):
@@ -175,17 +180,8 @@ class _LimitShape:
         lo = self.J - depth
         if lo < 1:
             raise ValueError(f"bank too shallow: offset {depth} needs filters down to level {lo}")
-        full = np.fft.rfft(bank.taps(lo), n=self.F)
-        if depth == 0:
-            self.g0 = full[: n + 1] * 2.0 ** (-lo / 2.0)
-            self.odd = [self.g0[1:n:2]]
-            return
-        g = np.empty(n + 1 + n // 2, complex)  # r = 0..F/4, then the even r of (F/4, F/2]
-        g[: n + 1] = full[: n + 1]
-        g[n + 1 :] = full[n + 2 :: 2]
-        del full
-        g *= 2.0 ** (-lo / 2.0)
-        h = self._reduced_h(bank.scaling)
+        h = self._reduced(bank.scaling)
+        g = self._reduced(bank.taps(1)) if lo == 1 else self._level(bank.taps(1), h, lo)
         odd = []
         for lev in range(lo, self.J):
             odd.append(g[1:n:2].copy())
@@ -196,15 +192,34 @@ class _LimitShape:
         self.g0 = g[: n + 1]
         self.odd = [self.g0[1:n:2], *reversed(odd)]
 
-    def _reduced_h(self, scaling: np.ndarray) -> np.ndarray:
-        """2^(-1/2) h-hat on the reduced set, by Horner's rule in
+    def _reduced(self, taps: np.ndarray) -> np.ndarray:
+        """2^(-1/2) taps-hat on the reduced set, by Horner's rule in
         z = e^{-2 pi i r / F}; at r = F/4 + 2k, z = -i e^{-2 pi i k / (F/2)}."""
         n = self.trusted_rmax
-        c = scaling * 2.0**-0.5
+        c = taps * 2.0**-0.5
         out = np.empty(n + 1 + n // 2, complex)
         _horner(c, _unit_roots(n + 1, self.F), out[: n + 1])
         _horner(c, -1j * _unit_roots(n // 2 + 1, self.F // 2)[1:], out[n + 1 :])
         return out
+
+    def _level(self, g1: np.ndarray, h: np.ndarray, lo: int) -> np.ndarray:
+        """Level lo >= 2 on the reduced set, cascaded from level 1 in one
+        buffer.  Level lo - k is held at r = 2^k s, s = 0..F/2^(k+1): its
+        transfer on unit roots of period F/2^k, whose samples past the half
+        period, which the next level reads, mirror these."""
+        n = self.trusted_rmax
+        g = np.empty(n + 1 + n // 2, complex)
+        m = (self.F >> lo) + 1
+        _horner(g1 * 2.0**-0.5, _unit_roots(m, self.F >> (lo - 1)), g[:m])
+        for k in range(lo - 1, 1, -1):  # level lo - k to lo - k + 1, at r = 2^(k-1) s
+            np.conjugate(g[m - 2 :: -1], out=g[m : 2 * m - 1])
+            m = 2 * m - 1
+            # H at r = 2^(k-1) s: h[r] up to F/4, then h[n + j] at r = F/4 + 2j
+            g[: m // 2 + 1] *= h[: n + 1 : 2 ** (k - 1)]
+            g[m // 2 + 1 : m] *= h[n + 2 ** (k - 2) :: 2 ** (k - 2)]
+        np.conjugate(g[n - 2 :: -2], out=g[n + 1 :])
+        g *= h
+        return g
 
     def _double(self, g: np.ndarray, last: bool) -> None:
         """g[r] <- g[2r] in place on the reduced set, or on r <= F/4 alone
@@ -279,33 +294,35 @@ def _lp_integral(shape: _LimitShape, p: int, d: float, K: int) -> float:
     return c_p * total
 
 
-def _cov_q_integral(shape: _LimitShape, d: float, K: int, m: int) -> tuple[float, float]:
-    """sum_{v=0}^{2^m - 1} int_0^{2 pi} |sum_l phi(x) e^{-i 2^-m v x}|^2 dlam
+def _cov_q_integrals(shape: _LimitShape, d: float, K: int, p: int):
+    """For m = 0..p, the offset-m integral
+    sum_{v=0}^{2^m - 1} int_0^{2 pi} |sum_l phi(x) e^{-i 2^-m v x}|^2 dlam
     with x = lam + 2 pi l and phi(x) = |x|^{-2(d+K)} g_inf(x) conj(g_inf(2^-m x)),
     by the midpoint rule at x_k = pi k / S, k odd, over the trusted zone
-    |k| < F/4.
+    |k| < F/4; the factors of phi that do not depend on m are formed once.
 
     The phase at x_k depends only on k mod N, N = 2 S 2^m.  Writing the
     shells as l = l1 + 2^m l2 turns the sum over v into a 2^m-point DFT
     over l1, which Parseval collapses: the value is
     2^m (2 pi / S) sum_{k' odd} |c_k'|^2, with c the samples phi(x_k) folded
-    modulo N.  Also returns the tail change, the relative change of the
-    value when the outer half of the zone is dropped.
+    modulo N.  Yields (value, tail change), the tail change being the
+    relative change of the value when the outer half of the zone is dropped.
     """
     S, n = shape.S, shape.trusted_rmax
-    k = np.arange(1, n, 2)
-    phi = (math.pi / S * k) ** (-2.0 * (d + K)) * shape.odd[0] * np.conj(shape.odd[m])
-    half = S * 2**m  # odd residues modulo N
 
-    def fold(a: np.ndarray) -> float:
+    def fold(a: np.ndarray, m: int) -> float:
+        half = S * 2**m  # odd residues modulo N
         # zero-padded to whole periods: deep offsets have more residues than samples
         a = np.concatenate([a, np.zeros(-len(a) % half, complex)]).reshape(-1, half).sum(axis=0)
         # phi(-x) = conj(phi(x)): residue of -k is N - k
         c = a + np.conj(a[::-1])
         return 2**m * (2.0 * math.pi / S) * float(np.vdot(c, c).real)
 
-    total = fold(phi)
-    return total, abs(total - fold(phi[: len(phi) // 2])) / total
+    base = (math.pi / S * np.arange(1, n, 2)) ** (-2.0 * (d + K)) * shape.odd[0]
+    for m in range(p + 1):
+        phi = base * np.conj(shape.odd[m])
+        total = fold(phi, m)
+        yield total, abs(total - fold(phi[: len(phi) // 2], m)) / total
 
 
 @dataclass(frozen=True)
@@ -356,7 +373,7 @@ def _limit_law(bank: FilterBank, d: float, K: int, q0: int, p: int) -> LimitLaw:
     w = regression_weights(p)
     if q0 == 1:
         L1 = _lp_integral(shape, 1, d, K)
-        ints, tails = zip(*(_cov_q_integral(shape, d, K, m) for m in range(p + 1)))
+        ints, tails = zip(*_cov_q_integrals(shape, d, K, p))
         cov = np.empty((p + 1, p + 1))
         for u in range(p + 1):
             for up in range(u, p + 1):
@@ -435,9 +452,14 @@ class _SecondChaosLaw:
         t_max = _bisect(lambda t: -0.25 * np.log1p(4.0 * t * t * lam**2).sum()
                         - 0.5 * self.tail_var * t * t > _LOG_CF_CUTOFF, 0.0, 1.0)
         t = self.h * np.arange(1, math.ceil(t_max / self.h) + 1)
-        log_cf = -0.5 * self.tail_var * t * t + 0j
-        for lk in lam:
-            log_cf -= 0.5 * np.log(1.0 - 2j * t * lk) + 1j * t * lk
+        # log(1 - 2itl) = log1p(4 t^2 l^2) / 2 - i atan(2tl), summed over l
+        # 256 steps at a time to bound the (steps, eigenvalues) temporary
+        re, im = np.empty_like(t), np.empty_like(t)
+        for i in range(0, len(t), 256):
+            x = np.multiply.outer(2.0 * t[i : i + 256], lam)
+            im[i : i + 256] = np.arctan(x).sum(axis=1)
+            re[i : i + 256] = np.log1p(np.square(x, out=x)).sum(axis=1)
+        log_cf = (-0.5 * self.tail_var * t * t - 0.25 * re) + 1j * (0.5 * im - t * lam.sum())
         self.t, self.cf, self.quantiles = t, np.exp(log_cf), {}
 
     def cdf(self, y) -> np.ndarray:

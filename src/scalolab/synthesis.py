@@ -7,7 +7,6 @@ streams keyed by (seed, stream index), so generation is reproducible and
 embarrassingly parallel; one stream's FFT yields two paths.
 """
 
-import csv
 import json
 import logging
 import math
@@ -119,9 +118,9 @@ def sample_path(model: SpectralModel, g: Optional[Callable], N: int, seed: int,
 def export_path(series: np.ndarray, csv_path, sidecar: Optional[dict] = None):
     """Single-column CSV plus a JSON sidecar recording config and seed."""
     with open(csv_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        for v in series:
-            wr.writerow([f"{v:.17g}"])
+        # the rows csv.writer makes of one unquoted field each, 2^16 at a time
+        for i in range(0, len(series), 2**16):
+            fh.write("".join(map("{:.17g}\r\n".format, series[i : i + 2**16].tolist())))
     if sidecar is not None:
         with open(str(csv_path) + ".json", "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)

@@ -818,6 +818,14 @@ def test_cli_import_loads_no_scipy():
     assert r.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_machinery():
+    # a process pool is imported only by a sweep that runs on two workers or more
+    code = "import sys, scalolab.cli; print('multiprocessing' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 def test_cli_rank_one_test_loads_no_scipy(tmp_path):
     # the Gaussian critical value comes from the standard library
     out = tmp_path / "t"

@@ -171,11 +171,12 @@ def test_cov_q_matches_shell_and_phase_sum_over_trusted_zone(jmax, p):
         assert got == pytest.approx(brute, rel=1e-10)
 
 
-@pytest.mark.parametrize("family, jmax, p", [("db2", 8, 3), ("db3", 10, 4), ("db2", 7, 6)])
+@pytest.mark.parametrize("family, jmax, p",
+                         [("db2", 8, 3), ("db3", 10, 4), ("db2", 7, 6), ("db2", 8, 6), ("db2", 9, 0)])
 def test_limit_shape_cascade_matches_per_level_rfft(family, jmax, p):
-    # the shape transforms level J - p alone and cascades it down to J; each
-    # level it keeps matches that level's own rfft.  db2 jmax 7 p 6
-    # transforms level 1, the shallowest a bank has
+    # the shape cascades the level-1 transfer down to J; each level it keeps,
+    # J - p to J, matches that level's own rfft.  db2 jmax 7 p 6 reads level 1
+    # itself, jmax 8 p 6 starts the reduced set at level 2 and p 0 keeps only J
     bank = build_bank(family, jmax)
     shape = inference._LimitShape(bank, p)
     n = shape.trusted_rmax
@@ -201,6 +202,30 @@ def test_rank_one_limit_constants_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_rank_two_limit_constants_memory():
+    bank = build_bank("db2", 10)
+    inference._limit_law.cache_clear()
+    tracemalloc.start()
+    try:
+        limit_constants(bank, MemoryParams(0.42, 0), 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("q0, d", [(1, 0.35), (2, 0.42)])
+def test_limit_law_runs_no_fft(monkeypatch, q0, d):
+    def banned(*args, **kwargs):
+        raise AssertionError("the limit law ran an FFT")
+
+    for name in ("rfft", "fft"):
+        monkeypatch.setattr(inference.np.fft, name, banned)
+    inference._limit_law.cache_clear()
+    law = limit_constants(build_bank("db2", 8), MemoryParams(d, 0), q0, 3)
+    assert law.kind == ("gaussian" if q0 == 1 else "rosenblatt")
 
 
 def test_limit_cache_keyed_on_bank_contents():

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -244,3 +245,15 @@ def test_export_roundtrip(tmp_path):
     np.testing.assert_allclose([float(v) for v in lines], y, rtol=1e-15)
     side = json.loads((tmp_path / "path.csv.json").read_text())
     assert side["seed"] == 9
+
+
+def test_export_writes_the_bytes_of_csv_writer(tmp_path):
+    # more than one write chunk, with the values whose text is special
+    y = np.random.default_rng(5).standard_normal(2**16 + 3) * 10.0 ** np.linspace(-300, 300, 2**16 + 3)
+    y[:7] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e-300]
+    export_path(y, tmp_path / "path.csv")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        for v in y:
+            wr.writerow([f"{v:.17g}"])
+    assert (tmp_path / "path.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
