@@ -8,15 +8,18 @@ contrast weights satisfying sum w_i = 0 and sum i w_i = 1/(2 log 2), so a
 log2-linear scalogram maps to its slope/2.  Its fluctuation limit is
 Gaussian when the leading Hermite rank is 1 and Rosenblatt otherwise; the
 constants of both laws are deterministic quadratures of the filter bank's
-limit shape (no Monte Carlo, no seed), sampled over its trusted zone only
-and with no FFT: the level-1 and scaling filters are evaluated by Horner's
-rule, and every deeper level follows by the wavelet cascade on the
-frequency grid.  At rank one each offset's covariance is the lag-domain sum
-of the limit wavelet spectral density (Moulines, Roueff & Taqqu 2007), one
-fold of the shape samples; at rank >= 2 the shape integrals reduce to one
-dimension.
+limit shape (no Monte Carlo, no seed), sampled over its trusted zone only,
+with no FFT and in one pass of fixed-size strips: in each strip the product
+formula of Moulines, Roueff & Taqqu (2007) gives every level from three
+factors of the scaling filter, evaluated by Horner's rule, and a coarser
+level read from small tables that the wavelet cascade fills on a grid 8
+times coarser.  At rank one each offset's covariance is the lag-domain sum
+of the limit wavelet spectral density, its shape samples folded strip by
+strip into one accumulator per offset; at rank >= 2 the shape integrals
+reduce to one dimension.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -128,16 +131,19 @@ def estimate_d0(
 _GRID_S = 1024  # grid points per pi of absolute frequency
 _SHAPE_J = 11  # deepest filter level standing in for the limit shape
 _TAIL_TOL = 1e-4  # largest share of a shape integral its outer half may carry
+_STRIP = 2**15  # shape samples per strip
 
 
-def _unit_roots(count: int, period: int) -> np.ndarray:
-    """exp(-2 pi i t / period) for t = 0..count-1, each the product of a
-    coarse and a fine table entry (t = 1024 a + b): two short `exp` tables
-    instead of one over every t."""
-    rows = -(-count // 1024)
-    coarse = np.exp(-2j * math.pi * 1024 / period * np.arange(rows))
+def _unit_roots(out: np.ndarray, period: int) -> np.ndarray:
+    """out[t] <- exp(-2 pi i t / period), t = 0..len(out)-1, each the
+    product of a coarse and a fine table entry (t = 1024 a + b): two short
+    `exp` tables instead of one over every t."""
+    rows, rest = divmod(len(out), 1024)
+    coarse = np.exp(-2j * math.pi * 1024 / period * np.arange(rows + 1))
     fine = np.exp(-2j * math.pi / period * np.arange(1024))
-    return np.multiply.outer(coarse, fine).ravel()[:count]
+    np.multiply.outer(coarse[:rows], fine, out=out[: 1024 * rows].reshape(rows, 1024))
+    np.multiply(coarse[rows], fine[:rest], out=out[1024 * rows :])
+    return out
 
 
 def _horner(c: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
@@ -148,104 +154,86 @@ def _horner(c: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
         out += ck
 
 
-class _LimitShape:
-    """Limit transfer shape g_inf sampled at x_r = pi r / S, r = 0..F/4
-    (F = 2 S 2^J), with no transform: the bank's level-1 taps and scaling
-    filter, evaluated by Horner's rule, and the wavelet cascade on the
-    frequency grid.
+class _ShapeStrips:
+    """Limit transfer shape g_inf and its coarser levels at x_r = pi r / S,
+    r = 1..F/4 (F = 2 S 2^J), a strip of B points at a time, with no
+    transform and no array over the whole grid.
 
-    Level J stands in for the limit: g0 holds 2^(-J/2) g_J-hat(2 pi r / F)
+    Level J stands in for the limit: G_J[r] = 2^(-J/2) g_J-hat(2 pi r / F)
     over the trusted zone r <= F/4, the |omega| <= pi/2 of the filter's
     fundamental domain, beyond which the 2 pi-periodic transfer no longer
-    approximates the decaying limit shape.  g_inf(2^-m x) on the same grid
-    is level J-m; `odd[m]` keeps its samples at the odd r < F/4, all that
-    the offset-m covariance reads, for m = 0..depth.
-
-    Each level follows from the next shallower one by the cascade
-    g_{j+1}-hat(omega) = g_j-hat(2 omega) h-hat(omega): on the grid,
-    G_{j+1}[r] = G_j[2r] H[r], with G[F - r] = conj(G[r]) because the taps
-    are real.  The shallowest level a law reads, lo = J - depth, and every
-    deeper one are read only on [0, F/4] and at the even r of (F/4, F/2],
-    so each is held on just that reduced set, r = 0..F/4 and then those
-    even r, as is H.  Level lo - k is read only at the multiples of 2^k in
-    [0, F/2]: levels 1..lo-1 together take about F/2 multiplies (the
-    frequency form of the product formula of Moulines, Roueff & Taqqu 2007).
+    approximates the decaying limit shape.  g_inf(2^-m x) is level J - m,
+    read at the odd r alone, m = 0..depth.  By the product formula of
+    Moulines, Roueff & Taqqu (2007), G_j[r] = H[r] H[2r] H[4r] G_{j-3}[8r]
+    (H the scaling filter's transfer, by Horner's rule in each strip), and
+    G_{j-3}[8r] repeats every F/8 and mirrors by conjugation past F/16 (the
+    taps are real): the rows of `tables` hold levels j - 3 at the F/16 + 1
+    multiples of 8 of half a period, cascaded from level 1 by
+    G_{j+1}[8m] = G_j[16m] H[8m].  A level j <= 3 is
+    H[r]..H[2^(j-2) r] G_1[2^(j-1) r], all by Horner's rule.
     """
 
     def __init__(self, bank: FilterBank, depth: int = 0):
         self.S = _GRID_S
-        self.J = min(bank.jmax, _SHAPE_J)
-        self.F = 2 * self.S * 2**self.J
-        self.trusted_rmax = n = self.F // 4
-        lo = self.J - depth
-        if lo < 1:
-            raise ValueError(f"bank too shallow: offset {depth} needs filters down to level {lo}")
-        h = self._reduced(bank.scaling)
-        g = self._reduced(bank.taps(1)) if lo == 1 else self._level(bank.taps(1), h, lo)
-        odd = []
-        for lev in range(lo, self.J):
-            odd.append(g[1:n:2].copy())
-            last = lev == self.J - 1
-            self._double(g, last)
-            top = n + 1 if last else len(g)
-            g[:top] *= h[:top]
-        self.g0 = g[: n + 1]
-        self.odd = [self.g0[1:n:2], *reversed(odd)]
+        self.J = J = min(bank.jmax, _SHAPE_J)
+        self.F = 2 * self.S * 2**J
+        self.trusted_rmax = self.F // 4
+        self.depth, self.lo = depth, J - depth
+        if self.lo < 1:
+            raise ValueError(f"bank too shallow: offset {depth} needs filters down to level {self.lo}")
+        self.B = min(_STRIP, self.F // 16)
+        self.h, self.g1 = bank.scaling * 2.0**-0.5, bank.taps(1) * 2.0**-0.5
+        self.tlo = max(self.lo, 4) - 3  # rows hold levels tlo..J-3
+        self.tables = self._tables() if J >= 4 else None
 
-    def _reduced(self, taps: np.ndarray) -> np.ndarray:
-        """2^(-1/2) taps-hat on the reduced set, by Horner's rule in
-        z = e^{-2 pi i r / F}; at r = F/4 + 2k, z = -i e^{-2 pi i k / (F/2)}."""
-        n = self.trusted_rmax
-        c = taps * 2.0**-0.5
-        out = np.empty(n + 1 + n // 2, complex)
-        _horner(c, _unit_roots(n + 1, self.F), out[: n + 1])
-        _horner(c, -1j * _unit_roots(n // 2 + 1, self.F // 2)[1:], out[n + 1 :])
-        return out
+    def _tables(self) -> np.ndarray:
+        """Levels below tlo pass through rows 0 and 1 (or a spare) in turn."""
+        e, tlo, thi = self.F // 16, self.tlo, self.J - 3
+        z, H = np.empty((2, e + 1), complex)  # one block, whose free raises glibc's mmap threshold
+        _horner(self.h, _unit_roots(z, 2 * e), H)
+        rows = np.empty((thi - tlo + 1, e + 1), complex)
+        spare = (rows[0], rows[1] if thi > tlo else np.empty(e + 1, complex))
+        at = [None] + [spare[(tlo - j) % 2] for j in range(1, tlo)] + list(rows)  # level j's buffer
+        _horner(self.g1, z, at[1])
+        for j in range(1, thi):
+            cur, nxt = at[j], at[j + 1]
+            np.multiply(cur[::2], H[: e // 2 + 1], out=nxt[: e // 2 + 1])
+            # past the half period, G_j[16m] = conj(G_j[F - 16m])
+            np.conjugate(cur[e - 2 :: -2], out=nxt[e // 2 + 1 :])
+            nxt[e // 2 + 1 :] *= H[e // 2 + 1 :]
+        return rows
 
-    def _level(self, g1: np.ndarray, h: np.ndarray, lo: int) -> np.ndarray:
-        """Level lo >= 2 on the reduced set, cascaded from level 1 in one
-        buffer.  Level lo - k is held at r = 2^k s, s = 0..F/2^(k+1): its
-        transfer on unit roots of period F/2^k, whose samples past the half
-        period, which the next level reads, mirror these."""
-        n = self.trusted_rmax
-        g = np.empty(n + 1 + n // 2, complex)
-        m = (self.F >> lo) + 1
-        _horner(g1 * 2.0**-0.5, _unit_roots(m, self.F >> (lo - 1)), g[:m])
-        for k in range(lo - 1, 1, -1):  # level lo - k to lo - k + 1, at r = 2^(k-1) s
-            np.conjugate(g[m - 2 :: -1], out=g[m : 2 * m - 1])
-            m = 2 * m - 1
-            # H at r = 2^(k-1) s: h[r] up to F/4, then h[n + j] at r = F/4 + 2j
-            g[: m // 2 + 1] *= h[: n + 1 : 2 ** (k - 1)]
-            g[m // 2 + 1 : m] *= h[n + 2 ** (k - 2) :: 2 ** (k - 2)]
-        np.conjugate(g[n - 2 :: -2], out=g[n + 1 :])
-        g *= h
-        return g
-
-    def _double(self, g: np.ndarray, last: bool) -> None:
-        """g[r] <- g[2r] in place on the reduced set, or on r <= F/4 alone
-        when `last`.  The copies forward (g[r] <- g[2r], r <= F/8) go in
-        disjoint doubling blocks, so none needs a temporary."""
-        n, e = self.trusted_rmax, self.trusted_rmax // 2
-        if not last:
-            # r = F/4 + 2k reads conj(G[F/2 - 4k]), the multiples of 4 below F/2
-            tail = np.empty(e, complex)
-            up = tail[::-1]
-            up[: e // 2 + 1] = g[0 : n + 1 : 4]
-            up[e // 2 + 1 :] = g[n + 2 : n + e : 2]
-            np.conjugate(tail, out=tail)
-        b = 1
-        while b < e:
-            g[b : 2 * b] = g[2 * b : 4 * b : 2]
-            b *= 2
-        g[e] = g[n]
-        g[e + 1 : n + 1] = g[n + 1 :]  # 2r in (F/4, F/2]: the even tail
-        if not last:
-            g[n + 1 :] = tail
-
-    def abs2_grid(self, rmax: int) -> tuple[np.ndarray, np.ndarray]:
-        """(x_r, |g_inf(x_r)|^2) for r = 0..rmax on the positive axis."""
-        rmax = min(rmax, self.trusted_rmax)
-        return math.pi * np.arange(rmax + 1) / self.S, np.abs(self.g0[: rmax + 1]) ** 2
+    def strips(self):
+        """Yields (r0, g, odd) for r = r0+1..r0+B: g holds G_J there and
+        odd[m] holds G_{J-m} at the odd r, m = 0..depth.  The next strip
+        overwrites the arrays."""
+        B, J, lo, e = self.B, self.J, self.lo, self.F // 16
+        fine = _unit_roots(np.empty(B + 1, complex), self.F)[1:]
+        z, a, t, g = (np.empty(B, complex) for _ in range(4))
+        odd = [g[::2]] + [np.empty(B // 2, complex) for _ in range(self.depth)]
+        level = [(g, 1)] + [(o, 2) for o in odd[1:]]  # level J - m, on every r or on the odd ones
+        for r0 in range(0, self.trusted_rmax, B):
+            np.multiply(fine, cmath.exp(-2j * math.pi * r0 / self.F), out=z)
+            a[:] = 1.0
+            for k in range(min(J, 3)):  # z = e^{-2 pi i 2^k r / F}, a = H[r]..H[2^(k-1) r]
+                if k + 1 >= lo:
+                    out, st = level[J - k - 1]
+                    _horner(self.g1, z[::st], out)
+                    out *= a[::st]
+                _horner(self.h, z, t)
+                a *= t
+                z *= z
+            # a strip lies in one quarter [qE, (q+1)E] of a period of G[8r],
+            # E = F/16: G[8r] = row[r - qE] for q even, conj(row[(q+1)E - r]) for q odd
+            q, o = divmod(r0, e)
+            for j in range(max(lo, 4), J + 1):
+                (out, st), row = level[J - j], self.tables[j - 3 - self.tlo]
+                if q % 2:
+                    np.conjugate(row[e - o - B : e - o][::-st], out=out)
+                    out *= a[::st]
+                else:
+                    np.multiply(a[::st], row[o + 1 : o + B + 1 : st], out=out)
+            yield r0, g, odd
 
 
 def _riesz_constant(p: int, d: float) -> float:
@@ -269,60 +257,66 @@ def _riesz_constant(p: int, d: float) -> float:
     return c
 
 
-def _lp_integral(shape: _LimitShape, p: int, d: float, K: int) -> float:
+def _lp_integral(p: int, d: float, half: float, total: float) -> float:
     """L_p = int_{R^p} |g_inf(u_1+..+u_p)|^2 |sum u|^(-2K) prod |u_i|^(-2d) du.
 
-    The integrand depends on u only through s = sum u, so
-    L_p = C_p(d) int_R |g_inf(s)|^2 |s|^(-2(delta(p, d)+K)) ds, a Riemann
-    sum on the sampled grid (the integrand vanishes at 0 since
-    M > delta + K); the outer half of the range must contribute negligibly.
-    """
+    The integrand depends on u only through s = sum u, so L_p = C_p(d) times
+    int_R |g_inf(s)|^2 |s|^(-2(delta(p, d)+K)) ds, whose Riemann sums on
+    the grid and its inner half are given: the integrand vanishes at 0
+    (M > delta + K), and the outer half must contribute negligibly."""
     c_p = _riesz_constant(p, d)
-    rcap = min(1024 * shape.S, shape.trusted_rmax)
-    xs, ys = shape.abs2_grid(rcap)
-    step = float(xs[1] - xs[0])
-    vals = ys[1:] * xs[1:] ** (-2.0 * (delta(p, d) + K))
-    total = 2.0 * step * float(vals.sum())
-    tail = 2.0 * step * float(vals[len(vals) // 2 :].sum())
     if total <= 0.0:
         raise QuadratureError("limit-shape integral collapsed to zero")
-    if tail > _TAIL_TOL * total:
+    if total - half > _TAIL_TOL * total:
         raise QuadratureError(
-            f"limit-shape integral tail {tail / total:.2e} above tolerance; "
+            f"limit-shape integral tail {(total - half) / total:.2e} above tolerance; "
             "decay of the transfer function is too slow"
         )
     return c_p * total
 
 
-def _cov_q_integrals(shape: _LimitShape, d: float, K: int, p: int):
-    """For m = 0..p, the offset-m integral
-    sum_{v=0}^{2^m - 1} int_0^{2 pi} |sum_l phi(x) e^{-i 2^-m v x}|^2 dlam
-    with x = lam + 2 pi l and phi(x) = |x|^{-2(d+K)} g_inf(x) conj(g_inf(2^-m x)),
-    by the midpoint rule at x_k = pi k / S, k odd, over the trusted zone
-    |k| < F/4; the factors of phi that do not depend on m are formed once.
-
-    The phase at x_k depends only on k mod N, N = 2 S 2^m.  Writing the
-    shells as l = l1 + 2^m l2 turns the sum over v into a 2^m-point DFT
-    over l1, which Parseval collapses: the value is
-    2^m (2 pi / S) sum_{k' odd} |c_k'|^2, with c the samples phi(x_k) folded
-    modulo N.  Yields (value, tail change), the tail change being the
-    relative change of the value when the outer half of the zone is dropped.
+def _shape_sums(shape: _ShapeStrips, exps: list, fold: bool):
+    """One pass over the shape's strips: for each exponent e, the Riemann
+    sums (half, total) of int_R |g_inf(x)|^2 |x|^(-e) dx over r = 1..n/2
+    and r = 1..n (n = F/4).  With `fold`, also each offset's (value, tail
+    change: the value's relative change when r > n/2 is dropped),
+    m = 0..depth, of sum_{v<2^m} int_0^{2 pi} |sum_l phi(x) e^{-i 2^-m v x}|^2
+    dlam, x = lam + 2 pi l, phi(x) = |x|^(-e) g_inf(x) conj(g_inf(2^-m x)),
+    e = exps[0] = 2(d + K), by the midpoint rule at x_k = pi k / S, k odd,
+    |k| < F/4.  The phase at x_k depends only on k mod N, N = 2 S 2^m;
+    shells l = l1 + 2^m l2 turn the sum over v into a 2^m-point DFT over l1,
+    which Parseval collapses to 2^m (2 pi / S) sum_{k' odd} |c_k'|^2, c the
+    samples phi(x_k) folded modulo N, to which each strip adds its own.
     """
-    S, n = shape.S, shape.trusted_rmax
+    S, n, B, step = shape.S, shape.trusted_rmax, shape.B, math.pi / shape.S
+    sums = np.zeros(len(exps))
+    # the odd residues, or only the n/2 that the zone's odd samples fill
+    acc = [np.zeros(min(S * 2**m, n // 2), complex) for m in range(shape.depth + 1 if fold else 0)]
+    phi = np.empty(B // 2, complex)
 
-    def fold(a: np.ndarray, m: int) -> float:
-        half = S * 2**m  # odd residues modulo N
-        # zero-padded to whole periods: deep offsets have more residues than samples
-        a = np.concatenate([a, np.zeros(-len(a) % half, complex)]).reshape(-1, half).sum(axis=0)
-        # phi(-x) = conj(phi(x)): residue of -k is N - k
-        c = a + np.conj(a[::-1])
-        return 2**m * (2.0 * math.pi / S) * float(np.vdot(c, c).real)
+    def folded() -> list:
+        # phi(-x) = conj(phi(x)) puts the residue of -k at N - k, which no
+        # sample meets when the samples fill under half the residues
+        cs = (a + np.conj(a[::-1]) if len(a) == S * 2**m else math.sqrt(2.0) * a for m, a in enumerate(acc))
+        return [2**m * (2.0 * math.pi / S) * float(np.vdot(c, c).real) for m, c in enumerate(cs)]
 
-    base = (math.pi / S * np.arange(1, n, 2)) ** (-2.0 * (d + K)) * shape.odd[0]
-    for m in range(p + 1):
-        phi = base * np.conj(shape.odd[m])
-        total = fold(phi, m)
-        yield total, abs(total - fold(phi[: len(phi) // 2], m)) / total
+    for r0, g, odd in shape.strips():
+        x = step * np.arange(r0 + 1, r0 + B + 1)
+        g2 = np.square(g.real) + np.square(g.imag)
+        for i, e in enumerate(exps):
+            w = x ** -e
+            if fold and i == 0:
+                base = w[::2] * odd[0]
+            w *= g2
+            sums[i] += w.sum()
+        for m, a in enumerate(acc):
+            np.multiply(base, np.conjugate(odd[m], out=phi), out=phi)
+            k, o = min(len(a), B // 2), r0 // 2 % len(a)
+            a[o : o + k] += phi.reshape(-1, k).sum(axis=0)
+        if r0 + B == n // 2:
+            inner = sums.copy(), folded()
+    lsums = [(2.0 * step * h, 2.0 * step * t) for h, t in zip(inner[0], sums)]
+    return lsums, [(v, abs(v - h) / v) for v, h in zip(folded(), inner[1])]
 
 
 @dataclass(frozen=True)
@@ -369,16 +363,18 @@ def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> 
 
 @lru_cache(maxsize=16)  # keyed on the bank's identity: build_bank returns one per (family, jmax)
 def _limit_law(bank: FilterBank, d: float, K: int, q0: int, p: int) -> LimitLaw:
-    shape = _LimitShape(bank, p if q0 == 1 else 0)
+    shape = _ShapeStrips(bank, p if q0 == 1 else 0)
+    ranks = (1,) if q0 == 1 else (q0, q0 - 1)
+    lsums, covs = _shape_sums(shape, [2.0 * (delta(q, d) + K) for q in ranks], q0 == 1)
+    L = {f"L{q}": _lp_integral(q, d, *s) for q, s in zip(ranks, lsums)}
     w = regression_weights(p)
     if q0 == 1:
-        L1 = _lp_integral(shape, 1, d, K)
-        ints, tails = zip(*_cov_q_integrals(shape, d, K, p))
+        ints, tails = zip(*covs)
         cov = np.empty((p + 1, p + 1))
         for u in range(p + 1):
             for up in range(u, p + 1):
                 m = up - u
-                val = 4.0 * math.pi * 2.0 ** (2.0 * (d + K) * m - up - m) / L1**2 * ints[m]
+                val = 4.0 * math.pi * 2.0 ** (2.0 * (d + K) * m - up - m) / L["L1"] ** 2 * ints[m]
                 cov[u, up] = cov[up, u] = val
         # estimator uses scale j0+i = jc-(p-i): offset u = p-i
         var = float(w[::-1] @ cov @ w[::-1])
@@ -387,21 +383,17 @@ def _limit_law(bank: FilterBank, d: float, K: int, q0: int, p: int) -> LimitLaw:
             raise QuadratureError("estimator variance came out nonpositive")
         return LimitLaw(
             kind="gaussian", q0=1, d=d, K=K, p=p, u_N_exponent=0.5,
-            cov_Q=cov, sigma_d0=math.sqrt(var),
-            L_values={"L1": L1},
+            cov_Q=cov, sigma_d0=math.sqrt(var), L_values=L,
             provenance={"S": shape.S, "J": shape.J, "tail_change": tails},
         )
-    Lq0 = _lp_integral(shape, q0, d, K)
-    Lq0m1 = _lp_integral(shape, q0 - 1, d, K)
     # scale of the normalised fluctuation sigma2_hat/sigma2 - 1: the
     # c_{q0} dependence cancels in the ratio, leaving q0 L_{q0-1}/L_{q0}
     # (verified against simulated scalogram fluctuations across scales)
-    ratio = q0 * Lq0m1 / Lq0
+    ratio = q0 * L[f"L{q0 - 1}"] / L[f"L{q0}"]
     drift = float(np.dot(w, 2.0 ** ((2.0 * d - 1.0) * (p - np.arange(p + 1)))))
     return LimitLaw(
         kind="rosenblatt", q0=q0, d=d, K=K, p=p, u_N_exponent=1.0 - 2.0 * d,
-        L_values={f"L{q0}": Lq0, f"L{q0-1}": Lq0m1},
-        c_scale=ratio * drift,
+        L_values=L, c_scale=ratio * drift,
         provenance={"S": shape.S, "J": shape.J},
     )
 
@@ -442,9 +434,12 @@ class _SecondChaosLaw:
         row = F[2:] - 2.0 * F[1:-1] + F[:-2]
         i = np.arange(m // 2)
         a, bj = row[np.abs(i[:, None] - i)], row[m - 1 - i[:, None] - i]  # bj: Hankel
-        lam = c_d * m ** (-2.0 * d) * np.sort(np.linalg.eigvalsh(np.stack([a + bj, a - bj])).ravel())
+        c = c_d * m ** (-2.0 * d)
+        lam = c * np.sort(np.linalg.eigvalsh(np.stack([a + bj, a - bj])).ravel())
         self.m, self.var = m, c_d**2 / (d * (4.0 * d - 1.0))
-        self.tail_var = self.var - 2.0 * float(lam @ lam)
+        # sum lam^2 is the matrix's squared Frobenius norm: no eigen-solver rounding
+        frob = m * row[0] ** 2 + 2.0 * float(((m - np.arange(1, m)) * np.square(row[1:])).sum())
+        self.tail_var = self.var - 2.0 * c * c * frob
         self.sd = math.sqrt(self.var)
         # the trapezoid aliases mass lying 2 pi / h away from y: put that
         # 40 sd below, and 40 scales of the exp(-x / (2 lam_max)) tail above

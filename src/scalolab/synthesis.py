@@ -42,9 +42,11 @@ class _Embedding:
         # at most 1 in size, has finite eigenvalues
         if not np.isfinite(rho).all():
             raise NumericError("circulant embedding of a non-finite correlation: the model's covariance overflows")
-        # rho covers lags 0..n; the circulant extension has period M = 2n
-        c = np.concatenate([rho, rho[-2:0:-1]])
-        eigs = np.real(np.fft.fft(c))
+        # rho covers lags 0..n; the circulant extension has period M = 2n,
+        # written into the real part of the one buffer the FFT runs in
+        y = np.zeros(2 * len(rho) - 2, complex)
+        y.real[: len(rho)], y.real[len(rho) :] = rho, rho[-2:0:-1]
+        eigs = np.fft.fft(y, out=y).real
         self.exact = bool(eigs.min() >= -1e-10 * eigs.max())
         if not self.exact:
             log.warning(
@@ -52,9 +54,10 @@ class _Embedding:
                 "falling back to approximate spectral synthesis with clipped modes",
                 eigs.min(),
             )
-        self.sqrt_eigs = np.sqrt(np.clip(eigs, 0.0, None))
+        self.sqrt_eigs = np.clip(eigs, 0.0, None)
+        np.sqrt(self.sqrt_eigs, out=self.sqrt_eigs)
         self.sqrt_eigs.setflags(write=False)
-        self.M = len(c)
+        self.M = len(y)
 
 
 @lru_cache(maxsize=8)

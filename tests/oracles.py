@@ -4,8 +4,8 @@
 `_autocov_grid_raw` the dense-grid oracle of the closed-form covariance,
 `transfer` / `asymptotic_transfer` the product-formula oracle of a bank's
 transfer functions, against which the cascade taps and the limit shape are
-checked, and `level_rfft` the per-level transform that the limit shape's
-frequency-domain cascade replaces.
+checked, and `level_rfft` the per-level transform against which the limit
+law's strips and level tables are checked.
 `rosenblatt_sample` draws from the package's circulant embedding; its
 seeded draws are pinned in `test_synthesis.py`.
 """

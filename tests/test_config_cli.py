@@ -475,7 +475,7 @@ def test_pool_worker_takes_the_parents_plan(tmp_path, monkeypatch):
         raise AssertionError("a worker rebuilt part of the plan")
 
     for module, name in ((scalolab.config, "parse_config"), (harness, "build_bank"),
-                         (scalolab.inference, "_LimitShape")):
+                         (scalolab.inference, "_ShapeStrips")):
         monkeypatch.setattr(module, name, rebuilt)
     scalolab.wavelet._built_bank.cache_clear()
     scalolab.inference._limit_law.cache_clear()

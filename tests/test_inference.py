@@ -15,6 +15,7 @@ from scalolab.errors import (
     BoundaryValueError,
     DegenerateScalogramError,
     InvalidTargetError,
+    QuadratureError,
 )
 from scalolab.exponents import MemoryParams, delta
 from scalolab.harness import run
@@ -154,7 +155,9 @@ def test_cov_q_matches_shell_and_phase_sum_over_trusted_zone(jmax, p):
     # phi(x) = |x|^{-2d} g_inf(x) conj(g_inf(2^-m x)); here it is summed shell by
     # shell and phase by phase at the midpoints x = pi k / S, odd |k| < F/4, with
     # the shape from the product-formula oracle at levels J and J - m.  At
-    # jmax 7 the deepest offsets span more residues than the zone holds samples
+    # jmax 7 the deepest offsets span more residues than the zone holds samples.
+    # The tail change is the sum's relative change without the outer half of
+    # the zone, the shells |l| >= F/16 S
     bank, d = build_bank("db2", jmax), 0.3
     law = limit_constants(bank, MemoryParams(d, 0), 1, p)
     S, J = law.provenance["S"], law.provenance["J"]
@@ -165,29 +168,44 @@ def test_cov_q_matches_shell_and_phase_sum_over_trusted_zone(jmax, p):
     for m in range(p + 1):
         gm = asymptotic_transfer(bank, 2.0**-m * xs.ravel(), j=J - m).reshape(xs.shape)
         phi = np.abs(xs) ** (-2 * d) * g0 * np.conj(gm)
-        brute = sum(float(np.sum(np.abs(np.sum(phi * np.exp(-1j * 2.0**-m * v * xs), axis=0)) ** 2))
-                    for v in range(2**m)) * (2 * math.pi / S)
+
+        def brute(rows):
+            return sum(float(np.sum(np.abs(np.sum((phi * np.exp(-1j * 2.0**-m * v * xs))[rows], axis=0)) ** 2))
+                       for v in range(2**m)) * (2 * math.pi / S)
+
+        whole, inner = brute(slice(None)), brute(slice(shells // 2, 3 * shells // 2))
         got = law.cov_Q[0, m] * law.L_values["L1"] ** 2 / (4 * math.pi * 2.0 ** ((2 * d - 2) * m))
-        assert got == pytest.approx(brute, rel=1e-10)
+        assert got == pytest.approx(whole, rel=1e-10)
+        assert law.provenance["tail_change"][m] == pytest.approx(abs(whole - inner) / whole, rel=1e-6)
 
 
 @pytest.mark.parametrize("family, jmax, p",
                          [("db2", 8, 3), ("db3", 10, 4), ("db2", 7, 6), ("db2", 8, 6), ("db2", 9, 0)])
 def test_limit_shape_cascade_matches_per_level_rfft(family, jmax, p):
-    # the shape cascades the level-1 transfer down to J; each level it keeps,
-    # J - p to J, matches that level's own rfft.  db2 jmax 7 p 6 reads level 1
-    # itself, jmax 8 p 6 starts the reduced set at level 2 and p 0 keeps only J
+    # the strips build each level from three factors of H and a table row
+    # cascaded from level 1; each level read, J - p to J, matches that
+    # level's own rfft.  db2 jmax 7 p 6 reads level 1 by Horner's rule in
+    # the strips, jmax 8 p 6 starts at level 2 and p 0 reads only level J
     bank = build_bank(family, jmax)
-    shape = inference._LimitShape(bank, p)
+    shape = inference._ShapeStrips(bank, p)
     n = shape.trusted_rmax
+    g, odd = [], [[] for _ in range(p + 1)]
+    for r0, gs, os in shape.strips():
+        g.append(gs.copy())
+        for m in range(p + 1):
+            odd[m].append(os[m].copy())
     for m in range(p + 1):
         ref = level_rfft(bank, shape.J - m, shape.F)
         tol = 1e-12 * np.abs(ref).max()
         if m == 0:
-            np.testing.assert_allclose(shape.g0, ref, rtol=0, atol=tol)
-        np.testing.assert_allclose(shape.odd[m], ref[1:n:2], rtol=0, atol=tol)
+            np.testing.assert_allclose(np.concatenate(g), ref[1:], rtol=0, atol=tol)
+        np.testing.assert_allclose(np.concatenate(odd[m]), ref[1:n:2], rtol=0, atol=tol)
+    # each table row is its level over half a period of the grid F/8
+    for lev, row in enumerate(shape.tables, start=shape.tlo):
+        ref = np.fft.rfft(bank.taps(lev), n=shape.F // 8) * 2.0 ** (-lev / 2.0)
+        np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     with pytest.raises(ValueError, match="bank too shallow"):
-        inference._LimitShape(bank, shape.J)
+        inference._ShapeStrips(bank, shape.J)
 
 
 def test_rank_one_limit_constants_memory():
@@ -217,6 +235,21 @@ def test_rank_two_limit_constants_memory():
 
 
 @pytest.mark.parametrize("q0, d", [(1, 0.35), (2, 0.42)])
+def test_limit_law_holds_no_full_grid_array(q0, d):
+    # strips of the shape and level tables of F/16 + 1 points: the law
+    # peaked at 36 MiB (rank 1) and 24 MiB (rank 2) with full-grid levels
+    bank = build_bank("db2", 10)
+    inference._limit_law.cache_clear()
+    tracemalloc.start()
+    try:
+        limit_constants(bank, MemoryParams(d, 0), q0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("q0, d", [(1, 0.35), (2, 0.42)])
 def test_limit_law_runs_no_fft(monkeypatch, q0, d):
     def banned(*args, **kwargs):
         raise AssertionError("the limit law ran an FFT")
@@ -226,6 +259,14 @@ def test_limit_law_runs_no_fft(monkeypatch, q0, d):
     inference._limit_law.cache_clear()
     law = limit_constants(build_bank("db2", 8), MemoryParams(d, 0), q0, 3)
     assert law.kind == ("gaussian" if q0 == 1 else "rosenblatt")
+
+
+def test_shallow_bank_fails_the_shape_integral_tail_check():
+    # at jmax 4 the shape has not decayed by the edge of the trusted zone:
+    # 1.2% of the L1 integral lies in the outer half
+    inference._limit_law.cache_clear()
+    with pytest.raises(QuadratureError, match=r"limit-shape integral tail 1\.20e-02 above tolerance"):
+        limit_constants(build_bank("db2", 4), MemoryParams(0.35, 0), 1, 1)
 
 
 def test_limit_cache_keyed_on_bank_contents():
@@ -255,26 +296,15 @@ def test_cached_limit_law_is_read_only():
 # --- limit constants: rank two ----------------------------------------------------
 
 
-class _TableShape:
-    """Stub limit shape carrying an explicit |g|^2 table (test injection)."""
-
-    def __init__(self, xs, ys):
-        self._xs, self._ys = xs, ys
-        self.S = 1024
-        self.F = 2**22
-        self.trusted_rmax = self.F // 4
-
-    def abs2_grid(self, rmax):
-        return self._xs, self._ys
-
-
-def _annulus_shape(a0, b, npts=400_001):
-    # indicator of a0 <= |x| <= b: bounded integrand, so the plain Riemann
-    # table is exact up to discretisation (the true limit shapes vanish at 0,
-    # which is what the production quadrature relies on)
+def _annulus_sums(p, d, a0, b, npts=400_001):
+    # Riemann sums (inner half, whole range) of int_R |g(s)|^2 |s|^(-2 delta)
+    # ds with |g|^2 the indicator of a0 <= |s| <= b: bounded integrand, so
+    # the plain Riemann table is exact up to discretisation (the true limit
+    # shapes vanish at 0, which is what the production quadrature relies on)
     xs = np.linspace(0.0, 4 * b, npts)
-    ys = ((xs >= a0) & (xs <= b)).astype(float)
-    return _TableShape(xs, ys)
+    vals = ((xs[1:] >= a0) & (xs[1:] <= b)) * xs[1:] ** (-2 * delta(p, d))
+    step = 2 * (xs[1] - xs[0])
+    return step * vals[: len(vals) // 2].sum(), step * vals.sum()
 
 
 def _convolution_kernel_constant(d: float) -> float:
@@ -312,21 +342,20 @@ def _third_riesz_constant(d: float) -> float:
 def test_lp_box_indicator_matches_analytic():
     d = 0.4
     a0, b = 0.05, 3.0
-    shape = _annulus_shape(a0, b)
     one = 1 - 2 * d
     # p = 1: integral of |u|^{-2d} over a0 <= |u| <= b
-    assert _lp_integral(shape, 1, d, 0) == pytest.approx(2 * (b**one - a0**one) / one, rel=1e-3)
+    assert _lp_integral(1, d, *_annulus_sums(1, d, a0, b)) == pytest.approx(2 * (b**one - a0**one) / one, rel=1e-3)
     # p = 2 collapses to C_B(d) * int_{a0<=|s|<=b} |s|^{1-4d} ds
     two = 2 - 4 * d
     expect2 = _convolution_kernel_constant(d) * 2 * (b**two - a0**two) / two
-    assert _lp_integral(shape, 2, d, 0) == pytest.approx(expect2, rel=1e-3)
+    assert _lp_integral(2, d, *_annulus_sums(2, d, a0, b)) == pytest.approx(expect2, rel=1e-3)
     # p = 3 collapses to C_3(d) * int_{a0<=|s|<=b} |s|^{2-6d} ds
     three = 3 - 6 * d
     expect3 = _third_riesz_constant(d) * 2 * (b**three - a0**three) / three
-    assert _lp_integral(shape, 3, d, 0) == pytest.approx(expect3, rel=1e-3)
+    assert _lp_integral(3, d, *_annulus_sums(3, d, a0, b)) == pytest.approx(expect3, rel=1e-3)
     # the reduction needs delta(p, d) > 0
     with pytest.raises(ValueError, match="not long-range dependent"):
-        _lp_integral(shape, 3, 0.3, 0)
+        _lp_integral(3, 0.3, *_annulus_sums(3, 0.3, a0, b))
 
 
 def test_l2_of_bank_matches_reduction_oracle(bank_db2):
@@ -420,6 +449,33 @@ def test_rosenblatt_cdf_matches_monte_carlo_oracle(d):
     draws = rosenblatt_sample(d, 4000, 77, 2**14)
     law = inference._second_chaos_law(d, inference._KERNEL_CELLS)
     assert stats.kstest(draws, law.cdf).statistic < 1.36 / math.sqrt(len(draws))
+
+
+def _kernel_eigenvalues(d, m):
+    # the m-cell kernel matrix built whole, solved whole
+    F = np.abs(np.arange(-1.0, m + 1.0)) ** (2 * d + 1) / (2 * d * (2 * d + 1))
+    row = F[2:] - 2.0 * F[1:-1] + F[:-2]
+    full = row[np.abs(np.subtract.outer(np.arange(m), np.arange(m)))]
+    c_d = 2.0 * math.gamma(1.0 - 2.0 * d) * math.sin(math.pi * d)
+    return c_d * m ** (-2.0 * d) * np.linalg.eigvalsh(full), full
+
+
+@pytest.mark.parametrize("d", [0.26, 0.3, 0.35, 0.42, 0.45, 0.49])
+def test_tail_var_share_matches_eigenvalue_form(d):
+    law = inference._SecondChaosLaw(d, inference._KERNEL_CELLS)
+    lam, _ = _kernel_eigenvalues(d, law.m)
+    assert law.tail_var / law.var == pytest.approx((law.var - 2.0 * lam @ lam) / law.var, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [0.3, 0.49])
+def test_tail_var_share_does_not_depend_on_the_eigen_solver(d, monkeypatch):
+    m = inference._KERNEL_CELLS
+    split = inference._SecondChaosLaw(d, m)
+    _, full = _kernel_eigenvalues(d, m)
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(full))
+    whole = inference._SecondChaosLaw(d, m)
+    assert whole.tail_var / whole.var == split.tail_var / split.var
 
 
 def test_rosenblatt_quantile_memoised_per_d(monkeypatch):

@@ -84,6 +84,18 @@ def test_cached_embedding_is_read_only():
         assert not any(np.shares_memory(a, b) for a in (xr, xi) for b in (nr, ni))
 
 
+@pytest.mark.parametrize("short_range", [ShortRangeSpec(), ShortRangeSpec("constant", 2.5),
+                                         ShortRangeSpec("ma", 0.1, (1.0, -0.4, 0.2))])
+def test_embedding_in_one_buffer_matches_concatenated_fft(short_range):
+    # the column written into the FFT's own complex buffer gives the
+    # eigenvalues of the concatenate-then-fft form, bit for bit
+    rho = autocov_X(SpectralModel(MemoryParams(0.3, 0), short_range), 2**12).values
+    emb = _Embedding(rho)
+    eigs = np.real(np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])))
+    assert np.array_equal(emb.sqrt_eigs, np.sqrt(np.clip(eigs, 0.0, None)))
+    assert emb.exact == bool(eigs.min() >= -1e-10 * eigs.max()) and emb.M == 2**13
+
+
 def test_embedding_rejects_a_non_finite_correlation():
     # autocov_X stops an overflowing model first; a correlation handed in
     # directly is checked here
