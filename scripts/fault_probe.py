@@ -2,45 +2,45 @@
 """Replicates per second and minor page faults per replicate of repeated
 Monte Carlo passes in one process.
 
-    PYTHONPATH=src python scripts/fault_probe.py CONFIG.json [--passes 4] [--reps 64]
+    PYTHONPATH=src python scripts/fault_probe.py CONFIG.json
 
-CONFIG.json holds an mc-experiment config; each pass runs it through
-`harness.run` on one worker with `--reps` replicates and its own seed.  The
-first pass pays the set-up (bank, embedding, limit law); the later ones
-show the steady state, in which the allocator either reuses the blocks a
-replicate freed (no faults) or maps and touches fresh pages for each large
-array, which glibc does while its mmap threshold stays below the array size.
+CONFIG.json holds an mc-experiment config; each of PASSES passes runs it
+through `harness.run` on one worker with REPS replicates, pass i seeded
+with the config's seed plus i.  The first pass pays the set-up (bank,
+embedding, limit law); the later ones show the steady state, in which the
+allocator either reuses the blocks a replicate freed (no faults) or maps
+and touches fresh pages for each large array, which glibc does while its
+mmap threshold stays below the array size.
 """
 
-import argparse
 import json
 import resource
+import sys
 import tempfile
 from time import perf_counter
 
 from scalolab.config import parse_config
 from scalolab.harness import run
 
+PASSES = 4
+REPS = 64
+
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("config")
-    ap.add_argument("--passes", type=int, default=4)
-    ap.add_argument("--reps", type=int, default=64)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
-    with open(args.config) as fh:
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    with open(sys.argv[1]) as fh:
         raw = json.load(fh)
     with tempfile.TemporaryDirectory() as out:
-        for i in range(args.passes):
-            cfg = parse_config({**raw, "mode": "mc-experiment", "replicates": args.reps,
-                                "seed": args.seed + i, "workers": 1, "out": out})
+        for i in range(PASSES):
+            cfg = parse_config({**raw, "mode": "mc-experiment", "replicates": REPS,
+                                "seed": (raw.get("seed") or 0) + i, "workers": 1, "out": out})
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = perf_counter()
             run(cfg)
             wall = perf_counter() - t0
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            print(f"pass {i}: {args.reps / wall:.1f} reps/s, {faults / args.reps:.0f} minor faults per replicate")
+            print(f"pass {i}: {REPS / wall:.1f} reps/s, {faults / REPS:.0f} minor faults per replicate")
 
 
 if __name__ == "__main__":

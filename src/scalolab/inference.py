@@ -290,14 +290,12 @@ def _shape_sums(shape: _ShapeStrips, exps: list, fold: bool):
     """
     S, n, B, step = shape.S, shape.trusted_rmax, shape.B, math.pi / shape.S
     sums = np.zeros(len(exps))
-    # the odd residues, or only the n/2 that the zone's odd samples fill
-    acc = [np.zeros(min(S * 2**m, n // 2), complex) for m in range(shape.depth + 1 if fold else 0)]
+    acc = [np.zeros(S * 2**m, complex) for m in range(shape.depth + 1 if fold else 0)]  # odd residues
     phi = np.empty(B // 2, complex)
 
     def folded() -> list:
-        # phi(-x) = conj(phi(x)) puts the residue of -k at N - k, which no
-        # sample meets when the samples fill under half the residues
-        cs = (a + np.conj(a[::-1]) if len(a) == S * 2**m else math.sqrt(2.0) * a for m, a in enumerate(acc))
+        # phi(-x) = conj(phi(x)) puts the residue of -k at N - k
+        cs = (a + np.conj(a[::-1]) for a in acc)
         return [2**m * (2.0 * math.pi / S) * float(np.vdot(c, c).real) for m, c in enumerate(cs)]
 
     for r0, g, odd in shape.strips():

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pickle
+import platform
 import re
 import subprocess
 import sys
@@ -809,6 +810,26 @@ def test_calibration_script_smoke(tmp_path):
     assert r.returncode == 0, r.stderr
     labels = [line.split(" ", 1)[0] for line in r.stdout.splitlines()]
     assert labels == ["null", "alt"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
+@pytest.mark.parametrize("model, g, d0_star", [({"d": 0.35, "K": 0}, "hermite:1", 0.35),
+                                               ({"d": 0.42, "K": 0}, "hermite:2", 0.34)])
+def test_fault_probe_sweep_reuses_freed_replicate_arrays(tmp_path, model, g, d0_star):
+    # After set-up, a replicate's arrays (MBs at n = 2^16) come from blocks
+    # the last replicate freed: about 500 minor faults per replicate would
+    # mean glibc maps each afresh.  That holds only while glibc's mmap
+    # threshold sits above them, which today the limit law's largest freed
+    # block sets (its table rows, and unit roots with H, each in one block).
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps({"mode": "mc-experiment", "model": model, "g": g, "n": 2**16, "j": 5, "p": 3,
+                               "bank": {"family": "db2", "jmax": 10}, "d0_star": d0_star, "alpha": 0.1}))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "fault_probe.py"), str(cfg)],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    faults = [int(line.split(", ")[1].split()[0]) for line in r.stdout.splitlines()]
+    assert len(faults) == 4 and max(faults[1:]) < 50, r.stdout
 
 
 def test_cli_import_loads_no_scipy():
