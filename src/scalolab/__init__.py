@@ -11,14 +11,12 @@ __version__ = "0.6.0"
 
 from .exponents import (  # noqa: F401
     ChaosExponents,
-    CriticalExponent,
     MemoryParams,
     RankProfile,
     chaos_exponents,
     critical_exponent,
     critical_exponent_report,
     rank_profile,
-    rate_bound,
     zeta_exponent,
 )
 from .hermite import (  # noqa: F401

@@ -189,34 +189,12 @@ def rank_profile(coeff_indices, d: float) -> RankProfile:
     return RankProfile(q, d, q0, q1, frozen_gaps, ell_markers, Q_set, Jd_set)
 
 
-@dataclass(frozen=True, order=False)
-class CriticalExponent:
-    """Extended-real critical growth exponent; explicitly infinite or finite."""
-
-    is_infinite: bool
-    value: Optional[float] = None
-
-    @classmethod
-    def infinite(cls) -> "CriticalExponent":
-        return cls(True, None)
-
-    @classmethod
-    def finite(cls, v: float) -> "CriticalExponent":
-        return cls(False, float(v))
-
-    def as_float(self) -> float:
-        """Collapse to a float for ordering/arithmetic (inf when infinite)."""
-        return math.inf if self.is_infinite else self.value  # type: ignore[return-value]
-
-    def __repr__(self):
-        return "CriticalExponent(inf)" if self.is_infinite else f"CriticalExponent({self.value:.12g})"
-
-
 @dataclass
 class CriticalExponentReport:
-    """Critical exponent together with the branch taken and every branch input."""
+    """Critical exponent (math.inf when infinite) together with the branch
+    taken and every branch input."""
 
-    nu_c: CriticalExponent
+    nu_c: float
     branch: str
     d: float
     q_indices: tuple[int, ...]
@@ -248,40 +226,40 @@ def critical_exponent_report(profile: RankProfile, d: float) -> CriticalExponent
         return CriticalExponentReport(nu, branch, d, q, inputs, list(cands))
 
     if len(q) == 1:
-        return rep(CriticalExponent.infinite(), "single-term")
+        return rep(math.inf, "single-term")
 
     if q0 == 1:
         if d <= 0.25:
             if not I0:
-                return rep(CriticalExponent.infinite(), "rank-one, d<=1/4, no consecutive ranks")
+                return rep(math.inf, "rank-one, d<=1/4, no consecutive ranks")
             ell0 = profile.ell_markers[0]
             val = (d + 0.5 - 2.0 * delta_plus(q[ell0], d)) / d
             inputs["q_ell0"] = q[ell0]
-            return rep(CriticalExponent.finite(val), "rank-one, d<=1/4, consecutive ranks")
+            return rep(val, "rank-one, d<=1/4, consecutive ranks")
         # d > 1/4: the first candidate always involves the second rank
         q1 = profile.q1
         cand0 = (1.0 - 2.0 * delta_plus(q1 - 1, d)) / (2.0 * d - 0.5)
         if not profile.Jd_set:
             inputs["candidate_q1"] = cand0
-            return rep(CriticalExponent.finite(cand0), "rank-one, d>1/4, no long-memory gaps")
+            return rep(cand0, "rank-one, d>1/4, no long-memory gaps")
         cands = [("q1", cand0)]
         for r in sorted(profile.Q_set):
             qlr = q[profile.ell_markers[r]]
             dr = delta(r + 1, d)
             cands.append((f"gap r={r}", (2.0 * d + 0.5 - 2.0 * delta_plus(qlr, d) - dr) / dr))
         val = min(v for _, v in cands)
-        return rep(CriticalExponent.finite(val), "rank-one, d>1/4, long-memory gaps", cands)
+        return rep(val, "rank-one, d>1/4, long-memory gaps", cands)
 
     # q0 >= 2
     if not I0:
-        return rep(CriticalExponent.infinite(), "rank>=2, no consecutive ranks")
+        return rep(math.inf, "rank>=2, no consecutive ranks")
     ell0 = profile.ell_markers[0]
     val = 1.0 + 4.0 * (delta(q0, d) - delta_plus(q[ell0], d)) / (1.0 - 2.0 * d)
     inputs["q_ell0"] = q[ell0]
-    return rep(CriticalExponent.finite(val), "rank>=2, consecutive ranks")
+    return rep(val, "rank>=2, consecutive ranks")
 
 
-def critical_exponent(profile: RankProfile, d: float) -> CriticalExponent:
+def critical_exponent(profile: RankProfile, d: float) -> float:
     """Critical growth exponent for the profile at memory d (see report variant)."""
     return critical_exponent_report(profile, d).nu_c
 
@@ -305,23 +283,3 @@ def zeta_exponent(beta_smooth: float, d: float, q0: int, q1: Optional[int] = Non
         if zeta >= cap:
             zeta = cap * (1.0 - 1e-6)
     return zeta
-
-
-def rate_bound(q: int, q_prime: int, p: int, n: int, gamma: int, params: MemoryParams) -> float:
-    """Second-moment rate of one centered-scalogram chaos component.
-
-    Evaluates gamma^(2K) * [n^(-alpha) * gamma^(beta') + n^(-1/2) *
-    gamma^(beta(q,p)+beta(q',p))].  Constants are deliberately omitted:
-    only the rate is meaningful.  Requires d off the logarithmic lattice
-    and p <= min(q, q'-1).
-    """
-    if n < 2 or gamma < 2:
-        raise ValueError("rate bound needs n >= 2 and gamma >= 2")
-    if not (0 <= p <= min(q, q_prime - 1)):
-        raise ValueError(f"need 0 <= p <= min(q, q'-1), got p={p}")
-    check_off_boundary(params.d)
-    ce = chaos_exponents(q, q_prime, p, params.d)
-    return gamma ** (2 * params.K) * (
-        n ** (-ce.alpha) * gamma**ce.beta_prime
-        + n ** (-0.5) * gamma ** (ce.beta + ce.beta_second)
-    )

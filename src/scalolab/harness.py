@@ -182,8 +182,8 @@ def _run_nuc(cfg, art):
             "branch": rep.branch,
             "branch_inputs": rep.inputs,
             "candidates": [[str(lbl), v] for lbl, v in rep.candidates],
-            "nu_c": None if rep.nu_c.is_infinite else rep.nu_c.value,
-            "nu_c_infinite": rep.nu_c.is_infinite,
+            "nu_c": None if math.isinf(rep.nu_c) else rep.nu_c,
+            "nu_c_infinite": math.isinf(rep.nu_c),
         })
     return _write_report(cfg, art, "nu_c_report.json", reports=reports)
 
@@ -217,10 +217,7 @@ def _schedule(cfg: ExperimentConfig, bank: FilterBank, expansion: HermiteExpansi
                 continue
             if nj < 32:
                 continue
-            if nu.is_infinite:
-                ratio = 0.0
-            else:
-                ratio = cfg.n * 2.0**-j * 2.0 ** (-j * nu.value)  # underflows to 0 at large nu
+            ratio = cfg.n * 2.0**-j * 2.0 ** (-j * nu)  # 0 at nu = inf, underflows to 0 at large nu
             if cfg.preset == "large-scale" and ratio <= 0.25:
                 js.append(j)
             elif cfg.preset == "small-scale" and ratio >= 4.0:

@@ -571,12 +571,10 @@ def calibrate_test(bank: FilterBank, N: int, d0_star: float, alpha: float, K_bar
         prov = {"kind": "rosenblatt", "c_scale": law.c_scale, **prov}
 
     profile = rank_profile(expansion.nonzero_indices(), d_star)
-    nu_rep = critical_exponent_report(profile, d_star)
-    if nu_rep.nu_c.is_infinite:
-        nu_val, red_ratio = None, None
-    else:
-        nu_val = nu_rep.nu_c.value
-        red_ratio = n_base * 2.0 ** (-jc * nu_val)  # underflows to 0 at large nu_c
+    nu_c = critical_exponent_report(profile, d_star).nu_c
+    nu_val, red_ratio = None, None
+    if not math.isinf(nu_c):
+        nu_val, red_ratio = nu_c, n_base * 2.0 ** (-jc * nu_c)  # underflows to 0 at large nu_c
     zeta_star = zeta_exponent(beta_smooth, d_star, q0, q1)
     bias_ratio = 2.0 ** (-zeta_star * jc) * u_N
     return TestReport(

@@ -144,12 +144,11 @@ def _autocov_exact_raw(model: SpectralModel, L: int) -> np.ndarray:
     a = sr.ma_autocorr()
     nlag = len(a) - 1
     rho = farima_rho(d, L + nlag)
-    out = np.zeros(L + 1)
-    for k in range(L + 1):
-        s = a[0] * rho[k]
-        for l in range(1, nlag + 1):
-            s += a[l] * (rho[abs(k - l)] + rho[k + l])
-        out[k] = s
+    # per lag k, the sum a_0 rho(k) + sum_l a_l (rho(|k-l|) + rho(k+l)) in that order
+    k = np.arange(L + 1)
+    out = a[0] * rho[: L + 1]
+    for l in range(1, nlag + 1):
+        out += a[l] * (rho[np.abs(k - l)] + rho[l : L + 1 + l])
     return 2.0 * math.pi * sr.value * g0 * out
 
 

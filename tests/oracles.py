@@ -2,6 +2,7 @@
 
 `rosenblatt_sample` is the Monte Carlo oracle of the second-chaos law,
 `_autocov_grid_raw` the dense-grid oracle of the closed-form covariance,
+`ma_autocov_per_lag` the per-lag loop oracle of its vectorised MA sum,
 `transfer` / `asymptotic_transfer` the product-formula oracle of a bank's
 transfer functions, against which the cascade taps and the limit shape are
 checked, and `level_rfft` the per-level transform against which the limit
@@ -80,6 +81,23 @@ def _autocov_grid_raw(model: SpectralModel, L: int, grid: int) -> np.ndarray:
     gamma_resid = 2.0 * math.pi * np.real(np.fft.ifft(resid))[: L + 1]
     gamma_far = 2.0 * math.pi * model.short_range.at_zero() * farima_gamma0(d) * farima_rho(d, L)
     return gamma_far + gamma_resid
+
+
+def ma_autocov_per_lag(model: SpectralModel, L: int) -> np.ndarray:
+    """The closed-form MA covariance summed lag by lag in Python: the oracle
+    of the vectorised sum in `spectral._autocov_exact_raw`, whose additions
+    it makes in the same order."""
+    sr = model.short_range
+    a = sr.ma_autocorr()
+    nlag = len(a) - 1
+    rho = farima_rho(model.d, L + nlag)
+    out = np.zeros(L + 1)
+    for k in range(L + 1):
+        s = a[0] * rho[k]
+        for l in range(1, nlag + 1):
+            s += a[l] * (rho[abs(k - l)] + rho[k + l])
+        out[k] = s
+    return 2.0 * math.pi * sr.value * farima_gamma0(model.d) * out
 
 
 def _dft(taps: np.ndarray, lams: np.ndarray) -> np.ndarray:

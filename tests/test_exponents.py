@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from scalolab.errors import BoundaryValueError, LongMemoryError
 from scalolab.exponents import (
-    MemoryParams,
     chaos_exponents,
     check_off_boundary,
     critical_exponent,
@@ -15,7 +14,6 @@ from scalolab.exponents import (
     delta_plus,
     epsilon_flag,
     rank_profile,
-    rate_bound,
     zeta_exponent,
 )
 
@@ -202,8 +200,7 @@ def test_rank_profile_invariants(indices, d):
 def test_critical_exponent_illustration_golden():
     prof = rank_profile({1, 3, 4, 5, 24}, 0.3)
     rep = critical_exponent_report(prof, 0.3)
-    assert not rep.nu_c.is_infinite
-    assert rep.nu_c.value == pytest.approx(8.0 / 3.0, rel=1e-12)
+    assert rep.nu_c == pytest.approx(8.0 / 3.0, rel=1e-12)
     # candidate arguments checked one by one: q1 branch 8, gap r=0 gives 8/3,
     # gap r=1 gives 4
     cands = dict(rep.candidates)
@@ -216,7 +213,7 @@ def test_critical_exponent_illustration_golden():
 def test_critical_exponent_single_term_infinite():
     for idx, d in (({1}, 0.3), ({2}, 0.4), ({7}, 0.47)):
         nu = critical_exponent(rank_profile(idx, d), d)
-        assert nu.is_infinite
+        assert nu == math.inf
 
 
 def test_critical_exponent_rank2_consecutive():
@@ -225,16 +222,26 @@ def test_critical_exponent_rank2_consecutive():
     d = 0.45
     prof = rank_profile({2, 5, 6}, d)  # l0 = 1, q_{l0} = 5, delta(5) = 0.25 > 0
     nu = critical_exponent(prof, d)
-    assert not nu.is_infinite
-    assert nu.value == pytest.approx(1 + 2 * (5 - 2), rel=1e-12)
-    assert nu.value == pytest.approx(nu_c_oracle({2, 5, 6}, d), rel=1e-12)
+    assert nu == pytest.approx(1 + 2 * (5 - 2), rel=1e-12)
+    assert nu == pytest.approx(nu_c_oracle({2, 5, 6}, d), rel=1e-12)
 
 
 def test_critical_exponent_even_transform_infinite():
     # only even ranks, no consecutive pair
     d = 0.4
     nu = critical_exponent(rank_profile({2, 4, 6, 8}, d), d)
-    assert nu.is_infinite
+    assert nu == math.inf
+
+
+def test_critical_exponent_is_a_float():
+    # +inf is a float: a single term and a rank set without consecutive
+    # ranks give math.inf itself, every other case a finite float
+    for idx, d in (({2}, 0.4), ({1, 3, 5}, 0.2), ({2, 4, 6, 8}, 0.4)):
+        nu = critical_exponent(rank_profile(idx, d), d)
+        assert type(nu) is float and nu == math.inf
+    for idx, d in (({1, 3, 4, 5, 24}, 0.3), ({2, 5, 6}, 0.45), ({1, 2}, 0.2)):
+        nu = critical_exponent(rank_profile(idx, d), d)
+        assert type(nu) is float and math.isfinite(nu)
 
 
 @given(
@@ -250,11 +257,10 @@ def test_critical_exponent_matches_oracle_and_positive(indices, d):
     nu = critical_exponent(prof, d)
     oracle = nu_c_oracle(indices, d)
     if math.isinf(oracle):
-        assert nu.is_infinite
+        assert nu == math.inf
     else:
-        assert nu.value == pytest.approx(oracle, rel=1e-12)
-        assert nu.value > 0.0
-    assert nu.as_float() > 0.0
+        assert nu == pytest.approx(oracle, rel=1e-12)
+    assert nu > 0.0
 
 
 # --- zeta ---------------------------------------------------------------------
@@ -274,46 +280,6 @@ def test_zeta_domain_error():
             zeta_exponent(bad, 0.3, 1, None)
 
 
-# --- rate bound ---------------------------------------------------------------
-
-
-def test_rate_bound_white_case():
-    params = MemoryParams(0.3, 0)
-    for n, gam in ((100, 8), (4096, 32)):
-        expect = 2.0 * n**-0.5 * gam ** (2 * 0.3)
-        assert rate_bound(1, 1, 0, n, gam, params) == pytest.approx(expect)
-
-
-def test_rate_bound_halves_with_n():
-    params = MemoryParams(0.3, 0)
-    a = rate_bound(1, 1, 0, 1000, 16, params)
-    b = rate_bound(1, 1, 0, 4000, 16, params)
-    assert b == pytest.approx(a / 2.0)
-
-
-def test_rate_bound_leading_exponent_rank2():
-    # (q0, q0, q0-1) at rank 2: decays like n^{-(1-2d)} with scale growth
-    # gamma^{2 beta'} = gamma^{2(2 delta(2) + ...)}; check exponents by ratios
-    d = 0.41
-    params = MemoryParams(d, 0)
-    n1, n2 = 2**30, 2**34  # deep asymptotic range so the slow term dominates
-    gam = 64
-    r1 = rate_bound(2, 2, 1, n1, gam, params)
-    r2 = rate_bound(2, 2, 1, n2, gam, params)
-    assert math.log(r1 / r2) / math.log(n2 / n1) == pytest.approx(1 - 2 * d, abs=0.01)
-    g1 = rate_bound(2, 2, 1, 2**20, 16, params)
-    g2 = rate_bound(2, 2, 1, 2**20, 64, params)
-    bp = chaos_exponents(2, 2, 1, d).beta_prime
-    assert math.log(g2 / g1) / math.log(4.0) == pytest.approx(bp, abs=0.05)
-
-
-def test_rate_bound_rejects_boundary_lattice():
-    with pytest.raises(BoundaryValueError):
-        rate_bound(1, 1, 0, 128, 8, MemoryParams(0.25, 0))
-    with pytest.raises(ValueError):
-        rate_bound(2, 2, 2, 128, 8, MemoryParams(0.3, 0))  # p > q'-1
-
-
 # --- monotonicity spot checks (exhaustive sweeps live in the acceptance suite) --
 
 
@@ -330,9 +296,9 @@ def test_alpha_monotonicity_spot():
 def test_nu_c_monotone_in_d_spot():
     idx = {1, 3, 4, 5, 24}
     grid = [0.05 + 0.44 * i / 30 for i in range(31)]
-    vals = [critical_exponent(rank_profile(idx, d), d).as_float() for d in grid]
+    vals = [critical_exponent(rank_profile(idx, d), d) for d in grid]
     assert all(a >= b - 1e-10 for a, b in zip(vals, vals[1:]))
     idx2 = {2, 3, 6}
     grid2 = [0.26 + 0.23 * i / 30 for i in range(31)]
-    vals2 = [critical_exponent(rank_profile(idx2, d), d).as_float() for d in grid2]
+    vals2 = [critical_exponent(rank_profile(idx2, d), d) for d in grid2]
     assert all(a <= b + 1e-10 for a, b in zip(vals2, vals2[1:]))

@@ -8,6 +8,7 @@ from scalolab.exponents import MemoryParams
 from scalolab.hermite import expansion_from_coeffs
 from scalolab.spectral import (
     ShortRangeSpec,
+    _autocov_exact_raw,
     SpectralModel,
     autocov_X,
     autocov_transformed,
@@ -20,7 +21,7 @@ from scalolab.spectral import (
 )
 from scalolab.synthesis import _Embedding, sample_gaussian
 
-from oracles import _autocov_grid_raw
+from oracles import _autocov_grid_raw, ma_autocov_per_lag
 
 FLAT = ShortRangeSpec("constant", 1.0 / (2.0 * math.pi))
 
@@ -82,6 +83,12 @@ def test_autocov_grid_matches_exact():
     mm = SpectralModel(MemoryParams(0.3, 0), ShortRangeSpec("ma", 0.2, (1.0, 0.4, -0.1)))
     g2 = _autocov_grid_raw(mm, 48, 2**20)
     np.testing.assert_allclose(g2 / g2[0], autocov_X(mm, 48).values, atol=1e-8)
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 0.4), (1.0, 0.4, -0.1), (1.0, -0.5, 0.3, 0.2, -0.1)])
+def test_ma_autocov_equals_the_per_lag_sum(coeffs):
+    mm = model(0.3, sr=ShortRangeSpec("ma", 0.2, coeffs))
+    assert np.array_equal(_autocov_exact_raw(mm, 4096), ma_autocov_per_lag(mm, 4096))
 
 
 def test_autocov_white_limit():

@@ -269,3 +269,18 @@ def test_export_writes_the_bytes_of_csv_writer(tmp_path):
         for v in y:
             wr.writerow([f"{v:.17g}"])
     assert (tmp_path / "path.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_export_holds_a_small_block_of_rows(tmp_path):
+    # the file is the text of one join over every row, but the formatted
+    # rows held at once stay few: 2^16 values peak below 2 MiB traced
+    y = np.random.default_rng(6).standard_normal(2**16)
+    tracemalloc.start()
+    try:
+        export_path(y, tmp_path / "path.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = "".join(map("{:.17g}\r\n".format, y.tolist()))
+    assert (tmp_path / "path.csv").read_bytes() == text.encode()
+    assert peak < 2 * 2**20, peak
