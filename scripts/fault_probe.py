@@ -10,7 +10,9 @@ with the config's seed plus i.  The first pass pays the set-up (bank,
 embedding, limit law); the later ones show the steady state, in which the
 allocator either reuses the blocks a replicate freed (no faults) or maps
 and touches fresh pages for each large array, which glibc does while its
-mmap threshold stays below the array size.
+mmap threshold stays below the array size.  Each line ends with the
+process's peak resident set so far (`ru_maxrss`), so a change in what a
+replicate holds shows without the benchmark.
 """
 
 import json
@@ -39,8 +41,9 @@ def main():
             t0 = perf_counter()
             run(cfg)
             wall = perf_counter() - t0
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            print(f"pass {i}: {REPS / wall:.1f} reps/s, {faults / REPS:.0f} minor faults per replicate")
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            print(f"pass {i}: {REPS / wall:.1f} reps/s, {(usage.ru_minflt - faults) / REPS:.0f} minor faults "
+                  f"per replicate, peak RSS {usage.ru_maxrss / 1024:.1f} MB")
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .errors import (BoundaryValueError, ConfigError, DegenerateScalogramError, 
                      InvalidTargetError, LongMemoryError, NumericError, PreconditionError, ScaleTooCoarseError)
 from .exponents import critical_exponent_report, delta, rank_profile, zeta_exponent
 from .hermite import HermiteExpansion, hermite_eval, hermite_rank
-from .inference import calibrate_test, d0_from_scalograms, estimate_d0, run_test
+from .inference import calibrate_test, d0_from_scalograms, estimate_d0, require_moments, run_test
 from .synthesis import export_path, integrate_K, sample_gaussian_pair, sample_path, transform_path
 from .wavelet import FilterBank, build_bank, n_coeffs, scalograms
 
@@ -248,6 +248,8 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     bank = _bank(cfg)
     expansion = cfg.g.expansion()
     q0, rows = hermite_rank(expansion)[0], _schedule(cfg, bank, expansion)
+    with _naming({FilterValidationError: "bank.family"}):
+        require_moments(bank, cfg.model.params, q0)  # the replicates estimate d0 with no check of their own
     calibrations = None
     if cfg.d0_star is not None and cfg.alpha is not None:
         with _naming(_TEST_FIELDS):

@@ -86,6 +86,14 @@ def d0_from_scalograms(sigma2s) -> float:
     return float(w @ np.log(s2))
 
 
+def require_moments(bank: FilterBank, params: MemoryParams, q0: int):
+    """Rejects a bank with fewer than K + delta(q0) vanishing moments, below
+    which the scalogram slope does not estimate d0 = K + delta(q0)."""
+    need = params.K + delta(q0, params.d)
+    if bank.M < need:
+        raise FilterValidationError(f"bank has M={bank.M} vanishing moments; theory requires M >= {need:.3g}")
+
+
 def estimate_d0(
     series,
     bank: FilterBank,
@@ -103,11 +111,7 @@ def estimate_d0(
     """
     series = np.asarray(series, dtype=float)
     if params is not None and q0 is not None:
-        need = params.K + delta(q0, params.d)
-        if bank.M < need:
-            raise FilterValidationError(
-                f"bank has M={bank.M} vanishing moments; theory requires M >= {need:.3g}"
-            )
+        require_moments(bank, params, q0)
     sums = scalograms(series, bank, range(j0, j0 + p + 1))
     s2 = [s.sigma2 for s in sums]
     d0_hat = d0_from_scalograms(s2)  # raises on a zero scalogram value
@@ -189,7 +193,7 @@ class _ShapeStrips:
     def _tables(self) -> np.ndarray:
         """Levels below tlo pass through rows 0 and 1 (or a spare) in turn."""
         e, tlo, thi = self.F // 16, self.tlo, self.J - 3
-        z, H = np.empty((2, e + 1), complex)  # one block, whose free raises glibc's mmap threshold
+        z, H = np.empty(e + 1, complex), np.empty(e + 1, complex)
         _horner(self.h, _unit_roots(z, 2 * e), H)
         rows = np.empty((thi - tlo + 1, e + 1), complex)
         spare = (rows[0], rows[1] if thi > tlo else np.empty(e + 1, complex))

@@ -28,6 +28,24 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _split(m: int) -> int:
+    """The largest divisor of m whose square is at most m."""
+    f = math.isqrt(m)
+    while m % f:
+        f -= 1
+    return f
+
+
+def _gather(part: np.ndarray, scale: float) -> np.ndarray:
+    """part / scale, flattened in C order; part is a view across the rows of
+    `_Embedding.dft`'s buffer, read 64 of them at a time so that its strided
+    reads stay in cache."""
+    out = np.empty(part.shape)
+    for k in range(0, part.shape[1], 64):
+        np.divide(part[:, k : k + 64], scale, out=out[:, k : k + 64])
+    return out.reshape(-1)
+
+
 class _Embedding:
     """Circulant square root of the covariance to lag n, reusable across draws.
 
@@ -35,6 +53,8 @@ class _Embedding:
     the embedding was nonnegative definite, so that draws have the target
     covariance exactly (always so for the pure fractional model).
     `sqrt_eigs` is read-only: one cached embedding serves every later draw.
+    Both the eigenvalues and every draw come from `dft`, which transforms the
+    draw's own buffer in place by short batched FFTs.
     """
 
     def __init__(self, rho: np.ndarray):
@@ -42,11 +62,19 @@ class _Embedding:
         # at most 1 in size, has finite eigenvalues
         if not np.isfinite(rho).all():
             raise NumericError("circulant embedding of a non-finite correlation: the model's covariance overflows")
-        # rho covers lags 0..n; the circulant extension has period M = 2n,
-        # written into the real part of the one buffer the FFT runs in
-        y = np.zeros(2 * len(rho) - 2, complex)
+        # rho covers lags 0..n; the circulant extension has period M = 2n
+        self.M = M = 2 * len(rho) - 2
+        self.N1 = _split(M)
+        R = _split(M // self.N1)
+        # twiddles W_M^(k1 n2) at n2 = a R + b, as W_M^(k1 a R) W_M^(k1 b):
+        # two tables of about N1 sqrt(M / N1) points each, where one would
+        # hold M (as the first does when M / N1 is prime and R = 1)
+        k1 = np.arange(self.N1)[:, None]
+        self._twiddles = (np.exp(-2j * math.pi / M * (k1 * np.arange(0, M // self.N1, R)))[:, :, None],
+                          np.exp(-2j * math.pi / M * (k1 * np.arange(R)))[:, None, :])
+        y = np.zeros(M, complex)
         y.real[: len(rho)], y.real[len(rho) :] = rho, rho[-2:0:-1]
-        eigs = np.fft.fft(y, out=y).real
+        eigs = _gather(self.dft(y).real, 1.0)  # in natural order
         self.exact = bool(eigs.min() >= -1e-10 * eigs.max())
         if not self.exact:
             log.warning(
@@ -54,10 +82,22 @@ class _Embedding:
                 "falling back to approximate spectral synthesis with clipped modes",
                 eigs.min(),
             )
-        self.sqrt_eigs = np.clip(eigs, 0.0, None)
-        np.sqrt(self.sqrt_eigs, out=self.sqrt_eigs)
+        self.sqrt_eigs = np.sqrt(np.clip(eigs, 0.0, None, out=eigs), out=eigs)
         self.sqrt_eigs.setflags(write=False)
-        self.M = len(y)
+
+    def dft(self, y: np.ndarray) -> np.ndarray:
+        """The DFT of the M points of y, computed in y by the four-step
+        algorithm (Bailey 1990): FFTs of length N1 down the columns of
+        B = y.reshape(N1, M / N1), the twiddles, then FFTs along its rows.
+        Returns B.T, a view whose C-order flattening is DFT(y); no call
+        allocates M points."""
+        B = y.reshape(self.N1, -1)
+        np.fft.fft(B, axis=0, out=B)
+        rows = B.reshape(self.N1, -1, self._twiddles[1].shape[2])
+        for t in self._twiddles:
+            rows *= t
+        np.fft.fft(B, axis=1, out=B)
+        return B.T
 
 
 @lru_cache(maxsize=8)
@@ -67,7 +107,7 @@ def _embedding_for(model: SpectralModel, N: int) -> _Embedding:
 
 def sample_gaussian_pair(model: SpectralModel, N: int, seed: int, stream_index: int = 0) -> tuple:
     """Two independent unit-variance Gaussian paths of length N with the
-    model's correlation: the real and the imaginary half of one FFT of
+    model's correlation: the real and the imaginary half of one transform of
     stream (seed, stream_index); only the two paths outlive the call.
     Exact in distribution when the circulant embedding is nonnegative
     definite; otherwise negative modes are clipped (logged warning) and the
@@ -80,8 +120,8 @@ def sample_gaussian_pair(model: SpectralModel, N: int, seed: int, stream_index: 
     y.real = rng.standard_normal(emb.M)
     y.imag = rng.standard_normal(emb.M)
     y *= emb.sqrt_eigs
-    np.fft.fft(y, out=y)
-    return y[:N].real / math.sqrt(emb.M), y[:N].imag / math.sqrt(emb.M)
+    head = emb.dft(y)[: -(-N // emb.N1)]  # the first N points and fewer than N1 more
+    return _gather(head.real, math.sqrt(emb.M))[:N], _gather(head.imag, math.sqrt(emb.M))[:N]
 
 
 def sample_gaussian(model: SpectralModel, N: int, seed: int, stream_index: int = 0) -> np.ndarray:

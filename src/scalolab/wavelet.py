@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FilterValidationError, ScaleTooCoarseError
+from .errors import FilterValidationError, NumericError, ScaleTooCoarseError
 
 _MOMENT_TOL = 1e-8
 
@@ -223,8 +223,13 @@ def scalograms(series, bank: FilterBank, scales) -> list:
     """Scalograms of the given scales, in order, from one pyramid pass, each
     over the first n_j interior coefficients of its scale."""
     scales = list(scales)
-    pyr = _pyramid(np.asarray(series, dtype=float), bank, scales)
-    return [ScalogramSummary(j, len(pyr[j]), float(np.mean(pyr[j] * pyr[j]))) for j in scales]
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past float range is named below
+        pyr = _pyramid(np.asarray(series, dtype=float), bank, scales)
+        out = [ScalogramSummary(j, len(pyr[j]), float(np.mean(pyr[j] * pyr[j]))) for j in scales]
+    for s in out:
+        if not math.isfinite(s.sigma2):
+            raise NumericError(f"scalogram at scale {s.j} is not finite: its coefficients or their squares overflow")
+    return out
 
 
 def scalogram(series, bank: FilterBank, j: int) -> ScalogramSummary:

@@ -6,7 +6,9 @@
 `transfer` / `asymptotic_transfer` the product-formula oracle of a bank's
 transfer functions, against which the cascade taps and the limit shape are
 checked, and `level_rfft` the per-level transform against which the limit
-law's strips and level tables are checked.
+law's strips and level tables are checked, and `one_shot_pair` the
+circulant draw with one M-point FFT per transform, against which the
+package's four-step draw is checked.
 `rosenblatt_sample` draws from the package's circulant embedding; its
 seeded draws are pinned in `test_synthesis.py`.
 """
@@ -16,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from scalolab.spectral import SpectralModel, farima_gamma0, farima_rho
+from scalolab.spectral import SpectralModel, autocov_X, farima_gamma0, farima_rho
 from scalolab.synthesis import _Embedding, stream
 
 
@@ -65,6 +67,19 @@ def rosenblatt_sample(d: float, reps: int, seed: int, n_internal: int = 2**14) -
             out[done : done + take] = draws[:take]
             done += take
     return out
+
+
+def one_shot_pair(model: SpectralModel, N: int, seed: int, stream_index: int = 0) -> tuple:
+    """`sample_gaussian_pair` as one M-point FFT of the concatenated
+    correlation (the eigenvalues) and one of the weighted normals (the
+    draw): the same stream, the same two normal blocks, the same modes."""
+    rho = autocov_X(model, N).values
+    eigs = np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
+    M = len(eigs)
+    rng = stream(seed, stream_index)
+    re = rng.standard_normal(M)
+    y = np.fft.fft((re + 1j * rng.standard_normal(M)) * np.sqrt(np.clip(eigs, 0.0, None)))
+    return y[:N].real / math.sqrt(M), y[:N].imag / math.sqrt(M)
 
 
 def _autocov_grid_raw(model: SpectralModel, L: int, grid: int) -> np.ndarray:

@@ -749,6 +749,35 @@ def test_cli_overflowing_covariance_exits_3(tmp_path, mode):
     assert not any(out.iterdir())
 
 
+# a CSV of values near 1e200 is finite, but its wavelet coefficients' squares are not
+@pytest.mark.parametrize("mode", ["analyze", "estimate"])
+def test_cli_overflowing_scalogram_names_the_scale(tmp_path, mode):
+    series = tmp_path / "big.csv"
+    export_path(1e200 * (1.0 + np.random.default_rng(0).standard_normal(4096)), series)
+    out = tmp_path / "o"
+    cfgp = _write(tmp_path, "c.json", {"mode": mode, "model": {"d": 0.3}, "input_csv": str(series),
+                                       "bank": {"family": "db2", "jmax": 8}, "j": 3, "p": 2, "out": str(out)})
+    r = _cli(mode, "--config", cfgp)
+    assert r.returncode == 3, r.stderr
+    assert "numeric failure: scalogram at scale 3 is not finite" in r.stderr
+    assert "RuntimeWarning" not in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_mc_experiment_applies_the_vanishing_moment_rule(tmp_path):
+    # db2 has M = 2 < K + delta(1) = 3.35: estimate rejects this bank, and so
+    # must a sweep, whose replicates would read d0 near M + 1/2
+    out = tmp_path / "o"
+    cfgp = _write(tmp_path, "c.json", {"mode": "mc-experiment", "model": {"d": 0.35, "K": 3}, "g": "hermite:1",
+                                       "n": 2**14, "j": 3, "p": 2, "bank": {"family": "db2", "jmax": 10},
+                                       "replicates": 4, "out": str(out)})
+    r = _cli("mc-experiment", "--config", cfgp)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error: bank.family: bank has M=2 vanishing moments; "
+                               "theory requires M >= 3.35")
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_report_with_a_non_finite_number_raises_numeric_error(tmp_path, value):
     cfg = parse_config({"mode": "simulate", "model": {"d": 0.3}, "n": 128, "out": str(tmp_path)})
@@ -814,16 +843,20 @@ def test_calibration_script_smoke(tmp_path):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
 @pytest.mark.parametrize("model, g, d0_star", [({"d": 0.35, "K": 0}, "hermite:1", 0.35),
-                                               ({"d": 0.42, "K": 0}, "hermite:2", 0.34)])
+                                               ({"d": 0.42, "K": 0}, "hermite:2", 0.34),
+                                               ({"d": 0.35, "K": 0}, "hermite:1", None)])
 def test_fault_probe_sweep_reuses_freed_replicate_arrays(tmp_path, model, g, d0_star):
     # After set-up, a replicate's arrays (MBs at n = 2^16) come from blocks
     # the last replicate freed: about 500 minor faults per replicate would
-    # mean glibc maps each afresh.  That holds only while glibc's mmap
-    # threshold sits above them, which today the limit law's largest freed
-    # block sets (its table rows, and unit roots with H, each in one block).
+    # mean glibc maps each afresh.  The draw's transform allocates no block
+    # of its own, and the embedding's build has already freed one as large
+    # as the draw's buffer, which lifts glibc's mmap threshold above every
+    # replicate array; a sweep with no test, and so no limit law in its
+    # set-up, must not fault either.
     cfg = tmp_path / "mc.json"
+    test = {} if d0_star is None else {"d0_star": d0_star, "alpha": 0.1}
     cfg.write_text(json.dumps({"mode": "mc-experiment", "model": model, "g": g, "n": 2**16, "j": 5, "p": 3,
-                               "bank": {"family": "db2", "jmax": 10}, "d0_star": d0_star, "alpha": 0.1}))
+                               "bank": {"family": "db2", "jmax": 10}, **test}))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     r = subprocess.run([sys.executable, str(ROOT / "scripts" / "fault_probe.py"), str(cfg)],
                        capture_output=True, text=True, env=env)

@@ -24,7 +24,7 @@ from scalolab.synthesis import (
 )
 from scalolab.wavelet import build_bank, wavelet_coeffs
 
-from oracles import rosenblatt_sample
+from oracles import one_shot_pair, rosenblatt_sample
 
 
 def model(d, K=0):
@@ -48,20 +48,20 @@ def test_seeded_draws_are_pinned():
     # both samplers draw from the one circulant embedding; these digests pin
     # the draw layout, which changes only with a version bump
     ros = {
-        (0.42, 7, 1, 1024): "2f909ca4c20034d0",
-        (0.3, 130, 5, 2048): "d0db70f8ffbd1cc9",
-        (0.45, 1, 0, 512): "9b9d187f079b2ac5",
-        (0.27, 200, 99, 256): "b641ae56c86d3ab1",
-        (0.35, 64, 2**40, 4096): "e22bf1d43ee6eb94",
+        (0.42, 7, 1, 1024): "edbf23a2d9a4eaea",
+        (0.3, 130, 5, 2048): "8c6de95c93a73520",
+        (0.45, 1, 0, 512): "e6b9c78a07d937b3",
+        (0.27, 200, 99, 256): "fe5d96163d1eb789",
+        (0.35, 64, 2**40, 4096): "159f0b45b7885a31",
     }
     for (d, reps, seed, n), digest in ros.items():
         assert _sha(rosenblatt_sample(d, reps, seed, n)) == digest, (d, reps, seed, n)
     ma = ShortRangeSpec("ma", 0.1, (1.0, 0.5))
     # (real half, imaginary half): Monte Carlo replicates 2i and 2i+1
     gauss = [
-        (model(0.3), 1000, 3, 5, "bd1f58d71a861742", "3753bfbf87968d84"),
-        (model(0.42, K=1), 4096, 11, (1 << 32) | 7, "016316713695b580", "3f453cb13f6eb385"),
-        (SpectralModel(MemoryParams(0.2, 0), ma), 2048, 0, 0, "25675d1f0de3a6cb", "8b38f8066d4240a1"),
+        (model(0.3), 1000, 3, 5, "29ed34f444496692", "b1ae29b00be68c29"),
+        (model(0.42, K=1), 4096, 11, (1 << 32) | 7, "9aaab5fde746073f", "5e11b04a62f1ad2a"),
+        (SpectralModel(MemoryParams(0.2, 0), ma), 2048, 0, 0, "c159708b68bce85c", "90cad8f60c607a40"),
     ]
     for m, N, seed, index, digest, imag_digest in gauss:
         assert _sha(sample_gaussian(m, N, seed, index)) == digest, (m, N, seed, index)
@@ -84,16 +84,31 @@ def test_cached_embedding_is_read_only():
         assert not any(np.shares_memory(a, b) for a in (xr, xi) for b in (nr, ni))
 
 
-@pytest.mark.parametrize("short_range", [ShortRangeSpec(), ShortRangeSpec("constant", 2.5),
-                                         ShortRangeSpec("ma", 0.1, (1.0, -0.4, 0.2))])
+SHORT_RANGES = [ShortRangeSpec(), ShortRangeSpec("constant", 2.5), ShortRangeSpec("ma", 0.1, (1.0, -0.4, 0.2))]
+
+
+@pytest.mark.parametrize("short_range", SHORT_RANGES)
 def test_embedding_in_one_buffer_matches_concatenated_fft(short_range):
-    # the column written into the FFT's own complex buffer gives the
-    # eigenvalues of the concatenate-then-fft form, bit for bit
+    # the four-step transform of the column gives the eigenvalues of the
+    # concatenate-then-fft form, in natural order, to rounding
     rho = autocov_X(SpectralModel(MemoryParams(0.3, 0), short_range), 2**12).values
     emb = _Embedding(rho)
     eigs = np.real(np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])))
-    assert np.array_equal(emb.sqrt_eigs, np.sqrt(np.clip(eigs, 0.0, None)))
+    clipped = np.clip(eigs, 0.0, None)
+    assert np.abs(emb.sqrt_eigs**2 - clipped).max() <= 1e-12 * eigs.max()
     assert emb.exact == bool(eigs.min() >= -1e-10 * eigs.max()) and emb.M == 2**13
+
+
+@pytest.mark.parametrize("short_range", SHORT_RANGES)
+@pytest.mark.parametrize("d", [0.1, 0.3, 0.45])
+def test_pair_draw_matches_the_one_shot_fft(short_range, d):
+    # the four-step draw is the one-shot draw to rounding, at sizes whose
+    # M = 2N splits evenly into N1 x N2 and at sizes it does not
+    m = SpectralModel(MemoryParams(d, 0), short_range)
+    for N in (2, 3, 7, 1000, 2048, 12289, 2**16):
+        for x, ref in zip(sample_gaussian_pair(m, N, 3, 5), one_shot_pair(m, N, 3, 5)):
+            assert x.shape == (N,) and x.flags.c_contiguous
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max(), (N, d, short_range)
 
 
 def test_embedding_rejects_a_non_finite_correlation():
