@@ -127,7 +127,7 @@ class _Range(NamedTuple):
             raise ConfigError(path, f"must be {what} in {self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}")
 
 
-_MAX_MOMENTS = 35  # every dbM above fails the vanishing-moment check, or overflows from M = 516
+_MAX_MOMENTS = 35  # every dbM above (and db34) fails the vanishing-moment check of g; from M = 516 g overflows
 
 # Every number a configuration holds, by key path; a schedule row's keys read
 # as the top level's, "[]" stands for any list element.  README gives the caps' reasons.
@@ -153,8 +153,17 @@ _NUMBERS = {
     "enforce_preconditions.reduction_max": _Range(False),
     "enforce_preconditions.bias_max": _Range(False),
 }
-# the only keys these objects may hold
-_KEYS = {"schedule[]": ("n", "j", "p", "replicates"), "enforce_preconditions": ("reduction_max", "bias_max")}
+# the only keys these objects may hold, "" the top level (parse_config names a retired key first)
+_KEYS = {
+    "": ("mode", "model", "g", "bank", "n", "j", "p", "replicates", "seed", "workers", "out", "input_csv",
+         "d0_star", "alpha", "k_bar", "d_values", "schedule", "preset", "enforce_preconditions"),
+    "model": ("d", "K", "beta", "short_range"),
+    "model.short_range": ("kind", "value", "scale", "coeffs"),
+    "g": ("kind", "q", "coeffs"),
+    "bank": ("family", "jmax"),
+    "schedule[]": ("n", "j", "p", "replicates"),
+    "enforce_preconditions": ("reduction_max", "bias_max"),
+}
 
 
 def _checked(obj, path: str = "", key: str = ""):
@@ -168,9 +177,12 @@ def _checked(obj, path: str = "", key: str = ""):
     if isinstance(obj, dict):
         unknown = [k for k in obj if key in _KEYS and k not in _KEYS[key]]
         if unknown:
-            raise ConfigError(f"{path}.{unknown[0]}", f"unknown key; expected one of {_KEYS[key]}")
+            raise ConfigError(f"{path}.{unknown[0]}" if path else unknown[0],
+                              f"unknown key; expected one of {_KEYS[key]}")
         return {k: _checked(v, f"{path}.{k}" if path else str(k), k if key in ("", "schedule[]") else f"{key}.{k}")
                 for k, v in obj.items() if v is not None}
+    if key in _KEYS and key not in ("g", "schedule[]"):  # g may be a shorthand; parse_config checks the rows
+        raise ConfigError(path, f"must be an object with keys among {_KEYS[key]}")
     if isinstance(obj, list):
         return [_checked(v, f"{path}[{i}]", f"{key}[]") for i, v in enumerate(obj)]
     return obj
@@ -224,13 +236,9 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
 
 
 def parse_model(obj, path: str = "model") -> SpectralModel:
-    """The spectral model of a mapping whose numbers `parse_config` has checked."""
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "must be an object")
+    """The spectral model of a mapping whose shape and numbers `parse_config` has checked."""
     _NUMBERS["model.d"].check(f"{path}.d", obj.get("d"))  # parse_config has checked a d that is given
     sr_obj, level = obj.get("short_range", {}), 1.0 / (2.0 * math.pi)
-    if not isinstance(sr_obj, dict):
-        raise ConfigError(f"{path}.short_range", "must be an object")
     kind = sr_obj.get("kind", "constant")
     if kind not in ("constant", "ma"):
         raise ConfigError(f"{path}.short_range.kind", f"unknown kind {kind!r}")
@@ -288,6 +296,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
     null stands for an absent value."""
     if not isinstance(obj, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
+    for key in _RETIRED:
+        if obj.get(key) is not None:
+            raise ConfigError(key, "retired: the Rosenblatt quantile is now deterministic")
     try:
         c = _checked(obj)
     except RecursionError:
@@ -295,9 +306,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     mode = c.get("mode")
     if mode not in _MODES:
         raise ConfigError("mode", f"must be one of {_MODES}")
-    for key in _RETIRED:
-        if key in c:
-            raise ConfigError(key, "retired: the Rosenblatt quantile is now deterministic")
     for need in _REQUIRED[mode]:
         keys = need if isinstance(need, tuple) else (need,)
         if not any(c.get(k) for k in keys):
@@ -305,8 +313,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     model = parse_model(c["model"]) if "model" in c else None
     g = parse_g_spec(c["g"]) if "g" in c else None
     bank = c.get("bank", {})
-    if not isinstance(bank, dict):
-        raise ConfigError("bank", "must be an object")
     family, jmax = bank.get("family", "db2"), bank.get("jmax", 10)
     try:
         M = _parse_family(str(family))  # any non-string is no family name
@@ -329,9 +335,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     for key in ("out", "input_csv"):
         if key in c and not (isinstance(c[key], str) and c[key]):
             raise ConfigError(key, "must be a nonempty path string")
-    enforce = cfg.enforce_preconditions
-    if enforce is not None and not isinstance(enforce, dict):
-        raise ConfigError("enforce_preconditions", f"must be an object with keys among {_KEYS['enforce_preconditions']}")
     # the fractional part splits d0* into (d*, K*)
     if cfg.d0_star is not None and not 0.0 < cfg.d0_star % 1.0 < 0.5:
         raise ConfigError("d0_star", "must be positive with fractional part in (0, 1/2)")

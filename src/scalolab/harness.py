@@ -149,10 +149,12 @@ def _run_estimate(cfg, art):
 
 
 def _run_test_mode(cfg, art):
-    expansion = cfg.g.expansion()
+    expansion, bank = cfg.g.expansion(), _bank(cfg)
+    with _naming({FilterValidationError: "bank.family"}):
+        require_moments(bank, cfg.model.params, hermite_rank(expansion)[0])  # as estimate and _plan apply it
     series, prov = _load_or_simulate(cfg)
     with _naming(_TEST_FIELDS):
-        report = run_test(series, _bank(cfg), cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
+        report = run_test(series, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
                           cfg.j0, cfg.p, beta_smooth=cfg.model.beta_smooth)
     enforce = cfg.enforce_preconditions or {}
     red_max, bias_max = enforce.get("reduction_max"), enforce.get("bias_max")

@@ -186,7 +186,7 @@ class _ShapeStrips:
         if self.lo < 1:
             raise ValueError(f"bank too shallow: offset {depth} needs filters down to level {self.lo}")
         self.B = min(_STRIP, self.F // 16)
-        self.h, self.g1 = bank.scaling * 2.0**-0.5, bank.taps(1) * 2.0**-0.5
+        self.h, self.g1 = bank.scaling * 2.0**-0.5, bank.highpass * 2.0**-0.5
         self.tlo = max(self.lo, 4) - 3  # rows hold levels tlo..J-3
         self.tables = self._tables() if J >= 4 else None
 
@@ -556,6 +556,8 @@ def calibrate_test(bank: FilterBank, N: int, d0_star: float, alpha: float, K_bar
         raise FilterValidationError(f"need M > K_bar (bank has M={bank.M}, K_bar={K_bar})")
     q0, q1 = hermite_rank(expansion)
     d_star, K_star = invert_target(d0_star, q0)
+    if bank.M < d0_star:  # d0* = K* + delta(q0, d*): require_moments under the hypothesis
+        raise InvalidTargetError(f"d0*={d0_star:.3g} needs a bank with M >= d0* vanishing moments, got M={bank.M}")
     jc = j0 + p
     n_base = N * 2.0**-jc
     law = limit_constants(bank, MemoryParams(d_star, K_star), q0, p)

@@ -1,11 +1,11 @@
 """Dyadic wavelet filter banks, wavelet coefficients, and scalograms.
 
-Filters come from compactly supported orthonormal (Daubechies-type) mirror
-pairs (h, g) with M vanishing moments, extended to coarser scales by the
-cascade g_{j+1}(z) = g_j(z^2) h(z): the family whose transfer functions,
-rescaled by gamma_j^(1/2), converge to a limit shape.  The cascade taps are
-the filters; a bank holds them and nothing measured from them.  Building a
-bank rejects taps whose vanishing moments do not hold to _MOMENT_TOL.
+A bank is an orthonormal Daubechies-type mirror pair (h, g) with M vanishing
+moments.  The scale-j filter is the cascade g_{j+1}(z) = g_j(z^2) h(z) from
+g_1 = g, whose transfer functions, rescaled by gamma_j^(1/2), converge to a
+limit shape; no code forms its taps, since the Mallat pyramid and the limit
+law both run on the base pair.  Each g_j keeps g's factor (1 - z)^M, so
+building a bank checks g's vanishing moments to _MOMENT_TOL.
 
 W_{j,k} = sum_t g_j(2^j k - t) Y_t is computed with interior taps only, for
 all scales of a series in one Mallat pyramid pass.
@@ -57,42 +57,25 @@ def mirror_highpass(h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
-    """Read-only family of per-scale filters g_j, j = 1..jmax, gamma_j = 2^j."""
+    """Read-only base pair (h, g) of a family, for scales j = 1..jmax, gamma_j = 2^j."""
 
     family: str
     M: int
     jmax: int
     scaling: np.ndarray
     highpass: np.ndarray
-    filters: tuple  # filters[j-1] holds the taps of g_j, support starting at 0
     T: int  # support length of the base pair (2M)
-
-    def _scale(self, j: int) -> int:
-        if not (1 <= j <= self.jmax):
-            raise ScaleTooCoarseError(f"scale {j} outside built range 1..{self.jmax}")
-        return j
-
-    def taps(self, j: int) -> np.ndarray:
-        return self.filters[self._scale(j) - 1]
 
     def filter_length(self, j: int) -> int:
         """Number of taps of g_j."""
-        return _filter_length(self.T, self._scale(j))
+        if not (1 <= j <= self.jmax):
+            raise ScaleTooCoarseError(f"scale {j} outside built range 1..{self.jmax}")
+        return _filter_length(self.T, j)
 
 
 def _filter_length(T: int, j: int) -> int:
     """Number of taps of g_j for a base pair of support T: (2^j - 1)(T - 1) + 1."""
     return (2**j - 1) * (T - 1) + 1
-
-
-def _cascade(g1: np.ndarray, h: np.ndarray, jmax: int) -> list:
-    filts = [np.asarray(g1, dtype=float)]
-    for _ in range(1, jmax):
-        prev = filts[-1]
-        up = np.zeros(2 * len(prev) - 1)
-        up[::2] = prev
-        filts.append(np.convolve(up, h))
-    return filts
 
 
 def _parse_family(family: str) -> int:
@@ -110,16 +93,15 @@ def _parse_family(family: str) -> int:
     raise FilterValidationError(f"unknown filter family {family!r}")
 
 
-def _check_moments(filters, M: int) -> None:
-    """Raise unless every g_j has M vanishing moments, each moment normalised
-    by the moment of |g_j|."""
+def _check_moments(g: np.ndarray, M: int) -> None:
+    """Raise unless g has M vanishing moments, each moment normalised by the
+    moment of |g|."""
     worst = 0.0
-    for taps in filters:
-        t = np.arange(len(taps), dtype=float)
-        for m in range(M):
-            num = abs(float(np.dot(t**m, taps)))
-            den = float(np.dot(t**m, np.abs(taps))) + 1.0
-            worst = max(worst, num / den)
+    t = np.arange(len(g), dtype=float)
+    for m in range(M):
+        num = abs(float(np.dot(t**m, g)))
+        den = float(np.dot(t**m, np.abs(g))) + 1.0
+        worst = max(worst, num / den)
     if worst > _MOMENT_TOL:
         raise FilterValidationError(
             f"vanishing moments: normalised moment residual {worst:.2e} exceeds "
@@ -128,10 +110,10 @@ def _check_moments(filters, M: int) -> None:
 
 
 def build_bank(family: str = "db2", jmax: int = 10) -> FilterBank:
-    """Per-scale filters of a Daubechies-type family, built once per (family, jmax).
+    """Base pair of a Daubechies-type family, built once per (family, jmax).
 
     Raises FilterValidationError when the family is unknown or its taps
-    lose their vanishing moments (db40 does, in floating point); consumers
+    lose their vanishing moments (db34 does, in floating point); consumers
     that need a specific moment order check M themselves.
     """
     if jmax < 1:
@@ -142,13 +124,11 @@ def build_bank(family: str = "db2", jmax: int = 10) -> FilterBank:
 @lru_cache(maxsize=None)
 def _built_bank(family: str, M: int, jmax: int) -> FilterBank:
     h = daubechies_scaling(M)
-    g1 = mirror_highpass(h)
-    filters = _cascade(g1, h, jmax)
-    _check_moments(filters, M)
-    for taps in (h, *filters):  # filters[0] is g1
+    g = mirror_highpass(h)
+    _check_moments(g, M)
+    for taps in (h, g):
         taps.setflags(write=False)
-    return FilterBank(family=family, M=M, jmax=jmax, scaling=h, highpass=g1,
-                      filters=tuple(filters), T=2 * M)
+    return FilterBank(family=family, M=M, jmax=jmax, scaling=h, highpass=g, T=2 * M)
 
 
 def n_coeffs(N: int, T: int, j: int) -> int:

@@ -3,10 +3,12 @@
 `rosenblatt_sample` is the Monte Carlo oracle of the second-chaos law,
 `_autocov_grid_raw` the dense-grid oracle of the closed-form covariance,
 `ma_autocov_per_lag` the per-lag loop oracle of its vectorised MA sum,
-`transfer` / `asymptotic_transfer` the product-formula oracle of a bank's
-transfer functions, against which the cascade taps and the limit shape are
-checked, and `level_rfft` the per-level transform against which the limit
-law's strips and level tables are checked, and `one_shot_pair` the
+`cascade_taps` the taps of g_j by the cascade, the direct-convolution
+oracle of the pyramid and of the limit law's levels (no code in the package
+forms them), `transfer` / `asymptotic_transfer` the product-formula oracle
+of a bank's transfer functions, against which the cascade taps and the limit
+shape are checked, `level_rfft` the per-level transform against which the
+limit law's strips and level tables are checked, and `one_shot_pair` the
 circulant draw with one M-point FFT per transform, against which the
 package's four-step draw is checked.
 `rosenblatt_sample` draws from the package's circulant embedding; its
@@ -115,6 +117,18 @@ def ma_autocov_per_lag(model: SpectralModel, L: int) -> np.ndarray:
     return 2.0 * math.pi * sr.value * farima_gamma0(model.d) * out
 
 
+def cascade_taps(bank, j: int) -> np.ndarray:
+    """Taps of g_j, support starting at 0, by the cascade g_{j+1}(z) =
+    g_j(z^2) h(z) from g_1 = g: the filter the pyramid applies at scale j."""
+    filts = [np.asarray(bank.highpass, dtype=float)]
+    for _ in range(1, j):
+        prev = filts[-1]
+        up = np.zeros(2 * len(prev) - 1)
+        up[::2] = prev
+        filts.append(np.convolve(up, bank.scaling))
+    return filts[-1]
+
+
 def _dft(taps: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(np.exp(-1j * lams), taps)  # Horner in e^{-i lam}
 
@@ -123,7 +137,7 @@ def transfer(bank, j: int, lams) -> np.ndarray:
     """DFT of g_j at the given frequencies, by the product formula
     g_j-hat(lam) = g-hat(2^(j-1) lam) prod_{i<j-1} h-hat(2^i lam)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    out = _dft(bank.highpass, 2.0 ** (bank._scale(j) - 1) * lams)
+    out = _dft(bank.highpass, 2.0 ** (j - 1) * lams)
     for i in range(j - 1):
         out *= _dft(bank.scaling, 2.0**i * lams)
     return out
@@ -140,4 +154,4 @@ def asymptotic_transfer(bank, lams, j: Optional[int] = None) -> np.ndarray:
 def level_rfft(bank, lev: int, F: int) -> np.ndarray:
     """2^(-lev/2) g_lev-hat(2 pi r / F) for r = 0..F/4, by one F-point rfft
     of the level's taps."""
-    return np.fft.rfft(bank.taps(lev), n=F)[: F // 4 + 1] * 2.0 ** (-lev / 2.0)
+    return np.fft.rfft(cascade_taps(bank, lev), n=F)[: F // 4 + 1] * 2.0 ** (-lev / 2.0)

@@ -36,7 +36,7 @@ from scalolab.spectral import (
 from scalolab.synthesis import integrate_K, sample_gaussian
 from scalolab.wavelet import build_bank, n_coeffs, scalogram
 
-from oracles import rosenblatt_sample
+from oracles import cascade_taps, rosenblatt_sample
 from test_exponents import nu_c_oracle
 
 
@@ -337,7 +337,7 @@ def test_accept_08_gaussian_limit(bank):
 def test_accept_09_rosenblatt_limit(deep_bank):
     d, K, N, j = 0.4, 0, 2**18, 8
     model = SpectralModel(MemoryParams(d, K))
-    taps = deep_bank.taps(j)
+    taps = cascade_taps(deep_bank, j)
     L = len(taps)
     rho = autocov_X(model, L + 5).values
     Rg = np.correlate(taps, taps, mode="full")[L - 1:]

@@ -184,7 +184,7 @@ def test_parse_config_field_paths():
         parse_config({"mode": "estimate", "model": {"d": 0.3}, "j": 3, "p": 2})
     deep = functools.reduce(lambda x, _: [x], range(10**5), [])  # deeper than the stack
     with pytest.raises(ConfigError, match="^<root>: nested too deeply"):
-        parse_config({"mode": "nu-c", "g": "hermite:1", "d_values": [0.3], "note": deep})
+        parse_config({"mode": "nu-c", "g": "hermite:1", "d_values": [0.3], "schedule": deep})
 
 
 def test_parse_config_rejects_boundary_lattice_d():
@@ -608,7 +608,8 @@ _MA = {"kind": "ma", "coeffs": [1.0, 0.5]}
     pytest.param("test", {"enforce_preconditions": {"bias_max": "0.1"}},
                  "enforce_preconditions.bias_max", id="enforce-bound-string"),
     # a non-finite number anywhere is named by its key path before it reaches a report
-    pytest.param("nu-c", {"note": math.nan}, "note", id="nan-in-unread-key"),
+    pytest.param("nu-c", {"g": {"kind": "hermite-coeffs", "coeffs": {"1": math.nan}}}, "g.coeffs.1",
+                 id="nan-in-unread-key"),
     pytest.param("test", {"enforce_preconditions": {"reduction_max": math.inf}},
                  "enforce_preconditions.reduction_max", id="enforce-bound-infinity"),
     # ranks past 170 overflow q!, and orders past db35 overflow or lose their moments
@@ -622,6 +623,14 @@ _MA = {"kind": "ma", "coeffs": [1.0, 0.5]}
     pytest.param("simulate", {"model": {"d": "0.3"}}, "model.d", id="d-string"),
     pytest.param("mc-experiment", {"schedule": [{"n": 4096, "k_bar": 7}]}, "schedule[0].k_bar",
                  id="schedule-row-k_bar"),
+    # a misspelt key would otherwise leave its value at the default without a word
+    pytest.param("mc-experiment", {"replicats": 50}, "replicats", id="top-level-unknown-key"),
+    pytest.param("simulate", {"model": {"d": 0.3, "k": 1}}, "model.k", id="model-unknown-key"),
+    pytest.param("simulate", {"model": {"d": 0.3, "short_range": {"kind": "ma", "coefs": [1.0, 0.5]}}},
+                 "model.short_range.coefs", id="short_range-unknown-key"),
+    pytest.param("estimate", {"bank": {"family": "db2", "jmx": 8}}, "bank.jmx", id="bank-unknown-key"),
+    pytest.param("simulate", {"g": {"kind": "hermite", "q": 2, "coefs": {"1": 1}}}, "g.coefs",
+                 id="g-unknown-key"),
 ])
 def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
     cfgp = _write(tmp_path, "e.json", {
@@ -668,6 +677,11 @@ def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, chang
     pytest.param("test", {"k_bar": 2}, "k_bar", id="test-k_bar-not-below-M"),
     pytest.param("estimate", {"input_csv": "const", "j": 1, "p": 1}, "input_csv",
                  id="estimate-constant-series"),
+    # db2 has M = 2 below d0 = 3.35, of the model (K 3) or of the hypothesis
+    # alone (K 0): the test's limit law would come out with a nonpositive variance
+    *(pytest.param(mode, {"model": {"d": 0.35, "K": K}, "d0_star": 3.35, "bank": {"family": "db2", "jmax": 10},
+                          "n": 2**14, "j": 3, "p": 2}, field, id=f"{mode}-too-few-moments-K{K}")
+      for mode, K, field in (("test", 3, "bank.family"), ("test", 0, "d0_star"), ("mc-experiment", 0, "d0_star"))),
     # db34's taps miss the moment check by rounding: only building the bank finds it
     pytest.param("estimate", {"bank": {"family": "db34", "jmax": 2}, "j": 1, "p": 1}, "bank.family",
                  id="estimate-db34-moments"),

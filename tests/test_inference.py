@@ -35,7 +35,7 @@ from scalolab.spectral import SpectralModel
 from scalolab.synthesis import sample_gaussian, stream
 from scalolab.wavelet import build_bank
 
-from oracles import asymptotic_transfer, level_rfft, rosenblatt_sample
+from oracles import asymptotic_transfer, cascade_taps, level_rfft, rosenblatt_sample
 
 LOG2 = math.log(2.0)
 
@@ -202,7 +202,7 @@ def test_limit_shape_cascade_matches_per_level_rfft(family, jmax, p):
         np.testing.assert_allclose(np.concatenate(odd[m]), ref[1:n:2], rtol=0, atol=tol)
     # each table row is its level over half a period of the grid F/8
     for lev, row in enumerate(shape.tables, start=shape.tlo):
-        ref = np.fft.rfft(bank.taps(lev), n=shape.F // 8) * 2.0 ** (-lev / 2.0)
+        ref = np.fft.rfft(cascade_taps(bank, lev), n=shape.F // 8) * 2.0 ** (-lev / 2.0)
         np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     with pytest.raises(ValueError, match="bank too shallow"):
         inference._ShapeStrips(bank, shape.J)
@@ -277,7 +277,7 @@ def test_limit_cache_keyed_on_bank_contents():
     assert limit_constants(second, MemoryParams(0.3, 0), 1, 1) is law
     # a bank built by hand with the same (family, jmax) but other taps is
     # another bank: it gets its own law, whose L1 sees the doubled taps
-    other = replace(first, filters=tuple(2.0 * t for t in first.filters))
+    other = replace(first, highpass=2.0 * first.highpass)
     other_law = limit_constants(other, MemoryParams(0.3, 0), 1, 1)
     assert other_law is not law
     assert other_law.L_values["L1"] == pytest.approx(4.0 * law.L_values["L1"], rel=1e-12)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scalolab.exponents import MemoryParams
 from scalolab.spectral import SpectralModel
 from scalolab.synthesis import sample_gaussian, stream
 from scalolab.wavelet import (
+    _built_bank,
     build_bank,
     daubechies_scaling,
     mirror_highpass,
@@ -19,7 +21,7 @@ from scalolab.wavelet import (
     wavelet_coeffs,
 )
 
-from oracles import asymptotic_transfer, transfer
+from oracles import asymptotic_transfer, cascade_taps, transfer
 
 
 def test_daubechies_reference_taps():
@@ -54,7 +56,7 @@ def test_build_bank_validation():
     for M in (1, 2, 3, 4):
         bank = build_bank(f"db{M}", jmax=8)
         for j in range(1, 9):
-            taps = bank.taps(j)
+            taps = cascade_taps(bank, j)
             t = np.arange(len(taps), dtype=float)
             for m in range(M):
                 resid = abs(np.dot(t**m, taps)) / (np.dot(t**m, np.abs(taps)) + 1.0)
@@ -70,6 +72,29 @@ def test_build_bank_validation():
         build_bank("db40", 10)
 
 
+@pytest.mark.parametrize("jmax", [1, 16])
+def test_build_bank_verdicts_at_the_moment_cap(jmax):
+    # g's rounding alone decides, at every depth: db34 misses the tolerance
+    # (residual 1.10e-8), and so does every order from db36
+    for M in (33, 35):
+        assert build_bank(f"db{M}", jmax).M == M
+    for M in (34, 36):
+        with pytest.raises(FilterValidationError, match="^vanishing moments: normalised moment residual"):
+            build_bank(f"db{M}", jmax)
+
+
+def test_deep_bank_holds_its_base_pair_alone():
+    # the cascade taps of db35 to level 16 would hold 69 MiB and peak at 172 MiB
+    tracemalloc.start()
+    try:
+        bank = _built_bank.__wrapped__("db35", 35, 16)  # past the cache: a build, not a lookup
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bank.filter_length(16) == 65535 * 69 + 1
+    assert peak < 2**20
+
+
 def test_build_bank_rejects_unknown_family():
     with pytest.raises(FilterValidationError):
         build_bank("sym4")
@@ -80,8 +105,7 @@ def test_bank_is_built_once_and_read_only():
     # nothing a caller does can change what the next one gets
     bank = build_bank("DB2", 8)
     assert build_bank("db2", 8) is bank
-    assert isinstance(bank.filters, tuple)
-    for arr in (bank.taps(3), bank.taps(1), bank.scaling, bank.highpass):
+    for arr in (bank.scaling, bank.highpass):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -98,7 +122,7 @@ def test_transfer_matches_dense_dft_of_taps(family):
     bank = build_bank(family, jmax=8)
     lams = np.linspace(-math.pi, math.pi, 301)
     for j in range(1, 9):
-        taps = bank.taps(j)
+        taps = cascade_taps(bank, j)
         assert len(taps) == bank.filter_length(j)
         dense = np.exp(-1j * np.outer(lams, np.arange(len(taps)))) @ taps
         np.testing.assert_allclose(transfer(bank, j, lams), dense, rtol=1e-12,
@@ -107,7 +131,7 @@ def test_transfer_matches_dense_dft_of_taps(family):
 
 def test_db2_second_moment_zero(bank_db2):
     for j in (1, 4, 8):
-        taps = bank_db2.taps(j)
+        taps = cascade_taps(bank_db2, j)
         t = np.arange(len(taps), dtype=float)
         assert abs(np.dot(t, taps)) < 1e-10 * len(taps)
 
@@ -158,7 +182,7 @@ def test_polynomials_below_M_annihilated(bank_db2):
 def test_white_noise_coefficient_variance(bank_db2):
     rng = stream(99, 0)
     reps, N, j = 150, 2**13, 4
-    taps = bank_db2.taps(j)
+    taps = cascade_taps(bank_db2, j)
     expect = float(np.dot(taps, taps))  # unit-variance white input
     vals = []
     for _ in range(reps):
@@ -180,7 +204,7 @@ def test_wavelet_coeffs_matches_direct_convolution(M, N, seed):
     bank = _BANKS[M]
     y = np.random.default_rng(seed).standard_normal(N)
     for j in range(1, bank.jmax + 1):
-        taps = bank.taps(j)
+        taps = cascade_taps(bank, j)
         if len(taps) > N // 4 or 2.0**-j * (N - bank.T + 1) - bank.T + 1 < 1:
             break
         w = wavelet_coeffs(y, bank, j)
@@ -199,6 +223,8 @@ def test_wavelet_coeffs_matches_direct_convolution(M, N, seed):
 def test_scale_too_coarse_for_filter_length(bank_db2):
     with pytest.raises(ScaleTooCoarseError):
         wavelet_coeffs(np.zeros(256), bank_db2, 8)
+    with pytest.raises(ScaleTooCoarseError, match="outside built range"):
+        bank_db2.filter_length(bank_db2.jmax + 1)
 
 
 # --- scalogram ------------------------------------------------------------------
