@@ -6,6 +6,7 @@ config opts into enforcement).
 """
 
 import argparse
+import gc
 import sys
 
 from .config import _MODES, parse_config, read_config
@@ -14,6 +15,11 @@ from .harness import run
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # run as the program: the imports' objects live until exit, so move
+        # them out of the collector's reach, for this run's collections and
+        # the one at exit.  A caller passing argv keeps its heap as it was
+        gc.freeze()
     parser = argparse.ArgumentParser(
         prog="scalolab",
         description="Wavelet scalogram toolkit for nonlinear long-memory series",

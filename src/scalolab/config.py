@@ -4,7 +4,6 @@ A configuration is a flat JSON object; see README for the field table.
 Validation errors carry the offending field path.
 """
 
-import hashlib
 import json
 import math
 import os
@@ -388,7 +387,7 @@ def ingest(csv_path) -> tuple[np.ndarray, dict]:
     try:
         with open(csv_path, "rb") as fh:
             raw = fh.read()
-        lines = raw.decode("utf-8").splitlines()
+        lines = raw.decode("utf-8-sig").splitlines()  # a byte-order mark is not part of the first row
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("input_csv", f"cannot read {csv_path}: {exc}") from None
     start = 0
@@ -412,6 +411,8 @@ def ingest(csv_path) -> tuple[np.ndarray, dict]:
         values.append(v)
     if len(values) < 64:
         raise ConfigError("input_csv", f"need at least 64 rows, found {len(values)}")
+    import hashlib  # loaded only by a run that reads a CSV
+
     provenance = {
         "path": str(csv_path),
         "sha256": hashlib.sha256(raw).hexdigest(),

@@ -15,7 +15,6 @@ index) alone, and a replicate compares |d0_hat - d0*| with its row's s_N.
 A rejection raised during a run names its config field (`_naming`).
 """
 
-import csv
 import json
 import math
 import os
@@ -128,6 +127,8 @@ def _run_analyze(cfg, art):
         sums = scalograms(series, _bank(cfg), range(cfg.j0, cfg.j0 + cfg.p + 1))
     rows = [(s.j, s.n, s.sigma2) for s in sums]
     cp = art.path("scalogram.csv")
+    import csv  # loaded only by the two modes that write a table
+
     with open(cp, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["j", "n_j", "sigma2"])
@@ -375,6 +376,8 @@ def _run_mc(cfg, art):
         results.append(agg)
 
     cp = art.path("mc_results.csv")
+    import csv
+
     keys = sorted({k for row in results for k in row})
     with open(cp, "w", newline="") as fh:
         wr = csv.DictWriter(fh, fieldnames=keys)

@@ -23,7 +23,6 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
     DegenerateScalogramError,
     FilterValidationError,
     InvalidTargetError,
+    NumericError,
     QuadratureError,
 )
 from .exponents import (
@@ -80,6 +80,9 @@ class EstimationReport:
 def d0_from_scalograms(sigma2s) -> float:
     """Apply the contrast weights to given per-scale scalogram values."""
     s2 = np.asarray(sigma2s, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(s2))
+    if bad.size:
+        raise NumericError(f"scalogram value at position {bad[0]} is not finite ({float(s2[bad[0]])})")
     if np.any(s2 <= 0.0):
         raise DegenerateScalogramError("scalogram values must be positive for log regression")
     w = regression_weights(len(s2) - 1)
@@ -568,6 +571,8 @@ def calibrate_test(bank: FilterBank, N: int, d0_star: float, alpha: float, K_bar
             if t > _TAIL_CHANGE_TOL:
                 raise QuadratureError(f"limit law offset m={m}: tail_change {t:.3g} exceeds "
                                       f"{_TAIL_CHANGE_TOL} (bank jmax too shallow for p={p})")
+        from statistics import NormalDist  # loaded only by a Gaussian test
+
         zq = NormalDist().inv_cdf(1.0 - alpha / 2.0)
         s_N = law.sigma_d0 * zq / u_N
         prov = {"kind": "gaussian", "sigma_d0": law.sigma_d0, **law.provenance}

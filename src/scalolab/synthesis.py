@@ -8,7 +8,6 @@ embarrassingly parallel; one stream's FFT yields two paths.
 """
 
 import json
-import logging
 import math
 from functools import lru_cache
 from typing import Callable, Optional
@@ -18,10 +17,8 @@ import numpy as np
 from .errors import NumericError
 from .spectral import SpectralModel, autocov_X
 
-log = logging.getLogger(__name__)
 
-
-def stream(seed: int, index: int = 0) -> np.random.Generator:
+def stream(seed: int, index: int = 0) -> "np.random.Generator":
     """Independent reproducible generator for (seed, stream index)."""
     # a plain list holding a seed >= 2^63 becomes float64, which rounds neighbouring seeds to one key
     key = np.array([seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
@@ -77,7 +74,9 @@ class _Embedding:
         eigs = _gather(self.dft(y).real, 1.0)  # in natural order
         self.exact = bool(eigs.min() >= -1e-10 * eigs.max())
         if not self.exact:
-            log.warning(
+            import logging  # only this warning logs: loaded here, not by every run
+
+            logging.getLogger(__name__).warning(
                 "circulant embedding not nonnegative definite (min eig %.3e); "
                 "falling back to approximate spectral synthesis with clipped modes",
                 eigs.min(),

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -264,6 +265,33 @@ def test_ingest_unparsable_row_named(tmp_path):
     rows[64] = "oops"
     p.write_text("\n".join(rows))
     with pytest.raises(ConfigError, match="row 65"):
+        ingest(p)
+
+
+def test_ingest_byte_order_mark_without_header(tmp_path):
+    # float("\ufeff1.0") fails, so a mark left on the first row read it as a header
+    p = tmp_path / "bom.csv"
+    p.write_text("\n".join(str(i + 1.0) for i in range(80)), encoding="utf-8-sig")
+    series, prov = ingest(p)
+    assert len(series) == 80 and prov["rows"] == 80 and not prov["header_skipped"]
+    assert series[0] == 1.0
+    # the digest is over the file's bytes, mark included
+    assert prov["sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
+
+
+def test_ingest_byte_order_mark_then_header(tmp_path):
+    p = tmp_path / "bomh.csv"
+    p.write_text("value\n" + "\n".join(str(i) for i in range(80)), encoding="utf-8-sig")
+    series, prov = ingest(p)
+    assert prov["header_skipped"] and len(series) == 80 and prov["rows"] == 80
+
+
+def test_ingest_two_column_row_named(tmp_path):
+    p = tmp_path / "wide.csv"
+    rows = [str(i) for i in range(80)]
+    rows[11] = "1.0,2.0"
+    p.write_text("\n".join(rows))
+    with pytest.raises(ConfigError, match="row 12: expected a single column, got 2"):
         ingest(p)
 
 
@@ -879,6 +907,19 @@ def test_fault_probe_sweep_reuses_freed_replicate_arrays(tmp_path, model, g, d0_
     assert len(faults) == 4 and max(faults[1:]) < 50, r.stdout
 
 
+def test_cold_cli_pairs_smoke():
+    # the repository on both sides, one round of the five tiny cold modes
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "cold_cli_pairs.py"), str(ROOT), str(ROOT),
+                        "--rounds", "1", "--size", "tiny"], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    rows = [ln.split() for ln in r.stdout.splitlines()[2:]]
+    assert [(row[0], row[1]) for row in rows] == [(m, s) for m in ("simulate", "analyze", "estimate", "test",
+                                                                   "nu-c", "all")
+                                                  for s in ("parent", "change", "ratio")]
+    assert all(float(x) > 0 for row in rows for x in row[2:6] if row[1] != "ratio")
+
+
 def test_cli_import_loads_no_scipy():
     code = "import sys, scalolab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -892,6 +933,34 @@ def test_cli_import_loads_no_process_machinery():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+def test_cli_import_loads_modules_only_where_used():
+    # each is imported by the code that needs it: the logger by the one
+    # warning, hashlib by ingest, NormalDist by a Gaussian test, csv by the
+    # table writers; numpy.random by the first draw
+    lazy = ["csv", "hashlib", "logging", "numpy.random", "statistics"]
+    code = f"import sys, scalolab.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_cli_freezes_the_heap_only_as_the_program(tmp_path):
+    # main() as the program (argv from sys.argv) freezes what the imports
+    # made; main(argv) called by another program leaves its heap as it was
+    cfgp = _write(tmp_path, "n.json", {"mode": "nu-c", "g": "hermite:2", "d_values": [0.3],
+                                        "out": str(tmp_path / "o")})
+    code = ("import gc, sys, scalolab.cli\n"
+            "before = gc.get_freeze_count()\n"
+            "rc = scalolab.cli.main(['nu-c', '--config', sys.argv[1]])\n"
+            "print(rc, gc.get_freeze_count() == before)\n"
+            "sys.argv = ['scalolab', 'nu-c', '--config', sys.argv[1]]\n"
+            "rc = scalolab.cli.main()\n"
+            "print(rc, gc.get_freeze_count() > 0)")
+    r = subprocess.run([sys.executable, "-c", code, cfgp], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert [ln for ln in r.stdout.splitlines() if not ln.endswith(".json")] == ["0 True", "0 True"]
 
 
 def test_cli_rank_one_test_loads_no_scipy(tmp_path):

@@ -15,6 +15,7 @@ from scalolab.errors import (
     BoundaryValueError,
     DegenerateScalogramError,
     InvalidTargetError,
+    NumericError,
     QuadratureError,
 )
 from scalolab.exponents import MemoryParams, delta
@@ -76,6 +77,19 @@ def test_exact_self_similar_injection():
 def test_degenerate_scalogram_error():
     with pytest.raises(DegenerateScalogramError):
         d0_from_scalograms([1.0, 0.0, 2.0])
+
+
+@pytest.mark.parametrize("values, pos", [([math.nan, 1.0, 2.0], 0), ([math.inf, 1.0, 2.0], 0),
+                                         ([1.0, 2.0, -math.inf], 2), ([1.0, math.nan, 0.0], 1)])
+def test_non_finite_scalogram_value_is_named(values, pos):
+    # NaN passes a positivity check and inf makes the log-regression infinite;
+    # either is named before the positivity check runs
+    with pytest.raises(NumericError, match=f"^scalogram value at position {pos} is not finite"):
+        d0_from_scalograms(values)
+
+
+def test_subnormal_scalogram_value_is_valid():
+    assert math.isfinite(d0_from_scalograms([1e-320, 1.0, 2.0]))
 
 
 def test_estimator_scale_invariance(bank_db2):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 import tracemalloc
 
@@ -109,6 +110,18 @@ def test_pair_draw_matches_the_one_shot_fft(short_range, d):
         for x, ref in zip(sample_gaussian_pair(m, N, 3, 5), one_shot_pair(m, N, 3, 5)):
             assert x.shape == (N,) and x.flags.c_contiguous
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max(), (N, d, short_range)
+
+
+def test_embedding_not_nonnegative_definite_warns(caplog):
+    # this MA(2) correlation at n = 64 has smallest circulant eigenvalue
+    # -1.883e-4: the draw clips it and says so on the module's logger
+    rho = autocov_X(SpectralModel(MemoryParams(0.2, 0), ShortRangeSpec("ma", ma_coeffs=(1.0, 2.0, 1.0))), 64).values
+    with caplog.at_level(logging.WARNING, logger="scalolab.synthesis"):
+        emb = _Embedding(rho)
+    assert not emb.exact
+    [rec] = [r for r in caplog.records if r.name == "scalolab.synthesis"]
+    assert rec.levelno == logging.WARNING
+    assert "not nonnegative definite (min eig -1.883e-04)" in rec.getMessage()
 
 
 def test_embedding_rejects_a_non_finite_correlation():
