@@ -6,7 +6,6 @@ Validation errors carry the offending field path.
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -357,8 +356,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
             taps = _filter_length(2 * M, j + p)
             if simulated and taps > n // 4:
                 raise ConfigError(prefix + "j", f"scale {j + p} filter ({taps} taps) too long for n={n} (cap n/4)")
-    if mode in ("analyze", "estimate", "test") and cfg.input_csv is not None and not os.path.exists(cfg.input_csv):
-        raise ConfigError("input_csv", f"file not found: {cfg.input_csv}")
     return cfg
 
 
@@ -379,23 +376,29 @@ def read_config(path):
 def ingest(csv_path) -> tuple[np.ndarray, dict]:
     """Load a single-column numeric CSV; returns (series, provenance).
 
-    A single non-numeric header row is skipped; any other unparsable or
-    non-finite row raises with its 1-based row number.  At least 64 rows
+    A first line that `float` cannot read is a header and is skipped, even
+    one holding only a NUL byte.  Any other row that does not parse, is not
+    finite, or is not ASCII free of "_" (`float` reads `1_000` and the digits
+    of other scripts) raises with its 1-based row number.  At least 64 rows
     of data are required.
     """
     values = []
     try:
         with open(csv_path, "rb") as fh:
             raw = fh.read()
-        lines = raw.decode("utf-8-sig").splitlines()  # a byte-order mark is not part of the first row
+        text = raw.decode("utf-8-sig")  # a byte-order mark is not part of the first row
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("input_csv", f"cannot read {csv_path}: {exc}") from None
-    start = 0
+    lines, start = text.splitlines(), 0
     if lines:
         try:
             float(lines[0].split(",")[0])
         except ValueError:
             start = 1  # header row
+    if not text.isascii() or "_" in text:  # a plain text, the common case, skips the scan of its rows
+        for i, line in enumerate(lines[start:], start=start + 1):
+            if line.strip() and (not line.isascii() or "_" in line):
+                raise ConfigError("input_csv", f"row {i}: {line!r} is not an ASCII number without '_'")
     for i, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue

@@ -1,4 +1,4 @@
-"""Experiment orchestration: mode dispatch, Monte Carlo sweeps, artifacts.
+"""Experiment orchestration: mode dispatch, one plan per run, Monte Carlo sweeps, artifacts.
 
 Every report embeds the full configuration, the root seed, and the package
 version, so rerunning from a report's embedded config reproduces its
@@ -7,19 +7,22 @@ Philox substreams; replicates 2i and 2i+1 of schedule row s are the real
 and the imaginary half of stream (s << 32) | i (an odd count drops the
 last imaginary half), so aggregates cannot depend on execution order.
 
-A Monte Carlo run builds one plan, in the parent (bank, schedule, expansion,
-rank and, when it tests d0*, each row's `calibrate_test` report) and, with
-workers > 1, opens one process pool whose initializer hands each worker
-that plan; a replicate pair is then a function of (plan, row position, pair
-index) alone, and a replicate compares |d0_hat - d0*| with its row's s_N.
-A rejection raised during a run names its config field (`_naming`).
+`estimate`, `test` and `mc-experiment` share one plan (`_plan`), built in the
+parent, which checks their inputs once, in this order: the transform, the
+bank, the schedule (mc-experiment), the moment rule, the series (a single
+run loads or simulates it, which fixes n), each row's `calibrate_test`
+report when the run tests d0*, and `enforce_preconditions` on each report.
+A single run is the one replicate of its plan on that series.  A sweep on
+workers > 1 hands the plan to each worker of one process pool; a replicate
+pair is a function of (plan, row position, pair index) alone.  A rejection raised
+during a run names its config field (`_naming`).
 """
 
 import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import islice
 from typing import Optional
 
@@ -31,7 +34,7 @@ from .errors import (BoundaryValueError, ConfigError, DegenerateScalogramError, 
                      InvalidTargetError, LongMemoryError, NumericError, PreconditionError, ScaleTooCoarseError)
 from .exponents import critical_exponent_report, delta, rank_profile, zeta_exponent
 from .hermite import HermiteExpansion, hermite_eval, hermite_rank
-from .inference import calibrate_test, d0_from_scalograms, estimate_d0, require_moments, run_test
+from .inference import calibrate_test, d0_from_scalograms, estimate_d0, require_moments
 from .synthesis import export_path, integrate_K, sample_gaussian_pair, sample_path, transform_path
 from .wavelet import FilterBank, build_bank, n_coeffs, scalograms
 
@@ -64,9 +67,8 @@ def _naming(fields: dict):
 
 # calibrate_test checks d0* and the bank's M against k_bar; estimate_d0 the
 # series, which parse_config can size only when it is simulated
+_TARGET_FIELDS = {InvalidTargetError: "d0_star", BoundaryValueError: "d0_star", FilterValidationError: "k_bar"}
 _SERIES_FIELDS = {DegenerateScalogramError: "input_csv", ScaleTooCoarseError: "input_csv"}
-_TEST_FIELDS = {InvalidTargetError: "d0_star", BoundaryValueError: "d0_star", FilterValidationError: "k_bar",
-                **_SERIES_FIELDS}
 
 
 class _Artifacts:
@@ -96,12 +98,6 @@ def _load_or_simulate(cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
     return series, {"simulated": True, "n": cfg.n, "seed": cfg.seed}
 
 
-def _bank(cfg: ExperimentConfig) -> FilterBank:
-    """The run's filter bank; taps that fail the moment check name bank.family."""
-    with _naming({FilterValidationError: "bank.family"}):
-        return build_bank(cfg.bank_family, cfg.bank_jmax)
-
-
 def run(cfg: ExperimentConfig) -> list:
     """Dispatch one experiment; returns the list of artifact paths written."""
     art = _Artifacts(cfg.out_dir)
@@ -123,8 +119,8 @@ def _run_simulate(cfg, art):
 
 def _run_analyze(cfg, art):
     series, prov = _load_or_simulate(cfg)
-    with _naming(_SERIES_FIELDS):
-        sums = scalograms(series, _bank(cfg), range(cfg.j0, cfg.j0 + cfg.p + 1))
+    with _naming({FilterValidationError: "bank.family", **_SERIES_FIELDS}):  # taps that fail the moment check
+        sums = scalograms(series, build_bank(cfg.bank_family, cfg.bank_jmax), range(cfg.j0, cfg.j0 + cfg.p + 1))
     rows = [(s.j, s.n, s.sigma2) for s in sums]
     cp = art.path("scalogram.csv")
     import csv  # loaded only by the two modes that write a table
@@ -134,36 +130,6 @@ def _run_analyze(cfg, art):
         wr.writerow(["j", "n_j", "sigma2"])
         wr.writerows(rows)
     return _write_report(cfg, art, "analyze_report.json", input=prov, table=rows)
-
-
-def _run_estimate(cfg, art):
-    kwargs = {}
-    if cfg.g is not None and cfg.model is not None:
-        q0, q1 = hermite_rank(cfg.g.expansion())
-        kwargs = {"params": cfg.model.params, "q0": q0}
-        if delta(q0, cfg.model.d) > 0:  # a short-memory rank has no bias rate
-            kwargs["zeta"] = zeta_exponent(cfg.model.beta_smooth, cfg.model.d, q0, q1)
-    series, prov = _load_or_simulate(cfg)
-    with _naming({FilterValidationError: "bank.family", **_SERIES_FIELDS}):
-        report = estimate_d0(series, _bank(cfg), cfg.j0, cfg.p, **kwargs)
-    return _write_report(cfg, art, "estimate_report.json", input=prov, estimate=asdict(report))
-
-
-def _run_test_mode(cfg, art):
-    expansion, bank = cfg.g.expansion(), _bank(cfg)
-    with _naming({FilterValidationError: "bank.family"}):
-        require_moments(bank, cfg.model.params, hermite_rank(expansion)[0])  # as estimate and _plan apply it
-    series, prov = _load_or_simulate(cfg)
-    with _naming(_TEST_FIELDS):
-        report = run_test(series, bank, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
-                          cfg.j0, cfg.p, beta_smooth=cfg.model.beta_smooth)
-    enforce = cfg.enforce_preconditions or {}
-    red_max, bias_max = enforce.get("reduction_max"), enforce.get("bias_max")
-    if red_max is not None and report.reduction_ratio is not None and report.reduction_ratio > red_max:
-        raise PreconditionError(f"reduction ratio {report.reduction_ratio:.3g} exceeds {red_max}")
-    if bias_max is not None and report.bias_ratio > bias_max:
-        raise PreconditionError(f"bias ratio {report.bias_ratio:.3g} exceeds {bias_max}")
-    return _write_report(cfg, art, "test_report.json", input=prov, test=asdict(report))
 
 
 def _run_nuc(cfg, art):
@@ -191,7 +157,7 @@ def _run_nuc(cfg, art):
     return _write_report(cfg, art, "nu_c_report.json", reports=reports)
 
 
-# --- Monte Carlo sweeps ----------------------------------------------------
+# --- one plan for estimate, test and mc-experiment; Monte Carlo sweeps -------
 
 
 @dataclass
@@ -237,29 +203,61 @@ def _schedule(cfg: ExperimentConfig, bank: FilterBank, expansion: HermiteExpansi
 
 @dataclass(frozen=True)
 class _Plan:
-    """What every replicate of a Monte Carlo run shares; built once, in the parent."""
+    """What every replicate of a run shares; checked and built once, in the parent."""
 
     cfg: ExperimentConfig
     bank: FilterBank
     rows: list
-    expansion: HermiteExpansion
-    q0: int
+    expansion: Optional[HermiteExpansion]  # None for an estimate without g
+    q0: Optional[int]
     calibrations: Optional[tuple]  # each row's calibrate_test report when the run tests d0*
+    series: Optional[tuple] = None  # a single run's (series, provenance)
 
 
 def _plan(cfg: ExperimentConfig) -> _Plan:
-    bank = _bank(cfg)
-    expansion = cfg.g.expansion()
-    q0, rows = hermite_rank(expansion)[0], _schedule(cfg, bank, expansion)
-    with _naming({FilterValidationError: "bank.family"}):
-        require_moments(bank, cfg.model.params, q0)  # the replicates estimate d0 with no check of their own
+    """The plan of an estimate, test or mc-experiment run, checked in the module docstring's order."""
+    expansion = cfg.g.expansion() if cfg.g is not None else None
+    q0 = hermite_rank(expansion)[0] if expansion is not None else None
+    with _naming({FilterValidationError: "bank.family"}):  # taps that fail the moment check, or too few moments
+        bank = build_bank(cfg.bank_family, cfg.bank_jmax)
+        rows = _schedule(cfg, bank, expansion) if cfg.mode == "mc-experiment" else None
+        if q0 is not None:
+            require_moments(bank, cfg.model.params, q0)
+    series = None
+    if rows is None:
+        series = _load_or_simulate(cfg)
+        rows = [_Row(len(series[0]), cfg.j0, cfg.p, 1)]
     calibrations = None
-    if cfg.d0_star is not None and cfg.alpha is not None:
-        with _naming(_TEST_FIELDS):
+    if cfg.mode != "estimate" and cfg.d0_star is not None and cfg.alpha is not None:
+        with _naming(_TARGET_FIELDS):
             calibrations = tuple(calibrate_test(bank, row.n, cfg.d0_star, cfg.alpha, cfg.k_bar,
                                                 expansion, row.j, row.p, cfg.model.beta_smooth)
                                  for row in rows)
-    return _Plan(cfg, bank, rows, expansion, q0, calibrations)
+        bounds = cfg.enforce_preconditions or {}  # parse_config drops a null bound
+        for row, cal in zip(rows, calibrations):
+            for name, ratio in (("reduction", cal.reduction_ratio), ("bias", cal.bias_ratio)):
+                if ratio is not None and ratio > (bound := bounds.get(f"{name}_max", math.inf)):
+                    raise PreconditionError(f"{name} ratio {ratio:.3g} at n={row.n}, j={row.j} exceeds {bound}")
+    return _Plan(cfg, bank, rows, expansion, q0, calibrations, series)
+
+
+def _run_single(cfg, art):
+    """estimate or test: the one replicate of the run's plan, on its series."""
+    plan = _plan(cfg)
+    (series, prov), row = plan.series, plan.rows[0]
+    rates = {}
+    if plan.calibrations is None and plan.q0 is not None:  # an estimate with g predicts its rates
+        q0, q1 = hermite_rank(plan.expansion)
+        rates = {"params": cfg.model.params}  # and no q0: the plan has applied the moment rule
+        if delta(q0, cfg.model.d) > 0:  # a short-memory rank has no bias rate
+            rates["zeta"] = zeta_exponent(cfg.model.beta_smooth, cfg.model.d, q0, q1)
+    with _naming(_SERIES_FIELDS):
+        est = estimate_d0(series, plan.bank, row.j, row.p, **rates)
+    if plan.calibrations is None:
+        return _write_report(cfg, art, "estimate_report.json", input=prov, estimate=asdict(est))
+    cal = plan.calibrations[0]
+    test = replace(cal, d0_hat=est.d0_hat, decision=abs(est.d0_hat - cfg.d0_star) > cal.s_N, estimation=est)
+    return _write_report(cfg, art, "test_report.json", input=prov, test=asdict(test))
 
 
 _worker_plan: Optional[_Plan] = None
@@ -389,5 +387,5 @@ def _run_mc(cfg, art):
     return _write_report(cfg, art, "mc_report.json", results=strict)
 
 
-_RUNNERS = {"simulate": _run_simulate, "analyze": _run_analyze, "estimate": _run_estimate,
-            "test": _run_test_mode, "nu-c": _run_nuc, "mc-experiment": _run_mc}
+_RUNNERS = {"simulate": _run_simulate, "analyze": _run_analyze, "estimate": _run_single,
+            "test": _run_single, "nu-c": _run_nuc, "mc-experiment": _run_mc}

@@ -611,9 +611,8 @@ def run_test(
 ) -> TestReport:
     """Two-sided test of the memory parameter taking the hypothesised value:
     rejects when |d0_hat - d0*| exceeds the critical value s_N of
-    `calibrate_test`.  The series is estimated first, so an input both the
-    estimate and the calibration reject fails on the estimate."""
-    est = estimate_d0(series, bank, j0, p)
+    `calibrate_test`, which runs first, as in the CLI's one plan."""
     cal = calibrate_test(bank, len(series), d0_star, alpha, K_bar, expansion, j0, p, beta_smooth)
+    est = estimate_d0(series, bank, j0, p)
     return replace(cal, d0_hat=est.d0_hat, decision=abs(est.d0_hat - d0_star) > cal.s_N,
                    estimation=est)

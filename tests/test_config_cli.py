@@ -19,6 +19,7 @@ import scalolab.config
 import scalolab.harness as harness
 import scalolab.inference
 import scalolab.wavelet
+from scalolab import cli
 from scalolab.config import ConfigError, ingest, parse_config, parse_g_spec
 from scalolab.errors import NumericError
 from scalolab.harness import run
@@ -293,6 +294,32 @@ def test_ingest_two_column_row_named(tmp_path):
     p.write_text("\n".join(rows))
     with pytest.raises(ConfigError, match="row 12: expected a single column, got 2"):
         ingest(p)
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param("1_000", id="digit-groups"),  # float reads 1000
+    pytest.param("\u0661", id="arabic-indic-one"),  # float reads 1.0
+    pytest.param("\uff12.5", id="fullwidth-two"),
+    pytest.param("1.5\u00a0", id="no-break-space"),
+])
+@pytest.mark.parametrize("at", [0, 40])
+def test_ingest_rejects_rows_float_reads_past_ascii(tmp_path, row, at):
+    p = tmp_path / "quirk.csv"
+    rows = [str(i) for i in range(80)]
+    rows[at] = row
+    p.write_text("\n".join(rows), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^input_csv: row {at + 1}: "):
+        ingest(p)
+
+
+def test_ingest_header_may_hold_any_text(tmp_path):
+    # any first line float cannot read is the header: one with non-ASCII text or
+    # "_" leaves the rows alone, and so does a line of one NUL byte
+    for header in ("\u03c3_j", "\x00"):
+        p = tmp_path / "h.csv"
+        p.write_text(header + "\n" + "\n".join(str(i) for i in range(80)), encoding="utf-8")
+        series, prov = ingest(p)
+        assert prov["header_skipped"] and len(series) == 80 and series[-1] == 79.0
 
 
 def test_ingest_too_short(tmp_path):
@@ -836,6 +863,9 @@ def test_report_with_a_non_finite_number_raises_numeric_error(tmp_path, value):
     pytest.param("<config>", b'{"seed": ' + b"1" * 5000 + b"}", id="config-integer-of-5000-digits"),
     pytest.param("input_csv", None, id="csv-directory"),
     pytest.param("input_csv", b"x\n1.0\n\xff\n", id="csv-not-utf8"),
+    # rows Python's float reads, as 1000 and 1.0
+    pytest.param("input_csv", b"x\n" + b"1_000\n" * 80, id="csv-digit-groups"),
+    pytest.param("input_csv", b"x\n" + "\u0661\n".encode() * 80, id="csv-arabic-indic-digit"),
 ])
 def test_cli_unreadable_input_exit_2(tmp_path, field, content):
     bad = tmp_path / "bad"
@@ -1083,6 +1113,67 @@ def test_cli_precondition_enforcement_exit_4(tmp_path):
     r = _cli("test", "--config", cfgp)
     assert r.returncode == 4
     assert "precondition" in r.stderr
+
+
+def test_cli_mc_experiment_enforces_preconditions_exit_4(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfgp = _write(tmp_path, "m.json", {
+        "mode": "mc-experiment", "model": {"d": 0.35, "K": 0}, "g": "hermite:1",
+        "bank": {"family": "db2", "jmax": 7}, "n": 4096, "j": 3, "p": 2, "seed": 6, "replicates": 2,
+        "d0_star": 0.35, "alpha": 0.1, "enforce_preconditions": {"bias_max": 0.0}, "out": str(out),
+    })
+    assert cli.main(["mc-experiment", "--config", cfgp]) == 4
+    assert capsys.readouterr().err.startswith("precondition hard-fail: bias ratio ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+# each input is read by every mode listed with it; mc-experiment simulates n rows in place of a CSV
+_BASE = {"model": {"d": 0.35}, "g": "hermite:1", "bank": {"family": "db2", "jmax": 8}, "n": 4096, "j": 3, "p": 2,
+         "seed": 1, "d0_star": 0.35, "alpha": 0.1, "replicates": 2}
+_ALL_THREE, _CALIBRATED = ("estimate", "test", "mc-experiment"), ("test", "mc-experiment")
+
+
+@pytest.mark.parametrize("modes, change, field", [
+    pytest.param(_ALL_THREE, {"model": {"d": 0.35, "K": 1}, "bank": {"family": "db1", "jmax": 8}, "d0_star": 1.35},
+                 "bank.family", id="moment-shortfall"),
+    # db34's taps fail the moment check: the transform comes first
+    pytest.param(_ALL_THREE, {"g": {"kind": "polynomial", "coeffs": ["1"]}, "bank": {"family": "db34", "jmax": 2},
+                              "j": 1, "p": 1}, "g.coeffs", id="zero-transform-db34"),
+    # too short to ingest, and the bank has too few moments: the bank comes first
+    pytest.param(_ALL_THREE, {"input_csv": "rows-10", "model": {"d": 0.35, "K": 1},
+                              "bank": {"family": "db1", "jmax": 8}, "d0_star": 1.35},
+                 "bank.family", id="short-csv-moment-shortfall"),
+    pytest.param(_CALIBRATED, {"k_bar": 2}, "k_bar", id="k_bar-not-below-M"),
+    pytest.param(_CALIBRATED, {"d0_star": 3.35}, "d0_star", id="M-below-d0_star"),
+    # a constant series, whose scalogram is zero: the calibration comes first
+    pytest.param(_CALIBRATED, {"input_csv": "zeros", "d0_star": 3.35}, "d0_star", id="zero-csv-M-below-d0_star"),
+])
+def test_modes_agree_on_the_field_an_input_fails(tmp_path, capsys, modes, change, field):
+    if "input_csv" in change:
+        kind, series = change["input_csv"], tmp_path / "series.csv"
+        export_path(np.arange(10.0) if kind == "rows-10" else np.zeros(4096), series)
+        change = {**change, "input_csv": str(series)}
+    for mode in modes:
+        raw = {**_BASE, **change, "out": str(tmp_path / mode)}
+        if mode == "mc-experiment":
+            raw.pop("input_csv", None)
+        assert cli.main([mode, "--config", _write(tmp_path, f"{mode}.json", raw)]) == 2, mode
+        assert capsys.readouterr().err.startswith(f"config error: {field}: "), mode
+
+
+def test_estimate_test_and_mc_read_one_d0_hat(tmp_path):
+    # a single run is replicate 0 of its plan: the real half of stream 0
+    base = {"model": {"d": 0.35, "K": 1}, "g": "exp-centered", "bank": {"family": "db3", "jmax": 10},
+            "n": 2**14, "j": 3, "p": 3, "seed": 11, "d0_star": 1.35, "alpha": 0.1, "replicates": 1}
+    reports = {}
+    for mode, name in (("estimate", "estimate_report.json"), ("test", "test_report.json"),
+                       ("mc-experiment", "mc_report.json")):
+        cfgp = _write(tmp_path, f"{mode}.json", {**base, "out": str(tmp_path / mode)})
+        assert cli.main([mode, "--config", cfgp]) == 0
+        reports[mode] = json.loads((tmp_path / mode / name).read_text())
+    d0_hat = reports["estimate"]["estimate"]["d0_hat"]
+    assert reports["test"]["test"]["d0_hat"] == d0_hat
+    assert reports["mc-experiment"]["results"][0]["mean_d0"] == d0_hat
 
 
 def test_cli_rank_two_test_end_to_end(tmp_path):

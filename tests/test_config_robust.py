@@ -32,7 +32,9 @@ _BASES = {
     "estimate": {**_SERIES, "seed": 3},
     "test": {**_SERIES, "model": {"d": 0.35}, "d0_star": 0.35, "alpha": 0.1, "k_bar": 0, "seed": 4,
              "enforce_preconditions": {"reduction_max": 10.0, "bias_max": 10.0}},
-    "mc-experiment": {**_SERIES, "replicates": 2, "workers": 1, "seed": 5,
+    # tests d0* under loose bounds, so the fuzz reaches the plan's calibration and enforcement
+    "mc-experiment": {**_SERIES, "replicates": 2, "workers": 1, "seed": 5, "d0_star": 0.3, "alpha": 0.1,
+                      "enforce_preconditions": {"reduction_max": 10.0, "bias_max": 10.0},
                       "schedule": [{"n": 512, "j": 1, "p": 2, "replicates": 2}]},
     "nu-c": {"g": {"kind": "hermite-coeffs", "coeffs": {"1": 1, "3": 1}}, "d_values": [0.1, 0.3]},
 }
