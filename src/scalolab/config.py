@@ -336,6 +336,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
     # the fractional part splits d0* into (d*, K*)
     if cfg.d0_star is not None and not 0.0 < cfg.d0_star % 1.0 < 0.5:
         raise ConfigError("d0_star", "must be positive with fractional part in (0, 1/2)")
+    if c.get("enforce_preconditions") and not (mode in ("test", "mc-experiment") and cfg.d0_star is not None
+                                                and cfg.alpha is not None):
+        raise ConfigError("enforce_preconditions", "a bound is read only by a run that calibrates the test: "
+                                                   "test, or mc-experiment with d0_star and alpha")
     if not isinstance(cfg.d_values, list):
         raise ConfigError("d_values", "must be a list of numbers in (0, 1/2)")
     if mode != "nu-c":

@@ -65,9 +65,11 @@ def _naming(fields: dict):
         raise ConfigError(next(f for k, f in fields.items() if isinstance(exc, k)), str(exc)) from None
 
 
-# calibrate_test checks d0* and the bank's M against k_bar; estimate_d0 the
-# series, which parse_config can size only when it is simulated
-_TARGET_FIELDS = {InvalidTargetError: "d0_star", BoundaryValueError: "d0_star", FilterValidationError: "k_bar"}
+# calibrate_test checks d0*, the bank's M against k_bar and a rank-one law's
+# offsets p against the bank's levels; estimate_d0 the series, which
+# parse_config can size only when it is simulated
+_TARGET_FIELDS = {InvalidTargetError: "d0_star", BoundaryValueError: "d0_star", FilterValidationError: "k_bar",
+                  ScaleTooCoarseError: "p"}
 _SERIES_FIELDS = {DegenerateScalogramError: "input_csv", ScaleTooCoarseError: "input_csv"}
 
 
@@ -291,7 +293,9 @@ def _mc_replicate(plan: _Plan, pos: int, x: np.ndarray) -> dict:
         out["reject"] = abs(out["d0_hat"] - cfg.d0_star) > plan.calibrations[pos].s_N
     if row.gap_scales:
         q0, cq0 = plan.q0, plan.expansion.coeffs[plan.q0]
-        lead = integrate_K((cq0 / math.factorial(q0)) * hermite_eval(q0, x), cfg.model.K)
+        lead = hermite_eval(q0, x)  # an array of its own: scaled in place
+        lead *= cq0 / math.factorial(q0)
+        lead = integrate_K(lead, cfg.model.K)
         out["gaps"] = {b.j: (sG[b.j], b.sigma2) for b in scalograms(lead, bank, row.gap_scales)}
     return out
 

@@ -24,37 +24,59 @@ ZERO_TOL = 1e-10
 
 def _hermite_polys(x: np.ndarray, qmax: int):
     """H_0(x), ..., H_qmax(x) in turn, by the three-term recurrence
-    H_{q+1} = x H_q - q H_{q-1}; no step is taken past H_qmax."""
-    h_prev, h = np.ones_like(x), x.copy()
-    yield h_prev
+    H_{q+1} = x H_q - q H_{q-1}; no step is taken past H_qmax.
+
+    H_0 is a read-only view of 1 and H_1 is x itself, never written; each
+    later H is computed in place in one of at most three arrays of x's
+    shape, and from H_3 on H_qmax in the array of H_{qmax-1}.  So a yielded
+    array may be overwritten once the generator moves on: read it first.
+    """
+    yield np.broadcast_to(1.0, x.shape)
+    h_prev, h, spare = 1.0, x, []  # spare: our arrays that hold no H still needed
     for q in range(1, qmax + 1):
         yield h
-        if q < qmax:
-            h_prev, h = h, x * h - q * h_prev
+        if q == qmax:
+            return
+        new = h if q > 1 and q + 1 == qmax else spare.pop() if spare else np.empty_like(x)
+        np.multiply(x, h, out=new)
+        if q == 1:
+            new -= 1.0  # 1 H_0
+        else:  # q H_{q-1}, in its own array from H_2 on
+            scaled = np.multiply(h_prev, q, out=h_prev if q > 2 else np.empty_like(x))
+            new -= scaled
+            spare.append(scaled)
+        h_prev, h = h, new
 
 
 def hermite_eval(q: int, x):
     """H_q(x), probabilists' convention: H_0 = 1, H_1 = x, H_2 = x^2 - 1.
 
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; an array result is the caller's own, never x.
     """
     if q < 0:
         raise ValueError("Hermite index must be >= 0")
     for h in _hermite_polys(np.asarray(x, dtype=float), q):
         pass
+    if q < 2:
+        h = h.copy()  # a view of 1 or x itself
     return h if h.shape else float(h)
 
 
 def hermite_series(coeffs: dict[int, float], x):
-    """Evaluate sum_q (c_q / q!) H_q(x) with a single recurrence sweep."""
+    """Evaluate sum_q (c_q / q!) H_q(x) with a single recurrence sweep.
+
+    The first term is written into the result and the last is scaled in
+    the recurrence's own array; the sum is zeros plus each term, to the bit."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    fact = 1.0
-    for q, h in enumerate(_hermite_polys(x, max(coeffs, default=0))):
+    qmax, out, fact = max(coeffs, default=0), None, 1.0
+    for q, h in enumerate(_hermite_polys(x, qmax)):
         fact *= max(q, 1)
         if q in coeffs:
-            out += (coeffs[q] / fact) * h
-    return out
+            t = np.multiply(h, coeffs[q] / fact, out=h if 1 < q == qmax else np.empty_like(x))
+            if out is None:
+                out, t = t, 0.0  # t + 0.0 is zeros + t, to the sign of a zero
+            out += t
+    return np.zeros_like(x) if out is None else out
 
 
 @lru_cache(maxsize=16)

@@ -33,6 +33,7 @@ from .errors import (
     InvalidTargetError,
     NumericError,
     QuadratureError,
+    ScaleTooCoarseError,
 )
 from .exponents import (
     MemoryParams,
@@ -187,7 +188,8 @@ class _ShapeStrips:
         self.trusted_rmax = self.F // 4
         self.depth, self.lo = depth, J - depth
         if self.lo < 1:
-            raise ValueError(f"bank too shallow: offset {depth} needs filters down to level {self.lo}")
+            raise ScaleTooCoarseError(f"bank too shallow: offset {depth} needs filters down to level {self.lo}; "
+                                      f"the rank-one limit law takes p < min(jmax, {_SHAPE_J}) = {J}")
         self.B = min(_STRIP, self.F // 16)
         self.h, self.g1 = bank.scaling * 2.0**-0.5, bank.highpass * 2.0**-0.5
         self.tlo = max(self.lo, 4) - 3  # rows hold levels tlo..J-3

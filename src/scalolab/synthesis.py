@@ -25,6 +25,9 @@ def stream(seed: int, index: int = 0) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_NORMAL_BLOCK = 2**15  # normals drawn at a time: a block and its weights stay in cache
+
+
 def _split(m: int) -> int:
     """The largest divisor of m whose square is at most m."""
     f = math.isqrt(m)
@@ -113,12 +116,17 @@ def sample_gaussian_pair(model: SpectralModel, N: int, seed: int, stream_index: 
     covariance is approximate."""
     emb = _embedding_for(model, N)
     rng = stream(seed, stream_index)
-    # one complex buffer, weighted and transformed in place; the generator
-    # fills only contiguous arrays, so each normal block is a temporary
+    # one complex buffer, weighted and transformed in place.  The generator
+    # fills only contiguous arrays: each half's normals pass through one
+    # cache-sized block, drawn in stream order, so the stream is the one an
+    # M-point draw reads, and weighted into the buffer
     y = np.empty(emb.M, dtype=complex)
-    y.real = rng.standard_normal(emb.M)
-    y.imag = rng.standard_normal(emb.M)
-    y *= emb.sqrt_eigs
+    block = np.empty(min(_NORMAL_BLOCK, emb.M))
+    for half in (y.real, y.imag):
+        for k in range(0, emb.M, len(block)):
+            b = block[: emb.M - k]
+            np.multiply(rng.standard_normal(out=b), emb.sqrt_eigs[k : k + len(b)], out=half[k : k + len(b)])
+    del block, b  # freed before the transform and the gathers allocate theirs
     head = emb.dft(y)[: -(-N // emb.N1)]  # the first N points and fewer than N1 more
     return _gather(head.real, math.sqrt(emb.M))[:N], _gather(head.imag, math.sqrt(emb.M))[:N]
 

@@ -10,7 +10,9 @@ of a bank's transfer functions, against which the cascade taps and the limit
 shape are checked, `level_rfft` the per-level transform against which the
 limit law's strips and level tables are checked, and `one_shot_pair` the
 circulant draw with one M-point FFT per transform, against which the
-package's four-step draw is checked.
+package's four-step draw is checked.  `hermite_polys` is the three-term
+recurrence with a fresh array per step, against which the package's
+in-place recurrence is checked bit for bit.
 `rosenblatt_sample` draws from the package's circulant embedding; its
 seeded draws are pinned in `test_synthesis.py`.
 """
@@ -82,6 +84,26 @@ def one_shot_pair(model: SpectralModel, N: int, seed: int, stream_index: int = 0
     re = rng.standard_normal(M)
     y = np.fft.fft((re + 1j * rng.standard_normal(M)) * np.sqrt(np.clip(eigs, 0.0, None)))
     return y[:N].real / math.sqrt(M), y[:N].imag / math.sqrt(M)
+
+
+def hermite_polys(x: np.ndarray, qmax: int):
+    """H_0(x), ..., H_qmax(x) by H_{q+1} = x H_q - q H_{q-1}, each a new array."""
+    h_prev, h = np.ones_like(x), x.copy()
+    yield h_prev
+    for q in range(1, qmax + 1):
+        yield h
+        if q < qmax:
+            h_prev, h = h, x * h - q * h_prev
+
+
+def hermite_series(coeffs: dict, x: np.ndarray) -> np.ndarray:
+    """sum_q (c_q / q!) H_q(x), accumulated from zeros over `hermite_polys`."""
+    out, fact = np.zeros_like(x), 1.0
+    for q, h in enumerate(hermite_polys(x, max(coeffs, default=0))):
+        fact *= max(q, 1)
+        if q in coeffs:
+            out += (coeffs[q] / fact) * h
+    return out
 
 
 def _autocov_grid_raw(model: SpectralModel, L: int, grid: int) -> np.ndarray:

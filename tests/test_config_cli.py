@@ -914,21 +914,26 @@ def test_calibration_script_smoke(tmp_path):
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
-@pytest.mark.parametrize("model, g, d0_star", [({"d": 0.35, "K": 0}, "hermite:1", 0.35),
-                                               ({"d": 0.42, "K": 0}, "hermite:2", 0.34),
-                                               ({"d": 0.35, "K": 0}, "hermite:1", None)])
-def test_fault_probe_sweep_reuses_freed_replicate_arrays(tmp_path, model, g, d0_star):
+@pytest.mark.parametrize("model, g, d0_star, preset", [
+    pytest.param({"d": 0.35, "K": 0}, "hermite:1", 0.35, None, id="model0-hermite:1-0.35"),
+    pytest.param({"d": 0.42, "K": 0}, "hermite:2", 0.34, None, id="model1-hermite:2-0.34"),
+    pytest.param({"d": 0.35, "K": 0}, "hermite:1", None, None, id="model2-hermite:1-None"),
+    pytest.param({"d": 0.41, "K": 0}, {"kind": "hermite-coeffs", "coeffs": {"2": 2, "3": 1}}, None, "small-scale",
+                 id="small-scale-gaps"),
+])
+def test_fault_probe_sweep_reuses_freed_replicate_arrays(tmp_path, model, g, d0_star, preset):
     # After set-up, a replicate's arrays (MBs at n = 2^16) come from blocks
     # the last replicate freed: about 500 minor faults per replicate would
     # mean glibc maps each afresh.  The draw's transform allocates no block
     # of its own, and the embedding's build has already freed one as large
     # as the draw's buffer, which lifts glibc's mmap threshold above every
     # replicate array; a sweep with no test, and so no limit law in its
-    # set-up, must not fault either.
+    # set-up, must not fault either, nor one whose replicates also evaluate
+    # the lead term at the gap scales.
     cfg = tmp_path / "mc.json"
     test = {} if d0_star is None else {"d0_star": d0_star, "alpha": 0.1}
     cfg.write_text(json.dumps({"mode": "mc-experiment", "model": model, "g": g, "n": 2**16, "j": 5, "p": 3,
-                               "bank": {"family": "db2", "jmax": 10}, **test}))
+                               "bank": {"family": "db2", "jmax": 10}, "preset": preset, **test}))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     r = subprocess.run([sys.executable, str(ROOT / "scripts" / "fault_probe.py"), str(cfg)],
                        capture_output=True, text=True, env=env)
@@ -1125,6 +1130,35 @@ def test_cli_mc_experiment_enforces_preconditions_exit_4(tmp_path, capsys):
     assert cli.main(["mc-experiment", "--config", cfgp]) == 4
     assert capsys.readouterr().err.startswith("precondition hard-fail: bias ratio ")
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("mode", ["test", "mc-experiment"])
+def test_rank_one_offset_past_the_limit_shape_exits_2_naming_p(tmp_path, capsys, mode):
+    # the rank-one limit law reads levels min(jmax, 11) down to min(jmax, 11) - p >= 1
+    out = tmp_path / "o"
+    cfgp = _write(tmp_path, "c.json", {
+        "model": {"d": 0.35}, "g": "hermite:1", "bank": {"family": "db2", "jmax": 12}, "n": 2**16, "j": 1,
+        "p": 11, "d0_star": 0.35, "alpha": 0.1, "replicates": 2, "out": str(out),
+    })
+    assert cli.main([mode, "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: p: bank too shallow: offset 11 ") and "p < min(jmax, 11) = 11" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("mode, extra", [("estimate", {}), ("estimate", {"d0_star": 0.35, "alpha": 0.1}),
+                                         ("analyze", {}), ("mc-experiment", {}), ("mc-experiment", {"d0_star": 0.35}),
+                                         ("mc-experiment", {"alpha": 0.1})])
+def test_a_bound_no_calibration_reads_exits_2(tmp_path, capsys, mode, extra):
+    # only a run that calibrates the test reads enforce_preconditions: elsewhere a bound would go unread
+    base = {"model": {"d": 0.35}, "g": "hermite:1", "bank": {"family": "db2", "jmax": 7}, "n": 4096, "j": 3,
+            "p": 2, "replicates": 2, "out": str(tmp_path / "o"), **extra}
+    cfgp = _write(tmp_path, "c.json", {**base, "enforce_preconditions": {"bias_max": 0.0}})
+    assert cli.main([mode, "--config", cfgp]) == 2
+    assert capsys.readouterr().err.startswith("config error: enforce_preconditions: a bound is read only by ")
+    # no bound at all (null is absent) is nothing unread
+    cfgp = _write(tmp_path, "c.json", {**base, "enforce_preconditions": {"bias_max": None}})
+    assert cli.main([mode, "--config", cfgp]) == 0
 
 
 # each input is read by every mode listed with it; mc-experiment simulates n rows in place of a CSV

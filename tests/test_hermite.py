@@ -1,10 +1,14 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from scalolab import hermite
 from scalolab.errors import NonIntegrabilityError
 from scalolab.hermite import (
     HermiteExpansion,
@@ -48,12 +52,67 @@ def test_hermite_eval_values():
     assert hermite_eval(4, 0.0) == 3.0
 
 
+def _points() -> np.ndarray:
+    x = np.random.default_rng(27).standard_normal(4000) * 4.0
+    x[:6] = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e200]  # signed zeros, and H_q overflowing to +-inf
+    return x
+
+
 def test_hermite_eval_matches_recurrence_oracle():
-    xs = np.linspace(-3, 3, 11)
-    h_prev, h = np.ones_like(xs), xs.copy()
-    for q in range(1, 15):
-        np.testing.assert_allclose(hermite_eval(q, xs), h, rtol=1e-12)
-        h_prev, h = h, xs * h - q * h_prev
+    # bit for bit the recurrence with a fresh array per step
+    x = _points()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q, ref in enumerate(oracles.hermite_polys(x, 40)):
+            h = hermite_eval(q, x)
+            assert h.tobytes() == ref.tobytes(), q
+            # the caller's own array: writing into it leaves x as it was
+            assert h.flags.owndata and h.flags.writeable and not np.shares_memory(h, x), q
+
+
+def test_hermite_series_is_the_reference_sum_bit_for_bit():
+    x, rng = _points(), np.random.default_rng(28)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(200):
+            ranks = rng.choice(41, size=rng.integers(1, 7), replace=False)
+            coeffs = {int(q): float(rng.choice([rng.standard_normal(), 0.0, -0.0])) for q in ranks}
+            assert hermite_series(coeffs, x).tobytes() == oracles.hermite_series(coeffs, x).tobytes(), coeffs
+    assert hermite_series({}, x).tobytes() == oracles.hermite_series({}, x).tobytes()
+    # -0.0 terms sum to +0.0, as zeros plus each term does
+    for coeffs in ({1: -1.0}, {2: -0.0, 3: 1.0}, {0: 1.0, 2: 0.5}):
+        for t in (np.array([0.0, -0.0, 1.0]), np.array(0.0)):
+            assert hermite_series(coeffs, t).tobytes() == oracles.hermite_series(coeffs, t).tobytes()
+
+
+@pytest.mark.parametrize("G", [lambda t: t**3 - 3.0 * t, lambda t: np.exp(t), lambda t: np.abs(t),
+                               lambda t: np.sin(2.0 * t)], ids=["cubic", "exp", "abs", "sin"])
+def test_expand_coefficients_are_the_reference_recurrences(G, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # exp and abs are auto-centred
+        got = expand(G)
+        monkeypatch.setattr(hermite, "_hermite_polys", oracles.hermite_polys)
+        ref = expand(G)
+    assert got == ref and got.coeffs
+
+
+def _traced_peak(f, *args) -> int:
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hermite_evaluation_holds_at_most_three_arrays():
+    # in x's arrays of 8n bytes, the result included; a fresh array per
+    # step holds 5 for the series and 4 for every H_q from q = 2
+    n = 2**16
+    x = np.random.default_rng(3).standard_normal(n)
+    slack = 64 * 1024
+    assert _traced_peak(hermite_series, {2: 2.0, 3: 1.0}, x) <= 3 * 8 * n + slack
+    assert _traced_peak(hermite_eval, 2, x) <= 1 * 8 * n + slack
+    for q in range(41):
+        assert _traced_peak(hermite_eval, q, x) <= 3 * 8 * n + slack, q
 
 
 def test_orthogonality_table():

@@ -147,6 +147,22 @@ def test_pair_draw_allocates_one_complex_buffer():
     assert peak <= 32 * M + 64 * 1024, peak
 
 
+def test_pair_draw_traced_peak_at_n_2_16():
+    # the draw's buffer (16 M bytes) and the two gathered paths (8 M bytes):
+    # the normals pass through a block of 2^15 points, which is freed before
+    # the gathers allocate theirs
+    m, N = model(0.3), 2**16
+    M = _embedding_for(m, N).M
+    sample_gaussian_pair(m, N, 1)
+    tracemalloc.start()
+    try:
+        sample_gaussian_pair(m, N, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * M + 64 * 1024, peak
+
+
 def test_sample_path_is_integrated_transform_of_its_gaussian():
     m = model(0.3, K=2)
     g = expansion_from_coeffs({2: 2.0})
