@@ -37,7 +37,7 @@ from .spectral import (  # noqa: F401
 from .synthesis import (  # noqa: F401
     integrate_K,
     sample_gaussian,
-    sample_path,
+    transform_path,
 )
 from .wavelet import (  # noqa: F401
     FilterBank,

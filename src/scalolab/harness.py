@@ -16,6 +16,11 @@ A single run is the one replicate of its plan on that series.  A sweep on
 workers > 1 hands the plan to each worker of one process pool; a replicate
 pair is a function of (plan, row position, pair index) alone.  A rejection raised
 during a run names its config field (`_naming`).
+
+Every simulated Y is `transform_path` of a Gaussian path: a single run's
+(`_simulated`, shared by simulate, analyze and the plan), a replicate's and
+its leading Hermite term's.  Estimate mode sets the predicted rates, which
+depend on the model; `estimate_d0` reads the series alone.
 """
 
 import json
@@ -33,9 +38,9 @@ from .config import ExperimentConfig, ingest
 from .errors import (BoundaryValueError, ConfigError, DegenerateScalogramError, FilterValidationError,
                      InvalidTargetError, LongMemoryError, NumericError, PreconditionError, ScaleTooCoarseError)
 from .exponents import critical_exponent_report, delta, rank_profile, zeta_exponent
-from .hermite import HermiteExpansion, hermite_eval, hermite_rank
+from .hermite import HermiteExpansion, expansion_from_coeffs, hermite_rank
 from .inference import calibrate_test, d0_from_scalograms, estimate_d0, require_moments
-from .synthesis import export_path, integrate_K, sample_gaussian_pair, sample_path, transform_path
+from .synthesis import export_path, sample_gaussian, sample_gaussian_pair, transform_path
 from .wavelet import FilterBank, build_bank, n_coeffs, scalograms
 
 
@@ -93,11 +98,17 @@ class _Artifacts:
                     os.unlink(q)
 
 
+def _simulated(cfg: ExperimentConfig) -> np.ndarray:
+    """The run's simulated series: Y of the real half of stream 0."""
+    if cfg.g is not None:
+        cfg.g.expansion()  # rejects a transform that is zero once centred
+    return transform_path(cfg.model, cfg.g, sample_gaussian(cfg.model, cfg.n, cfg.seed))
+
+
 def _load_or_simulate(cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
     if cfg.input_csv:
         return ingest(cfg.input_csv)
-    series = sample_path(cfg.model, cfg.g, cfg.n, cfg.seed)[1]
-    return series, {"simulated": True, "n": cfg.n, "seed": cfg.seed}
+    return _simulated(cfg), {"simulated": True, "n": cfg.n, "seed": cfg.seed}
 
 
 def run(cfg: ExperimentConfig) -> list:
@@ -111,11 +122,7 @@ def run(cfg: ExperimentConfig) -> list:
 
 
 def _run_simulate(cfg, art):
-    if cfg.g is not None:
-        cfg.g.expansion()  # rejects a transform that is zero once centred
-    series = sample_path(cfg.model, cfg.g, cfg.n, cfg.seed)[1]
-    p = art.path("path.csv")
-    export_path(series, p, sidecar=_meta(cfg))
+    export_path(_simulated(cfg), art.path("path.csv"), sidecar=_meta(cfg))
     return art.paths
 
 
@@ -247,15 +254,14 @@ def _run_single(cfg, art):
     """estimate or test: the one replicate of the run's plan, on its series."""
     plan = _plan(cfg)
     (series, prov), row = plan.series, plan.rows[0]
-    rates = {}
-    if plan.calibrations is None and plan.q0 is not None:  # an estimate with g predicts its rates
-        q0, q1 = hermite_rank(plan.expansion)
-        rates = {"params": cfg.model.params}  # and no q0: the plan has applied the moment rule
-        if delta(q0, cfg.model.d) > 0:  # a short-memory rank has no bias rate
-            rates["zeta"] = zeta_exponent(cfg.model.beta_smooth, cfg.model.d, q0, q1)
     with _naming(_SERIES_FIELDS):
-        est = estimate_d0(series, plan.bank, row.j, row.p, **rates)
+        est = estimate_d0(series, plan.bank, row.j, row.p)
     if plan.calibrations is None:
+        if plan.q0 is not None:  # an estimate with g predicts its rates
+            (q0, q1), d = hermite_rank(plan.expansion), cfg.model.d
+            est.rate_stat = float((len(series) * 2.0 ** -(row.j + row.p)) ** -(0.5 - d))  # coarsest scale
+            if delta(q0, d) > 0:  # a short-memory rank has no bias rate
+                est.rate_bias = float(2.0 ** (-zeta_exponent(cfg.model.beta_smooth, d, q0, q1) * row.j))
         return _write_report(cfg, art, "estimate_report.json", input=prov, estimate=asdict(est))
     cal = plan.calibrations[0]
     test = replace(cal, d0_hat=est.d0_hat, decision=abs(est.d0_hat - cfg.d0_star) > cal.s_N, estimation=est)
@@ -291,11 +297,8 @@ def _mc_replicate(plan: _Plan, pos: int, x: np.ndarray) -> dict:
     out = {"d0_hat": d0_from_scalograms([sG[j] for j in est])}
     if plan.calibrations is not None:
         out["reject"] = abs(out["d0_hat"] - cfg.d0_star) > plan.calibrations[pos].s_N
-    if row.gap_scales:
-        q0, cq0 = plan.q0, plan.expansion.coeffs[plan.q0]
-        lead = hermite_eval(q0, x)  # an array of its own: scaled in place
-        lead *= cq0 / math.factorial(q0)
-        lead = integrate_K(lead, cfg.model.K)
+    if row.gap_scales:  # Y of the leading Hermite term alone
+        lead = transform_path(cfg.model, expansion_from_coeffs({plan.q0: plan.expansion.coeffs[plan.q0]}), x)
         out["gaps"] = {b.j: (sG[b.j], b.sigma2) for b in scalograms(lead, bank, row.gap_scales)}
     return out
 

