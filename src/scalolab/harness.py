@@ -99,9 +99,8 @@ class _Artifacts:
 
 
 def _simulated(cfg: ExperimentConfig) -> np.ndarray:
-    """The run's simulated series: Y of the real half of stream 0."""
-    if cfg.g is not None:
-        cfg.g.expansion()  # rejects a transform that is zero once centred
+    """The run's simulated series: Y of the real half of stream 0.  Its
+    caller has expanded g, which rejects a transform that is zero once centred."""
     return transform_path(cfg.model, cfg.g, sample_gaussian(cfg.model, cfg.n, cfg.seed))
 
 
@@ -122,11 +121,15 @@ def run(cfg: ExperimentConfig) -> list:
 
 
 def _run_simulate(cfg, art):
+    if cfg.g is not None:
+        cfg.g.expansion()  # rejects a transform that is zero once centred
     export_path(_simulated(cfg), art.path("path.csv"), sidecar=_meta(cfg))
     return art.paths
 
 
 def _run_analyze(cfg, art):
+    if cfg.g is not None and not cfg.input_csv:
+        cfg.g.expansion()  # rejects a transform that is zero once centred
     series, prov = _load_or_simulate(cfg)
     with _naming({FilterValidationError: "bank.family", **_SERIES_FIELDS}):  # taps that fail the moment check
         sums = scalograms(series, build_bank(cfg.bank_family, cfg.bank_jmax), range(cfg.j0, cfg.j0 + cfg.p + 1))

@@ -65,14 +65,15 @@ def hermite_eval(q: int, x):
 def hermite_series(coeffs: dict[int, float], x):
     """Evaluate sum_q (c_q / q!) H_q(x) with a single recurrence sweep.
 
-    The first term is written into the result and the last is scaled in
-    the recurrence's own array; the sum is zeros plus each term, to the bit."""
+    Each c_q is divided by the exact q!, so c_q = q! gives H_q to the bit.
+    The first term is written into the result and the
+    last is scaled in the recurrence's own array; the sum is zeros plus each
+    term, to the bit."""
     x = np.asarray(x, dtype=float)
-    qmax, out, fact = max(coeffs, default=0), None, 1.0
+    qmax, out = max(coeffs, default=0), None
     for q, h in enumerate(_hermite_polys(x, qmax)):
-        fact *= max(q, 1)
         if q in coeffs:
-            t = np.multiply(h, coeffs[q] / fact, out=h if 1 < q == qmax else np.empty_like(x))
+            t = np.multiply(h, coeffs[q] / float(math.factorial(q)), out=h if 1 < q == qmax else np.empty_like(x))
             if out is None:
                 out, t = t, 0.0  # t + 0.0 is zeros + t, to the sign of a zero
             out += t

@@ -52,6 +52,9 @@ class _Embedding:
     The only circulant embedding in the package.  `exact` records whether
     the embedding was nonnegative definite, so that draws have the target
     covariance exactly (always so for the pure fractional model).
+    The eigenvalues of a symmetric circulant satisfy lambda_k = lambda_{M-k}
+    (Wood & Chan 1994), so `sqrt_eigs` holds modes 0..M/2 alone, and a draw
+    weights mode k > M/2 by entry M - k: the weights are exactly symmetric.
     `sqrt_eigs` is read-only: one cached embedding serves every later draw.
     Both the eigenvalues and every draw come from `dft`, which transforms the
     draw's own buffer in place by short batched FFTs.
@@ -74,7 +77,8 @@ class _Embedding:
                           np.exp(-2j * math.pi / M * (k1 * np.arange(R)))[:, None, :])
         y = np.zeros(M, complex)
         y.real[: len(rho)], y.real[len(rho) :] = rho, rho[-2:0:-1]
-        eigs = _gather(self.dft(y).real, 1.0)  # in natural order
+        # modes 0..M/2 in natural order, cut from the transform's head as a draw cuts its path
+        eigs = _gather(self.dft(y)[: M // 2 // self.N1 + 1].real, 1.0)[: M // 2 + 1]
         self.exact = bool(eigs.min() >= -1e-10 * eigs.max())
         if not self.exact:
             import logging  # only this warning logs: loaded here, not by every run
@@ -119,13 +123,20 @@ def sample_gaussian_pair(model: SpectralModel, N: int, seed: int, stream_index: 
     # one complex buffer, weighted and transformed in place.  The generator
     # fills only contiguous arrays: each half's normals pass through one
     # cache-sized block, drawn in stream order, so the stream is the one an
-    # M-point draw reads, and weighted into the buffer
+    # M-point draw reads, and weighted into the buffer.  Modes below h take
+    # w, the rest w's mirror, so the block that straddles M/2 is weighted in two
+    w, h = emb.sqrt_eigs, len(emb.sqrt_eigs)
+    mirror = w[-2:0:-1]  # mode m >= h: w[M - m] = mirror[m - h]
     y = np.empty(emb.M, dtype=complex)
     block = np.empty(min(_NORMAL_BLOCK, emb.M))
     for half in (y.real, y.imag):
         for k in range(0, emb.M, len(block)):
-            b = block[: emb.M - k]
-            np.multiply(rng.standard_normal(out=b), emb.sqrt_eigs[k : k + len(b)], out=half[k : k + len(b)])
+            b = rng.standard_normal(out=block[: emb.M - k])
+            s, e = min(max(h - k, 0), len(b)), k + len(b)  # b[:s] below h
+            if s:
+                np.multiply(b[:s], w[k : k + s], out=half[k : k + s])
+            if k + s < e:
+                np.multiply(b[s:], mirror[k + s - h : e - h], out=half[k + s : e])
     del block, b  # freed before the transform and the gathers allocate theirs
     head = emb.dft(y)[: -(-N // emb.N1)]  # the first N points and fewer than N1 more
     return _gather(head.real, math.sqrt(emb.M))[:N], _gather(head.imag, math.sqrt(emb.M))[:N]

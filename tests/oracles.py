@@ -52,12 +52,13 @@ def rosenblatt_sample(d: float, reps: int, seed: int, n_internal: int = 2**14) -
     rows = max(1, min(64, (reps + 1) // 2))
     # reused buffers: fresh mid-sized ones would be mmapped and faulted in per block
     z, y, sq = np.empty((rows, emb.M)), np.empty((rows, emb.M), dtype=complex), np.empty((rows, n))
+    w = np.concatenate([emb.sqrt_eigs, emb.sqrt_eigs[-2:0:-1]])  # mode k > M/2 takes mode M - k's weight
     while done < reps:
         # one (rows, M) block of weighted complex noise, transformed in place;
         # both halves of each row are independent paths
         y.real = rng.standard_normal(out=z)
         y.imag = rng.standard_normal(out=z)
-        y *= emb.sqrt_eigs
+        y *= w
         np.fft.fft(y, axis=1, out=y)
         y *= 1.0 / math.sqrt(emb.M)
         for part in (y.real, y.imag):
@@ -98,11 +99,10 @@ def hermite_polys(x: np.ndarray, qmax: int):
 
 def hermite_series(coeffs: dict, x: np.ndarray) -> np.ndarray:
     """sum_q (c_q / q!) H_q(x), accumulated from zeros over `hermite_polys`."""
-    out, fact = np.zeros_like(x), 1.0
+    out = np.zeros_like(x)
     for q, h in enumerate(hermite_polys(x, max(coeffs, default=0))):
-        fact *= max(q, 1)
         if q in coeffs:
-            out += (coeffs[q] / fact) * h
+            out += (coeffs[q] / float(math.factorial(q))) * h
     return out
 
 

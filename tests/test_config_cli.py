@@ -581,6 +581,19 @@ def test_mc_plan_built_once_per_run(tmp_path, monkeypatch):
     assert not [p.name for p in package.glob("*.py") if "rosenblatt_sample" in p.read_text()]
 
 
+@pytest.mark.parametrize("mode", ["estimate", "test"])
+def test_single_run_expands_g_once(tmp_path, monkeypatch, mode):
+    # the plan expands g; simulating the series reuses the plan's check
+    cfg = parse_config({
+        "mode": mode, "model": {"d": 0.3}, "g": "exp-centered", "bank": {"family": "db2", "jmax": 8},
+        "n": 4096, "j": 3, "p": 2, "d0_star": 0.3, "alpha": 0.1, "seed": 2, "out": str(tmp_path),
+    })
+    calls, expansion = [], scalolab.config.GSpec.expansion
+    monkeypatch.setattr(scalolab.config.GSpec, "expansion", lambda g: calls.append(g) or expansion(g))
+    run(cfg)
+    assert len(calls) == 1
+
+
 def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch):
     # 100 rows cannot carry scales up to 6; only the run finds that out
     series = tmp_path / "short.csv"

@@ -83,6 +83,16 @@ def test_hermite_series_is_the_reference_sum_bit_for_bit():
             assert hermite_series(coeffs, t).tobytes() == oracles.hermite_series(coeffs, t).tobytes()
 
 
+def test_hermite_series_divides_by_the_exact_factorial():
+    # c_q = q! makes the series H_q itself: a running float product of
+    # 1..q departs from q! at q = 28, and the term then misses H_q by an ulp
+    x = _points()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in range(1, 41):
+            got = hermite_series({q: float(math.factorial(q))}, x)
+            assert np.array_equal(got, hermite_eval(q, x), equal_nan=True), q
+
+
 @pytest.mark.parametrize("G", [lambda t: t**3 - 3.0 * t, lambda t: np.exp(t), lambda t: np.abs(t),
                                lambda t: np.sin(2.0 * t)], ids=["cubic", "exp", "abs", "sin"])
 def test_expand_coefficients_are_the_reference_recurrences(G, monkeypatch):

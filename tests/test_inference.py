@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -34,7 +34,7 @@ from scalolab.inference import (
     run_test,
 )
 from scalolab.spectral import SpectralModel
-from scalolab.synthesis import sample_gaussian, stream
+from scalolab.synthesis import integrate_K, sample_gaussian, stream
 from scalolab.wavelet import build_bank
 
 from oracles import asymptotic_transfer, cascade_taps, level_rfft, rosenblatt_sample
@@ -99,6 +99,18 @@ def test_estimator_scale_invariance(bank_db2):
     a = estimate_d0(y, bank_db2, 3, 3).d0_hat
     b = estimate_d0(123.456 * y, bank_db2, 3, 3).d0_hat
     assert a == pytest.approx(b, abs=1e-12)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(["db1", "db2", "db3", "db5"]), st.integers(1, 4), st.integers(1, 2),
+       st.sampled_from([0.1, 0.3, 0.45]), st.integers(0, 1), st.floats(1e-3, 1e3),
+       st.sampled_from([2**11, 3000, 2**13]), st.integers(0, 2**32 - 1))
+def test_estimator_sign_symmetry(family, j0, p, d, K, scale, n, seed):
+    # the pyramid is linear and rounding is symmetric in sign: -Y has the
+    # negated coefficients of Y, exactly, so d0_hat(-Y) is d0_hat(Y) to the bit
+    y = scale * integrate_K(sample_gaussian(SpectralModel(MemoryParams(d, 0)), n, seed), K)
+    bank = build_bank(family, 8)
+    assert estimate_d0(-y, bank, j0, p).d0_hat == estimate_d0(y, bank, j0, p).d0_hat
 
 
 def test_estimator_moment_precondition(bank_db2):

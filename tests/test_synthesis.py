@@ -17,6 +17,7 @@ from scalolab.spectral import ShortRangeSpec, SpectralModel, autocov_X
 from scalolab.synthesis import (
     _Embedding,
     _embedding_for,
+    _gather,
     export_path,
     integrate_K,
     sample_gaussian,
@@ -50,20 +51,20 @@ def test_seeded_draws_are_pinned():
     # both samplers draw from the one circulant embedding; these digests pin
     # the draw layout, which changes only with a version bump
     ros = {
-        (0.42, 7, 1, 1024): "edbf23a2d9a4eaea",
-        (0.3, 130, 5, 2048): "8c6de95c93a73520",
-        (0.45, 1, 0, 512): "e6b9c78a07d937b3",
-        (0.27, 200, 99, 256): "fe5d96163d1eb789",
-        (0.35, 64, 2**40, 4096): "159f0b45b7885a31",
+        (0.42, 7, 1, 1024): "0b7cb72d465092f2",
+        (0.3, 130, 5, 2048): "3e2c34828e4b8782",
+        (0.45, 1, 0, 512): "9b9d187f079b2ac5",
+        (0.27, 200, 99, 256): "eb610edfbc29b317",
+        (0.35, 64, 2**40, 4096): "19b2193e565804c5",
     }
     for (d, reps, seed, n), digest in ros.items():
         assert _sha(rosenblatt_sample(d, reps, seed, n)) == digest, (d, reps, seed, n)
     ma = ShortRangeSpec("ma", 0.1, (1.0, 0.5))
     # (real half, imaginary half): Monte Carlo replicates 2i and 2i+1
     gauss = [
-        (model(0.3), 1000, 3, 5, "29ed34f444496692", "b1ae29b00be68c29"),
-        (model(0.42, K=1), 4096, 11, (1 << 32) | 7, "9aaab5fde746073f", "5e11b04a62f1ad2a"),
-        (SpectralModel(MemoryParams(0.2, 0), ma), 2048, 0, 0, "c159708b68bce85c", "90cad8f60c607a40"),
+        (model(0.3), 1000, 3, 5, "028c47fbb3cc03c6", "1debc7d7f045e5ee"),
+        (model(0.42, K=1), 4096, 11, (1 << 32) | 7, "849a2539f4b29663", "cef8c31025666edb"),
+        (SpectralModel(MemoryParams(0.2, 0), ma), 2048, 0, 0, "34020ddfdbac8ace", "db3d1b93dadf2852"),
     ]
     for m, N, seed, index, digest, imag_digest in gauss:
         assert _sha(sample_gaussian(m, N, seed, index)) == digest, (m, N, seed, index)
@@ -86,17 +87,66 @@ def test_cached_embedding_is_read_only():
         assert not any(np.shares_memory(a, b) for a in (xr, xi) for b in (nr, ni))
 
 
+def test_cached_embedding_holds_the_distinct_half():
+    # lambda_k = lambda_{M-k}: modes 0..M/2 are all the embedding keeps
+    for N in (2, 3, 1000, 2**12):
+        emb = _embedding_for(model(0.3), N)
+        assert emb.M == 2 * N and emb.sqrt_eigs.shape == (N + 1,), N
+
+
+def _mirrored_pair(m, N, seed, index):
+    """`sample_gaussian_pair` with the M weights spelt out: the half and
+    its mirror, concatenated, weighting each half's M normals at once."""
+    emb = _embedding_for(m, N)
+    w = np.concatenate([emb.sqrt_eigs, emb.sqrt_eigs[-2:0:-1]])
+    rng = stream(seed, index)
+    y = np.empty(emb.M, dtype=complex)
+    y.real = rng.standard_normal(emb.M) * w
+    y.imag = rng.standard_normal(emb.M) * w
+    head = emb.dft(y)[: -(-N // emb.N1)]
+    return tuple(_gather(part, math.sqrt(emb.M))[:N] for part in (head.real, head.imag))
+
+
+@pytest.mark.parametrize("short_range", [ShortRangeSpec(), ShortRangeSpec("ma", 0.1, (1.0, -0.4, 0.2))])
+def test_pair_draw_weights_each_mode_by_its_mirror(short_range):
+    # the one normal block that straddles M/2 is weighted in two parts: at
+    # N = 2^16 (M = 2^17, four blocks) the third, whose first mode alone is
+    # M/2; N = 12289 splits its only block, and N = 2 and 3 have no mirrored
+    # mode or one
+    m = SpectralModel(MemoryParams(0.41, 0), short_range)
+    for N in (2, 3, 12289, 2**16):
+        for x, ref in zip(sample_gaussian_pair(m, N, 8, 3), _mirrored_pair(m, N, 8, 3)):
+            assert np.array_equal(x, ref), N
+
+
+def test_embedding_build_traced_peak_and_held_bytes():
+    # the build's buffer of 16 M bytes, the gathered half of about 4 M bytes
+    # and the twiddle tables; it keeps the half and the tables.  Keeping all
+    # M eigenvalues would hold 4 M bytes more, and gathering them peak there
+    rho = autocov_X(model(0.41), 2**16).values
+    tracemalloc.start()
+    try:
+        emb = _Embedding(rho)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    M, twiddles = emb.M, sum(t.nbytes for t in emb._twiddles)
+    assert peak <= 20 * M + twiddles + 256 * 1024, peak
+    assert held <= 4 * M + twiddles + 64 * 1024, held
+
+
 SHORT_RANGES = [ShortRangeSpec(), ShortRangeSpec("constant", 2.5), ShortRangeSpec("ma", 0.1, (1.0, -0.4, 0.2))]
 
 
 @pytest.mark.parametrize("short_range", SHORT_RANGES)
 def test_embedding_in_one_buffer_matches_concatenated_fft(short_range):
     # the four-step transform of the column gives the eigenvalues of the
-    # concatenate-then-fft form, in natural order, to rounding
+    # concatenate-then-fft form, in natural order, to rounding; the embedding
+    # keeps modes 0..M/2, the distinct ones
     rho = autocov_X(SpectralModel(MemoryParams(0.3, 0), short_range), 2**12).values
     emb = _Embedding(rho)
     eigs = np.real(np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])))
-    clipped = np.clip(eigs, 0.0, None)
+    clipped = np.clip(eigs, 0.0, None)[: emb.M // 2 + 1]
     assert np.abs(emb.sqrt_eigs**2 - clipped).max() <= 1e-12 * eigs.max()
     assert emb.exact == bool(eigs.min() >= -1e-10 * eigs.max()) and emb.M == 2**13
 
