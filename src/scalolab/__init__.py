@@ -7,7 +7,7 @@ principle, and a hypothesis test on the memory parameter with Gaussian or
 second-chaos (Rosenblatt) calibration.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .exponents import (  # noqa: F401
     ChaosExponents,

@@ -93,9 +93,8 @@ class _Artifacts:
 
     def cleanup(self):
         for p in self.paths:
-            for q in (p, p + ".json"):
-                if os.path.exists(q):
-                    os.unlink(q)
+            if os.path.exists(p):
+                os.unlink(p)
 
 
 def _simulated(cfg: ExperimentConfig) -> np.ndarray:
@@ -123,7 +122,9 @@ def run(cfg: ExperimentConfig) -> list:
 def _run_simulate(cfg, art):
     if cfg.g is not None:
         cfg.g.expansion()  # rejects a transform that is zero once centred
-    export_path(_simulated(cfg), art.path("path.csv"), sidecar=_meta(cfg))
+    csv_path = art.path("path.csv")
+    art.path("path.csv.json")  # export_path's sidecar: listed, and deleted if the run fails
+    export_path(_simulated(cfg), csv_path, sidecar=_meta(cfg))
     return art.paths
 
 

@@ -75,7 +75,6 @@ class EstimationReport:
     weights: list
     rate_stat: Optional[float] = None  # (N 2^-jc)^-(1/2-d), coarsest scale
     rate_bias: Optional[float] = None  # 2^(-zeta j0), finest scale
-    notes: str = ""
 
 
 def d0_from_scalograms(sigma2s) -> float:

@@ -4,7 +4,9 @@ embedding, pointwise nonlinear transform, and K-fold integration.
 Every simulated series, in every mode and Monte Carlo replicate, is
 `transform_path` of a Gaussian path X drawn from counter-based Philox
 streams keyed by (seed, stream index), so generation is reproducible and
-embarrassingly parallel; one stream's FFT yields two paths.
+embarrassingly parallel; one stream's FFT yields two paths.  A pair's M
+modes take the stream's first 2M normals, mode m normals 2m and 2m + 1 as
+its real and imaginary parts.
 """
 
 import json
@@ -23,9 +25,6 @@ def stream(seed: int, index: int = 0) -> "np.random.Generator":
     # a plain list holding a seed >= 2^63 becomes float64, which rounds neighbouring seeds to one key
     key = np.array([seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-_NORMAL_BLOCK = 2**15  # normals drawn at a time: a block and its weights stay in cache
 
 
 def _split(m: int) -> int:
@@ -115,29 +114,19 @@ def sample_gaussian_pair(model: SpectralModel, N: int, seed: int, stream_index: 
     """Two independent unit-variance Gaussian paths of length N with the
     model's correlation: the real and the imaginary half of one transform of
     stream (seed, stream_index); only the two paths outlive the call.
+    The stream's first 2M normals fill the M modes in one call: mode m takes
+    normals 2m (real) and 2m + 1 (imaginary).
     Exact in distribution when the circulant embedding is nonnegative
     definite; otherwise negative modes are clipped (logged warning) and the
     covariance is approximate."""
     emb = _embedding_for(model, N)
-    rng = stream(seed, stream_index)
-    # one complex buffer, weighted and transformed in place.  The generator
-    # fills only contiguous arrays: each half's normals pass through one
-    # cache-sized block, drawn in stream order, so the stream is the one an
-    # M-point draw reads, and weighted into the buffer.  Modes below h take
-    # w, the rest w's mirror, so the block that straddles M/2 is weighted in two
+    # one complex buffer, drawn, weighted and transformed in place; mode
+    # m >= h takes mode M - m's weight through the reversed view
     w, h = emb.sqrt_eigs, len(emb.sqrt_eigs)
-    mirror = w[-2:0:-1]  # mode m >= h: w[M - m] = mirror[m - h]
     y = np.empty(emb.M, dtype=complex)
-    block = np.empty(min(_NORMAL_BLOCK, emb.M))
-    for half in (y.real, y.imag):
-        for k in range(0, emb.M, len(block)):
-            b = rng.standard_normal(out=block[: emb.M - k])
-            s, e = min(max(h - k, 0), len(b)), k + len(b)  # b[:s] below h
-            if s:
-                np.multiply(b[:s], w[k : k + s], out=half[k : k + s])
-            if k + s < e:
-                np.multiply(b[s:], mirror[k + s - h : e - h], out=half[k + s : e])
-    del block, b  # freed before the transform and the gathers allocate theirs
+    stream(seed, stream_index).standard_normal(out=y.view(float))
+    y[:h] *= w
+    y[h:] *= w[-2:0:-1]
     head = emb.dft(y)[: -(-N // emb.N1)]  # the first N points and fewer than N1 more
     return _gather(head.real, math.sqrt(emb.M))[:N], _gather(head.imag, math.sqrt(emb.M))[:N]
 

@@ -77,13 +77,13 @@ def rosenblatt_sample(d: float, reps: int, seed: int, n_internal: int = 2**14) -
 def one_shot_pair(model: SpectralModel, N: int, seed: int, stream_index: int = 0) -> tuple:
     """`sample_gaussian_pair` as one M-point FFT of the concatenated
     correlation (the eigenvalues) and one of the weighted normals (the
-    draw): the same stream, the same two normal blocks, the same modes."""
+    draw): the same stream, its first 2M normals, mode m taking normals 2m
+    and 2m + 1 as its real and imaginary parts."""
     rho = autocov_X(model, N).values
     eigs = np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
     M = len(eigs)
-    rng = stream(seed, stream_index)
-    re = rng.standard_normal(M)
-    y = np.fft.fft((re + 1j * rng.standard_normal(M)) * np.sqrt(np.clip(eigs, 0.0, None)))
+    z = stream(seed, stream_index).standard_normal(2 * M)
+    y = np.fft.fft((z[0::2] + 1j * z[1::2]) * np.sqrt(np.clip(eigs, 0.0, None)))
     return y[:N].real / math.sqrt(M), y[:N].imag / math.sqrt(M)
 
 

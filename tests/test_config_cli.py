@@ -376,7 +376,7 @@ def test_analyze_and_estimate_modes(tmp_path):
     sim = parse_config({"mode": "simulate", "model": {"d": 0.3, "K": 0},
                         "g": "hermite:1", "n": 4096, "seed": 4,
                         "out": str(tmp_path / "sim")})
-    (path_csv,) = run(sim)
+    path_csv, _ = run(sim)
     est = parse_config({"mode": "estimate", "model": {"d": 0.3, "K": 0},
                         "g": "hermite:1", "bank": {"family": "db2", "jmax": 8},
                         "input_csv": path_csv, "j": 3, "p": 3,
@@ -663,7 +663,11 @@ def test_cli_exit_codes(tmp_path):
     })
     r2 = _cli("simulate", "--config", ok)
     assert r2.returncode == 0
-    assert (tmp_path / "out" / "path.csv").exists()
+    # stdout names every file the run writes: the sidecar carries the config,
+    # seed and version that reproduce the path
+    out = tmp_path / "out"
+    assert r2.stdout.splitlines() == [str(out / "path.csv"), str(out / "path.csv.json")]
+    assert sorted(p.name for p in out.iterdir()) == ["path.csv", "path.csv.json"]
 
 
 _MA = {"kind": "ma", "coeffs": [1.0, 0.5]}

@@ -62,9 +62,9 @@ def test_seeded_draws_are_pinned():
     ma = ShortRangeSpec("ma", 0.1, (1.0, 0.5))
     # (real half, imaginary half): Monte Carlo replicates 2i and 2i+1
     gauss = [
-        (model(0.3), 1000, 3, 5, "028c47fbb3cc03c6", "1debc7d7f045e5ee"),
-        (model(0.42, K=1), 4096, 11, (1 << 32) | 7, "849a2539f4b29663", "cef8c31025666edb"),
-        (SpectralModel(MemoryParams(0.2, 0), ma), 2048, 0, 0, "34020ddfdbac8ace", "db3d1b93dadf2852"),
+        (model(0.3), 1000, 3, 5, "e88a7679ea1403ee", "070b1cdb4ef3ba77"),
+        (model(0.42, K=1), 4096, 11, (1 << 32) | 7, "4f717e836de276ed", "bd68bee5688ae6b2"),
+        (SpectralModel(MemoryParams(0.2, 0), ma), 2048, 0, 0, "860f6b6fafe9c105", "a96fa693ae99ec69"),
     ]
     for m, N, seed, index, digest, imag_digest in gauss:
         assert _sha(sample_gaussian(m, N, seed, index)) == digest, (m, N, seed, index)
@@ -96,23 +96,24 @@ def test_cached_embedding_holds_the_distinct_half():
 
 def _mirrored_pair(m, N, seed, index):
     """`sample_gaussian_pair` with the M weights spelt out: the half and
-    its mirror, concatenated, weighting each half's M normals at once."""
+    its mirror, concatenated, weighting the real normals (even positions)
+    and the imaginary ones (odd positions) apart."""
     emb = _embedding_for(m, N)
     w = np.concatenate([emb.sqrt_eigs, emb.sqrt_eigs[-2:0:-1]])
-    rng = stream(seed, index)
+    z = stream(seed, index).standard_normal(2 * emb.M)
     y = np.empty(emb.M, dtype=complex)
-    y.real = rng.standard_normal(emb.M) * w
-    y.imag = rng.standard_normal(emb.M) * w
+    y.real = z[0::2] * w
+    y.imag = z[1::2] * w
     head = emb.dft(y)[: -(-N // emb.N1)]
     return tuple(_gather(part, math.sqrt(emb.M))[:N] for part in (head.real, head.imag))
 
 
 @pytest.mark.parametrize("short_range", [ShortRangeSpec(), ShortRangeSpec("ma", 0.1, (1.0, -0.4, 0.2))])
 def test_pair_draw_weights_each_mode_by_its_mirror(short_range):
-    # the one normal block that straddles M/2 is weighted in two parts: at
-    # N = 2^16 (M = 2^17, four blocks) the third, whose first mode alone is
-    # M/2; N = 12289 splits its only block, and N = 2 and 3 have no mirrored
-    # mode or one
+    # the draw weights modes 0..M/2 by the half and the rest by its
+    # reversed view, each complex mode at once: bit for bit the real
+    # products of the spelt-out weights.  N = 2 and 3 have one mirrored
+    # mode and two, 12289 an odd N and 2^16 a power of two
     m = SpectralModel(MemoryParams(0.41, 0), short_range)
     for N in (2, 3, 12289, 2**16):
         for x, ref in zip(sample_gaussian_pair(m, N, 8, 3), _mirrored_pair(m, N, 8, 3)):
@@ -184,8 +185,8 @@ def test_embedding_rejects_a_non_finite_correlation():
 
 def test_pair_draw_allocates_one_complex_buffer():
     # the draw's temporaries, counted in bytes: one complex buffer of M
-    # points (16 M bytes) and the two real paths of N = M/2 points, with at
-    # most one real normal block besides, within 32 M bytes
+    # points (16 M bytes), into which the normals are drawn, and the two
+    # real paths of N = M/2 points, within 32 M bytes
     m, N = model(0.3), 2**14
     M = _embedding_for(m, N).M
     sample_gaussian_pair(m, N, 1)  # warm: the embedding is cached
@@ -200,8 +201,8 @@ def test_pair_draw_allocates_one_complex_buffer():
 
 def test_pair_draw_traced_peak_at_n_2_16():
     # the draw's buffer (16 M bytes) and the two gathered paths (8 M bytes):
-    # the normals pass through a block of 2^15 points, which is freed before
-    # the gathers allocate theirs
+    # the normals are drawn straight into the buffer, and its weighting
+    # allocates no M-point temporary
     m, N = model(0.3), 2**16
     M = _embedding_for(m, N).M
     sample_gaussian_pair(m, N, 1)
@@ -219,7 +220,8 @@ def test_simulated_path_is_the_integrated_transform_of_its_gaussian(tmp_path):
     # real half of stream 0, which is the K-fold integral of g(X)
     cfg = parse_config({"mode": "simulate", "model": {"d": 0.3, "K": 2}, "g": "hermite:2",
                         "n": 512, "seed": 4, "out": str(tmp_path)})
-    (path_csv,) = run(cfg)
+    path_csv, sidecar = run(cfg)
+    assert sidecar == path_csv + ".json"
     x = sample_gaussian(cfg.model, 512, 4)
     y = transform_path(cfg.model, cfg.g, x)
     np.testing.assert_array_equal(ingest(path_csv)[0], y)
