@@ -151,7 +151,7 @@ _NUMBERS = {
     "enforce_preconditions.reduction_max": _Range(False),
     "enforce_preconditions.bias_max": _Range(False),
 }
-# the only keys these objects may hold, "" the top level (parse_config names a retired key first)
+# the only keys these objects may hold, "" the top level (0.1.x's quantile_reps and quantile_n_internal are unknown)
 _KEYS = {
     "": ("mode", "model", "g", "bank", "n", "j", "p", "replicates", "seed", "workers", "out", "input_csv",
          "d0_star", "alpha", "k_bar", "d_values", "schedule", "preset", "enforce_preconditions"),
@@ -236,15 +236,17 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
 def parse_model(obj, path: str = "model") -> SpectralModel:
     """The spectral model of a mapping whose shape and numbers `parse_config` has checked."""
     _NUMBERS["model.d"].check(f"{path}.d", obj.get("d"))  # parse_config has checked a d that is given
-    sr_obj, level = obj.get("short_range", {}), 1.0 / (2.0 * math.pi)
+    sr_obj = obj.get("short_range", {})
     kind = sr_obj.get("kind", "constant")
     if kind not in ("constant", "ma"):
         raise ConfigError(f"{path}.short_range.kind", f"unknown kind {kind!r}")
-    try:
-        if kind == "constant":
-            sr = ShortRangeSpec("constant", float(sr_obj.get("value", level)))
-        else:
-            sr = ShortRangeSpec("ma", float(sr_obj.get("scale", level)), tuple(map(float, sr_obj.get("coeffs", [1.0]))))
+    reads = ("value",) if kind == "constant" else ("scale", "coeffs")
+    unread = [k for k in sr_obj if k not in ("kind", *reads)]
+    if unread:
+        raise ConfigError(f"{path}.short_range.{unread[0]}", f"not read by kind {kind!r}")
+    level, coeffs = sr_obj.get(reads[0], 1.0 / (2.0 * math.pi)), sr_obj.get("coeffs", [1.0])
+    try:  # a flat f* is the one-tap moving average
+        sr = ShortRangeSpec(float(level), tuple(map(float, coeffs)))
     except ValueError as exc:  # an MA transfer that vanishes at 0
         raise ConfigError(f"{path}.short_range", str(exc)) from None
     return SpectralModel(MemoryParams(float(obj["d"]), obj.get("K", 0)), sr, float(obj.get("beta", 2.0)))
@@ -257,8 +259,6 @@ _REQUIRED = {"simulate": ("model", "n"), "analyze": _SERIES, "estimate": _SERIES
              "test": (*_SERIES, "g", "d0_star", "alpha"), "mc-experiment": ("model", "g", "n", "j", "p"),
              "nu-c": ("g", ("d_values", "model"))}
 _MODES = tuple(_REQUIRED)
-# 0.1.x quantile controls: ignored, they would misstate how a report was made
-_RETIRED = ("quantile_reps", "quantile_n_internal")
 
 
 @dataclass
@@ -294,9 +294,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     null stands for an absent value."""
     if not isinstance(obj, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
-    for key in _RETIRED:
-        if obj.get(key) is not None:
-            raise ConfigError(key, "retired: the Rosenblatt quantile is now deterministic")
     try:
         c = _checked(obj)
     except RecursionError:
@@ -349,6 +346,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
             raise ConfigError("model.d", str(exc)) from None
     if mode == "mc-experiment" and cfg.preset not in (None, "slope", "large-scale", "small-scale"):
         raise ConfigError("preset", "must be one of slope, large-scale, small-scale")
+    if rows and cfg.preset is not None:
+        raise ConfigError("preset", "not read beside a schedule, whose rows run as given")
     if mode in ("analyze", "estimate", "test", "mc-experiment"):
         # a simulated series has a known length: the coarsest scale's filter
         # must fit in n/4, which also leaves it at least one coefficient

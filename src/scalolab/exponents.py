@@ -149,7 +149,6 @@ class RankProfile:
     """
 
     q_indices: tuple[int, ...]
-    d: float
     q0: int
     q1: Optional[int]
     gap_sets: dict[int, frozenset[int]]
@@ -186,7 +185,7 @@ def rank_profile(coeff_indices, d: float) -> RankProfile:
     ell_markers = {r: min(s) for r, s in gap_sets.items()}
     Q_set = frozenset(r for r in frozen_gaps if delta(r + 1, d) > 0.0)
     Jd_set = frozenset().union(*(frozen_gaps[r] for r in Q_set)) if Q_set else frozenset()
-    return RankProfile(q, d, q0, q1, frozen_gaps, ell_markers, Q_set, Jd_set)
+    return RankProfile(q, q0, q1, frozen_gaps, ell_markers, Q_set, Jd_set)
 
 
 @dataclass
@@ -196,8 +195,6 @@ class CriticalExponentReport:
 
     nu_c: float
     branch: str
-    d: float
-    q_indices: tuple[int, ...]
     inputs: dict = field(default_factory=dict)
     candidates: list = field(default_factory=list)
 
@@ -223,7 +220,7 @@ def critical_exponent_report(profile: RankProfile, d: float) -> CriticalExponent
     }
 
     def rep(nu, branch, cands=()):
-        return CriticalExponentReport(nu, branch, d, q, inputs, list(cands))
+        return CriticalExponentReport(nu, branch, inputs, list(cands))
 
     if len(q) == 1:
         return rep(math.inf, "single-term")

@@ -315,10 +315,6 @@ class LimitLaw:
     own object, so its cov_Q is read-only."""
 
     kind: str  # "gaussian" or "rosenblatt"
-    q0: int
-    d: float
-    K: int
-    p: int
     u_N_exponent: float  # u_N = (N 2^-jc)^u_N_exponent
     cov_Q: Optional[np.ndarray] = None  # (p+1)x(p+1), offsets u = 0..p
     sigma_d0: Optional[float] = None  # sqrt(w' cov_Q w) in estimator index order
@@ -330,7 +326,7 @@ class LimitLaw:
 _TAIL_CHANGE_TOL = 0.1  # above it, an offset's integral is not resolved by the bank
 
 
-@lru_cache(maxsize=16)  # keyed on the bank's identity: build_bank returns one per (family, jmax)
+@lru_cache(maxsize=16)  # keyed on the bank's identity: build_bank returns one per (M, jmax)
 def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> LimitLaw:
     """Limit-law constants for the estimator over scales jc-p..jc.
 
@@ -364,7 +360,7 @@ def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> 
         if var <= 0:
             raise QuadratureError("estimator variance came out nonpositive")
         return LimitLaw(
-            kind="gaussian", q0=1, d=d, K=K, p=p, u_N_exponent=0.5,
+            kind="gaussian", u_N_exponent=0.5,
             cov_Q=cov, sigma_d0=math.sqrt(var), L_values=L,
             provenance={"S": shape.S, "J": shape.J, "tail_change": tails},
         )
@@ -374,7 +370,7 @@ def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> 
     ratio = q0 * L[f"L{q0 - 1}"] / L[f"L{q0}"]
     drift = float(np.dot(w, 2.0 ** ((2.0 * d - 1.0) * (p - np.arange(p + 1)))))
     return LimitLaw(
-        kind="rosenblatt", q0=q0, d=d, K=K, p=p, u_N_exponent=1.0 - 2.0 * d,
+        kind="rosenblatt", u_N_exponent=1.0 - 2.0 * d,
         L_values=L, c_scale=ratio * drift,
         provenance={"S": shape.S, "J": shape.J},
     )

@@ -2,12 +2,13 @@
 its Hermite transform.
 
 The input spectral density is f(lambda) = |1 - e^{-i lambda}|^{-2d} f*(lambda)
-with a short-range factor f* from a small analytic menu.  Its
-autocovariance is exact: the fractionally-integrated factor has a
-closed-form covariance (Gamma ratios) and the moving-average factor mixes a
-finite number of its lags.  The covariance of G(X) follows from Hermite
-orthogonality.  A dense FFT grid of f, with its q-fold self-convolutions,
-serves the spectral side of the covariance-density duality.
+with a smooth short-range factor f*, the squared transfer of a finite
+moving average (one tap for a flat f*).  Its autocovariance is exact: the
+fractionally-integrated factor has a closed-form covariance (Gamma ratios)
+and the moving average mixes a finite number of its lags.  The covariance
+of G(X) follows from Hermite orthogonality.  A dense FFT grid of f, with
+its q-fold self-convolutions, serves the spectral side of the
+covariance-density duality.
 """
 
 import math
@@ -25,32 +26,27 @@ _ANALYTIC_CELLS = 16  # cells on each side of 0 integrated analytically
 
 @dataclass(frozen=True)
 class ShortRangeSpec:
-    """Short-range factor f*: either a positive constant, or the squared
-    transfer of a finite moving average, scale*|sum_m theta_m e^{-im lam}|^2.
+    """Short-range factor f*(lam) = value*|sum_m theta_m e^{-im lam}|^2, the
+    squared transfer of a finite moving average; the default single tap
+    theta = (1,) is the flat level `value`.
 
-    Both menu entries are smooth, so their Hoelder exponent is the maximal
-    beta = 2; that value feeds the bias-exponent arithmetic.
+    It is smooth, so its Hoelder exponent is the maximal beta = 2; that
+    value feeds the bias-exponent arithmetic.
     """
 
-    kind: str = "constant"
     value: float = 1.0 / (2.0 * math.pi)
     ma_coeffs: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        if self.kind not in ("constant", "ma"):
-            raise ValueError(f"unknown short-range kind {self.kind!r}")
-        if self.kind == "constant" and not self.value > 0:
-            raise ValueError("constant short-range level must be positive")
-        if self.kind == "ma":
-            if len(self.ma_coeffs) < 1:
-                raise ValueError("ma_coeffs must be nonempty")
-            if abs(sum(self.ma_coeffs)) < 1e-12:
-                raise ValueError("MA transfer vanishes at 0; f*(0) must be positive")
+        if not self.value > 0:
+            raise ValueError("short-range level must be positive")
+        if len(self.ma_coeffs) < 1:
+            raise ValueError("ma_coeffs must be nonempty")
+        if abs(sum(self.ma_coeffs)) < 1e-12:
+            raise ValueError("MA transfer vanishes at 0; f*(0) must be positive")
 
     def at(self, lams):
         lams = np.asarray(lams, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(lams, self.value)
         theta = np.asarray(self.ma_coeffs)
         tr = np.zeros_like(lams, dtype=complex)
         for m, t in enumerate(theta):
@@ -58,12 +54,10 @@ class ShortRangeSpec:
         return self.value * np.abs(tr) ** 2
 
     def at_zero(self) -> float:
-        if self.kind == "constant":
-            return self.value
         return self.value * float(sum(self.ma_coeffs)) ** 2
 
     def ma_autocorr(self) -> np.ndarray:
-        """a_l = sum_m theta_m theta_{m+l}, l = 0..len-1 (kind 'ma' only)."""
+        """a_l = sum_m theta_m theta_{m+l}, l = 0..len-1."""
         theta = np.asarray(self.ma_coeffs, dtype=float)
         full = np.correlate(theta, theta, mode="full")
         return full[len(theta) - 1:]
@@ -72,7 +66,7 @@ class ShortRangeSpec:
 @dataclass(frozen=True)
 class SpectralModel:
     """Long-memory input spectrum: memory/integration params, short-range
-    factor, and its smoothness exponent (analytic for the built-in menu)."""
+    factor, and its smoothness exponent."""
 
     params: MemoryParams
     short_range: ShortRangeSpec = ShortRangeSpec()
@@ -121,26 +115,20 @@ def farima_gamma0(d: float) -> float:
 
 @dataclass
 class CovarianceSequence:
-    """Covariance values at lags 0..lag_cap plus the raw variance of the
-    sequence they were normalised by (1.0 when unnormalised)."""
+    """Covariance values at lags 0..len(values) - 1."""
 
     values: np.ndarray
-    lag_cap: int
-    variance: float = 1.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if len(self.values) != self.lag_cap + 1:
-            raise ValueError("values must cover lags 0..lag_cap")
 
 
 def _autocov_exact_raw(model: SpectralModel, L: int) -> np.ndarray:
-    """Closed-form covariance for the analytic short-range menu."""
+    """Closed-form covariance at lags 0..L: the moving average mixes the
+    fractionally-integrated correlation over its lags."""
     d = model.d
     sr = model.short_range
     g0 = farima_gamma0(d)
-    if sr.kind == "constant":
-        return 2.0 * math.pi * sr.value * g0 * farima_rho(d, L)
     a = sr.ma_autocorr()
     nlag = len(a) - 1
     rho = farima_rho(d, L + nlag)
@@ -153,17 +141,15 @@ def _autocov_exact_raw(model: SpectralModel, L: int) -> np.ndarray:
 
 
 def autocov_X(model: SpectralModel, L: int) -> CovarianceSequence:
-    """Correlation sequence rho(0..L) of the input model, rho(0) = 1, from the
-    closed forms of the analytic menu.  The returned variance field holds
-    the raw gamma(0) so callers can undo the normalisation.
-    """
+    """Correlation sequence rho(0..L) of the input model, rho(0) = 1, from
+    the closed form."""
     if L < 1:
         raise ValueError("lag cap must be >= 1")
     gamma = _autocov_exact_raw(model, L)
     g0 = gamma[0]
     if not math.isfinite(g0):
         raise NumericError(f"autocovariance gamma(0) = {g0}: the model's covariance overflows a float")
-    return CovarianceSequence(gamma / g0, L, variance=g0)
+    return CovarianceSequence(gamma / g0)
 
 
 def autocov_transformed(expansion: HermiteExpansion, rho: CovarianceSequence) -> CovarianceSequence:
@@ -174,7 +160,7 @@ def autocov_transformed(expansion: HermiteExpansion, rho: CovarianceSequence) ->
     out = np.zeros_like(rho.values)
     for q, c in expansion.coeffs.items():
         out += (c * c / math.factorial(q)) * rho.values**q
-    return CovarianceSequence(out, rho.lag_cap, variance=1.0)
+    return CovarianceSequence(out)
 
 
 # --- dense spectral grid and self-convolutions ---------------------------

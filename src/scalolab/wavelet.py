@@ -57,9 +57,8 @@ def mirror_highpass(h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
-    """Read-only base pair (h, g) of a family, for scales j = 1..jmax, gamma_j = 2^j."""
+    """Read-only base pair (h, g) with M vanishing moments, for scales j = 1..jmax, gamma_j = 2^j."""
 
-    family: str
     M: int
     jmax: int
     scaling: np.ndarray
@@ -110,7 +109,7 @@ def _check_moments(g: np.ndarray, M: int) -> None:
 
 
 def build_bank(family: str = "db2", jmax: int = 10) -> FilterBank:
-    """Base pair of a Daubechies-type family, built once per (family, jmax).
+    """Base pair of a Daubechies-type family, built once per (M, jmax): `haar` is `db1`.
 
     Raises FilterValidationError when the family is unknown or its taps
     lose their vanishing moments (db34 does, in floating point); consumers
@@ -118,17 +117,17 @@ def build_bank(family: str = "db2", jmax: int = 10) -> FilterBank:
     """
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
-    return _built_bank(family.lower().strip(), _parse_family(family), operator.index(jmax))
+    return _built_bank(_parse_family(family), operator.index(jmax))
 
 
 @lru_cache(maxsize=None)
-def _built_bank(family: str, M: int, jmax: int) -> FilterBank:
+def _built_bank(M: int, jmax: int) -> FilterBank:
     h = daubechies_scaling(M)
     g = mirror_highpass(h)
     _check_moments(g, M)
     for taps in (h, g):
         taps.setflags(write=False)
-    return FilterBank(family=family, M=M, jmax=jmax, scaling=h, highpass=g, T=2 * M)
+    return FilterBank(M=M, jmax=jmax, scaling=h, highpass=g, T=2 * M)
 
 
 def n_coeffs(N: int, T: int, j: int) -> int:

@@ -745,6 +745,16 @@ _MA = {"kind": "ma", "coeffs": [1.0, 0.5]}
     pytest.param("simulate", {"model": {"d": 0.3, "k": 1}}, "model.k", id="model-unknown-key"),
     pytest.param("simulate", {"model": {"d": 0.3, "short_range": {"kind": "ma", "coefs": [1.0, 0.5]}}},
                  "model.short_range.coefs", id="short_range-unknown-key"),
+    # a key its kind does not read would leave the flat default in its place
+    pytest.param("simulate", {"model": {"d": 0.3, "short_range": {"coeffs": [1, 0.9]}}},
+                 "model.short_range.coeffs", id="short_range-coeffs-without-kind"),
+    pytest.param("simulate", {"model": {"d": 0.3, "short_range": {"kind": "constant", "scale": 3}}},
+                 "model.short_range.scale", id="short_range-constant-scale"),
+    pytest.param("simulate", {"model": {"d": 0.3, "short_range": {"kind": "ma", "value": 5}}},
+                 "model.short_range.value", id="short_range-ma-value"),
+    # a schedule's rows run as given: the preset would label none of them
+    pytest.param("mc-experiment", {"preset": "large-scale", "schedule": [{"n": 4096}]}, "preset",
+                 id="preset-beside-schedule"),
     pytest.param("estimate", {"bank": {"family": "db2", "jmx": 8}}, "bank.jmx", id="bank-unknown-key"),
     pytest.param("simulate", {"g": {"kind": "hermite", "q": 2, "coefs": {"1": 1}}}, "g.coefs",
                  id="g-unknown-key"),
@@ -986,6 +996,16 @@ def test_readme_layout_names_resolve():
     names = set(re.findall(r"`(_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+)`", table)) - _README_MATH
     assert len(names) > 30
     assert sorted(n for n in names if not any(hasattr(m, n) for m in modules)) == []
+
+
+def test_readme_config_table_lists_every_top_level_key():
+    # one row names each key a configuration may hold at its top level, and no
+    # row names another: a key added to or retired from the schema moves the table
+    text = (ROOT / "README.md").read_text()
+    start = text.index("| field | meaning |")
+    rows = text[start : text.index("\n\n", start)].splitlines()[2:]
+    keys = [k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(scalolab.config._KEYS[""])
 
 
 def test_calibration_script_smoke(tmp_path):

@@ -23,7 +23,7 @@ from scalolab.synthesis import _Embedding, sample_gaussian
 
 from oracles import _autocov_grid_raw, ma_autocov_per_lag
 
-FLAT = ShortRangeSpec("constant", 1.0 / (2.0 * math.pi))
+FLAT = ShortRangeSpec(1.0 / (2.0 * math.pi))
 
 
 def model(d, K=0, sr=FLAT):
@@ -72,7 +72,7 @@ def test_density_origin_power_law():
 def test_autocov_matches_farima_oracle():
     cov = autocov_X(model(0.3), 64)
     np.testing.assert_allclose(cov.values, rho_oracle(0.3, 64), rtol=1e-12)
-    assert cov.variance == pytest.approx(farima_gamma0(0.3), rel=1e-12)
+    assert _autocov_exact_raw(model(0.3), 64)[0] == pytest.approx(farima_gamma0(0.3), rel=1e-12)
 
 
 def test_autocov_grid_matches_exact():
@@ -80,14 +80,14 @@ def test_autocov_grid_matches_exact():
     m = model(0.35)
     g = _autocov_grid_raw(m, 64, 2**20)
     np.testing.assert_allclose(g / g[0], autocov_X(m, 64).values, atol=1e-10)
-    mm = SpectralModel(MemoryParams(0.3, 0), ShortRangeSpec("ma", 0.2, (1.0, 0.4, -0.1)))
+    mm = SpectralModel(MemoryParams(0.3, 0), ShortRangeSpec(0.2, (1.0, 0.4, -0.1)))
     g2 = _autocov_grid_raw(mm, 48, 2**20)
     np.testing.assert_allclose(g2 / g2[0], autocov_X(mm, 48).values, atol=1e-8)
 
 
 @pytest.mark.parametrize("coeffs", [(1.0, 0.4), (1.0, 0.4, -0.1), (1.0, -0.5, 0.3, 0.2, -0.1)])
 def test_ma_autocov_equals_the_per_lag_sum(coeffs):
-    mm = model(0.3, sr=ShortRangeSpec("ma", 0.2, coeffs))
+    mm = model(0.3, sr=ShortRangeSpec(0.2, coeffs))
     assert np.array_equal(_autocov_exact_raw(mm, 4096), ma_autocov_per_lag(mm, 4096))
 
 

@@ -87,7 +87,7 @@ def test_deep_bank_holds_its_base_pair_alone():
     # the cascade taps of db35 to level 16 would hold 69 MiB and peak at 172 MiB
     tracemalloc.start()
     try:
-        bank = _built_bank.__wrapped__("db35", 35, 16)  # past the cache: a build, not a lookup
+        bank = _built_bank.__wrapped__(35, 16)  # past the cache: a build, not a lookup
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -110,6 +110,11 @@ def test_bank_is_built_once_and_read_only():
             arr[0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         bank.jmax = 9
+
+
+def test_haar_is_db1():
+    # a bank is keyed on its moment order: both names share one bank and one limit-law memo entry
+    assert build_bank("haar") is build_bank("db1")
 
 
 def test_haar_transfer_zero_at_dc(bank_haar):
