@@ -27,7 +27,6 @@ from .hermite import (  # noqa: F401
     hermite_rank,
 )
 from .spectral import (  # noqa: F401
-    CovarianceSequence,
     ShortRangeSpec,
     SpectralModel,
     autocov_X,

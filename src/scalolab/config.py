@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, FilterValidationError
 from .exponents import MemoryParams, check_off_boundary
-from .hermite import (DEFAULT_QMAX, HermiteExpansion, expansion_from_coeffs, hermite_eval, hermite_series,
-                      truncated)
+from .hermite import DEFAULT_QMAX, HermiteExpansion, expansion_from_coeffs, hermite_series, truncated
 from .spectral import ShortRangeSpec, SpectralModel
 from .wavelet import _filter_length, _parse_family
 
@@ -39,21 +38,17 @@ def _hermite_at_zero(n: int) -> float:
 
 @dataclass(frozen=True)
 class GSpec:
-    """Declarative transform: a named builtin, a polynomial in x with
-    rational coefficients, or an explicit Hermite coefficient map.  Calling
-    it applies the centred transform; being plain data, it pickles."""
+    """Declarative transform: a named builtin, a polynomial with `coeffs` (a0, a1, ...), or the Hermite
+    series sum_q (c_q/q!) H_q with `coeffs` ((q, c_q), ...), H_q itself being ((q, q!),).  Calling it
+    applies the centred transform; being plain data, it pickles."""
 
     kind: str
-    q: Optional[int] = None
-    poly_coeffs: tuple = ()
-    hermite_coeffs: tuple = ()  # ((q, c), ...)
+    coeffs: tuple = ()
 
     def __call__(self, x):
         """The transform, vectorised and exactly centred."""
-        if self.kind == "hermite":
-            return hermite_eval(self.q, x)
         if self.kind == "polynomial":
-            coeffs = np.array(self.poly_coeffs, dtype=float)
+            coeffs = np.array(self.coeffs, dtype=float)
             mean = sum(c * _normal_moment(n) for n, c in enumerate(coeffs))
             return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs) - mean
         if self.kind == "exp-centered":
@@ -63,7 +58,7 @@ class GSpec:
         if self.kind == "abs-centered":
             return np.abs(x) - math.sqrt(2.0 / math.pi)
         if self.kind == "hermite-coeffs":
-            return hermite_series(dict(self.hermite_coeffs), x)
+            return hermite_series(dict(self.coeffs), x)
         raise ConfigError("g.kind", f"unknown transform kind {self.kind!r}")
 
     def expansion(self) -> HermiteExpansion:
@@ -73,10 +68,8 @@ class GSpec:
         `truncated` floor, and second_moment is the exact E[G(X)^2].  A
         transform that keeps no rank, zero once centred, raises ConfigError.
         """
-        if self.kind == "hermite":
-            return expansion_from_coeffs({self.q: float(math.factorial(self.q))})
         if self.kind == "hermite-coeffs":
-            return expansion_from_coeffs(dict(self.hermite_coeffs))
+            return expansion_from_coeffs(dict(self.coeffs))
         ranks, two_phi0 = range(1, DEFAULT_QMAX + 1), math.sqrt(2.0 / math.pi)
         if self.kind == "exp-centered":  # E[e^{X/2} H_q(X)] = e^{1/8} 2^{-q}
             coeffs, m2 = {q: math.exp(0.125) * 2.0**-q for q in ranks}, math.exp(0.5) - math.exp(0.25)
@@ -88,7 +81,7 @@ class GSpec:
             coeffs, m2 = {q: two_phi0 * _hermite_at_zero(q - 2) for q in ranks[1::2]}, 1.0 - 2.0 / math.pi
         else:  # polynomial: x^n = sum_k n!/(2^k k! (n-2k)!) H_{n-2k}, exactly
             exact = {}
-            for n, a in enumerate(self.poly_coeffs):
+            for n, a in enumerate(self.coeffs):
                 for k in range((n + 1) // 2):  # H_0 carries the mean, which G subtracts
                     term = Fraction(a) * math.factorial(n) / (2**k * math.factorial(k))
                     exact[n - 2 * k] = exact.get(n - 2 * k, 0) + term
@@ -187,27 +180,31 @@ def _checked(obj, path: str = "", key: str = ""):
 
 
 def parse_g_spec(obj, path: str = "g") -> GSpec:
-    """Accept 'hermite:3'-style shorthand or a {'kind': ...} mapping whose
-    numbers `parse_config` has checked."""
+    """The transform of a 'hermite:3'-style shorthand or a {'kind': ...} mapping whose numbers `parse_config`
+    has checked.  A key its kind does not read is rejected, and rank q is the one-term series {q: q!}."""
     if isinstance(obj, str):
-        if obj.startswith("hermite:"):
-            try:
-                q = int(obj[len("hermite:"):])
-            except ValueError:
-                raise ConfigError(path, f"rank in {obj!r} must be a positive integer") from None
-            _NUMBERS["g.q"].check(path, q)
-            return GSpec("hermite", q=q)
         if obj in ("exp-centered", "sign", "abs-centered"):
             return GSpec(obj)
-        raise ConfigError(path, f"unknown transform shorthand {obj!r}")
+        if not obj.startswith("hermite:"):
+            raise ConfigError(path, f"unknown transform shorthand {obj!r}")
+        try:
+            q = int(obj[len("hermite:"):])
+        except ValueError:
+            raise ConfigError(path, f"rank in {obj!r} must be a positive integer") from None
+        _NUMBERS["g.q"].check(path, q)
+        obj = {"kind": "hermite", "q": q}
     if not isinstance(obj, dict):
         raise ConfigError(path, "must be a string shorthand or an object")
     kind = obj.get("kind")
     if kind not in _BUILTIN_KINDS:
         raise ConfigError(f"{path}.kind", f"must be one of {_BUILTIN_KINDS}")
+    reads = {"hermite": "q", "polynomial": "coeffs", "hermite-coeffs": "coeffs"}.get(kind)
+    unread = [k for k in obj if k not in ("kind", reads)]
+    if unread:
+        raise ConfigError(f"{path}.{unread[0]}", f"not read by kind {kind!r}")
     if kind == "hermite":
         _NUMBERS["g.q"].check(f"{path}.q", obj.get("q"))  # parse_config has checked a q that is given
-        return GSpec("hermite", q=obj["q"])
+        return GSpec("hermite-coeffs", ((obj["q"], float(math.factorial(obj["q"]))),))
     if kind == "polynomial":
         raw = obj.get("coeffs")
         if not isinstance(raw, (list, tuple)) or not raw:
@@ -216,7 +213,7 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
             coeffs = tuple(float(Fraction(str(c))) for c in raw)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"{path}.coeffs", f"unparsable coefficient: {exc}") from None
-        return GSpec("polynomial", poly_coeffs=coeffs)
+        return GSpec("polynomial", coeffs)
     if kind == "hermite-coeffs":
         raw = obj.get("coeffs")
         if not isinstance(raw, dict) or not raw:
@@ -229,7 +226,7 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
             _NUMBERS["g.q"].check(f"{path}.coeffs", q)
         if not any(c for _, c in items):
             raise ConfigError(f"{path}.coeffs", "needs a nonzero coefficient")
-        return GSpec("hermite-coeffs", hermite_coeffs=items)
+        return GSpec("hermite-coeffs", items)
     return GSpec(kind)
 
 
@@ -344,7 +341,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
             check_off_boundary(model.d)
         except ValueError as exc:
             raise ConfigError("model.d", str(exc)) from None
-    if mode == "mc-experiment" and cfg.preset not in (None, "slope", "large-scale", "small-scale"):
+    for key in ("preset", "schedule", "input_csv"):  # only a sweep reads the first two, and it reads no series
+        if c.get(key) and (mode == "mc-experiment") == (key == "input_csv"):
+            raise ConfigError(key, f"not read by mode {mode!r}")
+    if cfg.preset not in (None, "slope", "large-scale", "small-scale"):
         raise ConfigError("preset", "must be one of slope, large-scale, small-scale")
     if rows and cfg.preset is not None:
         raise ConfigError("preset", "not read beside a schedule, whose rows run as given")

@@ -11,8 +11,9 @@ last imaginary half), so aggregates cannot depend on execution order.
 parent, which checks their inputs once, in this order: the transform, the
 bank, the schedule (mc-experiment), the moment rule, the series (a single
 run loads or simulates it, which fixes n), each row's `calibrate_test`
-report when the run tests d0*, and `enforce_preconditions` on each report.
-A single run is the one replicate of its plan on that series.  A sweep on
+report, which the row carries and whose reject rule decides each of its
+replicates, when the run tests d0*, and `enforce_preconditions` on each
+report.  A single run is the one replicate of its plan on that series.  A sweep on
 workers > 1 hands the plan to each worker of one process pool; a replicate
 pair is a function of (plan, row position, pair index) alone.  A rejection raised
 during a run names its config field (`_naming`).
@@ -27,7 +28,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import Optional
 
@@ -39,7 +40,7 @@ from .errors import (BoundaryValueError, ConfigError, DegenerateScalogramError, 
                      InvalidTargetError, LongMemoryError, NumericError, PreconditionError, ScaleTooCoarseError)
 from .exponents import critical_exponent_report, delta, rank_profile, zeta_exponent
 from .hermite import HermiteExpansion, expansion_from_coeffs, hermite_rank
-from .inference import calibrate_test, d0_from_scalograms, estimate_d0, require_moments
+from .inference import TestReport, calibrate_test, d0_from_scalograms, estimate_d0, require_moments
 from .synthesis import export_path, sample_gaussian, sample_gaussian_pair, transform_path
 from .wavelet import FilterBank, build_bank, n_coeffs, scalograms
 
@@ -181,6 +182,7 @@ class _Row:
     replicates: int
     regime: str = ""
     gap_scales: tuple = ()
+    calibration: Optional[TestReport] = None  # the row's calibrate_test report when the run tests d0*
 
 
 def _schedule(cfg: ExperimentConfig, bank: FilterBank, expansion: HermiteExpansion) -> list:
@@ -223,7 +225,6 @@ class _Plan:
     rows: list
     expansion: Optional[HermiteExpansion]  # None for an estimate without g
     q0: Optional[int]
-    calibrations: Optional[tuple]  # each row's calibrate_test report when the run tests d0*
     series: Optional[tuple] = None  # a single run's (series, provenance)
 
 
@@ -240,18 +241,17 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     if rows is None:
         series = _load_or_simulate(cfg)
         rows = [_Row(len(series[0]), cfg.j0, cfg.p, 1)]
-    calibrations = None
     if cfg.mode != "estimate" and cfg.d0_star is not None and cfg.alpha is not None:
         with _naming(_TARGET_FIELDS):
-            calibrations = tuple(calibrate_test(bank, row.n, cfg.d0_star, cfg.alpha, cfg.k_bar,
-                                                expansion, row.j, row.p, cfg.model.beta_smooth)
-                                 for row in rows)
+            for row in rows:
+                row.calibration = calibrate_test(bank, row.n, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
+                                                 row.j, row.p, cfg.model.beta_smooth)
         bounds = cfg.enforce_preconditions or {}  # parse_config drops a null bound
-        for row, cal in zip(rows, calibrations):
-            for name, ratio in (("reduction", cal.reduction_ratio), ("bias", cal.bias_ratio)):
+        for row in rows:
+            for name, ratio in (("reduction", row.calibration.reduction_ratio), ("bias", row.calibration.bias_ratio)):
                 if ratio is not None and ratio > (bound := bounds.get(f"{name}_max", math.inf)):
                     raise PreconditionError(f"{name} ratio {ratio:.3g} at n={row.n}, j={row.j} exceeds {bound}")
-    return _Plan(cfg, bank, rows, expansion, q0, calibrations, series)
+    return _Plan(cfg, bank, rows, expansion, q0, series)
 
 
 def _run_single(cfg, art):
@@ -260,16 +260,14 @@ def _run_single(cfg, art):
     (series, prov), row = plan.series, plan.rows[0]
     with _naming(_SERIES_FIELDS):
         est = estimate_d0(series, plan.bank, row.j, row.p)
-    if plan.calibrations is None:
+    if row.calibration is None:
         if plan.q0 is not None:  # an estimate with g predicts its rates
             (q0, q1), d = hermite_rank(plan.expansion), cfg.model.d
             est.rate_stat = float((len(series) * 2.0 ** -(row.j + row.p)) ** -(0.5 - d))  # coarsest scale
             if delta(q0, d) > 0:  # a short-memory rank has no bias rate
                 est.rate_bias = float(2.0 ** (-zeta_exponent(cfg.model.beta_smooth, d, q0, q1) * row.j))
         return _write_report(cfg, art, "estimate_report.json", input=prov, estimate=asdict(est))
-    cal = plan.calibrations[0]
-    test = replace(cal, d0_hat=est.d0_hat, decision=abs(est.d0_hat - cfg.d0_star) > cal.s_N, estimation=est)
-    return _write_report(cfg, art, "test_report.json", input=prov, test=asdict(test))
+    return _write_report(cfg, art, "test_report.json", input=prov, test=asdict(row.calibration.decided(est)))
 
 
 _worker_plan: Optional[_Plan] = None
@@ -299,8 +297,8 @@ def _mc_replicate(plan: _Plan, pos: int, x: np.ndarray) -> dict:
     # one pyramid pass serves the estimate and the gap scales
     sG = {s.j: s.sigma2 for s in scalograms(y, bank, sorted({*est, *row.gap_scales}))}
     out = {"d0_hat": d0_from_scalograms([sG[j] for j in est])}
-    if plan.calibrations is not None:
-        out["reject"] = abs(out["d0_hat"] - cfg.d0_star) > plan.calibrations[pos].s_N
+    if row.calibration is not None:
+        out["reject"] = row.calibration.rejects(out["d0_hat"])
     if row.gap_scales:  # Y of the leading Hermite term alone
         lead = transform_path(cfg.model, expansion_from_coeffs({plan.q0: plan.expansion.coeffs[plan.q0]}), x)
         out["gaps"] = {b.j: (sG[b.j], b.sigma2) for b in scalograms(lead, bank, row.gap_scales)}

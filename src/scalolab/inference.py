@@ -493,8 +493,8 @@ def invert_target(d0_star: float, q0: int) -> tuple[float, int]:
 
 @dataclass
 class TestReport:
-    """Decision and full provenance of the memory-parameter test; a
-    `calibrate_test` report leaves the three series-dependent fields unset."""
+    """Decision and full provenance of the memory-parameter test, whose reject rule is `rejects`;
+    a `calibrate_test` report leaves the three series-dependent fields unset."""
 
     d0_star: float
     alpha: float
@@ -512,6 +512,14 @@ class TestReport:
     bias_ratio: float  # 2^(-zeta jc) * u_N; small is good
     quantile_provenance: dict = field(default_factory=dict)
     estimation: Optional[EstimationReport] = None
+
+    def rejects(self, d0_hat: float) -> bool:
+        """Whether the estimate d0_hat rejects d0*: |d0_hat - d0*| > s_N."""
+        return abs(d0_hat - self.d0_star) > self.s_N
+
+    def decided(self, est: EstimationReport) -> "TestReport":
+        """This calibration's report on the estimate `est`."""
+        return replace(self, d0_hat=est.d0_hat, decision=self.rejects(est.d0_hat), estimation=est)
 
 
 def calibrate_test(bank: FilterBank, N: int, d0_star: float, alpha: float, K_bar: int,
@@ -583,9 +591,7 @@ def run_test(
     beta_smooth: float = 2.0,
 ) -> TestReport:
     """Two-sided test of the memory parameter taking the hypothesised value:
-    rejects when |d0_hat - d0*| exceeds the critical value s_N of
-    `calibrate_test`, which runs first, as in the CLI's one plan."""
+    the `calibrate_test` report, which runs first as in the CLI's one plan,
+    decided on the series' estimate."""
     cal = calibrate_test(bank, len(series), d0_star, alpha, K_bar, expansion, j0, p, beta_smooth)
-    est = estimate_d0(series, bank, j0, p)
-    return replace(cal, d0_hat=est.d0_hat, decision=abs(est.d0_hat - d0_star) > cal.s_N,
-                   estimation=est)
+    return cal.decided(estimate_d0(series, bank, j0, p))

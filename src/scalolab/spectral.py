@@ -113,16 +113,6 @@ def farima_gamma0(d: float) -> float:
     return math.gamma(1.0 - 2.0 * d) / math.gamma(1.0 - d) ** 2
 
 
-@dataclass
-class CovarianceSequence:
-    """Covariance values at lags 0..len(values) - 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-
 def _autocov_exact_raw(model: SpectralModel, L: int) -> np.ndarray:
     """Closed-form covariance at lags 0..L: the moving average mixes the
     fractionally-integrated correlation over its lags."""
@@ -140,27 +130,27 @@ def _autocov_exact_raw(model: SpectralModel, L: int) -> np.ndarray:
     return 2.0 * math.pi * sr.value * g0 * out
 
 
-def autocov_X(model: SpectralModel, L: int) -> CovarianceSequence:
-    """Correlation sequence rho(0..L) of the input model, rho(0) = 1, from
-    the closed form."""
+def autocov_X(model: SpectralModel, L: int) -> np.ndarray:
+    """The input model's correlations rho(0..L), rho(0) = 1, from the closed
+    form: an array whose index is the lag."""
     if L < 1:
         raise ValueError("lag cap must be >= 1")
     gamma = _autocov_exact_raw(model, L)
     g0 = gamma[0]
     if not math.isfinite(g0):
         raise NumericError(f"autocovariance gamma(0) = {g0}: the model's covariance overflows a float")
-    return CovarianceSequence(gamma / g0)
+    return gamma / g0
 
 
-def autocov_transformed(expansion: HermiteExpansion, rho: CovarianceSequence) -> CovarianceSequence:
-    """Covariance of G(X_t) from the input correlation: orthogonality across
-    Hermite orders gives gamma_G(k) = sum_q (c_q^2/q!) rho(k)^q."""
-    if abs(rho.values[0] - 1.0) > 1e-12:
+def autocov_transformed(expansion: HermiteExpansion, rho: np.ndarray) -> np.ndarray:
+    """Covariance of G(X_t) at the lags of the input correlation array rho:
+    orthogonality across Hermite orders gives gamma_G(k) = sum_q (c_q^2/q!) rho(k)^q."""
+    if abs(rho[0] - 1.0) > 1e-12:
         raise ValueError("input covariance must be normalised to rho(0) = 1")
-    out = np.zeros_like(rho.values)
+    out = np.zeros_like(rho)
     for q, c in expansion.coeffs.items():
-        out += (c * c / math.factorial(q)) * rho.values**q
-    return CovarianceSequence(out)
+        out += (c * c / math.factorial(q)) * rho**q
+    return out
 
 
 # --- dense spectral grid and self-convolutions ---------------------------

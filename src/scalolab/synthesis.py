@@ -107,7 +107,7 @@ class _Embedding:
 
 @lru_cache(maxsize=8)
 def _embedding_for(model: SpectralModel, N: int) -> _Embedding:
-    return _Embedding(autocov_X(model, N).values)
+    return _Embedding(autocov_X(model, N))
 
 
 def sample_gaussian_pair(model: SpectralModel, N: int, seed: int, stream_index: int = 0) -> tuple:

@@ -79,7 +79,7 @@ def one_shot_pair(model: SpectralModel, N: int, seed: int, stream_index: int = 0
     correlation (the eigenvalues) and one of the weighted normals (the
     draw): the same stream, its first 2M normals, mode m taking normals 2m
     and 2m + 1 as its real and imaginary parts."""
-    rho = autocov_X(model, N).values
+    rho = autocov_X(model, N)
     eigs = np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
     M = len(eigs)
     z = stream(seed, stream_index).standard_normal(2 * M)

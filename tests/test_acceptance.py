@@ -339,7 +339,7 @@ def test_accept_09_rosenblatt_limit(deep_bank):
     model = SpectralModel(MemoryParams(d, K))
     taps = cascade_taps(deep_bank, j)
     L = len(taps)
-    rho = autocov_X(model, L + 5).values
+    rho = autocov_X(model, L + 5)
     Rg = np.correlate(taps, taps, mode="full")[L - 1:]
     gam = 2.0 * rho[:L] ** 2
     sigma2 = Rg[0] * gam[0] + 2.0 * float(np.dot(Rg[1:L], gam[1:L]))

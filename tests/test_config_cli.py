@@ -26,7 +26,7 @@ from scalolab import cli
 from scalolab.config import ConfigError, ingest, parse_config, parse_g_spec
 from scalolab.errors import NumericError
 from scalolab.harness import run
-from scalolab.hermite import hermite_eval
+from scalolab.hermite import expansion_from_coeffs, hermite_eval
 from scalolab.inference import run_test
 from scalolab.synthesis import export_path, sample_gaussian, sample_gaussian_pair
 from scalolab.wavelet import build_bank
@@ -44,12 +44,22 @@ def _write(tmp_path, name, obj):
 
 
 def test_g_spec_shorthand_and_forms():
-    assert parse_g_spec("hermite:3").q == 3
+    assert parse_g_spec("hermite:3").coeffs == ((3, 6.0),)
     assert parse_g_spec("exp-centered").kind == "exp-centered"
     g = parse_g_spec({"kind": "polynomial", "coeffs": ["0", "1/2", "3"]})
-    assert g.poly_coeffs == (0.0, 0.5, 3.0)
+    assert g.coeffs == (0.0, 0.5, 3.0)
     g2 = parse_g_spec({"kind": "hermite-coeffs", "coeffs": {"2": 2, "3": "1"}})
-    assert g2.hermite_coeffs == ((2, 2.0), (3, 1.0))
+    assert g2.coeffs == ((2, 2.0), (3, 1.0))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 28, 40, 170])
+def test_hermite_rank_is_its_one_term_series(q):
+    # the series divides q! by the exact q!, so the one term is H_q to the bit
+    x = np.random.default_rng(q).standard_normal(4096)
+    for spec in (f"hermite:{q}", {"kind": "hermite", "q": q}):
+        g = parse_g_spec(spec)
+        assert np.array_equal(g(x), hermite_eval(q, x))
+        assert g.expansion() == expansion_from_coeffs({q: float(math.factorial(q))})
 
 
 def test_g_spec_errors():
@@ -755,9 +765,19 @@ _MA = {"kind": "ma", "coeffs": [1.0, 0.5]}
     # a schedule's rows run as given: the preset would label none of them
     pytest.param("mc-experiment", {"preset": "large-scale", "schedule": [{"n": 4096}]}, "preset",
                  id="preset-beside-schedule"),
+    # a key its mode never reads would be dropped without a word
+    pytest.param("estimate", {"preset": "bogus"}, "preset", id="preset-outside-mc"),
+    pytest.param("estimate", {"schedule": [{"n": 8192}]}, "schedule", id="schedule-outside-mc"),
+    pytest.param("mc-experiment", {"input_csv": "series.csv"}, "input_csv", id="input_csv-in-mc"),
     pytest.param("estimate", {"bank": {"family": "db2", "jmx": 8}}, "bank.jmx", id="bank-unknown-key"),
     pytest.param("simulate", {"g": {"kind": "hermite", "q": 2, "coefs": {"1": 1}}}, "g.coefs",
                  id="g-unknown-key"),
+    # a g key its kind does not read would be dropped without a word
+    pytest.param("simulate", {"g": {"kind": "sign", "q": 3}}, "g.q", id="g-sign-q"),
+    pytest.param("simulate", {"g": {"kind": "hermite", "q": 2, "coeffs": {"1": 1}}}, "g.coeffs",
+                 id="g-hermite-coeffs"),
+    pytest.param("simulate", {"g": {"kind": "polynomial", "q": 5, "coeffs": [0, 1]}}, "g.q", id="g-polynomial-q"),
+    pytest.param("simulate", {"g": {"kind": "exp-centered", "coeffs": [1]}}, "g.coeffs", id="g-exp-centered-coeffs"),
     # a constant is zero once centred: analyze simulates through the same series step as simulate
     pytest.param("analyze", {"g": {"kind": "polynomial", "coeffs": ["1"]}, "j": 2, "p": 2}, "g.coeffs",
                  id="analyze-zero-transform"),
@@ -1313,6 +1333,7 @@ def test_estimate_test_and_mc_read_one_d0_hat(tmp_path):
     d0_hat = reports["estimate"]["estimate"]["d0_hat"]
     assert reports["test"]["test"]["d0_hat"] == d0_hat
     assert reports["mc-experiment"]["results"][0]["mean_d0"] == d0_hat
+    assert reports["test"]["test"]["decision"] == (reports["mc-experiment"]["results"][0]["rejection_rate"] == 1.0)
 
 
 def test_cli_rank_two_test_end_to_end(tmp_path):

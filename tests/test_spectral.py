@@ -71,7 +71,7 @@ def test_density_origin_power_law():
 
 def test_autocov_matches_farima_oracle():
     cov = autocov_X(model(0.3), 64)
-    np.testing.assert_allclose(cov.values, rho_oracle(0.3, 64), rtol=1e-12)
+    np.testing.assert_allclose(cov, rho_oracle(0.3, 64), rtol=1e-12)
     assert _autocov_exact_raw(model(0.3), 64)[0] == pytest.approx(farima_gamma0(0.3), rel=1e-12)
 
 
@@ -79,10 +79,10 @@ def test_autocov_grid_matches_exact():
     # dense-grid Fourier inversion is the independent reference for the closed form
     m = model(0.35)
     g = _autocov_grid_raw(m, 64, 2**20)
-    np.testing.assert_allclose(g / g[0], autocov_X(m, 64).values, atol=1e-10)
+    np.testing.assert_allclose(g / g[0], autocov_X(m, 64), atol=1e-10)
     mm = SpectralModel(MemoryParams(0.3, 0), ShortRangeSpec(0.2, (1.0, 0.4, -0.1)))
     g2 = _autocov_grid_raw(mm, 48, 2**20)
-    np.testing.assert_allclose(g2 / g2[0], autocov_X(mm, 48).values, atol=1e-8)
+    np.testing.assert_allclose(g2 / g2[0], autocov_X(mm, 48), atol=1e-8)
 
 
 @pytest.mark.parametrize("coeffs", [(1.0, 0.4), (1.0, 0.4, -0.1), (1.0, -0.5, 0.3, 0.2, -0.1)])
@@ -93,18 +93,18 @@ def test_ma_autocov_equals_the_per_lag_sum(coeffs):
 
 def test_autocov_white_limit():
     cov = autocov_X(model(1e-3), 32)
-    assert np.max(np.abs(cov.values[1:])) < 5e-3
+    assert np.max(np.abs(cov[1:])) < 5e-3
 
 
 def test_autocov_tail_slope():
     cov = autocov_X(model(0.3), 512)
     ks = np.arange(50, 513)
-    slope = np.polyfit(np.log(ks), np.log(cov.values[50:]), 1)[0]
+    slope = np.polyfit(np.log(ks), np.log(cov[50:]), 1)[0]
     assert slope == pytest.approx(2 * 0.3 - 1, abs=0.05)
 
 
 def test_autocov_positive_semidefinite():
-    assert _Embedding(autocov_X(model(0.42), 256).values).exact
+    assert _Embedding(autocov_X(model(0.42), 256)).exact
 
 
 # --- transformed covariance ------------------------------------------------------
@@ -113,20 +113,20 @@ def test_autocov_positive_semidefinite():
 def test_autocov_transformed_rank2():
     rho = autocov_X(model(0.35), 32)
     out = autocov_transformed(expansion_from_coeffs({2: 2.0}), rho)
-    np.testing.assert_allclose(out.values, 2.0 * rho.values**2, rtol=1e-12)
+    np.testing.assert_allclose(out, 2.0 * rho**2, rtol=1e-12)
 
 
 def test_autocov_transformed_identity():
     rho = autocov_X(model(0.3), 32)
     out = autocov_transformed(expansion_from_coeffs({1: 1.0}), rho)
-    np.testing.assert_allclose(out.values, rho.values, rtol=1e-15)
+    np.testing.assert_allclose(out, rho, rtol=1e-15)
 
 
 def test_autocov_transformed_variance_is_parseval_mass():
     rho = autocov_X(model(0.3), 8)
     e = expansion_from_coeffs({1: 0.7, 2: 1.1, 5: 3.0})
     out = autocov_transformed(e, rho)
-    assert out.values[0] == pytest.approx(e.parseval_mass, rel=1e-12)
+    assert out[0] == pytest.approx(e.parseval_mass, rel=1e-12)
 
 
 def test_autocov_transformed_monte_carlo_cross_check():
@@ -136,7 +136,7 @@ def test_autocov_transformed_monte_carlo_cross_check():
     xs = np.array([sample_gaussian(m, 2**12, 505, r) for r in range(500)])
     h2 = xs * xs - 1.0
     rho = autocov_X(m, 10)
-    expect = 2.0 * rho.values**2
+    expect = 2.0 * rho**2
     for lag in range(5):
         prods = h2[:, : h2.shape[1] - lag] * h2[:, lag:]
         est = prods.mean()

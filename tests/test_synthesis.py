@@ -124,7 +124,7 @@ def test_embedding_build_traced_peak_and_held_bytes():
     # the build's buffer of 16 M bytes, the gathered half of about 4 M bytes
     # and the twiddle tables; it keeps the half and the tables.  Keeping all
     # M eigenvalues would hold 4 M bytes more, and gathering them peak there
-    rho = autocov_X(model(0.41), 2**16).values
+    rho = autocov_X(model(0.41), 2**16)
     tracemalloc.start()
     try:
         emb = _Embedding(rho)
@@ -144,7 +144,7 @@ def test_embedding_in_one_buffer_matches_concatenated_fft(short_range):
     # the four-step transform of the column gives the eigenvalues of the
     # concatenate-then-fft form, in natural order, to rounding; the embedding
     # keeps modes 0..M/2, the distinct ones
-    rho = autocov_X(SpectralModel(MemoryParams(0.3, 0), short_range), 2**12).values
+    rho = autocov_X(SpectralModel(MemoryParams(0.3, 0), short_range), 2**12)
     emb = _Embedding(rho)
     eigs = np.real(np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])))
     clipped = np.clip(eigs, 0.0, None)[: emb.M // 2 + 1]
@@ -167,7 +167,7 @@ def test_pair_draw_matches_the_one_shot_fft(short_range, d):
 def test_embedding_not_nonnegative_definite_warns(caplog):
     # this MA(2) correlation at n = 64 has smallest circulant eigenvalue
     # -1.883e-4: the draw clips it and says so on the module's logger
-    rho = autocov_X(SpectralModel(MemoryParams(0.2, 0), ShortRangeSpec(ma_coeffs=(1.0, 2.0, 1.0))), 64).values
+    rho = autocov_X(SpectralModel(MemoryParams(0.2, 0), ShortRangeSpec(ma_coeffs=(1.0, 2.0, 1.0))), 64)
     with caplog.at_level(logging.WARNING, logger="scalolab.synthesis"):
         emb = _Embedding(rho)
     assert not emb.exact
@@ -234,7 +234,7 @@ def test_pair_halves_are_independent_paths_with_the_target_covariance():
     # cross-covariance between them vanishes at every lag
     m = model(0.35)
     reps, N, lags = 300, 2**12, 6
-    rho = autocov_X(m, lags).values[:lags]
+    rho = autocov_X(m, lags)[:lags]
     auto, cross = np.empty((2, reps, lags)), np.empty((2, reps, lags))
     for r in range(reps):
         xr, xi = sample_gaussian_pair(m, N, 8, r)
@@ -272,7 +272,7 @@ def test_sample_acf_matches_target():
     d = 0.4
     m = model(d)
     reps, N = 200, 2**14
-    rho = autocov_X(m, 20).values
+    rho = autocov_X(m, 20)
     xs = np.array([sample_gaussian(m, N, 21, r) for r in range(reps)])
     for lag in range(1, 21):
         per_rep = np.mean(xs[:, : N - lag] * xs[:, lag:], axis=1)
