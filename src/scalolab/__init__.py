@@ -14,7 +14,6 @@ from .exponents import (  # noqa: F401
     MemoryParams,
     RankProfile,
     chaos_exponents,
-    critical_exponent,
     critical_exponent_report,
     rank_profile,
     zeta_exponent,
@@ -43,7 +42,6 @@ from .wavelet import (  # noqa: F401
     ScalogramSummary,
     build_bank,
     n_coeffs,
-    scalogram,
     scalograms,
     wavelet_coeffs,
 )
@@ -55,5 +53,4 @@ from .inference import (  # noqa: F401
     estimate_d0,
     limit_constants,
     regression_weights,
-    run_test,
 )

@@ -256,11 +256,6 @@ def critical_exponent_report(profile: RankProfile, d: float) -> CriticalExponent
     return rep(val, "rank>=2, consecutive ranks")
 
 
-def critical_exponent(profile: RankProfile, d: float) -> float:
-    """Critical growth exponent for the profile at memory d (see report variant)."""
-    return critical_exponent_report(profile, d).nu_c
-
-
 def zeta_exponent(beta_smooth: float, d: float, q0: int, q1: Optional[int] = None) -> float:
     """Hoelder exponent of the short-range factor of the transformed density.
 

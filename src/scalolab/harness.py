@@ -184,6 +184,10 @@ class _Row:
     gap_scales: tuple = ()
     calibration: Optional[TestReport] = None  # the row's calibrate_test report when the run tests d0*
 
+    def __post_init__(self):
+        self.est = range(self.j, self.j + self.p + 1)  # the scales the estimate reads
+        self.scales = sorted({*self.est, *self.gap_scales})  # a replicate's one pyramid pass
+
 
 def _schedule(cfg: ExperimentConfig, bank: FilterBank, expansion: HermiteExpansion) -> list:
     if cfg.schedule:  # each row already merged with the top level
@@ -226,6 +230,7 @@ class _Plan:
     expansion: Optional[HermiteExpansion]  # None for an estimate without g
     q0: Optional[int]
     series: Optional[tuple] = None  # a single run's (series, provenance)
+    lead: Optional[HermiteExpansion] = None  # the leading Hermite term, when a row has gap scales
 
 
 def _plan(cfg: ExperimentConfig) -> _Plan:
@@ -251,7 +256,8 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
             for name, ratio in (("reduction", row.calibration.reduction_ratio), ("bias", row.calibration.bias_ratio)):
                 if ratio is not None and ratio > (bound := bounds.get(f"{name}_max", math.inf)):
                     raise PreconditionError(f"{name} ratio {ratio:.3g} at n={row.n}, j={row.j} exceeds {bound}")
-    return _Plan(cfg, bank, rows, expansion, q0, series)
+    lead = expansion_from_coeffs({q0: expansion.coeffs[q0]}) if any(row.gap_scales for row in rows) else None
+    return _Plan(cfg, bank, rows, expansion, q0, series, lead)
 
 
 def _run_single(cfg, art):
@@ -293,14 +299,12 @@ def _mc_replicate(plan: _Plan, pos: int, x: np.ndarray) -> dict:
     """The replicate of schedule row `pos` whose Gaussian path is x."""
     cfg, row, bank = plan.cfg, plan.rows[pos], plan.bank
     y = transform_path(cfg.model, cfg.g, x)
-    est = range(row.j, row.j + row.p + 1)
-    # one pyramid pass serves the estimate and the gap scales
-    sG = {s.j: s.sigma2 for s in scalograms(y, bank, sorted({*est, *row.gap_scales}))}
-    out = {"d0_hat": d0_from_scalograms([sG[j] for j in est])}
+    sG = {s.j: s.sigma2 for s in scalograms(y, bank, row.scales)}
+    out = {"d0_hat": d0_from_scalograms([sG[j] for j in row.est])}
     if row.calibration is not None:
         out["reject"] = row.calibration.rejects(out["d0_hat"])
     if row.gap_scales:  # Y of the leading Hermite term alone
-        lead = transform_path(cfg.model, expansion_from_coeffs({plan.q0: plan.expansion.coeffs[plan.q0]}), x)
+        lead = transform_path(cfg.model, plan.lead, x)
         out["gaps"] = {b.j: (sG[b.j], b.sigma2) for b in scalograms(lead, bank, row.gap_scales)}
     return out
 

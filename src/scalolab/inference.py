@@ -380,6 +380,7 @@ def limit_constants(bank: FilterBank, params: MemoryParams, q0: int, p: int) -> 
 
 _KERNEL_CELLS = 512  # cells discretising the kernel |x - y|^(2d-1) on [0, 1]
 _LOG_CF_CUTOFF = -36.0  # the inversion integral stops where log|phi(t)| falls below
+_MAX_STEPS = 2**20  # inversion grid steps: the grid grows tenfold per digit of d* nearer 1/2
 
 
 def _bisect(pred, lo: float, hi: float) -> float:
@@ -424,7 +425,11 @@ class _SecondChaosLaw:
         self.h = 2.0 * math.pi / (40.0 * (self.sd + 2.0 * float(np.abs(lam).max())))
         t_max = _bisect(lambda t: -0.25 * np.log1p(4.0 * t * t * lam**2).sum()
                         - 0.5 * self.tail_var * t * t > _LOG_CF_CUTOFF, 0.0, 1.0)
-        t = self.h * np.arange(1, math.ceil(t_max / self.h) + 1)
+        steps = math.ceil(t_max / self.h)
+        if steps > _MAX_STEPS:
+            raise QuadratureError(f"second-chaos law at d*={d!r} needs {steps} inversion steps, past the cap "
+                                  f"{_MAX_STEPS}: d0_star lies too close to its half-integer bound")
+        t = self.h * np.arange(1, steps + 1)
         # log(1 - 2itl) = log1p(4 t^2 l^2) / 2 - i atan(2tl), summed over l
         # 256 steps at a time to bound the (steps, eigenvalues) temporary
         re, im = np.empty_like(t), np.empty_like(t)
@@ -455,7 +460,9 @@ def rosenblatt_quantile(d: float, prob: float) -> tuple[float, dict]:
     Veillette & Taqqu 2013) is inverted by Gil-Pelaez / Imhof (1961), see
     `_SecondChaosLaw`, and memoised per d in process; no seed, no file.
     The provenance records the kernel cells m and the Gaussian tail term's
-    share of the variance."""
+    share of the variance.  The inversion grid grows tenfold for each digit
+    of d nearer 1/2: past _MAX_STEPS steps (d above about 0.4998) it raises
+    QuadratureError."""
     if not (0.25 < d < 0.5):
         raise ValueError(f"second-chaos limit requires d in (1/4, 1/2), got {d}")
     if not (0.0 < prob < 1.0):
@@ -578,20 +585,3 @@ def calibrate_test(bank: FilterBank, N: int, d0_star: float, alpha: float, K_bar
         quantile_provenance=prov,
     )
 
-
-def run_test(
-    series,
-    bank: FilterBank,
-    d0_star: float,
-    alpha: float,
-    K_bar: int,
-    expansion: HermiteExpansion,
-    j0: int,
-    p: int,
-    beta_smooth: float = 2.0,
-) -> TestReport:
-    """Two-sided test of the memory parameter taking the hypothesised value:
-    the `calibrate_test` report, which runs first as in the CLI's one plan,
-    decided on the series' estimate."""
-    cal = calibrate_test(bank, len(series), d0_star, alpha, K_bar, expansion, j0, p, beta_smooth)
-    return cal.decided(estimate_d0(series, bank, j0, p))

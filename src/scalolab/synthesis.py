@@ -110,6 +110,20 @@ def _embedding_for(model: SpectralModel, N: int) -> _Embedding:
     return _Embedding(autocov_X(model, N))
 
 
+def _drawn(model: SpectralModel, N: int, seed: int, stream_index: int) -> tuple:
+    """The rows of stream (seed, stream_index)'s transform that hold its
+    first N points, and the scale that divides them: a draw's one complex
+    buffer, drawn, weighted and transformed in place."""
+    emb = _embedding_for(model, N)
+    # mode m >= h takes mode M - m's weight through the reversed view
+    w, h = emb.sqrt_eigs, len(emb.sqrt_eigs)
+    y = np.empty(emb.M, dtype=complex)
+    stream(seed, stream_index).standard_normal(out=y.view(float))
+    y[:h] *= w
+    y[h:] *= w[-2:0:-1]
+    return emb.dft(y)[: -(-N // emb.N1)], math.sqrt(emb.M)  # the first N points and fewer than N1 more
+
+
 def sample_gaussian_pair(model: SpectralModel, N: int, seed: int, stream_index: int = 0) -> tuple:
     """Two independent unit-variance Gaussian paths of length N with the
     model's correlation: the real and the imaginary half of one transform of
@@ -119,21 +133,14 @@ def sample_gaussian_pair(model: SpectralModel, N: int, seed: int, stream_index: 
     Exact in distribution when the circulant embedding is nonnegative
     definite; otherwise negative modes are clipped (logged warning) and the
     covariance is approximate."""
-    emb = _embedding_for(model, N)
-    # one complex buffer, drawn, weighted and transformed in place; mode
-    # m >= h takes mode M - m's weight through the reversed view
-    w, h = emb.sqrt_eigs, len(emb.sqrt_eigs)
-    y = np.empty(emb.M, dtype=complex)
-    stream(seed, stream_index).standard_normal(out=y.view(float))
-    y[:h] *= w
-    y[h:] *= w[-2:0:-1]
-    head = emb.dft(y)[: -(-N // emb.N1)]  # the first N points and fewer than N1 more
-    return _gather(head.real, math.sqrt(emb.M))[:N], _gather(head.imag, math.sqrt(emb.M))[:N]
+    head, scale = _drawn(model, N, seed, stream_index)
+    return _gather(head.real, scale)[:N], _gather(head.imag, scale)[:N]
 
 
 def sample_gaussian(model: SpectralModel, N: int, seed: int, stream_index: int = 0) -> np.ndarray:
-    """The real half of `sample_gaussian_pair`: one path per stream."""
-    return sample_gaussian_pair(model, N, seed, stream_index)[0]
+    """The real half of `sample_gaussian_pair`, the only half gathered: one path per stream."""
+    head, scale = _drawn(model, N, seed, stream_index)
+    return _gather(head.real, scale)[:N]
 
 
 def integrate_K(series: np.ndarray, K: int) -> np.ndarray:

@@ -146,10 +146,10 @@ def n_coeffs(N: int, T: int, j: int) -> int:
     return n
 
 
-def _pyramid(series: np.ndarray, bank: FilterBank, scales) -> dict:
+def wavelet_coeffs(series, bank: FilterBank, scales) -> dict:
     """{j: values} for the requested scales from one pass, values[i] =
     W_{j, k_j + i} over the first n_j interior coefficients of scale j, k_j
-    its smallest interior location.
+    its smallest interior location; no padding is ever applied.
 
     Raises ScaleTooCoarseError unless every filter fits in N/4 taps, which
     leaves each scale at least its n_j interior coefficients.
@@ -159,6 +159,7 @@ def _pyramid(series: np.ndarray, bank: FilterBank, scales) -> dict:
     Filtering it with g (or h) and keeping even absolute positions 2n gives
     scale i+1 (or the next approximation), starting at ceil((lo + T - 1)/2).
     """
+    series = np.asarray(series, dtype=float)
     N, T = len(series), bank.T
     for j in scales:
         if bank.filter_length(j) > N // 4:
@@ -180,15 +181,6 @@ def _pyramid(series: np.ndarray, bank: FilterBank, scales) -> dict:
     return out
 
 
-def wavelet_coeffs(series, bank: FilterBank, j: int) -> np.ndarray:
-    """The first n_j interior coefficients W_{j, k} at scale j (dyadic lattice).
-
-    The k-range starts at the smallest interior location; no padding is ever
-    applied, matching the interior-only coefficient count.
-    """
-    return _pyramid(np.asarray(series, dtype=float), bank, [j])[j]
-
-
 @dataclass
 class ScalogramSummary:
     """Per-scale second-moment summary of the wavelet coefficients."""
@@ -203,14 +195,9 @@ def scalograms(series, bank: FilterBank, scales) -> list:
     over the first n_j interior coefficients of its scale."""
     scales = list(scales)
     with np.errstate(over="ignore", invalid="ignore"):  # a value past float range is named below
-        pyr = _pyramid(np.asarray(series, dtype=float), bank, scales)
+        pyr = wavelet_coeffs(series, bank, scales)
         out = [ScalogramSummary(j, len(pyr[j]), float(np.mean(pyr[j] * pyr[j]))) for j in scales]
     for s in out:
         if not math.isfinite(s.sigma2):
             raise NumericError(f"scalogram at scale {s.j} is not finite: its coefficients or their squares overflow")
     return out
-
-
-def scalogram(series, bank: FilterBank, j: int) -> ScalogramSummary:
-    """Average of squared wavelet coefficients at scale j."""
-    return scalograms(series, bank, [j])[0]

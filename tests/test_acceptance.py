@@ -13,7 +13,6 @@ from scipy import stats
 from scalolab.exponents import (
     MemoryParams,
     chaos_exponents,
-    critical_exponent,
     critical_exponent_report,
     delta,
     delta_plus,
@@ -25,7 +24,7 @@ from scalolab.hermite import (
     gauss_hermite_rule,
     hermite_eval,
 )
-from scalolab.inference import estimate_d0, limit_constants, run_test
+from scalolab.inference import calibrate_test, estimate_d0, limit_constants
 from scalolab.spectral import (
     SpectralModel,
     autocov_X,
@@ -34,7 +33,7 @@ from scalolab.spectral import (
     spectral_grid,
 )
 from scalolab.synthesis import integrate_K, sample_gaussian
-from scalolab.wavelet import build_bank, n_coeffs, scalogram
+from scalolab.wavelet import build_bank, n_coeffs, scalograms
 
 from oracles import cascade_taps, rosenblatt_sample
 from test_exponents import nu_c_oracle
@@ -96,7 +95,7 @@ def test_accept_02_nu_c_properties():
         q0 = idx[0]
         lo = 0.5 * (1.0 - 1.0 / q0) + 1e-3
         d = float(rng.uniform(lo, 0.499))
-        nu = critical_exponent(rank_profile(idx, d), d)
+        nu = critical_exponent_report(rank_profile(idx, d), d).nu_c
         if not nu > 0.0:
             ok = False
             break
@@ -108,7 +107,7 @@ def test_accept_02_nu_c_properties():
         q0 = idx[0]
         lo = 0.5 * (1.0 - 1.0 / q0) + 1e-3
         grid = np.linspace(lo, 0.497, 50)
-        vals = [critical_exponent(rank_profile(idx, d), d) for d in grid]
+        vals = [critical_exponent_report(rank_profile(idx, d), d).nu_c for d in grid]
         pairs = zip(vals, vals[1:])
         if q0 == 1:
             good = all(a >= b - 1e-9 for a, b in pairs)
@@ -256,7 +255,7 @@ def _slope_run(bank, q0, d, K, N, reps, seed):
         x = sample_gaussian(model, N, seed=seed, stream_index=r)
         g = hermite_eval(q0, x)
         y = integrate_K(g, K)
-        logs = [math.log2(scalogram(y, bank, j).sigma2) for j in js]
+        logs = [math.log2(s.sigma2) for s in scalograms(y, bank, js)]
         slopes[r] = np.polyfit(js, logs, 1)[0]
         rep = estimate_d0(y, bank, 4, 4)
         d0_hats[r] = rep.d0_hat
@@ -348,7 +347,8 @@ def test_accept_09_rosenblatt_limit(deep_bank):
     V = np.empty(reps)
     for r in range(reps):
         x = sample_gaussian(model, N, seed=1090, stream_index=r)
-        V[r] = nj ** (1 - 2 * d) * (scalogram(x * x - 1.0, deep_bank, j).sigma2 / sigma2 - 1.0)
+        (s,) = scalograms(x * x - 1.0, deep_bank, [j])
+        V[r] = nj ** (1 - 2 * d) * (s.sigma2 / sigma2 - 1.0)
     skew = float(stats.skew(V))
     skew_se = math.sqrt(6.0 / reps)
     law = limit_constants(deep_bank, MemoryParams(d, K), 2, 1)
@@ -370,12 +370,13 @@ def test_accept_10_test_calibration_and_power(bank):
     d0_star, alpha, N, j0, p = 0.35, 0.1, 2**16, 5, 3
     exp_h1 = expansion_from_coeffs({1: 1.0})
     reps = 500
+    # one calibration decides every replicate, as in a Monte Carlo row
+    cal = calibrate_test(bank, N, d0_star, alpha, 0, exp_h1, j0, p)
     null_model = SpectralModel(MemoryParams(0.35, 0))
     rejects = 0
     for r in range(reps):
         x = sample_gaussian(null_model, N, seed=1100, stream_index=r)
-        rep = run_test(x, bank, d0_star, alpha, 0, exp_h1, j0, p)
-        rejects += rep.decision
+        rejects += cal.rejects(estimate_d0(x, bank, j0, p).d0_hat)
     rate = rejects / reps
     slack = 2 * math.sqrt(alpha * (1 - alpha) / reps) + 0.04
     cal_ok = abs(rate - alpha) <= slack
@@ -384,8 +385,7 @@ def test_accept_10_test_calibration_and_power(bank):
     power_rejects = 0
     for r in range(reps):
         x = sample_gaussian(alt_model, N, seed=1101, stream_index=r)
-        rep = run_test(x, bank, d0_star, alpha, 0, exp_h1, j0, p)
-        power_rejects += rep.decision
+        power_rejects += cal.rejects(estimate_d0(x, bank, j0, p).d0_hat)
     power = power_rejects / reps
     power_ok = power > 0.8
     ok = cal_ok and power_ok
@@ -401,7 +401,7 @@ def test_accept_11_reduction_principle_trend(deep_bank):
     d, K, N = 0.4, 0, 2**18
     model = SpectralModel(MemoryParams(d, K))
     prof = rank_profile({2, 3}, d)
-    nu = critical_exponent(prof, d)
+    nu = critical_exponent_report(prof, d).nu_c
     js = (10, 11, 12)
     # large-scale regime: coefficient counts well below the critical growth
     ratios = [N * 2.0**-j / 2.0 ** (j * nu) for j in js]
@@ -413,9 +413,8 @@ def test_accept_11_reduction_principle_trend(deep_bank):
         x = sample_gaussian(model, N, seed=1110, stream_index=r)
         h2 = x * x - 1.0
         g = h2 + (x**3 - 3.0 * x) / 6.0  # leading rank-2 term plus rank-3 tail
-        for j in js:
-            sG[j][r] = scalogram(g, deep_bank, j).sigma2
-            sL[j][r] = scalogram(h2, deep_bank, j).sigma2
+        for sg, sl in zip(scalograms(g, deep_bank, js), scalograms(h2, deep_bank, js)):
+            sG[sg.j][r], sL[sl.j][r] = sg.sigma2, sl.sigma2
     gaps = []
     for j in js:
         a, b = sG[j] - sG[j].mean(), sL[j] - sL[j].mean()

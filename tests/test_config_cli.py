@@ -27,7 +27,7 @@ from scalolab.config import ConfigError, ingest, parse_config, parse_g_spec
 from scalolab.errors import NumericError
 from scalolab.harness import run
 from scalolab.hermite import expansion_from_coeffs, hermite_eval
-from scalolab.inference import run_test
+from scalolab.inference import calibrate_test, estimate_d0
 from scalolab.synthesis import export_path, sample_gaussian, sample_gaussian_pair
 from scalolab.wavelet import build_bank
 
@@ -471,7 +471,8 @@ def test_mc_test_uses_hypothesised_law(tmp_path):
     rec = dict(zip(header.split(","), row.split(",")))
     bank, expansion = build_bank("db2", 8), cfg.g.expansion()
     # replicates 2i and 2i+1 are the two halves of stream i
-    decisions = [run_test(x, bank, 0.2, 0.1, 0, expansion, 3, 2).decision
+    cal = calibrate_test(bank, 4096, 0.2, 0.1, 0, expansion, 3, 2)
+    decisions = [cal.decided(estimate_d0(x, bank, 3, 2)).decision
                  for i in range(20) for x in sample_gaussian_pair(cfg.model, 4096, 10, i)]
     assert float(rec["rejection_rate"]) == np.mean(decisions)
 
@@ -604,6 +605,21 @@ def test_single_run_expands_g_once(tmp_path, monkeypatch, mode):
     assert len(calls) == 1
 
 
+def test_sweep_builds_the_lead_term_once(tmp_path, monkeypatch):
+    # the plan builds what a row's replicates share: six replicates of a
+    # large-scale row make its leading Hermite term once
+    cfg = parse_config({
+        "mode": "mc-experiment", "model": {"d": 0.41}, "g": {"kind": "hermite-coeffs", "coeffs": {"2": 2, "3": 1}},
+        "bank": {"family": "db2", "jmax": 12}, "n": 2**16, "j": 2, "p": 1, "preset": "large-scale",
+        "replicates": 6, "seed": 3, "out": str(tmp_path),
+    })
+    calls, lead = [], harness.expansion_from_coeffs
+    monkeypatch.setattr(harness, "expansion_from_coeffs", lambda coeffs: calls.append(coeffs) or lead(coeffs))
+    (_, rep_path) = run(cfg)
+    assert [k for k in json.loads(open(rep_path).read())["results"][0] if k.startswith("rel_gap_j")]
+    assert calls == [{2: 2.0}]
+
+
 def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch):
     # 100 rows cannot carry scales up to 6; only the run finds that out
     series = tmp_path / "short.csv"
@@ -653,9 +669,9 @@ def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch):
 # --- CLI ------------------------------------------------------------------------
 
 
-def _cli(*args):
+def _cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "scalolab.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_cli_exit_codes(tmp_path):
@@ -1352,6 +1368,21 @@ def test_cli_rank_two_test_end_to_end(tmp_path):
     assert prov["method"] == "eigenvalue CF inversion" and prov["m"] >= 256
     assert 0.0 <= prov["tail_var_share"] < 0.01
     assert sorted(os.listdir(out)) == ["test_report.json"]  # no quantile cache file
+
+
+def test_cli_rank_two_test_near_the_bound_exits_3_in_bounded_time(tmp_path):
+    # d0* 0.4998 puts d* at 0.4999, where the second-chaos inversion grid
+    # would take 2.2 M steps: the run stops at the step cap and names d0_star
+    out = tmp_path / "t"
+    cfgp = _write(tmp_path, "t.json", {
+        "mode": "test", "model": {"d": 0.4807}, "g": "hermite:2",
+        "bank": {"family": "db3", "jmax": 8}, "n": 4096, "j": 2, "p": 2, "seed": 1,
+        "d0_star": 0.4998, "alpha": 0.1, "out": str(out),
+    })
+    r = _cli("test", "--config", cfgp, timeout=10)
+    assert r.returncode == 3, r.stderr
+    assert "numeric failure:" in r.stderr and "d0_star" in r.stderr and "d*=0.4999" in r.stderr
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_mc_one_replicate_preset_row_has_nan_gap(tmp_path):

@@ -8,7 +8,6 @@ from scalolab.errors import BoundaryValueError, LongMemoryError
 from scalolab.exponents import (
     chaos_exponents,
     check_off_boundary,
-    critical_exponent,
     critical_exponent_report,
     delta,
     delta_plus,
@@ -212,7 +211,7 @@ def test_critical_exponent_illustration_golden():
 
 def test_critical_exponent_single_term_infinite():
     for idx, d in (({1}, 0.3), ({2}, 0.4), ({7}, 0.47)):
-        nu = critical_exponent(rank_profile(idx, d), d)
+        nu = critical_exponent_report(rank_profile(idx, d), d).nu_c
         assert nu == math.inf
 
 
@@ -221,7 +220,7 @@ def test_critical_exponent_rank2_consecutive():
     # long-range dependent: closed form 1 + 2 (q_{l0} - q0)
     d = 0.45
     prof = rank_profile({2, 5, 6}, d)  # l0 = 1, q_{l0} = 5, delta(5) = 0.25 > 0
-    nu = critical_exponent(prof, d)
+    nu = critical_exponent_report(prof, d).nu_c
     assert nu == pytest.approx(1 + 2 * (5 - 2), rel=1e-12)
     assert nu == pytest.approx(nu_c_oracle({2, 5, 6}, d), rel=1e-12)
 
@@ -229,7 +228,7 @@ def test_critical_exponent_rank2_consecutive():
 def test_critical_exponent_even_transform_infinite():
     # only even ranks, no consecutive pair
     d = 0.4
-    nu = critical_exponent(rank_profile({2, 4, 6, 8}, d), d)
+    nu = critical_exponent_report(rank_profile({2, 4, 6, 8}, d), d).nu_c
     assert nu == math.inf
 
 
@@ -237,10 +236,10 @@ def test_critical_exponent_is_a_float():
     # +inf is a float: a single term and a rank set without consecutive
     # ranks give math.inf itself, every other case a finite float
     for idx, d in (({2}, 0.4), ({1, 3, 5}, 0.2), ({2, 4, 6, 8}, 0.4)):
-        nu = critical_exponent(rank_profile(idx, d), d)
+        nu = critical_exponent_report(rank_profile(idx, d), d).nu_c
         assert type(nu) is float and nu == math.inf
     for idx, d in (({1, 3, 4, 5, 24}, 0.3), ({2, 5, 6}, 0.45), ({1, 2}, 0.2)):
-        nu = critical_exponent(rank_profile(idx, d), d)
+        nu = critical_exponent_report(rank_profile(idx, d), d).nu_c
         assert type(nu) is float and math.isfinite(nu)
 
 
@@ -254,7 +253,7 @@ def test_critical_exponent_matches_oracle_and_positive(indices, d):
     if not q0 < 1.0 / (1.0 - 2.0 * d):
         return
     prof = rank_profile(indices, d)
-    nu = critical_exponent(prof, d)
+    nu = critical_exponent_report(prof, d).nu_c
     oracle = nu_c_oracle(indices, d)
     if math.isinf(oracle):
         assert nu == math.inf
@@ -296,9 +295,9 @@ def test_alpha_monotonicity_spot():
 def test_nu_c_monotone_in_d_spot():
     idx = {1, 3, 4, 5, 24}
     grid = [0.05 + 0.44 * i / 30 for i in range(31)]
-    vals = [critical_exponent(rank_profile(idx, d), d) for d in grid]
+    vals = [critical_exponent_report(rank_profile(idx, d), d).nu_c for d in grid]
     assert all(a >= b - 1e-10 for a, b in zip(vals, vals[1:]))
     idx2 = {2, 3, 6}
     grid2 = [0.26 + 0.23 * i / 30 for i in range(31)]
-    vals2 = [critical_exponent(rank_profile(idx2, d), d) for d in grid2]
+    vals2 = [critical_exponent_report(rank_profile(idx2, d), d).nu_c for d in grid2]
     assert all(a <= b + 1e-10 for a, b in zip(vals2, vals2[1:]))

@@ -31,7 +31,6 @@ from scalolab.inference import (
     regression_weights,
     require_moments,
     rosenblatt_quantile,
-    run_test,
 )
 from scalolab.spectral import SpectralModel
 from scalolab.synthesis import integrate_K, sample_gaussian, stream
@@ -546,8 +545,8 @@ def test_invert_target_invalid():
 def test_run_test_alpha_one_always_rejects(bank_db2):
     d = 0.35
     x = sample_gaussian(model(d), 2**14, seed=71)
-    rep = run_test(x, bank_db2, d0_star=0.35, alpha=1.0, K_bar=0,
-                   expansion=expansion_from_coeffs({1: 1.0}), j0=4, p=3)
+    rep = calibrate_test(bank_db2, len(x), d0_star=0.35, alpha=1.0, K_bar=0,
+                         expansion=expansion_from_coeffs({1: 1.0}), j0=4, p=3).decided(estimate_d0(x, bank_db2, 4, 3))
     assert rep.s_N == pytest.approx(0.0, abs=1e-12)
     assert rep.decision
 
@@ -555,8 +554,8 @@ def test_run_test_alpha_one_always_rejects(bank_db2):
 def test_run_test_report_fields(bank_db2):
     d = 0.35
     x = sample_gaussian(model(d), 2**15, seed=72)
-    rep = run_test(x, bank_db2, d0_star=0.35, alpha=0.1, K_bar=0,
-                   expansion=expansion_from_coeffs({1: 1.0}), j0=4, p=3)
+    rep = calibrate_test(bank_db2, len(x), d0_star=0.35, alpha=0.1, K_bar=0,
+                         expansion=expansion_from_coeffs({1: 1.0}), j0=4, p=3).decided(estimate_d0(x, bank_db2, 4, 3))
     assert rep.kind == "gaussian"
     assert rep.q0 == 1 and rep.K_star == 0
     assert rep.d_star == pytest.approx(0.35)
@@ -576,8 +575,8 @@ def test_run_test_rank_two_quantile_path(bank_db2):
     x = sample_gaussian(m, 2**15, seed=73)
     g = expansion_from_coeffs({2: 2.0, 3: 1.0})
     y = g(x)
-    rep = run_test(y, bank_db2, d0_star=0.32, alpha=0.1, K_bar=0, expansion=g,
-                   j0=4, p=3)
+    rep = calibrate_test(bank_db2, len(y), d0_star=0.32, alpha=0.1, K_bar=0, expansion=g,
+                         j0=4, p=3).decided(estimate_d0(y, bank_db2, 4, 3))
     assert rep.kind == "rosenblatt"
     assert rep.q0 == 2
     # consecutive ranks starting at q0: the marker rank is q0 itself, so the
@@ -597,8 +596,8 @@ def test_calibrate_test_is_run_test_without_the_series(bank_db2):
     series_fields = ("d0_hat", "decision", "estimation")
     for coeffs, d0_star in (({1: 1.0}, 0.41), ({2: 2.0, 3: 1.0}, 0.32)):
         g = expansion_from_coeffs(coeffs)
-        cal = asdict(calibrate_test(bank_db2, len(x), d0_star, 0.1, 0, g, 4, 3, beta_smooth=1.5))
-        rep = asdict(run_test(x, bank_db2, d0_star, 0.1, 0, g, 4, 3, beta_smooth=1.5))
+        cal = calibrate_test(bank_db2, len(x), d0_star, 0.1, 0, g, 4, 3, beta_smooth=1.5)
+        cal, rep = asdict(cal), asdict(cal.decided(estimate_d0(x, bank_db2, 4, 3)))
         assert all(cal.pop(k) is None and rep.pop(k) is not None for k in series_fields)
         assert cal == rep
 
@@ -606,5 +605,5 @@ def test_calibrate_test_is_run_test_without_the_series(bank_db2):
 def test_run_test_requires_enough_moments(bank_db2):
     x = np.zeros(2**12) + stream(2, 2).standard_normal(2**12)
     with pytest.raises(ValueError, match="K_bar"):
-        run_test(x, bank_db2, 0.3, 0.1, K_bar=2,
-                 expansion=expansion_from_coeffs({1: 1.0}), j0=3, p=2)
+        calibrate_test(bank_db2, len(x), 0.3, 0.1, K_bar=2,
+                       expansion=expansion_from_coeffs({1: 1.0}), j0=3, p=2).decided(estimate_d0(x, bank_db2, 3, 2))

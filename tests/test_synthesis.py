@@ -215,6 +215,21 @@ def test_pair_draw_traced_peak_at_n_2_16():
     assert peak <= 25 * M + 64 * 1024, peak
 
 
+def test_single_path_draw_gathers_one_half():
+    # the draw's buffer (16 M bytes) and the one gathered path (4 M bytes):
+    # a single-path draw gathers no imaginary half
+    m, N = model(0.3), 2**16
+    M = _embedding_for(m, N).M
+    sample_gaussian(m, N, 1)
+    tracemalloc.start()
+    try:
+        sample_gaussian(m, N, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21 * M + 64 * 1024, peak
+
+
 def test_simulated_path_is_the_integrated_transform_of_its_gaussian(tmp_path):
     # simulate's path.csv reads back, bit for bit, as transform_path of the
     # real half of stream 0, which is the K-fold integral of g(X)
@@ -324,10 +339,9 @@ def test_integration_constants_invisible_to_wavelets():
     y = integrate_K(s, K)
     y_shifted = y + 3.7 + 0.25 * np.arange(len(y))
     bank = build_bank("db2", jmax=6)  # M = 2 >= K
+    a, b = wavelet_coeffs(y, bank, (2, 4)), wavelet_coeffs(y_shifted, bank, (2, 4))
     for j in (2, 4):
-        a = wavelet_coeffs(y, bank, j)
-        b = wavelet_coeffs(y_shifted, bank, j)
-        np.testing.assert_allclose(a, b, atol=1e-8 * max(1.0, np.max(np.abs(y_shifted))))
+        np.testing.assert_allclose(a[j], b[j], atol=1e-8 * max(1.0, np.max(np.abs(y_shifted))))
 
 
 def test_stationarity_of_differenced_path():

@@ -17,7 +17,7 @@ from scalolab.wavelet import (
     daubechies_scaling,
     mirror_highpass,
     n_coeffs,
-    scalogram,
+    scalograms,
     wavelet_coeffs,
 )
 
@@ -166,21 +166,20 @@ def test_n_coeffs_asymptotic_count():
 
 
 def test_constant_is_annihilated(bank_db2):
-    w = wavelet_coeffs(np.ones(4096), bank_db2, 3)
+    w = wavelet_coeffs(np.ones(4096), bank_db2, [3])[3]
     assert np.max(np.abs(w)) < 1e-10
 
 
 def test_ramp_is_annihilated_with_two_moments(bank_db2):
     series = np.arange(8192, dtype=float)
-    w = wavelet_coeffs(series, bank_db2, 4)
+    w = wavelet_coeffs(series, bank_db2, [4])[4]
     assert np.max(np.abs(w)) < 1e-8 * np.max(np.abs(series))
 
 
 def test_polynomials_below_M_annihilated(bank_db2):
     t = np.arange(2**13, dtype=float)
     series = 2.0 - 0.3 * t  # degree < M = 2
-    for j in (2, 5):
-        w = wavelet_coeffs(series, bank_db2, j)
+    for w in wavelet_coeffs(series, bank_db2, (2, 5)).values():
         assert np.max(np.abs(w)) < 1e-8 * np.max(np.abs(series))
 
 
@@ -191,7 +190,7 @@ def test_white_noise_coefficient_variance(bank_db2):
     expect = float(np.dot(taps, taps))  # unit-variance white input
     vals = []
     for _ in range(reps):
-        w = wavelet_coeffs(rng.standard_normal(N), bank_db2, j)
+        w = wavelet_coeffs(rng.standard_normal(N), bank_db2, [j])[j]
         vals.append(np.mean(w**2))
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(reps))
@@ -208,12 +207,16 @@ def test_wavelet_coeffs_matches_direct_convolution(M, N, seed):
     # scale the series supports, against the one-pass pyramid
     bank = _BANKS[M]
     y = np.random.default_rng(seed).standard_normal(N)
+    taps_of = {}
     for j in range(1, bank.jmax + 1):
         taps = cascade_taps(bank, j)
         if len(taps) > N // 4 or 2.0**-j * (N - bank.T + 1) - bank.T + 1 < 1:
             break
-        w = wavelet_coeffs(y, bank, j)
-        s = scalogram(y, bank, j)
+        taps_of[j] = taps
+    js = list(taps_of)
+    coeffs = wavelet_coeffs(y, bank, js)
+    for s in scalograms(y, bank, js):
+        j, w, taps = s.j, coeffs[s.j], taps_of[s.j]
         k_start = math.ceil((len(taps) - 1) / 2**j)  # smallest interior location
         assert s.n == len(w) == n_coeffs(N, bank.T, j)
         ks = k_start + np.arange(s.n)
@@ -227,7 +230,7 @@ def test_wavelet_coeffs_matches_direct_convolution(M, N, seed):
 
 def test_scale_too_coarse_for_filter_length(bank_db2):
     with pytest.raises(ScaleTooCoarseError):
-        wavelet_coeffs(np.zeros(256), bank_db2, 8)
+        wavelet_coeffs(np.zeros(256), bank_db2, [8])
     with pytest.raises(ScaleTooCoarseError, match="outside built range"):
         bank_db2.filter_length(bank_db2.jmax + 1)
 
@@ -236,14 +239,14 @@ def test_scale_too_coarse_for_filter_length(bank_db2):
 
 
 def test_scalogram_zero_series(bank_db2):
-    assert scalogram(np.zeros(4096), bank_db2, 3).sigma2 == 0.0
+    assert scalograms(np.zeros(4096), bank_db2, [3])[0].sigma2 == 0.0
 
 
 def test_scalogram_quadratic_scaling(bank_db2):
     rng = stream(8, 0)
     y = rng.standard_normal(4096)
-    base = scalogram(y, bank_db2, 3).sigma2
-    assert scalogram(2.5 * y, bank_db2, 3).sigma2 == pytest.approx(2.5**2 * base, rel=1e-12)
+    base = scalograms(y, bank_db2, [3])[0].sigma2
+    assert scalograms(2.5 * y, bank_db2, [3])[0].sigma2 == pytest.approx(2.5**2 * base, rel=1e-12)
 
 
 def test_scalogram_slope_smoke(bank_db2):
@@ -253,7 +256,7 @@ def test_scalogram_slope_smoke(bank_db2):
     xs = np.array([sample_gaussian(m, 2**14, 77, r) for r in range(30)])
     slopes = []
     for x in xs:
-        lvals = [math.log2(scalogram(x, bank_db2, j).sigma2) for j in (4, 5, 6, 7)]
+        lvals = [math.log2(s.sigma2) for s in scalograms(x, bank_db2, (4, 5, 6, 7))]
         slopes.append(np.polyfit([4, 5, 6, 7], lvals, 1)[0])
     assert np.mean(slopes) == pytest.approx(2 * (K + d), abs=0.12)
 
@@ -265,7 +268,7 @@ def test_coeff_weak_stationarity_halves(bank_db2):
 
     x = sample_gaussian(m, 2**14, seed=31)
     y = integrate_K(x, 1)
-    w = wavelet_coeffs(y, bank_db2, 4)
+    w = wavelet_coeffs(y, bank_db2, [4])[4]
     h1, h2 = w[: len(w) // 2], w[len(w) // 2 :]
     v1, v2 = np.mean(h1**2), np.mean(h2**2)
     se = np.std(w**2, ddof=1) / math.sqrt(len(h1))
