@@ -1,6 +1,7 @@
 """Every CLI mode's artifacts, pinned by digest.
 
-Each mode runs through `cli.main` at n = 4096.  A JSON artifact is digested
+Each mode runs through `cli.main` at n = 4096; analyze, and a second
+estimate and rank-1 test, read simulate's CSV.  A JSON artifact is digested
 with every value that names a file under the run's directory removed (the
 config's `out` and `input_csv`, an ingested CSV's `path`); a CSV is digested
 byte for byte.  A digest changes only with a version bump, when the change
@@ -23,7 +24,9 @@ PINNED = {
     "simulate": {"path.csv": "76fc5058baed222c", "path.csv.json": "0a9792609b68ff41"},
     "analyze": {"analyze_report.json": "c81e43c9fef0a3fc", "scalogram.csv": "627a25e06057fb79"},
     "estimate": {"estimate_report.json": "a32761ed7b76b19b"},
+    "estimate-csv": {"estimate_report.json": "9f8fdc39040562da"},
     "test": {"test_report.json": "54ee844b182444aa"},
+    "test-csv": {"test_report.json": "b15e52ecd37a5767"},
     "mc-experiment": {"mc_report.json": "ce48abfbac9fe027", "mc_results.csv": "5d2b00e59f3a52e2"},
     "nu-c": {"nu_c_report.json": "86b391a599bfd5aa"},
 }
@@ -39,10 +42,11 @@ def _scrubbed(obj, root: str):
     return obj
 
 
-def _run(tmp_path, mode: str, cfg: dict) -> dict:
-    """{file name: 16-hex digest} of the files a `mode` run of cfg writes."""
-    out = tmp_path / mode
-    cfgp = tmp_path / f"{mode}.json"
+def _run(tmp_path, mode: str, cfg: dict, name: str = "") -> dict:
+    """{file name: 16-hex digest} of the files a `mode` run of cfg writes
+    into the directory `name` (by default the mode's)."""
+    out = tmp_path / (name or mode)
+    cfgp = tmp_path / f"{name or mode}.json"
     cfgp.write_text(json.dumps({"mode": mode, "out": str(out), **cfg}))
     assert cli.main([mode, "--config", str(cfgp)]) == 0
     digests = {}
@@ -57,9 +61,12 @@ def _run(tmp_path, mode: str, cfg: dict) -> dict:
 def test_cli_artifacts_are_pinned(tmp_path):
     assert scalolab.__version__ == "0.9.0"
     runs = {"simulate": _run(tmp_path, "simulate", SIMULATED)}
-    runs["analyze"] = _run(tmp_path, "analyze", {
-        "model": {"d": 0.3, "K": 1}, "input_csv": str(tmp_path / "simulate" / "path.csv"),
-        "bank": {"family": "db2", "jmax": 8}, "j": 3, "p": 2})
+    on_csv = {"model": {"d": 0.3, "K": 1}, "input_csv": str(tmp_path / "simulate" / "path.csv"),
+              "bank": {"family": "db2", "jmax": 8}, "j": 3, "p": 2}
+    runs["analyze"] = _run(tmp_path, "analyze", on_csv)
+    runs["estimate-csv"] = _run(tmp_path, "estimate", {**on_csv, "g": "hermite:1"}, "estimate-csv")
+    runs["test-csv"] = _run(tmp_path, "test", {**on_csv, "g": "hermite:1", "d0_star": 1.3, "alpha": 0.1},
+                            "test-csv")
     runs["estimate"] = _run(tmp_path, "estimate", ESTIMATED)
     runs["test"] = _run(tmp_path, "test", TESTED)
     runs["mc-experiment"] = _run(tmp_path, "mc-experiment", {**TESTED, "replicates": 4, "workers": 1})
