@@ -18,9 +18,6 @@ from .hermite import DEFAULT_QMAX, HermiteExpansion, expansion_from_coeffs, herm
 from .spectral import ShortRangeSpec, SpectralModel
 from .wavelet import _filter_length, _parse_family
 
-_BUILTIN_KINDS = ("hermite", "polynomial", "exp-centered", "sign", "abs-centered", "hermite-coeffs")
-
-
 def _normal_moment(n: int) -> float:
     """E[X^n] for X standard normal: 0 for odd n, (n-1)!! for even n."""
     if n % 2:
@@ -118,7 +115,7 @@ class _Range(NamedTuple):
             raise ConfigError(path, f"must be {what} in {self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}")
 
 
-_MAX_MOMENTS = 35  # every dbM above (and db34) fails the vanishing-moment check of g; from M = 516 g overflows
+_MAX_MOMENTS = 27  # db28 fails build_bank's orthonormality check, and db29-db35 pass it by less than 10x
 
 # Every number a configuration holds, by key path; a schedule row's keys read
 # as the top level's, "[]" stands for any list element.  README gives the caps' reasons.
@@ -155,23 +152,51 @@ _KEYS = {
     "schedule[]": ("n", "j", "p", "replicates"),
     "enforce_preconditions": ("reduction_max", "bias_max"),
 }
+_SINGLE = ("model", "bank", "j", "p", "g", "input_csv", "n")  # a single run, on a CSV or a simulated series
+_TEST = ("d0_star", "alpha", "k_bar", "enforce_preconditions")
+# the keys each mode reads beside mode, seed and out, and each kind of g and model.short_range beside kind
+_READS = {
+    "": {"simulate": ("model", "g", "n"), "analyze": _SINGLE, "estimate": _SINGLE, "test": (*_SINGLE, *_TEST),
+         "mc-experiment": ("model", "g", "bank", "n", "j", "p", "replicates", "workers", "schedule", "preset", *_TEST),
+         "nu-c": ("g", "d_values", "model")},
+    "g": {"hermite": ("q",), "polynomial": ("coeffs",), "exp-centered": (), "sign": (), "abs-centered": (),
+          "hermite-coeffs": ("coeffs",)},
+    "model.short_range": {"constant": ("value",), "ma": ("scale", "coeffs")},
+}
+
+
+def _unread(key: str, obj: dict) -> dict:
+    """{key: what leaves it unread} for each key of _KEYS[key] that the checked object `obj` does not read."""
+    what = "mode" if key == "" else "kind"
+    sel = str(obj.get(what, "constant" if key == "model.short_range" else None))  # short_range is flat by default
+    if sel not in _READS[key]:
+        return {}  # an unknown mode or kind, which parse_config names
+    why, reads = f"{what} {sel!r}", _READS[key][sel]
+    unread = {k: why for k in _KEYS[key] if k not in (what, "seed", "out", *reads)}  # every mode reads seed and out
+    if obj.get("input_csv") and "input_csv" in reads:  # a series read, not simulated
+        unread.update(dict.fromkeys(("n", "g") if sel == "analyze" else ("n",), f"{why} beside input_csv"))
+    if sel == "mc-experiment" and not ("d0_star" in obj and "alpha" in obj):  # a sweep tests d0* with both or neither
+        unread.update(dict.fromkeys(_TEST, f"{why} without both d0_star and alpha"))
+    return unread
 
 
 def _checked(obj, path: str = "", key: str = ""):
-    """The JSON value `obj` at `path` less its null members (absent values),
-    each checked by `key` against _NUMBERS and _KEYS before its contents;
-    any NaN or Infinity (json reads them, and 1e400) is rejected."""
+    """The JSON value `obj` at `path` less its null members (absent values), each checked by `key` against
+    _NUMBERS, then each object's keys by _KEYS and _unread; a NaN or Infinity (json reads them, and 1e400) fails."""
     if isinstance(obj, float) and not math.isfinite(obj):
         raise ConfigError(path, "must be a finite number: NaN and Infinity are not JSON, and null leaves a value unset")
     if key in _NUMBERS:
         _NUMBERS[key].check(path, obj)
     if isinstance(obj, dict):
-        unknown = [k for k in obj if key in _KEYS and k not in _KEYS[key]]
-        if unknown:
-            raise ConfigError(f"{path}.{unknown[0]}" if path else unknown[0],
-                              f"unknown key; expected one of {_KEYS[key]}")
-        return {k: _checked(v, f"{path}.{k}" if path else str(k), k if key in ("", "schedule[]") else f"{key}.{k}")
-                for k, v in obj.items() if v is not None}
+        out = {k: _checked(v, f"{path}.{k}" if path else str(k), k if key in ("", "schedule[]") else f"{key}.{k}")
+               for k, v in obj.items() if v is not None}
+        unread = _unread(key, out) if key in _READS else {}
+        for k, v in out.items():
+            if key in _KEYS and k not in _KEYS[key]:
+                raise ConfigError(f"{path}.{k}" if path else k, f"unknown key; expected one of {_KEYS[key]}")
+            if k in unread and v not in ({}, []):  # an object or list of nulls alone is absent
+                raise ConfigError(f"{path}.{k}" if path else k, f"not read by {unread[k]}")
+        return out
     if key in _KEYS and key not in ("g", "schedule[]"):  # g may be a shorthand; parse_config checks the rows
         raise ConfigError(path, f"must be an object with keys among {_KEYS[key]}")
     if isinstance(obj, list):
@@ -180,8 +205,8 @@ def _checked(obj, path: str = "", key: str = ""):
 
 
 def parse_g_spec(obj, path: str = "g") -> GSpec:
-    """The transform of a 'hermite:3'-style shorthand or a {'kind': ...} mapping whose numbers `parse_config`
-    has checked.  A key its kind does not read is rejected, and rank q is the one-term series {q: q!}."""
+    """The transform of a 'hermite:3'-style shorthand or a {'kind': ...} mapping whose keys and numbers
+    `parse_config` has checked; rank q is the one-term series {q: q!}."""
     if isinstance(obj, str):
         if obj in ("exp-centered", "sign", "abs-centered"):
             return GSpec(obj)
@@ -196,12 +221,8 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
     if not isinstance(obj, dict):
         raise ConfigError(path, "must be a string shorthand or an object")
     kind = obj.get("kind")
-    if kind not in _BUILTIN_KINDS:
-        raise ConfigError(f"{path}.kind", f"must be one of {_BUILTIN_KINDS}")
-    reads = {"hermite": "q", "polynomial": "coeffs", "hermite-coeffs": "coeffs"}.get(kind)
-    unread = [k for k in obj if k not in ("kind", reads)]
-    if unread:
-        raise ConfigError(f"{path}.{unread[0]}", f"not read by kind {kind!r}")
+    if str(kind) not in _READS["g"]:  # str: a kind may be any JSON value
+        raise ConfigError(f"{path}.kind", f"must be one of {tuple(_READS['g'])}")
     if kind == "hermite":
         _NUMBERS["g.q"].check(f"{path}.q", obj.get("q"))  # parse_config has checked a q that is given
         return GSpec("hermite-coeffs", ((obj["q"], float(math.factorial(obj["q"]))),))
@@ -231,19 +252,15 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
 
 
 def parse_model(obj, path: str = "model") -> SpectralModel:
-    """The spectral model of a mapping whose shape and numbers `parse_config` has checked."""
+    """The spectral model of a mapping whose shape, keys and numbers `parse_config` has checked."""
     _NUMBERS["model.d"].check(f"{path}.d", obj.get("d"))  # parse_config has checked a d that is given
     sr_obj = obj.get("short_range", {})
     kind = sr_obj.get("kind", "constant")
-    if kind not in ("constant", "ma"):
+    if str(kind) not in _READS["model.short_range"]:
         raise ConfigError(f"{path}.short_range.kind", f"unknown kind {kind!r}")
-    reads = ("value",) if kind == "constant" else ("scale", "coeffs")
-    unread = [k for k in sr_obj if k not in ("kind", *reads)]
-    if unread:
-        raise ConfigError(f"{path}.short_range.{unread[0]}", f"not read by kind {kind!r}")
-    level, coeffs = sr_obj.get(reads[0], 1.0 / (2.0 * math.pi)), sr_obj.get("coeffs", [1.0])
+    level = sr_obj.get("value", sr_obj.get("scale", 1.0 / (2.0 * math.pi)))  # the one level its kind reads
     try:  # a flat f* is the one-tap moving average
-        sr = ShortRangeSpec(float(level), tuple(map(float, coeffs)))
+        sr = ShortRangeSpec(float(level), tuple(map(float, sr_obj.get("coeffs", [1.0]))))
     except ValueError as exc:  # an MA transfer that vanishes at 0
         raise ConfigError(f"{path}.short_range", str(exc)) from None
     return SpectralModel(MemoryParams(float(obj["d"]), obj.get("K", 0)), sr, float(obj.get("beta", 2.0)))
@@ -306,12 +323,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     g = parse_g_spec(c["g"]) if "g" in c else None
     bank = c.get("bank", {})
     family, jmax = bank.get("family", "db2"), bank.get("jmax", 10)
-    try:
-        M = _parse_family(str(family))  # any non-string is no family name
-    except FilterValidationError as exc:
-        raise ConfigError("bank.family", str(exc)) from None
-    if M > _MAX_MOMENTS:
-        raise ConfigError("bank.family", f"dbM needs M <= {_MAX_MOMENTS}: higher orders lose their vanishing moments")
     top = {"n": c.get("n"), "j": c.get("j"), "p": c.get("p"), "replicates": c.get("replicates", 1)}
     schedule = c.get("schedule", [])
     if not (isinstance(schedule, list) and all(isinstance(e, dict) for e in schedule)):
@@ -330,10 +341,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     # the fractional part splits d0* into (d*, K*)
     if cfg.d0_star is not None and not 0.0 < cfg.d0_star % 1.0 < 0.5:
         raise ConfigError("d0_star", "must be positive with fractional part in (0, 1/2)")
-    if c.get("enforce_preconditions") and not (mode in ("test", "mc-experiment") and cfg.d0_star is not None
-                                                and cfg.alpha is not None):
-        raise ConfigError("enforce_preconditions", "a bound is read only by a run that calibrates the test: "
-                                                   "test, or mc-experiment with d0_star and alpha")
     if not isinstance(cfg.d_values, list):
         raise ConfigError("d_values", "must be a list of numbers in (0, 1/2)")
     if mode != "nu-c":
@@ -341,23 +348,25 @@ def parse_config(obj: dict) -> ExperimentConfig:
             check_off_boundary(model.d)
         except ValueError as exc:
             raise ConfigError("model.d", str(exc)) from None
-    for key in ("preset", "schedule", "input_csv"):  # only a sweep reads the first two, and it reads no series
-        if c.get(key) and (mode == "mc-experiment") == (key == "input_csv"):
-            raise ConfigError(key, f"not read by mode {mode!r}")
     if cfg.preset not in (None, "slope", "large-scale", "small-scale"):
         raise ConfigError("preset", "must be one of slope, large-scale, small-scale")
     if rows and cfg.preset is not None:
         raise ConfigError("preset", "not read beside a schedule, whose rows run as given")
-    if mode in ("analyze", "estimate", "test", "mc-experiment"):
+    if "bank" in _READS[""][mode]:
+        try:
+            M = _parse_family(str(family))  # any non-string is no family name
+        except FilterValidationError as exc:
+            raise ConfigError("bank.family", str(exc)) from None
+        if M > _MAX_MOMENTS:
+            raise ConfigError("bank.family", f"dbM needs M <= {_MAX_MOMENTS}, the last order 10x inside the bank's checks")
         # a simulated series has a known length: the coarsest scale's filter
         # must fit in n/4, which also leaves it at least one coefficient
-        simulated = mode == "mc-experiment" or cfg.input_csv is None
         for prefix, row in [("", top), *((f"schedule[{i}].", r) for i, r in enumerate(rows))]:
             j, p, n = row["j"], row["p"], row["n"]
             if j + p > jmax:
                 raise ConfigError("bank.jmax", f"scales {j}..{j + p} need jmax >= {j + p}, got {jmax}")
             taps = _filter_length(2 * M, j + p)
-            if simulated and taps > n // 4:
+            if n is not None and taps > n // 4:  # n is unread beside input_csv
                 raise ConfigError(prefix + "j", f"scale {j + p} filter ({taps} taps) too long for n={n} (cap n/4)")
     return cfg
 

@@ -130,7 +130,7 @@ def _run_simulate(cfg, art):
 
 
 def _run_analyze(cfg, art):
-    if cfg.g is not None and not cfg.input_csv:
+    if cfg.g is not None:
         cfg.g.expansion()  # rejects a transform that is zero once centred
     series, prov = _load_or_simulate(cfg)
     with _naming({FilterValidationError: "bank.family", **_SERIES_FIELDS}):  # taps that fail the moment check
@@ -246,7 +246,7 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     if rows is None:
         series = _load_or_simulate(cfg)
         rows = [_Row(len(series[0]), cfg.j0, cfg.p, 1)]
-    if cfg.mode != "estimate" and cfg.d0_star is not None and cfg.alpha is not None:
+    if cfg.d0_star is not None:  # parse_config admits d0_star only beside alpha, in test and mc-experiment
         with _naming(_TARGET_FIELDS):
             for row in rows:
                 row.calibration = calibrate_test(bank, row.n, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,

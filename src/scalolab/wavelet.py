@@ -5,7 +5,8 @@ moments.  The scale-j filter is the cascade g_{j+1}(z) = g_j(z^2) h(z) from
 g_1 = g, whose transfer functions, rescaled by gamma_j^(1/2), converge to a
 limit shape; no code forms its taps, since the Mallat pyramid and the limit
 law both run on the base pair.  Each g_j keeps g's factor (1 - z)^M, so
-building a bank checks g's vanishing moments to _MOMENT_TOL.
+building a bank checks g's vanishing moments to _MOMENT_TOL, and h's
+orthonormality, which the limit law assumes, to _ORTHO_TOL.
 
 W_{j,k} = sum_t g_j(2^j k - t) Y_t is computed with interior taps only, for
 all scales of a series in one Mallat pyramid pass.
@@ -20,7 +21,8 @@ import numpy as np
 
 from .errors import FilterValidationError, NumericError, ScaleTooCoarseError
 
-_MOMENT_TOL = 1e-8
+_MOMENT_TOL = 1e-8  # of g's largest normalised moment
+_ORTHO_TOL = 1e-8  # of max_m |sum_k h_k h_{k+2m} - delta_m|
 
 
 def daubechies_scaling(M: int) -> np.ndarray:
@@ -92,28 +94,24 @@ def _parse_family(family: str) -> int:
     raise FilterValidationError(f"unknown filter family {family!r}")
 
 
-def _check_moments(g: np.ndarray, M: int) -> None:
-    """Raise unless g has M vanishing moments, each moment normalised by the
-    moment of |g|."""
-    worst = 0.0
+def _moment_residual(g: np.ndarray, M: int) -> float:
+    """The largest of g's first M moments, each normalised by the moment of |g| (plus one)."""
     t = np.arange(len(g), dtype=float)
-    for m in range(M):
-        num = abs(float(np.dot(t**m, g)))
-        den = float(np.dot(t**m, np.abs(g))) + 1.0
-        worst = max(worst, num / den)
-    if worst > _MOMENT_TOL:
-        raise FilterValidationError(
-            f"vanishing moments: normalised moment residual {worst:.2e} exceeds "
-            f"{_MOMENT_TOL:.0e} (uniform-smoothness envelope cannot hold at order {M})"
-        )
+    return max(abs(float(np.dot(t**m, g))) / (float(np.dot(t**m, np.abs(g))) + 1.0) for m in range(M))
+
+
+def _orthonormality_residual(h: np.ndarray) -> float:
+    """max_m |sum_k h_k h_{k+2m} - delta_m| over the shifts m that overlap."""
+    return max(abs(float(np.dot(h[2 * m :], h[: len(h) - 2 * m])) - (m == 0)) for m in range(len(h) // 2))
 
 
 def build_bank(family: str = "db2", jmax: int = 10) -> FilterBank:
     """Base pair of a Daubechies-type family, built once per (M, jmax): `haar` is `db1`.
 
     Raises FilterValidationError when the family is unknown or its taps
-    lose their vanishing moments (db34 does, in floating point); consumers
-    that need a specific moment order check M themselves.
+    fail the moment or the orthonormality check (db28 fails the second, in
+    floating point); consumers that need a specific moment order check M
+    themselves.
     """
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
@@ -124,7 +122,12 @@ def build_bank(family: str = "db2", jmax: int = 10) -> FilterBank:
 def _built_bank(M: int, jmax: int) -> FilterBank:
     h = daubechies_scaling(M)
     g = mirror_highpass(h)
-    _check_moments(g, M)
+    moments, ortho = _moment_residual(g, M), _orthonormality_residual(h)
+    if moments > _MOMENT_TOL:
+        raise FilterValidationError(f"vanishing moments: normalised moment residual {moments:.2e} exceeds "
+                                    f"{_MOMENT_TOL:.0e} (uniform-smoothness envelope cannot hold at order {M})")
+    if ortho > _ORTHO_TOL:
+        raise FilterValidationError(f"orthonormality: residual {ortho:.2e} exceeds {_ORTHO_TOL:.0e} at order {M}")
     for taps in (h, g):
         taps.setflags(write=False)
     return FilterBank(M=M, jmax=jmax, scaling=h, highpass=g, T=2 * M)

@@ -236,8 +236,8 @@ _CAPPED = {"mode": "mc-experiment", "model": {"d": 0.3}, "g": "hermite:1", "n": 
     ("n", {"n": 2**22}, {"n": 2**22 + 1}),
     ("schedule[0].n", {"schedule": [{"n": 2**22}]}, {"schedule": [{"n": 2**22 + 1}]}),
     ("bank.jmax", {"bank": {"family": "db2", "jmax": 16}}, {"bank": {"family": "db2", "jmax": 17}}),
-    ("bank.family", {"bank": {"family": "db35", "jmax": 8}}, {"bank": {"family": "db36", "jmax": 8}}),
-    ("model.K", {"model": {"d": 0.3, "K": 34}}, {"model": {"d": 0.3, "K": 35}}),
+    ("bank.family", {"bank": {"family": "db27", "jmax": 8}}, {"bank": {"family": "db28", "jmax": 8}}),
+    ("model.K", {"model": {"d": 0.3, "K": 26}}, {"model": {"d": 0.3, "K": 27}}),
     ("workers", {"workers": 64}, {"workers": 65}),
     ("replicates", {"replicates": 10**6}, {"replicates": 10**6 + 1}),
     ("g.q", {"g": {"kind": "hermite", "q": 170}}, {"g": {"kind": "hermite", "q": 171}}),
@@ -597,7 +597,8 @@ def test_single_run_expands_g_once(tmp_path, monkeypatch, mode):
     # the plan expands g; simulating the series reuses the plan's check
     cfg = parse_config({
         "mode": mode, "model": {"d": 0.3}, "g": "exp-centered", "bank": {"family": "db2", "jmax": 8},
-        "n": 4096, "j": 3, "p": 2, "d0_star": 0.3, "alpha": 0.1, "seed": 2, "out": str(tmp_path),
+        "n": 4096, "j": 3, "p": 2, "seed": 2, "out": str(tmp_path),
+        **({"d0_star": 0.3, "alpha": 0.1} if mode == "test" else {}),
     })
     calls, expansion = [], scalolab.config.GSpec.expansion
     monkeypatch.setattr(scalolab.config.GSpec, "expansion", lambda g: calls.append(g) or expansion(g))
@@ -655,8 +656,9 @@ def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch):
          OSError, ["path.csv", "path.csv.json"]),
     ):
         seen.clear()
-        cfg = parse_config({"mode": mode, "model": {"d": 0.3}, "g": "hermite:1", "n": 4096,
-                            "bank": {"family": "db2", "jmax": 8}, "j": 2, "p": 2, "out": str(out), "seed": 1})
+        scales = {"bank": {"family": "db2", "jmax": 8}, "j": 2, "p": 2} if mode == "analyze" else {}
+        cfg = parse_config({"mode": mode, "model": {"d": 0.3}, "g": "hermite:1", "n": 4096, **scales,
+                            "out": str(out), "seed": 1})
         with monkeypatch.context() as mp:
             for target, name, value in patches:
                 mp.setattr(target, name, value)
@@ -697,6 +699,17 @@ def test_cli_exit_codes(tmp_path):
 
 
 _MA = {"kind": "ma", "coeffs": [1.0, 0.5]}
+# the keys of the shared configs below that each mode never reads
+_UNREAD = {"simulate": ("bank", "j", "p", "d0_star", "alpha", "replicates", "d_values"),
+           "analyze": ("d0_star", "alpha", "replicates", "d_values"),
+           "estimate": ("d0_star", "alpha", "replicates", "d_values"), "test": ("replicates", "d_values"),
+           "mc-experiment": ("d_values",), "nu-c": ("n", "bank", "j", "p", "d0_star", "alpha", "replicates")}
+
+
+def _read_by(mode, raw):
+    """raw less the keys `mode` never reads: a series read from input_csv leaves n unread, and analyze's g"""
+    csv = (("n", "g") if mode == "analyze" else ("n",)) if "input_csv" in raw else ()
+    return {k: v for k, v in raw.items() if k not in (*_UNREAD[mode], *csv)}
 
 
 @pytest.mark.parametrize("mode, change, field", [
@@ -755,12 +768,12 @@ _MA = {"kind": "ma", "coeffs": [1.0, 0.5]}
                  id="nan-in-unread-key"),
     pytest.param("test", {"enforce_preconditions": {"reduction_max": math.inf}},
                  "enforce_preconditions.reduction_max", id="enforce-bound-infinity"),
-    # ranks past 170 overflow q!, and orders past db35 overflow or lose their moments
+    # ranks past 170 overflow q!, and orders past db27 fail or nearly fail the bank's checks
     pytest.param("simulate", {"g": "hermite:171"}, "g", id="hermite-shorthand-rank-171"),
     pytest.param("simulate", {"g": {"kind": "hermite", "q": 171}}, "g.q", id="hermite-rank-171"),
     pytest.param("simulate", {"g": {"kind": "hermite-coeffs", "coeffs": {"1": 1, "400": 1}}}, "g.coeffs",
                  id="hermite-coeffs-rank-400"),
-    pytest.param("simulate", {"bank": {"family": "db600", "jmax": 8}}, "bank.family", id="db600"),
+    pytest.param("estimate", {"bank": {"family": "db600", "jmax": 8}}, "bank.family", id="db600"),
     *(pytest.param("simulate", {"model": {"d": 0.3, "short_range": {**_MA, "scale": s}}},
                    "model.short_range.scale", id=f"ma-scale-{s}") for s in (0, -1)),
     pytest.param("simulate", {"model": {"d": "0.3"}}, "model.d", id="d-string"),
@@ -799,11 +812,11 @@ _MA = {"kind": "ma", "coeffs": [1.0, 0.5]}
                  id="analyze-zero-transform"),
 ])
 def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
-    cfgp = _write(tmp_path, "e.json", {
+    cfgp = _write(tmp_path, "e.json", _read_by(mode, {
         "mode": mode, "model": {"d": 0.3}, "g": "hermite:1", "n": 4096,
         "bank": {"family": "db2", "jmax": 8}, "j": 5, "p": 3, "seed": 1,
         "d0_star": 0.3, "alpha": 0.1, "replicates": 2, "out": str(tmp_path / "e"), **change,
-    })
+    }))
     r = _cli(mode, "--config", cfgp)
     assert r.returncode == 2
     assert f"config error: {field}:" in r.stderr
@@ -848,7 +861,7 @@ def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, chang
     *(pytest.param(mode, {"model": {"d": 0.35, "K": K}, "d0_star": 3.35, "bank": {"family": "db2", "jmax": 10},
                           "n": 2**14, "j": 3, "p": 2}, field, id=f"{mode}-too-few-moments-K{K}")
       for mode, K, field in (("test", 3, "bank.family"), ("test", 0, "d0_star"), ("mc-experiment", 0, "d0_star"))),
-    # db34's taps miss the moment check by rounding: only building the bank finds it
+    # db34's taps miss the moment check by rounding: db34 is past the cap, which names it first
     pytest.param("estimate", {"bank": {"family": "db34", "jmax": 2}, "j": 1, "p": 1}, "bank.family",
                  id="estimate-db34-moments"),
     # finite coefficients whose exact E[G(X)^2] overflows a float: 1e320, and 200! from x^200
@@ -868,11 +881,11 @@ def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
         series = tmp_path / "const.csv"
         export_path(np.ones(100), series)
         change = {**change, "input_csv": str(series)}
-    cfgp = _write(tmp_path, "e.json", {
+    cfgp = _write(tmp_path, "e.json", _read_by(mode, {
         "mode": mode, "model": {"d": 0.3}, "g": "hermite:1", "n": 4096,
         "bank": {"family": "db2", "jmax": 8}, "j": 5, "p": 3, "seed": 1,
         "d0_star": 0.3, "alpha": 0.1, "replicates": 2, "out": str(tmp_path / "e"), **change,
-    })
+    }))
     r = _cli(mode, "--config", cfgp)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith(f"config error: {field}: ")
@@ -919,7 +932,7 @@ def test_cli_overflowing_covariance_exits_3(tmp_path, mode):
     out = tmp_path / "o"
     cfgp = _write(tmp_path, "c.json", {
         "mode": mode, "model": {"d": 0.3, "short_range": {"kind": "ma", "scale": 1e308, "coeffs": [1e200, 1]}},
-        "n": 4096, "j": 5, "p": 3, "seed": 1, "out": str(out),
+        "n": 4096, "seed": 1, "out": str(out), **({"j": 5, "p": 3} if mode == "estimate" else {}),
     })
     r = _cli(mode, "--config", cfgp)
     assert r.returncode == 3, r.stderr
@@ -1036,12 +1049,20 @@ def test_readme_layout_names_resolve():
 
 def test_readme_config_table_lists_every_top_level_key():
     # one row names each key a configuration may hold at its top level, and no
-    # row names another: a key added to or retired from the schema moves the table
+    # row names another, with the modes that read it: a key added to or retired
+    # from the schema, or read by another mode, moves the table
     text = (ROOT / "README.md").read_text()
-    start = text.index("| field | meaning |")
-    rows = text[start : text.index("\n\n", start)].splitlines()[2:]
-    keys = [k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])]
-    assert sorted(keys) == sorted(scalolab.config._KEYS[""])
+    start = text.index("| field | read by | meaning |")
+    rows = [row.split("|") for row in text[start : text.index("\n\n", start)].splitlines()[2:]]
+    modes, reads = scalolab.config._MODES, scalolab.config._READS[""]
+    read_by = {k: set(modes) if row[2].strip() == "every mode" else set(row[2].strip().split(", "))
+               for row in rows for k in re.findall(r"`(\w+)`", row[1])}
+    assert sorted(read_by) == sorted(scalolab.config._KEYS[""])
+    assert read_by == {k: {m for m in modes if k in ("mode", "seed", "out", *reads[m])} for k in read_by}
+    # the sweep's conditional read names the test's keys
+    rules = text.index("\n- ", start)  # the list of conditional reads below the table
+    (rule,) = [item for item in text[rules : text.index("\n\n", rules)].split("\n- ") if "only as a test" in item]
+    assert set(re.findall(r"`(\w+)`", rule)) == set(scalolab.config._TEST)
 
 
 def test_calibration_script_smoke(tmp_path):
@@ -1094,6 +1115,37 @@ def test_cold_cli_pairs_smoke():
                                                                    "nu-c", "all")
                                                   for s in ("parent", "change", "ratio")]
     assert all(float(x) > 0 for row in rows for x in row[2:6] if row[1] != "ratio")
+
+
+_BENCHMARK_CONFIGS = """
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+import run
+from scalolab.config import parse_config
+
+for name, w in run.WORKLOADS.items():
+    for size in ("config", "tiny") if "config" in w else ():
+        for workers in (1, 2):  # the keys perfbench/child.py adds to a sweep's config
+            parse_config({**w[size], "replicates": 3, "seed": 1, "workers": workers, "out": "unused"})
+# the test run child.law_scale makes of the mc-gauss sweep
+parse_config({**run.WORKLOADS["mc-gauss"]["config"], "mode": "test", "seed": 1, "out": "unused"})
+for size in ("full", "tiny"):
+    for mode, path in run.cli_configs(types.SimpleNamespace(size=size, seed=3), sys.argv[2], 0).items():
+        with open(path) as fh:
+            assert parse_config(json.load(fh)).mode == mode
+print("ok")
+"""
+
+
+def test_benchmark_configs_pass_the_config_check(tmp_path):
+    # a schema change that rejects a config of perfbench fails here, not in a
+    # benchmark run; a child imports perfbench/run.py, which pins the BLAS
+    # variables, and writes no bytecode there
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    r = subprocess.run([sys.executable, "-c", _BENCHMARK_CONFIGS, str(ROOT / "perfbench"), str(tmp_path)],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "ok\n"
 
 
 def test_cli_import_loads_no_scipy():
@@ -1181,7 +1233,7 @@ def test_cli_sweeps_load_no_scipy(tmp_path):
     for g, d in menu:
         cfg = {**base, "model": {"d": d, "K": 0}, "g": g, "d0_star": d if d < 0.4 else 0.34, "alpha": 0.1,
                "d_values": [0.3, 0.42]}
-        runs += [(mode, cfg) for mode in ("test", "estimate", "nu-c", "mc-experiment")]
+        runs += [(mode, _read_by(mode, cfg)) for mode in ("test", "estimate", "nu-c", "mc-experiment")]
     paths = [_write(tmp_path, f"c{i}.json", {**c, "out": str(tmp_path / f"o{i}")})
              for i, (_, c) in enumerate(runs)]
     code = ("import sys, scalolab.cli\n"
@@ -1279,7 +1331,7 @@ def test_rank_one_offset_past_the_limit_shape_exits_2_naming_p(tmp_path, capsys,
     out = tmp_path / "o"
     cfgp = _write(tmp_path, "c.json", {
         "model": {"d": 0.35}, "g": "hermite:1", "bank": {"family": "db2", "jmax": 12}, "n": 2**16, "j": 1,
-        "p": 11, "d0_star": 0.35, "alpha": 0.1, "replicates": 2, "out": str(out),
+        "p": 11, "d0_star": 0.35, "alpha": 0.1, "out": str(out), **({"replicates": 2} if mode != "test" else {}),
     })
     assert cli.main([mode, "--config", cfgp]) == 2
     err = capsys.readouterr().err
@@ -1291,15 +1343,52 @@ def test_rank_one_offset_past_the_limit_shape_exits_2_naming_p(tmp_path, capsys,
                                          ("analyze", {}), ("mc-experiment", {}), ("mc-experiment", {"d0_star": 0.35}),
                                          ("mc-experiment", {"alpha": 0.1})])
 def test_a_bound_no_calibration_reads_exits_2(tmp_path, capsys, mode, extra):
-    # only a run that calibrates the test reads enforce_preconditions: elsewhere a bound would go unread
+    # only a run that calibrates the test reads enforce_preconditions, or d0_star and alpha: elsewhere a bound
+    # would go unread.  A key of extra is named first, as it comes first
     base = {"model": {"d": 0.35}, "g": "hermite:1", "bank": {"family": "db2", "jmax": 7}, "n": 4096, "j": 3,
-            "p": 2, "replicates": 2, "out": str(tmp_path / "o"), **extra}
+            "p": 2, "out": str(tmp_path / "o"), **({"replicates": 2} if mode == "mc-experiment" else {}), **extra}
     cfgp = _write(tmp_path, "c.json", {**base, "enforce_preconditions": {"bias_max": 0.0}})
     assert cli.main([mode, "--config", cfgp]) == 2
-    assert capsys.readouterr().err.startswith("config error: enforce_preconditions: a bound is read only by ")
+    field = next(iter(extra), "enforce_preconditions")
+    assert capsys.readouterr().err.startswith(f"config error: {field}: not read by mode {mode!r}")
     # no bound at all (null is absent) is nothing unread
     cfgp = _write(tmp_path, "c.json", {**base, "enforce_preconditions": {"bias_max": None}})
-    assert cli.main([mode, "--config", cfgp]) == 0
+    assert cli.main([mode, "--config", cfgp]) == (2 if extra else 0)
+
+
+_ON_SERIES = {"model": {"d": 0.3}, "bank": {"family": "db2", "jmax": 8}, "j": 3, "p": 2}
+_SIMULATED, _ON_CSV = {**_ON_SERIES, "n": 4096}, {**_ON_SERIES, "input_csv": "series.csv"}
+_TESTED = {"g": "hermite:1", "d0_star": 0.3, "alpha": 0.1}
+
+
+@pytest.mark.parametrize("mode, base, change, field", [
+    # the test's keys and a sweep's controls beside a single estimate
+    pytest.param("estimate", _SIMULATED, {"d0_star": 0.3, "alpha": 0.1, "replicates": 50, "workers": 8}, "d0_star",
+                 id="estimate-test-and-sweep-keys"),
+    *(pytest.param("estimate", _SIMULATED, {key: value}, key, id=f"estimate-{key}")
+      for key, value in (("d0_star", 0.3), ("alpha", 0.1), ("k_bar", 0), ("replicates", 50), ("workers", 8))),
+    *(pytest.param("test", {**_SIMULATED, **_TESTED}, {key: value}, key, id=f"test-{key}")
+      for key, value in (("replicates", 50), ("workers", 2))),
+    *(pytest.param("simulate", {"model": {"d": 0.3}, "n": 4096}, {key: value}, key, id=f"simulate-{key}")
+      for key, value in (("bank", {"family": "db2", "jmax": 8}), ("j", 3), ("p", 2))),
+    # nu-c builds no bank, whatever family it names
+    pytest.param("nu-c", {"g": "hermite:1", "d_values": [0.3]}, {"bank": {"family": "db36"}}, "bank", id="nu-c-bank"),
+    # a series read from a CSV has its own length, and analyze transforms none
+    *(pytest.param(mode, {**_ON_CSV, **(_TESTED if mode == "test" else {})}, {"n": 999999}, "n",
+                   id=f"{mode}-input_csv-n") for mode in ("analyze", "estimate", "test")),
+    pytest.param("analyze", _ON_CSV, {"g": "hermite:1"}, "g", id="analyze-input_csv-g"),
+    # a sweep tests d0* with both d0_star and alpha, or not at all
+    *(pytest.param("mc-experiment", {**_SIMULATED, "g": "hermite:1"}, {key: value}, key,
+                   id=f"mc-experiment-{key}-alone") for key, value in (("d0_star", 0.3), ("alpha", 0.1))),
+])
+def test_cli_rejects_a_key_its_mode_does_not_read(tmp_path, mode, base, change, field):
+    # the key would be dropped without a word: the CLI names it, and the config without it is accepted
+    parse_config({**base, "mode": mode})
+    out = tmp_path / "o"
+    r = _cli(mode, "--config", _write(tmp_path, "c.json", {**base, **change, "out": str(out)}))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith(f"config error: {field}: not read by mode {mode!r}")
+    assert not out.exists()
 
 
 # each input is read by every mode listed with it; mc-experiment simulates n rows in place of a CSV
@@ -1311,9 +1400,9 @@ _ALL_THREE, _CALIBRATED = ("estimate", "test", "mc-experiment"), ("test", "mc-ex
 @pytest.mark.parametrize("modes, change, field", [
     pytest.param(_ALL_THREE, {"model": {"d": 0.35, "K": 1}, "bank": {"family": "db1", "jmax": 8}, "d0_star": 1.35},
                  "bank.family", id="moment-shortfall"),
-    # db34's taps fail the moment check: the transform comes first
-    pytest.param(_ALL_THREE, {"g": {"kind": "polynomial", "coeffs": ["1"]}, "bank": {"family": "db34", "jmax": 2},
-                              "j": 1, "p": 1}, "g.coeffs", id="zero-transform-db34"),
+    # with db27, the deepest bank admitted, a transform zero once centred is named
+    pytest.param(_ALL_THREE, {"g": {"kind": "polynomial", "coeffs": ["1"]}, "bank": {"family": "db27", "jmax": 2},
+                              "j": 1, "p": 1}, "g.coeffs", id="zero-transform-db27"),
     # too short to ingest, and the bank has too few moments: the bank comes first
     pytest.param(_ALL_THREE, {"input_csv": "rows-10", "model": {"d": 0.35, "K": 1},
                               "bank": {"family": "db1", "jmax": 8}, "d0_star": 1.35},
@@ -1332,6 +1421,7 @@ def test_modes_agree_on_the_field_an_input_fails(tmp_path, capsys, modes, change
         raw = {**_BASE, **change, "out": str(tmp_path / mode)}
         if mode == "mc-experiment":
             raw.pop("input_csv", None)
+        raw = _read_by(mode, raw)
         assert cli.main([mode, "--config", _write(tmp_path, f"{mode}.json", raw)]) == 2, mode
         assert capsys.readouterr().err.startswith(f"config error: {field}: "), mode
 
@@ -1343,7 +1433,7 @@ def test_estimate_test_and_mc_read_one_d0_hat(tmp_path):
     reports = {}
     for mode, name in (("estimate", "estimate_report.json"), ("test", "test_report.json"),
                        ("mc-experiment", "mc_report.json")):
-        cfgp = _write(tmp_path, f"{mode}.json", {**base, "out": str(tmp_path / mode)})
+        cfgp = _write(tmp_path, f"{mode}.json", _read_by(mode, {**base, "out": str(tmp_path / mode)}))
         assert cli.main([mode, "--config", cfgp]) == 0
         reports[mode] = json.loads((tmp_path / mode / name).read_text())
     d0_hat = reports["estimate"]["estimate"]["d0_hat"]

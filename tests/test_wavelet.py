@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalolab.config import _MAX_MOMENTS
 from scalolab.errors import FilterValidationError, ScaleTooCoarseError
 from scalolab.exponents import MemoryParams
 from scalolab.spectral import SpectralModel
 from scalolab.synthesis import sample_gaussian, stream
 from scalolab.wavelet import (
+    _MOMENT_TOL,
+    _ORTHO_TOL,
     _built_bank,
+    _moment_residual,
+    _orthonormality_residual,
     build_bank,
     daubechies_scaling,
     mirror_highpass,
@@ -74,24 +79,43 @@ def test_build_bank_validation():
 
 @pytest.mark.parametrize("jmax", [1, 16])
 def test_build_bank_verdicts_at_the_moment_cap(jmax):
-    # g's rounding alone decides, at every depth: db34 misses the tolerance
-    # (residual 1.10e-8), and so does every order from db36
-    for M in (33, 35):
+    # the base pair's rounding alone decides, at every depth: db28 misses the
+    # orthonormality tolerance (residual 1.09e-8), db34 and db36 the moment one
+    for M in (26, 27):
         assert build_bank(f"db{M}", jmax).M == M
+    with pytest.raises(FilterValidationError, match="^orthonormality: residual .* exceeds 1e-08 at order 28$"):
+        build_bank("db28", jmax)
     for M in (34, 36):
         with pytest.raises(FilterValidationError, match="^vanishing moments: normalised moment residual"):
             build_bank(f"db{M}", jmax)
 
 
+@pytest.mark.parametrize("M", range(1, _MAX_MOMENTS + 1))
+def test_admitted_orders_pass_both_bank_checks_tenfold(M):
+    # every order a configuration admits passes each check with a 10x margin,
+    # so a platform whose roots round differently keeps the same verdicts
+    h = daubechies_scaling(M)
+    assert _moment_residual(mirror_highpass(h), M) <= _MOMENT_TOL / 10
+    assert _orthonormality_residual(h) <= _ORTHO_TOL / 10
+
+
+def test_orthonormality_residual_reads_every_even_shift():
+    # db2's taps with the last one moved: the shift-2 product and the norm both move
+    h = daubechies_scaling(2).copy()
+    assert _orthonormality_residual(h) < 1e-15
+    h[3] += 1e-6
+    assert _orthonormality_residual(h) == pytest.approx(abs(h[0] * h[2] + h[1] * h[3]), rel=1e-6)
+
+
 def test_deep_bank_holds_its_base_pair_alone():
-    # the cascade taps of db35 to level 16 would hold 69 MiB and peak at 172 MiB
+    # the cascade taps of db27 to level 16 would hold 27 MB
     tracemalloc.start()
     try:
-        bank = _built_bank.__wrapped__(35, 16)  # past the cache: a build, not a lookup
+        bank = _built_bank.__wrapped__(27, 16)  # past the cache: a build, not a lookup
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bank.filter_length(16) == 65535 * 69 + 1
+    assert bank.filter_length(16) == 65535 * 53 + 1
     assert peak < 2**20
 
 
