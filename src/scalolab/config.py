@@ -177,6 +177,8 @@ def _unread(key: str, obj: dict) -> dict:
         unread.update(dict.fromkeys(("n", "g") if sel == "analyze" else ("n",), f"{why} beside input_csv"))
     if sel == "mc-experiment" and not ("d0_star" in obj and "alpha" in obj):  # a sweep tests d0* with both or neither
         unread.update(dict.fromkeys(_TEST, f"{why} without both d0_star and alpha"))
+    if sel == "mc-experiment" and obj.get("schedule"):  # the preset would label none of its rows
+        unread["preset"] = f"{why} beside a schedule, whose rows run as given"
     return unread
 
 
@@ -268,7 +270,7 @@ def parse_model(obj, path: str = "model") -> SpectralModel:
 
 # the fields each mode cannot run without, where absent, null and empty are
 # alike; a tuple asks for one of its fields (n simulates the series)
-_SERIES = ("model", ("input_csv", "n"), "j", "p")
+_SERIES = (("input_csv", "n"), "model", "j", "p")
 _REQUIRED = {"simulate": ("model", "n"), "analyze": _SERIES, "estimate": _SERIES,
              "test": (*_SERIES, "g", "d0_star", "alpha"), "mc-experiment": ("model", "g", "n", "j", "p"),
              "nu-c": ("g", ("d_values", "model"))}
@@ -315,11 +317,12 @@ def parse_config(obj: dict) -> ExperimentConfig:
     mode = c.get("mode")
     if mode not in _MODES:
         raise ConfigError("mode", f"must be one of {_MODES}")
+    csv_alone = mode in ("analyze", "estimate") and c.get("input_csv") and "g" not in c  # no model is read
     for need in _REQUIRED[mode]:
         keys = need if isinstance(need, tuple) else (need,)
-        if not any(c.get(k) for k in keys):
+        if not any(c.get(k) for k in keys) and not (need == "model" and csv_alone):
             raise ConfigError(keys[0], f"required for mode {mode!r}{''.join(f', or {k}' for k in keys[1:])}")
-    model = parse_model(c["model"]) if "model" in c else None
+    model = parse_model(c["model"]) if c.get("model") else None
     g = parse_g_spec(c["g"]) if "g" in c else None
     bank = c.get("bank", {})
     family, jmax = bank.get("family", "db2"), bank.get("jmax", 10)
@@ -343,15 +346,13 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError("d0_star", "must be positive with fractional part in (0, 1/2)")
     if not isinstance(cfg.d_values, list):
         raise ConfigError("d_values", "must be a list of numbers in (0, 1/2)")
-    if mode != "nu-c":
+    if mode != "nu-c" and model is not None:
         try:
             check_off_boundary(model.d)
         except ValueError as exc:
             raise ConfigError("model.d", str(exc)) from None
     if cfg.preset not in (None, "slope", "large-scale", "small-scale"):
         raise ConfigError("preset", "must be one of slope, large-scale, small-scale")
-    if rows and cfg.preset is not None:
-        raise ConfigError("preset", "not read beside a schedule, whose rows run as given")
     if "bank" in _READS[""][mode]:
         try:
             M = _parse_family(str(family))  # any non-string is no family name

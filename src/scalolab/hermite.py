@@ -84,16 +84,30 @@ def hermite_series(coeffs: dict[int, float], x):
 def gauss_hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights integrating against the standard normal density.
 
-    Golub-Welsch applied to the probabilists' recurrence (scipy's
-    roots_hermitenorm stays stable past order 512, where numpy's variant
-    overflows); rescaling the weights by sqrt(2*pi) turns the e^{-x^2/2}
-    weight into the N(0,1) density.  Both arrays are the memo's own, so
-    they are read-only.
+    The nodes are the zeros of q_n, q_k = H_k / sqrt(k!) following q_{k+1} = (x q_k - sqrt(k) q_{k-1}) / sqrt(k+1),
+    whose Jacobi matrix Golub & Welsch (1969) diagonalise.  Each positive zero is bracketed by bisection on
+    the Sturm count, the sign changes along q_0(x), ..., q_n(x) (Barth, Martin & Wilkinson 1967), then takes
+    three Newton steps; the weights 1 / (n q_{n-1}^2) are formed in log space.  No step calls BLAS, so the
+    rule is the same to the bit under any thread count.  Every q_k is finite through order 700 (past 716
+    the bisection overflows, and nodes turn NaN); both arrays are the memo's own, so they are read-only.
     """
-    from scipy.special import roots_hermitenorm
+    def qs(x):  # q_0(x), ..., q_n(x), one row each
+        q = np.empty((order + 1, len(x)))
+        q[0], q[1] = 1.0, x
+        for k in range(1, order):
+            q[k + 1] = (x * q[k] - math.sqrt(k) * q[k - 1]) / math.sqrt(k + 1)
+        return q
 
-    x, w = roots_hermitenorm(order)
-    w = w / math.sqrt(2.0 * math.pi)
+    lo, hi = np.zeros(order // 2), np.full(order // 2, 2.0 * math.sqrt(order + 1.0))  # the zeros lie below sqrt(4n+2)
+    for _ in range(16):  # brackets of width 2^-16 hi, from which three Newton steps reach rounding
+        s = np.signbit(qs(mid := (lo + hi) / 2))
+        above = (s[1:] != s[:-1]).sum(axis=0) > np.arange(order // 2)  # the (i+1)-th largest zero lies above mid
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    x = (lo + hi) / 2
+    for _ in range(3):  # Newton, q_n' = sqrt(n) q_{n-1}
+        x = x - (q := qs(x))[-1] / (math.sqrt(order) * q[-2])
+    x = np.concatenate((-x, [0.0] * (order % 2), x[::-1]))  # q_n(-x) = (-1)^n q_n(x)
+    w = np.exp(-math.log(order) - 2.0 * np.log(np.abs(qs(x)[-2])))
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -413,6 +413,46 @@ def test_analyze_and_estimate_modes(tmp_path):
     assert len(rows) == 4  # scales 3..5
 
 
+def test_a_csv_run_that_reads_no_model_needs_none(tmp_path):
+    # analyze on a CSV, and estimate on one without g, read the series alone: a model may be given or not
+    series = tmp_path / "y.csv"
+    export_path(np.cumsum(np.random.default_rng(7).standard_normal(4096)), series)
+    base = {"input_csv": str(series), "bank": {"family": "db2", "jmax": 8}, "j": 3, "p": 2}
+    read = {}
+    for mode, name in (("analyze", "scalogram.csv"), ("estimate", "estimate_report.json")):
+        for i, model in enumerate(({"model": {"d": 0.3}}, {}, {"model": {}})):  # an empty object is absent
+            out = tmp_path / f"{mode}-{i}"
+            assert cli.main([mode, "--config", _write(tmp_path, "c.json", {"mode": mode, **base, **model,
+                                                                           "out": str(out)})]) == 0
+            text = (out / name).read_text()
+            read.setdefault(mode, []).append(text if mode == "analyze" else json.loads(text)["estimate"]["d0_hat"])
+    assert read["analyze"][0].startswith("j,n_j,sigma2")
+    assert read["analyze"] == read["analyze"][:1] * 3 and read["estimate"] == read["estimate"][:1] * 3
+
+
+@pytest.mark.parametrize("mode, change, field", [
+    # g's moment rule and predicted rates, the test's limit law and a simulated series read the model
+    pytest.param("estimate", {"input_csv": "y.csv", "g": "hermite:1"}, "model", id="estimate-csv-with-g"),
+    pytest.param("test", {"input_csv": "y.csv", "g": "hermite:1", "d0_star": 0.3, "alpha": 0.1}, "model",
+                 id="test-csv"),
+    *(pytest.param(mode, {"n": 4096}, "model", id=f"{mode}-simulated") for mode in ("analyze", "estimate")),
+    pytest.param("test", {"n": 4096, "g": "hermite:1", "d0_star": 0.3, "alpha": 0.1}, "model", id="test-simulated"),
+    # neither a CSV nor a length to simulate: the series is named first
+    *(pytest.param(mode, {}, "input_csv", id=f"{mode}-no-series") for mode in ("analyze", "estimate", "test")),
+])
+def test_parse_config_names_a_missing_model_where_one_is_read(mode, change, field):
+    with pytest.raises(ConfigError, match=f"^{field}: required for mode {mode!r}"):
+        parse_config({"mode": mode, "bank": {"family": "db2", "jmax": 8}, "j": 3, "p": 2, **change})
+
+
+def test_a_preset_beside_an_empty_schedule_runs(tmp_path):
+    cfg = parse_config({"mode": "mc-experiment", "model": {"d": 0.3}, "g": "hermite:1", "n": 4096,
+                        "bank": {"family": "db2", "jmax": 8}, "j": 3, "p": 2, "replicates": 2,
+                        "preset": "slope", "schedule": [], "out": str(tmp_path / "mc")})
+    rep = json.loads(Path(run(cfg)[-1]).read_text())
+    assert [row["regime"] for row in rep["results"]] == ["slope"]
+
+
 def test_mc_experiment_order_invariance(tmp_path):
     # two rows sharing one pool: a chunk of tasks crosses the row boundary;
     # the second run tests d0* at rank 2, each row against its own s_N

@@ -1,4 +1,8 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -134,6 +138,55 @@ def test_orthogonality_table():
             expect = math.factorial(q) if q == qp else 0.0
             norm = math.sqrt(math.factorial(q) * math.factorial(qp))
             assert abs(val - expect) / norm < 1e-8
+
+
+def _reference_rule(order: int):
+    """scipy's Golub-Welsch rule, its weights rescaled to the N(0,1) density."""
+    from scipy.special import roots_hermitenorm
+
+    x, w = roots_hermitenorm(order)
+    return x, w / math.sqrt(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("order", [256, 512])
+def test_gauss_hermite_rule_matches_the_reference(order):
+    x, w = gauss_hermite_rule(order)
+    x_ref, w_ref = _reference_rule(order)
+    assert np.max(np.abs(x - x_ref)) <= 5e-14
+    assert np.all(np.isfinite(w))
+    held = w_ref > 1e-300  # below, both sides are rounding or underflow
+    np.testing.assert_allclose(w[held], w_ref[held], rtol=1e-11, atol=0)
+    assert abs(w.sum() - 1.0) <= 1e-14
+
+
+def test_gauss_hermite_rule_is_the_same_under_any_blas_thread_count():
+    # an eigen-solve moves with OpenBLAS's thread count; the rule makes no BLAS call
+    code = ("import hashlib; from scalolab.hermite import gauss_hermite_rule as g; "
+            "print(hashlib.sha256(b''.join(a.tobytes() for n in (256, 512) for a in g(n))).hexdigest())")
+    digests = []
+    for threads in ("1", "2"):
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert r.returncode == 0, r.stderr
+        digests.append(r.stdout)
+    here = hashlib.sha256(b"".join(a.tobytes() for n in (256, 512) for a in gauss_hermite_rule(n))).hexdigest()
+    assert digests == [here + "\n"] * 2
+
+
+_TRANSFORMS = {"cubic-H3": lambda x: x**3 - 3.0 * x, "exp": np.exp, "abs": np.abs, "sin": lambda x: np.sin(2.0 * x),
+               "exp-centered": lambda x: np.exp(x / 2.0) - math.exp(0.125), "shift": lambda x: x + 2.0,
+               "cubic": lambda x: x**3}
+
+
+@pytest.mark.parametrize("name", sorted(_TRANSFORMS))
+def test_expand_keeps_the_reference_rule_ranks(name, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # exp, abs and the shift are auto-centred
+        got = expand(_TRANSFORMS[name])
+        monkeypatch.setattr(hermite, "gauss_hermite_rule", _reference_rule)
+        ref = expand(_TRANSFORMS[name])
+    assert set(got.coeffs) == set(ref.coeffs)
+    assert max(abs(got.coeffs[q] - c) / math.sqrt(math.factorial(q)) for q, c in ref.coeffs.items()) <= 1e-13
 
 
 # --- expansion ----------------------------------------------------------------
