@@ -7,7 +7,7 @@ principle, and a hypothesis test on the memory parameter with Gaussian or
 second-chaos (Rosenblatt) calibration.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .exponents import (  # noqa: F401
     ChaosExponents,
@@ -35,7 +35,6 @@ from .spectral import (  # noqa: F401
 from .synthesis import (  # noqa: F401
     integrate_K,
     sample_gaussian,
-    transform_path,
 )
 from .wavelet import (  # noqa: F401
     FilterBank,

@@ -18,10 +18,10 @@ workers > 1 hands the plan to each worker of one process pool; a replicate
 pair is a function of (plan, row position, pair index) alone.  A rejection raised
 during a run names its config field (`_naming`).
 
-Every simulated Y is `transform_path` of a Gaussian path: a single run's
-(`_simulated`, shared by simulate, analyze and the plan), a replicate's and
-its leading Hermite term's.  Estimate mode sets the predicted rates, which
-depend on the model; `estimate_d0` reads the series alone.
+Only simulate, which exports it, forms Y = Sigma^K G(X): a single run's G(X)
+(`_simulated`), a replicate's and its leading Hermite term's enter the pyramid
+with the model's K, a CSV (Y itself) with K = 0.  Estimate mode sets the
+predicted rates, which depend on the model; `estimate_d0` reads the series alone.
 """
 
 import json
@@ -41,7 +41,7 @@ from .errors import (BoundaryValueError, ConfigError, DegenerateScalogramError, 
 from .exponents import critical_exponent_report, delta, rank_profile, zeta_exponent
 from .hermite import HermiteExpansion, expansion_from_coeffs, hermite_rank
 from .inference import TestReport, calibrate_test, d0_from_scalograms, estimate_d0, require_moments
-from .synthesis import export_path, sample_gaussian, sample_gaussian_pair, transform_path
+from .synthesis import export_path, integrate_K, sample_gaussian, sample_gaussian_pair
 from .wavelet import FilterBank, build_bank, n_coeffs, scalograms
 
 
@@ -99,15 +99,17 @@ class _Artifacts:
 
 
 def _simulated(cfg: ExperimentConfig) -> np.ndarray:
-    """The run's simulated series: Y of the real half of stream 0.  Its
-    caller has expanded g, which rejects a transform that is zero once centred."""
-    return transform_path(cfg.model, cfg.g, sample_gaussian(cfg.model, cfg.n, cfg.seed))
+    """The run's simulated increments: G(X) of the real half X of stream 0 (X without g).
+    Its caller has expanded g, which rejects a transform that is zero once centred."""
+    x = sample_gaussian(cfg.model, cfg.n, cfg.seed)
+    return x if cfg.g is None else cfg.g(x)
 
 
-def _load_or_simulate(cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
+def _load_or_simulate(cfg: ExperimentConfig) -> tuple[np.ndarray, dict, int]:
+    """The run's series, its provenance and the K of Y = Sigma^K series: a CSV is Y itself."""
     if cfg.input_csv:
-        return ingest(cfg.input_csv)
-    return _simulated(cfg), {"simulated": True, "n": cfg.n, "seed": cfg.seed}
+        return (*ingest(cfg.input_csv), 0)
+    return _simulated(cfg), {"simulated": True, "n": cfg.n, "seed": cfg.seed}, cfg.model.K
 
 
 def run(cfg: ExperimentConfig) -> list:
@@ -125,16 +127,16 @@ def _run_simulate(cfg, art):
         cfg.g.expansion()  # rejects a transform that is zero once centred
     csv_path = art.path("path.csv")
     art.path("path.csv.json")  # export_path's sidecar: listed, and deleted if the run fails
-    export_path(_simulated(cfg), csv_path, sidecar=_meta(cfg))
+    export_path(integrate_K(_simulated(cfg), cfg.model.K), csv_path, sidecar=_meta(cfg))
     return art.paths
 
 
 def _run_analyze(cfg, art):
     if cfg.g is not None:
         cfg.g.expansion()  # rejects a transform that is zero once centred
-    series, prov = _load_or_simulate(cfg)
-    with _naming({FilterValidationError: "bank.family", **_SERIES_FIELDS}):  # taps that fail the moment check
-        sums = scalograms(series, build_bank(cfg.bank_family, cfg.bank_jmax), range(cfg.j0, cfg.j0 + cfg.p + 1))
+    series, prov, K = _load_or_simulate(cfg)
+    with _naming({FilterValidationError: "bank.family", **_SERIES_FIELDS}):  # taps that fail a check, or M < K
+        sums = scalograms(series, build_bank(cfg.bank_family, cfg.bank_jmax), range(cfg.j0, cfg.j0 + cfg.p + 1), K)
     rows = [(s.j, s.n, s.sigma2) for s in sums]
     cp = art.path("scalogram.csv")
     import csv  # loaded only by the two modes that write a table
@@ -229,7 +231,7 @@ class _Plan:
     rows: list
     expansion: Optional[HermiteExpansion]  # None for an estimate without g
     q0: Optional[int]
-    series: Optional[tuple] = None  # a single run's (series, provenance)
+    series: Optional[tuple] = None  # a single run's (series, provenance, K)
     lead: Optional[HermiteExpansion] = None  # the leading Hermite term, when a row has gap scales
 
 
@@ -242,6 +244,8 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
         rows = _schedule(cfg, bank, expansion) if cfg.mode == "mc-experiment" else None
         if q0 is not None:
             require_moments(bank, cfg.model.params, q0)
+        elif not cfg.input_csv:  # a simulated series without g: the identity, of rank 1
+            require_moments(bank, cfg.model.params, 1)
     series = None
     if rows is None:
         series = _load_or_simulate(cfg)
@@ -263,9 +267,9 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
 def _run_single(cfg, art):
     """estimate or test: the one replicate of the run's plan, on its series."""
     plan = _plan(cfg)
-    (series, prov), row = plan.series, plan.rows[0]
+    (series, prov, K), row = plan.series, plan.rows[0]
     with _naming(_SERIES_FIELDS):
-        est = estimate_d0(series, plan.bank, row.j, row.p)
+        est = estimate_d0(series, plan.bank, row.j, row.p, K)
     if row.calibration is None:
         if plan.q0 is not None:  # an estimate with g predicts its rates
             (q0, q1), d = hermite_rank(plan.expansion), cfg.model.d
@@ -297,15 +301,13 @@ def _mc_pair(plan: _Plan, pos: int, i: int) -> list:
 
 def _mc_replicate(plan: _Plan, pos: int, x: np.ndarray) -> dict:
     """The replicate of schedule row `pos` whose Gaussian path is x."""
-    cfg, row, bank = plan.cfg, plan.rows[pos], plan.bank
-    y = transform_path(cfg.model, cfg.g, x)
-    sG = {s.j: s.sigma2 for s in scalograms(y, bank, row.scales)}
+    cfg, row, bank, K = plan.cfg, plan.rows[pos], plan.bank, plan.cfg.model.K
+    sG = {s.j: s.sigma2 for s in scalograms(cfg.g(x), bank, row.scales, K)}
     out = {"d0_hat": d0_from_scalograms([sG[j] for j in row.est])}
     if row.calibration is not None:
         out["reject"] = row.calibration.rejects(out["d0_hat"])
-    if row.gap_scales:  # Y of the leading Hermite term alone
-        lead = transform_path(cfg.model, plan.lead, x)
-        out["gaps"] = {b.j: (sG[b.j], b.sigma2) for b in scalograms(lead, bank, row.gap_scales)}
+    if row.gap_scales:  # the leading Hermite term alone
+        out["gaps"] = {b.j: (sG[b.j], b.sigma2) for b in scalograms(plan.lead(x), bank, row.gap_scales, K)}
     return out
 
 

@@ -88,9 +88,11 @@ def gauss_hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     whose Jacobi matrix Golub & Welsch (1969) diagonalise.  Each positive zero is bracketed by bisection on
     the Sturm count, the sign changes along q_0(x), ..., q_n(x) (Barth, Martin & Wilkinson 1967), then takes
     three Newton steps; the weights 1 / (n q_{n-1}^2) are formed in log space.  No step calls BLAS, so the
-    rule is the same to the bit under any thread count.  Every q_k is finite through order 700 (past 716
-    the bisection overflows, and nodes turn NaN); both arrays are the memo's own, so they are read-only.
+    rule is the same to the bit under any thread count.  Every q_k is finite through order 700 (past 716 the
+    bisection overflows, so a higher order raises ValueError); both arrays are the memo's own, so read-only.
     """
+    if order > 700:
+        raise ValueError(f"Gauss-Hermite order {order} past 700, where the Sturm-count bisection overflows")
     def qs(x):  # q_0(x), ..., q_n(x), one row each
         q = np.empty((order + 1, len(x)))
         q[0], q[1] = 1.0, x

@@ -97,12 +97,12 @@ def require_moments(bank: FilterBank, params: MemoryParams, q0: int):
         raise FilterValidationError(f"bank has M={bank.M} vanishing moments; theory requires M >= {need:.3g}")
 
 
-def estimate_d0(series, bank: FilterBank, j0: int, p: int) -> EstimationReport:
-    """Memory-parameter estimate from scales j0..j0+p of the series alone.
+def estimate_d0(series, bank: FilterBank, j0: int, p: int, K: int = 0) -> EstimationReport:
+    """Memory-parameter estimate from scales j0..j0+p of Y = Sigma^K series alone.
 
     The report's predicted rates depend on the model: estimate mode sets
     them, and here they stay unset."""
-    sums = scalograms(series, bank, range(j0, j0 + p + 1))
+    sums = scalograms(series, bank, range(j0, j0 + p + 1), K)
     s2 = [s.sigma2 for s in sums]
     return EstimationReport(
         d0_hat=d0_from_scalograms(s2),  # raises on a zero scalogram value

@@ -1,18 +1,19 @@
 """Sample-path synthesis: exact-covariance Gaussian input via circulant
-embedding, pointwise nonlinear transform, and K-fold integration.
+embedding, K-fold integration, and path export.
 
-Every simulated series, in every mode and Monte Carlo replicate, is
-`transform_path` of a Gaussian path X drawn from counter-based Philox
-streams keyed by (seed, stream index), so generation is reproducible and
-embarrassingly parallel; one stream's FFT yields two paths.  A pair's M
-modes take the stream's first 2M normals, mode m normals 2m and 2m + 1 as
-its real and imaginary parts.
+Every simulated series, in every mode and Monte Carlo replicate, is G(X) of
+a Gaussian path X drawn from counter-based Philox streams keyed by (seed,
+stream index), so generation is reproducible and embarrassingly parallel;
+one stream's FFT yields two paths.  A pair's M modes take the stream's first
+2M normals, mode m normals 2m and 2m + 1 as its real and imaginary parts.
+Only an exported path is integrated to Y = Sigma^K G(X); the pyramid reads
+G(X) with K-fold filters.
 """
 
 import json
 import math
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -144,24 +145,15 @@ def sample_gaussian(model: SpectralModel, N: int, seed: int, stream_index: int =
 
 
 def integrate_K(series: np.ndarray, K: int) -> np.ndarray:
-    """K-fold cumulative summation with zero initial values.
-
-    Accumulation runs in extended precision so that K-fold differencing
-    recovers the input to near machine accuracy; any residual constant is
-    invisible downstream to filters with >= K vanishing moments.
-    """
+    """K-fold cumulative summation with zero initial values, in extended
+    precision so that K-fold differencing recovers the input to near machine
+    accuracy: the Y = Sigma^K G(X) that simulate exports."""
     if K < 0:
         raise ValueError("integration order must be >= 0")
     out = np.asarray(series, dtype=float)
     for _ in range(K):
         out = np.cumsum(out.astype(np.longdouble))
     return np.asarray(out, dtype=float)
-
-
-def transform_path(model: SpectralModel, g: Optional[Callable], x: np.ndarray) -> np.ndarray:
-    """Y = K-fold integral of g(X) for a Gaussian path X, g a centred
-    transform (None for the identity); the one place a series Y is formed."""
-    return integrate_K(x if g is None else g(x), model.K)
 
 
 def export_path(series: np.ndarray, csv_path, sidecar: Optional[dict] = None):

@@ -9,7 +9,9 @@ building a bank checks g's vanishing moments to _MOMENT_TOL, and h's
 orthonormality, which the limit law assumes, to _ORTHO_TOL.
 
 W_{j,k} = sum_t g_j(2^j k - t) Y_t is computed with interior taps only, for
-all scales of a series in one Mallat pyramid pass.
+all scales of a series in one Mallat pyramid pass, also from the increments
+Z of Y = Sigma^K Z: Y, whose float64 form loses log10(max|Y| / |W_j|) digits,
+is never formed.
 """
 
 import math
@@ -149,38 +151,54 @@ def n_coeffs(N: int, T: int, j: int) -> int:
     return n
 
 
-def wavelet_coeffs(series, bank: FilterBank, scales) -> dict:
+def _k_fold_pair(bank: FilterBank, K: int) -> tuple:
+    """(h~_K, g~_K) = ((1 + z)^K h, g / (1 - z)^K), whose pass on Z gives the coefficients of
+    Y = Sigma^K Z (Moulines, Roueff & Taqqu 2007): h convolved K times with [1, 1], and K running
+    sums of g, each dropping its last entry, which must vanish (g keeps a factor 1 - z) to
+    _MOMENT_TOL of the same sums of |g|.  At K = 0, the bank's own pair."""
+    h, g, gabs = bank.scaling, bank.highpass, np.abs(bank.highpass)
+    for i in range(1, K + 1):
+        h, g, gabs = np.convolve(h, [1.0, 1.0]), np.cumsum(g), np.cumsum(gabs)
+        if abs(g[-1]) > _MOMENT_TOL * gabs[-1]:
+            raise FilterValidationError(f"{K}-fold integration needs {K} vanishing moments: sum {i} of db{bank.M}'s g"
+                                        f" leaves {abs(g[-1]) / gabs[-1]:.2e} of |g|'s, above {_MOMENT_TOL:.0e}")
+        g, gabs = g[:-1], gabs[:-1]
+    return h, g
+
+
+def wavelet_coeffs(series, bank: FilterBank, scales, K: int = 0) -> dict:
     """{j: values} for the requested scales from one pass, values[i] =
-    W_{j, k_j + i} over the first n_j interior coefficients of scale j, k_j
-    its smallest interior location; no padding is ever applied.
+    W_{j, k_j + i} of Y = Sigma^K series (zero before its start) over the first
+    n_j interior coefficients of scale j, k_j its smallest interior location.
 
-    Raises ScaleTooCoarseError unless every filter fits in N/4 taps, which
-    leaves each scale at least its n_j interior coefficients.
+    Raises ScaleTooCoarseError unless every filter fits in N/4 taps, which leaves
+    each scale its n_j interior coefficients, and FilterValidationError if M < K.
 
-    The approximation a[n] = sum_t phi_i(2^i n - t) Y_t, with phi_i(z) =
-    prod_{l<i} h(z^(2^l)), is held on its interior n = lo, lo + 1, ...
-    Filtering it with g (or h) and keeping even absolute positions 2n gives
-    scale i+1 (or the next approximation), starting at ceil((lo + T - 1)/2).
+    The approximation a[n] = sum_t phi_i(2^i n - t) Z_t, phi_i(z) = prod_{l<i}
+    h~_K(z^(2^l)), is held on its interior n = lo, lo + 1, ...  Filtering it with
+    g~_K (or h~_K, of L taps) and keeping even absolute positions 2n gives scale
+    i+1 (or the next approximation, from ceil((lo + L - 1)/2)).  Z is padded on
+    the left with 2^top K zeros, which puts Y's k_j at k_j + 2^(top - j) K.
     """
     series = np.asarray(series, dtype=float)
     N, T = len(series), bank.T
     for j in scales:
         if bank.filter_length(j) > N // 4:
-            raise ScaleTooCoarseError(
-                f"scale {j} filter ({bank.filter_length(j)} taps) too long for N={N} (cap N/4)"
-            )
-    top, a, lo = max(scales), series, 0
+            raise ScaleTooCoarseError(f"scale {j} filter ({bank.filter_length(j)} taps) too long for N={N} (cap N/4)")
+    top, (h, g) = max(scales), _k_fold_pair(bank, K)
+    a, lo, k = np.concatenate((np.zeros(2**top * K), series)) if K else series, 0, 0
     out = {}
     for j in range(1, top + 1):
-        k_min = (lo + T) // 2
-        # np 'valid' convolution: entry s is the filter output at absolute
-        # position lo + s + T - 1, so even positions start at s = first
-        first = 2 * k_min - lo - (T - 1)
+        k = (k + T) // 2
+        # np 'valid' convolution with L taps: entry s is the filter output at
+        # absolute position lo + s + L - 1, so even position 2m is entry 2m - lo - (L - 1)
         if j in scales:
-            out[j] = np.convolve(a, bank.highpass, "valid")[first::2][: n_coeffs(N, T, j)]
+            first = 2 * (k + 2 ** (top - j) * K) - lo - (len(g) - 1)
+            out[j] = np.convolve(a, g, "valid")[first::2][: n_coeffs(N, T, j)]
         if j < top:
-            a = np.convolve(a, bank.scaling, "valid")[first::2]
-        lo = k_min
+            k_a = (lo + len(h)) // 2
+            a = np.convolve(a, h, "valid")[2 * k_a - lo - (len(h) - 1) :: 2]
+            lo = k_a
     return out
 
 
@@ -193,12 +211,12 @@ class ScalogramSummary:
     sigma2: float
 
 
-def scalograms(series, bank: FilterBank, scales) -> list:
-    """Scalograms of the given scales, in order, from one pyramid pass, each
-    over the first n_j interior coefficients of its scale."""
+def scalograms(series, bank: FilterBank, scales, K: int = 0) -> list:
+    """Scalograms of Y = Sigma^K series at the given scales, in order, from
+    one pyramid pass, each over the first n_j interior coefficients of its scale."""
     scales = list(scales)
     with np.errstate(over="ignore", invalid="ignore"):  # a value past float range is named below
-        pyr = wavelet_coeffs(series, bank, scales)
+        pyr = wavelet_coeffs(series, bank, scales, K)
         out = [ScalogramSummary(j, len(pyr[j]), float(np.mean(pyr[j] * pyr[j]))) for j in scales]
     for s in out:
         if not math.isfinite(s.sigma2):

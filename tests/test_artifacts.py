@@ -21,14 +21,14 @@ ESTIMATED = {"model": {"d": 0.3}, "g": "hermite:1", "bank": {"family": "db2", "j
 TESTED = {**ESTIMATED, "d0_star": 0.3, "alpha": 0.1}
 
 PINNED = {
-    "simulate": {"path.csv": "76fc5058baed222c", "path.csv.json": "0a9792609b68ff41"},
-    "analyze": {"analyze_report.json": "c81e43c9fef0a3fc", "scalogram.csv": "627a25e06057fb79"},
-    "estimate": {"estimate_report.json": "a32761ed7b76b19b"},
-    "estimate-csv": {"estimate_report.json": "9f8fdc39040562da"},
-    "test": {"test_report.json": "54ee844b182444aa"},
-    "test-csv": {"test_report.json": "b15e52ecd37a5767"},
-    "mc-experiment": {"mc_report.json": "ce48abfbac9fe027", "mc_results.csv": "5d2b00e59f3a52e2"},
-    "nu-c": {"nu_c_report.json": "86b391a599bfd5aa"},
+    "simulate": {"path.csv": "76fc5058baed222c", "path.csv.json": "65e1e8f9f710777e"},
+    "analyze": {"analyze_report.json": "d7ab5f2065ebf07d", "scalogram.csv": "627a25e06057fb79"},
+    "estimate": {"estimate_report.json": "1bd203738f75be8c"},
+    "estimate-csv": {"estimate_report.json": "f79056e989117bdb"},
+    "test": {"test_report.json": "9e58d188706fbc45"},
+    "test-csv": {"test_report.json": "4464258dd7bccf36"},
+    "mc-experiment": {"mc_report.json": "5e249e69c36f79f2", "mc_results.csv": "5d2b00e59f3a52e2"},
+    "nu-c": {"nu_c_report.json": "f44b7b9ee7cd4e2f"},
 }
 
 
@@ -59,7 +59,7 @@ def _run(tmp_path, mode: str, cfg: dict, name: str = "") -> dict:
 
 
 def test_cli_artifacts_are_pinned(tmp_path):
-    assert scalolab.__version__ == "0.9.0"
+    assert scalolab.__version__ == "0.10.0"
     runs = {"simulate": _run(tmp_path, "simulate", SIMULATED)}
     on_csv = {"model": {"d": 0.3, "K": 1}, "input_csv": str(tmp_path / "simulate" / "path.csv"),
               "bank": {"family": "db2", "jmax": 8}, "j": 3, "p": 2}

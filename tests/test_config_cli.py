@@ -661,6 +661,35 @@ def test_sweep_builds_the_lead_term_once(tmp_path, monkeypatch):
     assert calls == [{2: 2.0}]
 
 
+def test_no_analysis_forms_y(tmp_path, monkeypatch, capsys):
+    # a simulated series enters the pyramid as G(X) with the K-fold filters:
+    # simulate, which exports Y, integrates once, and no other mode at all
+    calls, integrate = [], harness.integrate_K
+    monkeypatch.setattr(harness, "integrate_K", lambda *args: calls.append(args) or integrate(*args))
+    base = {"model": {"d": 0.3, "K": 2}, "g": {"kind": "hermite-coeffs", "coeffs": {"1": 1, "2": 1}},
+            "bank": {"family": "db3", "jmax": 10}, "n": 4096, "j": 3, "p": 2, "seed": 1}
+    runs = {"simulate": {}, "analyze": {}, "estimate": {}, "test": {"d0_star": 2.3, "alpha": 0.1},
+            "mc-experiment": {"j": 2, "p": 1, "preset": "small-scale", "replicates": 2, "workers": 1}}
+    for mode, change in runs.items():
+        cfgp = _write(tmp_path, f"{mode}.json", _read_by(mode, {**base, **change, "out": str(tmp_path / mode)}))
+        assert cli.main([mode, "--config", cfgp]) == 0, capsys.readouterr().err
+        if mode == "simulate":
+            assert len(calls) == 1
+            monkeypatch.setattr(harness, "integrate_K", lambda *args: pytest.fail("an analysis formed Y"))
+    row = json.loads((tmp_path / "mc-experiment" / "mc_report.json").read_text())["results"][0]
+    assert [k for k in row if k.startswith("rel_gap_j")]
+
+
+def test_estimate_at_k_5_reads_d0(tmp_path):
+    # a pass on the float64 Y reads d0_hat 1.2024 here: too few of Y's digits survive at scale 3
+    cfgp = _write(tmp_path, "e.json", {
+        "mode": "estimate", "model": {"d": 0.35, "K": 5}, "g": "hermite:1", "bank": {"family": "db6", "jmax": 12},
+        "n": 2**16, "j": 3, "p": 3, "seed": 0, "out": str(tmp_path / "e")})
+    assert cli.main(["estimate", "--config", cfgp]) == 0
+    assert json.loads((tmp_path / "e" / "estimate_report.json").read_text())["estimate"]["d0_hat"] == \
+        pytest.approx(5.35, abs=0.1)
+
+
 def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch):
     # 100 rows cannot carry scales up to 6; only the run finds that out
     series = tmp_path / "short.csv"
@@ -893,6 +922,11 @@ def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, chang
                  "model.d", id="mc-short-memory-rank"),
     pytest.param("estimate", {"bank": {"family": "db1", "jmax": 8}, "model": {"d": 0.3, "K": 1}},
                  "bank.family", id="estimate-too-few-moments"),
+    # without g (None leaves it out) a simulated series is the identity, of rank 1: estimate's moment
+    # rule rejects db2 below d0 = 3.3, and analyze, which has none, cannot build db2's 3-fold filters
+    *(pytest.param(mode, {"g": None, "bank": {"family": "db2", "jmax": 8}, "model": {"d": 0.3, "K": 3},
+                          "j": 3, "p": 2}, "bank.family", id=f"{mode}-without-g-too-few-moments")
+      for mode in ("estimate", "analyze")),
     pytest.param("test", {"k_bar": 2}, "k_bar", id="test-k_bar-not-below-M"),
     pytest.param("estimate", {"input_csv": "const", "j": 1, "p": 1}, "input_csv",
                  id="estimate-constant-series"),
@@ -921,11 +955,11 @@ def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
         series = tmp_path / "const.csv"
         export_path(np.ones(100), series)
         change = {**change, "input_csv": str(series)}
-    cfgp = _write(tmp_path, "e.json", _read_by(mode, {
+    cfgp = _write(tmp_path, "e.json", _read_by(mode, {k: v for k, v in {
         "mode": mode, "model": {"d": 0.3}, "g": "hermite:1", "n": 4096,
         "bank": {"family": "db2", "jmax": 8}, "j": 5, "p": 3, "seed": 1,
         "d0_star": 0.3, "alpha": 0.1, "replicates": 2, "out": str(tmp_path / "e"), **change,
-    }))
+    }.items() if v is not None}))
     r = _cli(mode, "--config", cfgp)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith(f"config error: {field}: ")

@@ -159,6 +159,14 @@ def test_gauss_hermite_rule_matches_the_reference(order):
     assert abs(w.sum() - 1.0) <= 1e-14
 
 
+def test_gauss_hermite_rule_raises_past_its_clean_range():
+    # past order 716 the bisection's q_k overflow and nodes turn NaN: 700 is the last order taken
+    x, w = gauss_hermite_rule(700)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(w)) and len(x) == 700
+    with pytest.raises(ValueError, match="order 1024"):
+        gauss_hermite_rule(1024)
+
+
 def test_gauss_hermite_rule_is_the_same_under_any_blas_thread_count():
     # an eigen-solve moves with OpenBLAS's thread count; the rule makes no BLAS call
     code = ("import hashlib; from scalolab.hermite import gauss_hermite_rule as g; "

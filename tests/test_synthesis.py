@@ -23,7 +23,6 @@ from scalolab.synthesis import (
     sample_gaussian,
     sample_gaussian_pair,
     stream,
-    transform_path,
 )
 from scalolab.wavelet import build_bank, wavelet_coeffs
 
@@ -231,17 +230,16 @@ def test_single_path_draw_gathers_one_half():
 
 
 def test_simulated_path_is_the_integrated_transform_of_its_gaussian(tmp_path):
-    # simulate's path.csv reads back, bit for bit, as transform_path of the
-    # real half of stream 0, which is the K-fold integral of g(X)
-    cfg = parse_config({"mode": "simulate", "model": {"d": 0.3, "K": 2}, "g": "hermite:2",
-                        "n": 512, "seed": 4, "out": str(tmp_path)})
+    # simulate's path.csv reads back, bit for bit, as the K-fold integral of
+    # g(X) for the real half X of stream 0, and of X itself without g
+    raw = {"mode": "simulate", "model": {"d": 0.3, "K": 2}, "n": 512, "seed": 4}
+    cfg = parse_config({**raw, "g": "hermite:2", "out": str(tmp_path / "g")})
     path_csv, sidecar = run(cfg)
     assert sidecar == path_csv + ".json"
     x = sample_gaussian(cfg.model, 512, 4)
-    y = transform_path(cfg.model, cfg.g, x)
-    np.testing.assert_array_equal(ingest(path_csv)[0], y)
-    np.testing.assert_array_equal(y, integrate_K(cfg.g(x), 2))
-    np.testing.assert_array_equal(transform_path(cfg.model, None, x), integrate_K(x, 2))
+    np.testing.assert_array_equal(ingest(path_csv)[0], integrate_K(cfg.g(x), 2))
+    path_csv, _ = run(parse_config({**raw, "out": str(tmp_path / "identity")}))
+    np.testing.assert_array_equal(ingest(path_csv)[0], integrate_K(x, 2))
 
 
 def test_pair_halves_are_independent_paths_with_the_target_covariance():
@@ -352,7 +350,7 @@ def test_stationarity_of_differenced_path():
     m = model(0.35, K=1)
     dm, dv = np.empty(reps), np.empty(reps)
     for r in range(reps):
-        y = transform_path(m, expansion_from_coeffs({1: 1.0}), sample_gaussian(m, 2**13, seed=12, stream_index=r))
+        y = integrate_K(expansion_from_coeffs({1: 1.0})(sample_gaussian(m, 2**13, seed=12, stream_index=r)), m.K)
         dy = np.diff(y, n=1)
         h1, h2 = dy[: len(dy) // 2], dy[len(dy) // 2 :]
         dm[r] = h1.mean() - h2.mean()

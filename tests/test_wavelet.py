@@ -16,6 +16,7 @@ from scalolab.wavelet import (
     _MOMENT_TOL,
     _ORTHO_TOL,
     _built_bank,
+    _k_fold_pair,
     _moment_residual,
     _orthonormality_residual,
     build_bank,
@@ -297,3 +298,53 @@ def test_coeff_weak_stationarity_halves(bank_db2):
     v1, v2 = np.mean(h1**2), np.mean(h2**2)
     se = np.std(w**2, ddof=1) / math.sqrt(len(h1))
     assert abs(v1 - v2) < 5 * se
+
+
+def _k_fold_reference(z, bank, j, K):
+    """W_j of Y = Sigma^K z in long double, by direct convolution of z with
+    the cascade taps of g_j divided by (1 - z)^K (K running sums, each
+    dropping its last entry), at Y's interior locations k_j, k_j + 1, ..."""
+    taps = cascade_taps(bank, j).astype(np.longdouble)
+    for _ in range(K):
+        taps = np.cumsum(taps)[:-1]
+    k = 0
+    for _ in range(j):
+        k = (k + bank.T) // 2
+    full = np.convolve(np.asarray(z, dtype=np.longdouble), taps)  # entry t is the output at Y position t
+    return full[2**j * k :: 2**j][: n_coeffs(len(z), bank.T, j)]
+
+
+@pytest.mark.parametrize("family, K", [("db4", 3), ("db5", 4)])
+def test_k_fold_pass_matches_the_extended_precision_reference(family, K):
+    # the pass on the increments Z with the K-fold filters gives Y's
+    # coefficients to rounding; the pass on a float64 Y loses about
+    # log10(max|Y| / |W_j|) digits (1.5e-4 of max|W| at K = 3, 0.73 at K = 4)
+    bank = build_bank(family, 10)
+    z = sample_gaussian(SpectralModel(MemoryParams(0.35, K)), 2**16, 0)
+    pyr, sums = wavelet_coeffs(z, bank, range(3, 7), K), scalograms(z, bank, range(3, 7), K)
+    for s in sums:
+        ref = _k_fold_reference(z, bank, s.j, K)
+        assert len(pyr[s.j]) == len(ref) == s.n
+        assert np.max(np.abs(pyr[s.j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(s.sigma2 - np.mean(ref * ref)) <= 1e-12 * np.mean(ref * ref)
+
+
+def test_k_fold_filters_divide_the_bank_pair():
+    # h~_K = (1 + z)^K h and (1 - z)^K g~_K = g for every K <= M; at K = 0 the bank's own taps
+    P = np.polynomial.polynomial
+    bank = build_bank("db5", 6)
+    assert all(a is b for a, b in zip(_k_fold_pair(bank, 0), (bank.scaling, bank.highpass)))
+    for K in range(1, bank.M + 1):
+        h, g = _k_fold_pair(bank, K)
+        np.testing.assert_allclose(h, P.polymul(bank.scaling, P.polypow([1.0, 1.0], K)), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(P.polymul(g, P.polypow([1.0, -1.0], K)), bank.highpass, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("M", range(1, _MAX_MOMENTS + 1))
+def test_k_fold_filters_need_k_vanishing_moments(M):
+    # the dropped entries stay below 2.5e-9 of |g|'s through K = M (db27) and
+    # read at least 6.7e-7 of them at K = M + 1, g's first nonvanishing moment
+    bank = build_bank(f"db{M}", 2)
+    _k_fold_pair(bank, M)
+    with pytest.raises(FilterValidationError, match=f"{M + 1}-fold integration needs {M + 1} vanishing moments"):
+        _k_fold_pair(bank, M + 1)
