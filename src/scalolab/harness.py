@@ -213,12 +213,17 @@ def _schedule(cfg: ExperimentConfig, bank: FilterBank, expansion: HermiteExpansi
             elif cfg.preset == "small-scale" and ratio >= 4.0:
                 js.append(j)
         if not js:
-            raise PreconditionError(
-                f"no scales satisfy the {cfg.preset} regime for n={cfg.n}; adjust n"
-            )
+            raise ConfigError("n", f"no scales satisfy the {cfg.preset} regime for n={cfg.n}; adjust n")
         pick = js[-3:] if cfg.preset == "large-scale" else js[:3]
         regime = "large-scale" if cfg.preset == "large-scale" else "exploratory-small-scale"
-        return [_Row(cfg.n, min(pick), cfg.p, cfg.replicates, regime=regime, gap_scales=tuple(pick))]
+        row = _Row(cfg.n, min(pick), cfg.p, cfg.replicates, regime=regime, gap_scales=tuple(pick))
+        # the preset moves j, so parse_config's checks of j + p do not cover its row
+        top = row.scales[-1]
+        if top > bank.jmax:
+            raise ConfigError("bank.jmax", f"{cfg.preset} scales {row.j}..{top} need jmax >= {top}, got {bank.jmax}")
+        if (taps := bank.filter_length(top)) > cfg.n // 4:
+            raise ConfigError("p", f"{cfg.preset} scale {top} filter ({taps} taps) too long for n={cfg.n} (cap n/4)")
+        return [row]
     return [_Row(cfg.n, cfg.j0, cfg.p, cfg.replicates, regime="slope" if cfg.preset == "slope" else "")]
 
 

@@ -947,6 +947,13 @@ def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, chang
     *(pytest.param(mode, {"g": {"kind": "polynomial", "coeffs": ["1"]}}, "g.coeffs",
                    id=f"{mode}-zero-transform")
       for mode in ("simulate", "nu-c", "estimate", "test", "mc-experiment")),
+    # a preset picks its own j: ranks 2 and 3 at d 0.41 leave n 8192 no large-scale scale, and j 1, p 8
+    # pass the check, but the small-scale preset moves j to 2, so its row needs scale 10
+    *(pytest.param("mc-experiment", {"model": {"d": 0.41}, "g": {"kind": "hermite-coeffs", "coeffs": {"2": 2, "3": 1}},
+                                     "bank": {"family": "db2", "jmax": jmax}, "n": 8192, "j": 1, "p": p,
+                                     "preset": preset}, field, id=f"{preset}-row-{field}")
+      for preset, jmax, p, field in (("large-scale", 9, 1, "n"), ("small-scale", 9, 8, "bank.jmax"),
+                                     ("small-scale", 10, 8, "p"))),
 ])
 def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
     # each passes the configuration check and is rejected only once the run
@@ -1139,14 +1146,23 @@ def test_readme_config_table_lists_every_top_level_key():
     assert set(re.findall(r"`(\w+)`", rule)) == set(scalolab.config._TEST)
 
 
-def test_calibration_script_smoke(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "calibration_experiment.py"),
-                        "--n", "4096", "--reps", "4", "--out", str(tmp_path)],
-                       capture_output=True, text=True, env=env)
-    assert r.returncode == 0, r.stderr
-    labels = [line.split(" ", 1)[0] for line in r.stdout.splitlines()]
-    assert labels == ["null", "alt"]
+def test_experiment_configs_smoke(tmp_path):
+    # README's Experiments section runs each config in experiments/ by one
+    # command, and names no other; each passes the configuration check
+    configs = sorted(p.name for p in (ROOT / "experiments").glob("*.json"))
+    text = (ROOT / "README.md").read_text()
+    start = text.index("## Experiments\n")
+    section = text[start : text.index("\n## ", start)]
+    assert sorted(re.findall(r"scalolab mc-experiment --config experiments/(\S+)\n", section)) == configs
+    for name in configs:
+        assert parse_config(json.loads((ROOT / "experiments" / name).read_text())).mode == "mc-experiment"
+    # the null calibration at a size set here, as a reader would edit it
+    raw = json.loads((ROOT / "experiments" / "calibration_null.json").read_text())
+    out = tmp_path / "null"
+    cfgp = _write(tmp_path, "null.json", {**raw, "n": 4096, "replicates": 4, "out": str(out)})
+    assert cli.main(["mc-experiment", "--config", cfgp]) == 0
+    (row,) = json.loads((out / "mc_report.json").read_text())["results"]
+    assert 0.0 <= row["rejection_rate"] <= 1.0
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
@@ -1220,6 +1236,18 @@ def test_benchmark_configs_pass_the_config_check(tmp_path):
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "ok\n"
+
+
+def test_benchmark_reduction_workload_is_the_large_scale_experiment():
+    # perfbench times the large-scale reduction experiment at its own
+    # replicate count and seed; a child reads run.py as the check above does
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    code = 'import json, sys; sys.path.insert(0, sys.argv[1]); import run; ' \
+           'print(json.dumps(run.WORKLOADS["reduction-deep"]["config"]))'
+    r = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench")], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    experiment = json.loads((ROOT / "experiments" / "reduction_large-scale.json").read_text())
+    assert json.loads(r.stdout) == {k: v for k, v in experiment.items() if k not in ("replicates", "seed", "out")}
 
 
 def test_cli_import_loads_no_scipy():
