@@ -26,7 +26,6 @@ from .hermite import (  # noqa: F401
     hermite_rank,
 )
 from .spectral import (  # noqa: F401
-    ShortRangeSpec,
     SpectralModel,
     autocov_X,
     autocov_transformed,

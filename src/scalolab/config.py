@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, FilterValidationError
 from .exponents import MemoryParams, check_off_boundary
 from .hermite import DEFAULT_QMAX, HermiteExpansion, expansion_from_coeffs, hermite_series, truncated
-from .spectral import ShortRangeSpec, SpectralModel
+from .spectral import SpectralModel
 from .wavelet import _filter_length, _parse_family
 
 def _normal_moment(n: int) -> float:
@@ -134,9 +134,7 @@ _NUMBERS = {
     "model.d": _Range(False, 0, 0.5),
     "model.K": _Range(True, 0, _MAX_MOMENTS - 1, "[]"),
     "model.beta": _Range(False, 0, 2, "(]"),
-    "model.short_range.value": _Range(False, 0),
-    "model.short_range.scale": _Range(False, 0),
-    "model.short_range.coeffs": _Range(False, listed=True),
+    "model.ma": _Range(False, listed=True),
     "g.q": _Range(True, 1, 170, "[]"),
     "enforce_preconditions.reduction_max": _Range(False),
     "enforce_preconditions.bias_max": _Range(False),
@@ -145,8 +143,7 @@ _NUMBERS = {
 _KEYS = {
     "": ("mode", "model", "g", "bank", "n", "j", "p", "replicates", "seed", "workers", "out", "input_csv",
          "d0_star", "alpha", "k_bar", "d_values", "schedule", "preset", "enforce_preconditions"),
-    "model": ("d", "K", "beta", "short_range"),
-    "model.short_range": ("kind", "value", "scale", "coeffs"),
+    "model": ("d", "K", "beta", "ma"),
     "g": ("kind", "q", "coeffs"),
     "bank": ("family", "jmax"),
     "schedule[]": ("n", "j", "p", "replicates"),
@@ -154,21 +151,20 @@ _KEYS = {
 }
 _SINGLE = ("model", "bank", "j", "p", "g", "input_csv", "n")  # a single run, on a CSV or a simulated series
 _TEST = ("d0_star", "alpha", "k_bar", "enforce_preconditions")
-# the keys each mode reads beside mode, seed and out, and each kind of g and model.short_range beside kind
+# the keys each mode reads beside mode, seed and out, and each kind of g beside kind
 _READS = {
     "": {"simulate": ("model", "g", "n"), "analyze": _SINGLE, "estimate": _SINGLE, "test": (*_SINGLE, *_TEST),
          "mc-experiment": ("model", "g", "bank", "n", "j", "p", "replicates", "workers", "schedule", "preset", *_TEST),
          "nu-c": ("g", "d_values", "model")},
     "g": {"hermite": ("q",), "polynomial": ("coeffs",), "exp-centered": (), "sign": (), "abs-centered": (),
           "hermite-coeffs": ("coeffs",)},
-    "model.short_range": {"constant": ("value",), "ma": ("scale", "coeffs")},
 }
 
 
 def _unread(key: str, obj: dict) -> dict:
     """{key: what leaves it unread} for each key of _KEYS[key] that the checked object `obj` does not read."""
     what = "mode" if key == "" else "kind"
-    sel = str(obj.get(what, "constant" if key == "model.short_range" else None))  # short_range is flat by default
+    sel = str(obj.get(what))
     if sel not in _READS[key]:
         return {}  # an unknown mode or kind, which parse_config names
     why, reads = f"{what} {sel!r}", _READS[key][sel]
@@ -256,16 +252,11 @@ def parse_g_spec(obj, path: str = "g") -> GSpec:
 def parse_model(obj, path: str = "model") -> SpectralModel:
     """The spectral model of a mapping whose shape, keys and numbers `parse_config` has checked."""
     _NUMBERS["model.d"].check(f"{path}.d", obj.get("d"))  # parse_config has checked a d that is given
-    sr_obj = obj.get("short_range", {})
-    kind = sr_obj.get("kind", "constant")
-    if str(kind) not in _READS["model.short_range"]:
-        raise ConfigError(f"{path}.short_range.kind", f"unknown kind {kind!r}")
-    level = sr_obj.get("value", sr_obj.get("scale", 1.0 / (2.0 * math.pi)))  # the one level its kind reads
+    params = MemoryParams(float(obj["d"]), obj.get("K", 0))
     try:  # a flat f* is the one-tap moving average
-        sr = ShortRangeSpec(float(level), tuple(map(float, sr_obj.get("coeffs", [1.0]))))
+        return SpectralModel(params, tuple(map(float, obj.get("ma", [1.0]))), float(obj.get("beta", 2.0)))
     except ValueError as exc:  # an MA transfer that vanishes at 0
-        raise ConfigError(f"{path}.short_range", str(exc)) from None
-    return SpectralModel(MemoryParams(float(obj["d"]), obj.get("K", 0)), sr, float(obj.get("beta", 2.0)))
+        raise ConfigError(f"{path}.ma", str(exc)) from None
 
 
 # the fields each mode cannot run without, where absent, null and empty are

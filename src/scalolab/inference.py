@@ -398,8 +398,9 @@ class _SecondChaosLaw:
     """sum_k lam_k (eps_k^2 - 1), lam_k the eigenvalues of the kernel
     c_d |x - y|^(2d-1) on [0, 1] with c_d = 2 Gamma(1-2d) sin(pi d) (the
     law of the limit of n^(-2d) sum_t H_2(X_t) / f*(0), X a unit-variance
-    path of short-range level f*(0)), from m cell averages: a Toeplitz
-    matrix whose row is the second difference of |t|^(2d+1)/(2d(2d+1)).
+    path whose spectral density is f*(0) |lam|^(-2d) near 0), from m cell
+    averages: a Toeplitz matrix whose row is the second difference of
+    |t|^(2d+1)/(2d(2d+1)).
     Being symmetric Toeplitz, it is centrosymmetric: with m even, its
     eigenvalues are those of the m/2-square blocks A + BJ and A - BJ (A, B
     its top-left and top-right blocks, J the exchange), solved in one call.

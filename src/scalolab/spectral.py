@@ -2,8 +2,10 @@
 its Hermite transform.
 
 The input spectral density is f(lambda) = |1 - e^{-i lambda}|^{-2d} f*(lambda)
-with a smooth short-range factor f*, the squared transfer of a finite
-moving average (one tap for a flat f*).  Its autocovariance is exact: the
+with a smooth short-range factor f* = |sum_m theta_m e^{-im lambda}|^2 / (2 pi),
+the squared transfer of a finite moving average with taps theta (one tap
+for a flat f*).  Its level is fixed: every result reads the input through
+its correlations, which divide it out.  The autocovariance is exact: the
 fractionally-integrated factor has a closed-form covariance (Gamma ratios)
 and the moving average mixes a finite number of its lags.  The covariance
 of G(X) follows from Hermite orthogonality.  A dense FFT grid of f, with
@@ -22,59 +24,24 @@ from .hermite import HermiteExpansion
 
 DEFAULT_GRID = 2**20
 _ANALYTIC_CELLS = 16  # cells on each side of 0 integrated analytically
-
-
-@dataclass(frozen=True)
-class ShortRangeSpec:
-    """Short-range factor f*(lam) = value*|sum_m theta_m e^{-im lam}|^2, the
-    squared transfer of a finite moving average; the default single tap
-    theta = (1,) is the flat level `value`.
-
-    It is smooth, so its Hoelder exponent is the maximal beta = 2; that
-    value feeds the bias-exponent arithmetic.
-    """
-
-    value: float = 1.0 / (2.0 * math.pi)
-    ma_coeffs: tuple[float, ...] = (1.0,)
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("short-range level must be positive")
-        if len(self.ma_coeffs) < 1:
-            raise ValueError("ma_coeffs must be nonempty")
-        if abs(sum(self.ma_coeffs)) < 1e-12:
-            raise ValueError("MA transfer vanishes at 0; f*(0) must be positive")
-
-    def at(self, lams):
-        lams = np.asarray(lams, dtype=float)
-        theta = np.asarray(self.ma_coeffs)
-        tr = np.zeros_like(lams, dtype=complex)
-        for m, t in enumerate(theta):
-            tr += t * np.exp(-1j * m * lams)
-        return self.value * np.abs(tr) ** 2
-
-    def at_zero(self) -> float:
-        return self.value * float(sum(self.ma_coeffs)) ** 2
-
-    def ma_autocorr(self) -> np.ndarray:
-        """a_l = sum_m theta_m theta_{m+l}, l = 0..len-1."""
-        theta = np.asarray(self.ma_coeffs, dtype=float)
-        full = np.correlate(theta, theta, mode="full")
-        return full[len(theta) - 1:]
+_LEVEL = 1.0 / (2.0 * math.pi)  # f*'s level, which every correlation divides out
 
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Long-memory input spectrum: memory/integration params, short-range
-    factor, and its smoothness exponent."""
+    """Long-memory input spectrum: memory/integration params, the MA taps
+    theta of the short-range factor f*, and f*'s Hoelder exponent, which
+    feeds the bias-exponent arithmetic."""
 
     params: MemoryParams
-    short_range: ShortRangeSpec = ShortRangeSpec()
+    ma: tuple[float, ...] = (1.0,)
     beta_smooth: float = 2.0
 
     def __post_init__(self):
         if not (0.0 < self.beta_smooth <= 2.0):
             raise ValueError("beta_smooth must lie in (0, 2]")
+        if not any(self.ma) or abs(sum(self.ma)) < 1e-12 * sum(map(abs, self.ma)):
+            raise ValueError("MA transfer vanishes at 0; f*(0) must be positive")
 
     @property
     def d(self) -> float:
@@ -83,6 +50,19 @@ class SpectralModel:
     @property
     def K(self) -> int:
         return self.params.K
+
+
+def _ma_autocorr(model: SpectralModel) -> np.ndarray:
+    """a_l = sum_m theta_m theta_{m+l}, l = 0..len(ma)-1, the taps as every
+    reader takes them: f*(lam) = (a_0 + 2 sum_l a_l cos(l lam)) / (2 pi)."""
+    theta = np.asarray(model.ma, dtype=float)
+    return np.correlate(theta, theta, mode="full")[len(theta) - 1:]
+
+
+def _short_range_at(model: SpectralModel, lams: np.ndarray) -> np.ndarray:
+    """f*(lam) at each of lams."""
+    a = _ma_autocorr(model)
+    return _LEVEL * (a[0] + 2.0 * sum(a[l] * np.cos(l * lams) for l in range(1, len(a))))
 
 
 def density_at(model: SpectralModel, lam):
@@ -96,7 +76,7 @@ def density_at(model: SpectralModel, lam):
         raise SingularityError("spectral density diverges at lambda = 0")
     if np.any((lam_arr <= -math.pi) | (lam_arr > math.pi)):
         raise ValueError("lambda must lie in (-pi, pi]")
-    vals = np.abs(2.0 * np.sin(lam_arr / 2.0)) ** (-2.0 * model.d) * model.short_range.at(lam_arr)
+    vals = np.abs(2.0 * np.sin(lam_arr / 2.0)) ** (-2.0 * model.d) * _short_range_at(model, lam_arr)
     return vals if np.ndim(lam) else float(vals[0])
 
 
@@ -116,18 +96,15 @@ def farima_gamma0(d: float) -> float:
 def _autocov_exact_raw(model: SpectralModel, L: int) -> np.ndarray:
     """Closed-form covariance at lags 0..L: the moving average mixes the
     fractionally-integrated correlation over its lags."""
-    d = model.d
-    sr = model.short_range
-    g0 = farima_gamma0(d)
-    a = sr.ma_autocorr()
+    a = _ma_autocorr(model)
     nlag = len(a) - 1
-    rho = farima_rho(d, L + nlag)
+    rho = farima_rho(model.d, L + nlag)
     # per lag k, the sum a_0 rho(k) + sum_l a_l (rho(|k-l|) + rho(k+l)) in that order
     k = np.arange(L + 1)
     out = a[0] * rho[: L + 1]
     for l in range(1, nlag + 1):
         out += a[l] * (rho[np.abs(k - l)] + rho[l : L + 1 + l])
-    return 2.0 * math.pi * sr.value * g0 * out
+    return farima_gamma0(model.d) * out  # times 2 pi _LEVEL, which is 1.0 exactly
 
 
 def autocov_X(model: SpectralModel, L: int) -> np.ndarray:
@@ -169,7 +146,7 @@ def spectral_grid(model: SpectralModel, size: int = DEFAULT_GRID) -> tuple[np.nd
     lams = 2.0 * math.pi * np.fft.fftfreq(size)
     vals = np.empty(size)
     far = np.abs(lams) > _ANALYTIC_CELLS * dlam
-    vals[far] = np.abs(2.0 * np.sin(lams[far] / 2.0)) ** (-2.0 * d) * model.short_range.at(lams[far])
+    vals[far] = np.abs(2.0 * np.sin(lams[far] / 2.0)) ** (-2.0 * d) * _short_range_at(model, lams[far])
     one = 1.0 - 2.0 * d
     for m in range(-_ANALYTIC_CELLS, _ANALYTIC_CELLS + 1):
         lam_c = m * dlam
@@ -179,7 +156,7 @@ def spectral_grid(model: SpectralModel, size: int = DEFAULT_GRID) -> tuple[np.nd
         else:
             mass = (hi**one - lo**one) / one
         idx = m % size
-        vals[idx] = model.short_range.at(np.array([lam_c]))[0] * mass / dlam
+        vals[idx] = _short_range_at(model, lam_c) * mass / dlam
     return lams, vals, dlam
 
 

@@ -116,9 +116,11 @@ def _autocov_grid_raw(model: SpectralModel, L: int, grid: int) -> np.ndarray:
     resid = np.zeros(grid)
     nz = lams != 0.0
     base = np.abs(2.0 * np.sin(lams[nz] / 2.0)) ** (-2.0 * d)
-    resid[nz] = (model.short_range.at(lams[nz]) - model.short_range.at_zero()) * base
+    transfer = sum(t * np.exp(-1j * m * lams[nz]) for m, t in enumerate(model.ma))
+    at_zero = sum(model.ma) ** 2 / (2.0 * math.pi)  # f*(0)
+    resid[nz] = (np.abs(transfer) ** 2 / (2.0 * math.pi) - at_zero) * base
     gamma_resid = 2.0 * math.pi * np.real(np.fft.ifft(resid))[: L + 1]
-    gamma_far = 2.0 * math.pi * model.short_range.at_zero() * farima_gamma0(d) * farima_rho(d, L)
+    gamma_far = 2.0 * math.pi * at_zero * farima_gamma0(d) * farima_rho(d, L)
     return gamma_far + gamma_resid
 
 
@@ -126,8 +128,8 @@ def ma_autocov_per_lag(model: SpectralModel, L: int) -> np.ndarray:
     """The closed-form MA covariance summed lag by lag in Python: the oracle
     of the vectorised sum in `spectral._autocov_exact_raw`, whose additions
     it makes in the same order."""
-    sr = model.short_range
-    a = sr.ma_autocorr()
+    theta = np.asarray(model.ma)
+    a = np.correlate(theta, theta, mode="full")[len(theta) - 1:]
     nlag = len(a) - 1
     rho = farima_rho(model.d, L + nlag)
     out = np.zeros(L + 1)
@@ -136,7 +138,7 @@ def ma_autocov_per_lag(model: SpectralModel, L: int) -> np.ndarray:
         for l in range(1, nlag + 1):
             s += a[l] * (rho[abs(k - l)] + rho[k + l])
         out[k] = s
-    return 2.0 * math.pi * sr.value * farima_gamma0(model.d) * out
+    return 2.0 * math.pi * (1.0 / (2.0 * math.pi)) * farima_gamma0(model.d) * out
 
 
 def cascade_taps(bank, j: int) -> np.ndarray:

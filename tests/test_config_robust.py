@@ -24,11 +24,10 @@ _CSV = "series.csv"  # stands for a 512-row series the test writes
 _SERIES = {"model": {"d": 0.3}, "g": "hermite:1", "n": 512, "bank": {"family": "db2", "jmax": 8}, "j": 1, "p": 2}
 # one small valid config per mode; together they hold every key path of _NUMBERS
 _BASES = {
-    "simulate": {"model": {"d": 0.3, "K": 0, "beta": 2.0,
-                           "short_range": {"kind": "ma", "scale": 0.2, "coeffs": [1.0, 0.5]}},
+    "simulate": {"model": {"d": 0.3, "K": 0, "beta": 2.0, "ma": [1.0, 0.5]},
                  "g": {"kind": "hermite", "q": 1}, "n": 256, "seed": 1},
     "analyze": {**{k: v for k, v in _SERIES.items() if k not in ("n", "g")},  # read from a CSV, not simulated
-                "model": {"d": 0.3, "short_range": {"kind": "constant", "value": 0.1}}, "input_csv": _CSV},
+                "input_csv": _CSV},
     "estimate": {**_SERIES, "seed": 3},
     "test": {**_SERIES, "model": {"d": 0.35}, "d0_star": 0.35, "alpha": 0.1, "k_bar": 0, "seed": 4,
              "enforce_preconditions": {"reduction_max": 10.0, "bias_max": 10.0}},

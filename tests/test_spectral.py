@@ -7,7 +7,6 @@ from scalolab.errors import SingularityError
 from scalolab.exponents import MemoryParams
 from scalolab.hermite import expansion_from_coeffs
 from scalolab.spectral import (
-    ShortRangeSpec,
     _autocov_exact_raw,
     SpectralModel,
     autocov_X,
@@ -23,11 +22,8 @@ from scalolab.synthesis import _Embedding, sample_gaussian
 
 from oracles import _autocov_grid_raw, ma_autocov_per_lag
 
-FLAT = ShortRangeSpec(1.0 / (2.0 * math.pi))
-
-
-def model(d, K=0, sr=FLAT):
-    return SpectralModel(MemoryParams(d, K), sr)
+def model(d, K=0, ma=(1.0,)):
+    return SpectralModel(MemoryParams(d, K), ma)
 
 
 # --- oracle: closed-form correlation of the pure fractional model -----------
@@ -63,7 +59,7 @@ def test_density_singularity_and_domain():
 def test_density_origin_power_law():
     m = model(0.3)
     for lam in (1e-3, 1e-4):
-        assert density_at(m, lam) * lam**0.6 == pytest.approx(m.short_range.at_zero(), rel=1e-5)
+        assert density_at(m, lam) * lam**0.6 == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-5)
 
 
 # --- autocovariance ------------------------------------------------------------
@@ -80,15 +76,33 @@ def test_autocov_grid_matches_exact():
     m = model(0.35)
     g = _autocov_grid_raw(m, 64, 2**20)
     np.testing.assert_allclose(g / g[0], autocov_X(m, 64), atol=1e-10)
-    mm = SpectralModel(MemoryParams(0.3, 0), ShortRangeSpec(0.2, (1.0, 0.4, -0.1)))
+    mm = SpectralModel(MemoryParams(0.3, 0), (1.0, 0.4, -0.1))
     g2 = _autocov_grid_raw(mm, 48, 2**20)
     np.testing.assert_allclose(g2 / g2[0], autocov_X(mm, 48), atol=1e-8)
 
 
 @pytest.mark.parametrize("coeffs", [(1.0, 0.4), (1.0, 0.4, -0.1), (1.0, -0.5, 0.3, 0.2, -0.1)])
 def test_ma_autocov_equals_the_per_lag_sum(coeffs):
-    mm = model(0.3, sr=ShortRangeSpec(0.2, coeffs))
+    mm = model(0.3, ma=coeffs)
     assert np.array_equal(_autocov_exact_raw(mm, 4096), ma_autocov_per_lag(mm, 4096))
+
+
+# every tap set that the tests draw from or check against an oracle
+TAPS = [(1.0,), (2.5,), (1.0, 0.4), (1.0, 0.5), (1.0, 0.4, -0.1), (1.0, -0.4, 0.2), (1.0, 2.0, 1.0),
+        (1.0, -0.5, 0.3, 0.2, -0.1)]
+
+
+@pytest.mark.parametrize("taps", TAPS)
+@pytest.mark.parametrize("d", [0.1, 0.3, 0.45])
+def test_correlations_do_not_read_the_scale_of_the_taps(taps, d):
+    # f*'s level is the taps' squared scale, and gamma(0) divides it out: a
+    # power of two scales every product exactly, 1e+-100 to a few ulps of rho(0) = 1
+    ref = autocov_X(model(d, ma=taps), 1024)
+    for s in (2.0**300, 2.0**-300):
+        assert np.array_equal(autocov_X(model(d, ma=tuple(s * t for t in taps)), 1024), ref), s
+    for s in (1e100, 1e-100):
+        got = autocov_X(model(d, ma=tuple(s * t for t in taps)), 1024)
+        assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps, s
 
 
 def test_autocov_white_limit():

@@ -13,7 +13,7 @@ from scalolab.errors import NumericError
 from scalolab.exponents import MemoryParams
 from scalolab.harness import run
 from scalolab.hermite import expansion_from_coeffs
-from scalolab.spectral import ShortRangeSpec, SpectralModel, autocov_X
+from scalolab.spectral import SpectralModel, autocov_X
 from scalolab.synthesis import (
     _Embedding,
     _embedding_for,
@@ -58,12 +58,11 @@ def test_seeded_draws_are_pinned():
     }
     for (d, reps, seed, n), digest in ros.items():
         assert _sha(rosenblatt_sample(d, reps, seed, n)) == digest, (d, reps, seed, n)
-    ma = ShortRangeSpec(0.1, (1.0, 0.5))
     # (real half, imaginary half): Monte Carlo replicates 2i and 2i+1
     gauss = [
         (model(0.3), 1000, 3, 5, "e88a7679ea1403ee", "070b1cdb4ef3ba77"),
         (model(0.42, K=1), 4096, 11, (1 << 32) | 7, "4f717e836de276ed", "bd68bee5688ae6b2"),
-        (SpectralModel(MemoryParams(0.2, 0), ma), 2048, 0, 0, "860f6b6fafe9c105", "a96fa693ae99ec69"),
+        (SpectralModel(MemoryParams(0.2, 0), (1.0, 0.5)), 2048, 0, 0, "755cbc5e6711b3ed", "48d2ada4b6defa4d"),
     ]
     for m, N, seed, index, digest, imag_digest in gauss:
         assert _sha(sample_gaussian(m, N, seed, index)) == digest, (m, N, seed, index)
@@ -107,7 +106,7 @@ def _mirrored_pair(m, N, seed, index):
     return tuple(_gather(part, math.sqrt(emb.M))[:N] for part in (head.real, head.imag))
 
 
-@pytest.mark.parametrize("short_range", [ShortRangeSpec(), ShortRangeSpec(0.1, (1.0, -0.4, 0.2))])
+@pytest.mark.parametrize("short_range", [(1.0,), (1.0, -0.4, 0.2)])
 def test_pair_draw_weights_each_mode_by_its_mirror(short_range):
     # the draw weights modes 0..M/2 by the half and the rest by its
     # reversed view, each complex mode at once: bit for bit the real
@@ -135,7 +134,7 @@ def test_embedding_build_traced_peak_and_held_bytes():
     assert held <= 4 * M + twiddles + 64 * 1024, held
 
 
-SHORT_RANGES = [ShortRangeSpec(), ShortRangeSpec(2.5), ShortRangeSpec(0.1, (1.0, -0.4, 0.2))]
+SHORT_RANGES = [(1.0,), (2.5,), (1.0, -0.4, 0.2)]  # MA taps
 
 
 @pytest.mark.parametrize("short_range", SHORT_RANGES)
@@ -166,7 +165,7 @@ def test_pair_draw_matches_the_one_shot_fft(short_range, d):
 def test_embedding_not_nonnegative_definite_warns(caplog):
     # this MA(2) correlation at n = 64 has smallest circulant eigenvalue
     # -1.883e-4: the draw clips it and says so on the module's logger
-    rho = autocov_X(SpectralModel(MemoryParams(0.2, 0), ShortRangeSpec(ma_coeffs=(1.0, 2.0, 1.0))), 64)
+    rho = autocov_X(SpectralModel(MemoryParams(0.2, 0), (1.0, 2.0, 1.0)), 64)
     with caplog.at_level(logging.WARNING, logger="scalolab.synthesis"):
         emb = _Embedding(rho)
     assert not emb.exact
