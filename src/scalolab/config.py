@@ -133,7 +133,6 @@ _NUMBERS = {
     "bank.jmax": _Range(True, 1, 16, "[]"),
     "model.d": _Range(False, 0, 0.5),
     "model.K": _Range(True, 0, _MAX_MOMENTS - 1, "[]"),
-    "model.beta": _Range(False, 0, 2, "(]"),
     "model.ma": _Range(False, listed=True),
     "g.q": _Range(True, 1, 170, "[]"),
     "enforce_preconditions.reduction_max": _Range(False),
@@ -143,7 +142,7 @@ _NUMBERS = {
 _KEYS = {
     "": ("mode", "model", "g", "bank", "n", "j", "p", "replicates", "seed", "workers", "out", "input_csv",
          "d0_star", "alpha", "k_bar", "d_values", "schedule", "preset", "enforce_preconditions"),
-    "model": ("d", "K", "beta", "ma"),
+    "model": ("d", "K", "ma"),
     "g": ("kind", "q", "coeffs"),
     "bank": ("family", "jmax"),
     "schedule[]": ("n", "j", "p", "replicates"),
@@ -254,7 +253,7 @@ def parse_model(obj, path: str = "model") -> SpectralModel:
     _NUMBERS["model.d"].check(f"{path}.d", obj.get("d"))  # parse_config has checked a d that is given
     params = MemoryParams(float(obj["d"]), obj.get("K", 0))
     try:  # a flat f* is the one-tap moving average
-        return SpectralModel(params, tuple(map(float, obj.get("ma", [1.0]))), float(obj.get("beta", 2.0)))
+        return SpectralModel(params, tuple(map(float, obj.get("ma", [1.0]))))
     except ValueError as exc:  # an MA transfer that vanishes at 0
         raise ConfigError(f"{path}.ma", str(exc)) from None
 
@@ -276,6 +275,7 @@ class ExperimentConfig:
     mode: str
     model: Optional[SpectralModel]
     g: Optional[GSpec]
+    expansion: Optional[HermiteExpansion]  # g's, which rejects a transform that is zero once centred
     bank_family: str
     bank_jmax: int
     n: Optional[int]
@@ -315,6 +315,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
             raise ConfigError(keys[0], f"required for mode {mode!r}{''.join(f', or {k}' for k in keys[1:])}")
     model = parse_model(c["model"]) if c.get("model") else None
     g = parse_g_spec(c["g"]) if "g" in c else None
+    expansion = g.expansion() if g is not None else None
     bank = c.get("bank", {})
     family, jmax = bank.get("family", "db2"), bank.get("jmax", 10)
     top = {"n": c.get("n"), "j": c.get("j"), "p": c.get("p"), "replicates": c.get("replicates", 1)}
@@ -323,8 +324,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError("schedule", "must be a list of objects")
     rows = [{**top, **row} for row in schedule]
     cfg = ExperimentConfig(
-        mode=mode, model=model, g=g, bank_family=family, bank_jmax=jmax, n=top["n"], j0=top["j"], p=top["p"],
-        replicates=top["replicates"], seed=c.get("seed", 0), out_dir=c.get("out", "."), alpha=c.get("alpha"),
+        mode=mode, model=model, g=g, expansion=expansion, bank_family=family, bank_jmax=jmax, n=top["n"], j0=top["j"],
+        p=top["p"], replicates=top["replicates"], seed=c.get("seed", 0), out_dir=c.get("out", "."), alpha=c.get("alpha"),
         d0_star=c.get("d0_star"), k_bar=c.get("k_bar", 0), input_csv=c.get("input_csv"), schedule=rows,
         preset=c.get("preset"), d_values=c.get("d_values", []), enforce_preconditions=c.get("enforce_preconditions"),
         workers=c.get("workers", 1), raw=obj,

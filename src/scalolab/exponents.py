@@ -256,20 +256,20 @@ def critical_exponent_report(profile: RankProfile, d: float) -> CriticalExponent
     return rep(val, "rank>=2, consecutive ranks")
 
 
-def zeta_exponent(beta_smooth: float, d: float, q0: int, q1: Optional[int] = None) -> float:
+def zeta_exponent(d: float, q0: int, q1: Optional[int] = None) -> float:
     """Hoelder exponent of the short-range factor of the transformed density.
 
-    Returns min(beta_smooth, 2*(delta(q0) - delta+(q1))), with delta+(q1)
-    taken as 0 when no second rank exists.  For q0 >= 2 the exponent must
-    additionally be strictly below 2*delta(q0); when the minimum saturates
+    Returns 2*(delta(q0) - delta+(q1)), with delta+(q1) taken as 0 when no
+    second rank exists.  It is at most 2*delta(q0) <= 2d < 1, so the input's
+    f*, a trigonometric polynomial of Hoelder exponent 2, never binds it
+    (Moulines, Roueff & Taqqu 2007 take the minimum of the two).  For
+    q0 >= 2 the exponent must be strictly below 2*delta(q0); when it reaches
     that bound it is shrunk by the relative factor 1e-6 (the strict
     inequality admits no canonical choice).
     """
-    if not (0.0 < beta_smooth <= 2.0):
-        raise ValueError(f"beta_smooth must lie in (0, 2], got {beta_smooth!r}")
     _check_d(d)
     dpq1 = delta_plus(q1, d) if q1 is not None else 0.0
-    zeta = min(beta_smooth, 2.0 * (delta(q0, d) - dpq1))
+    zeta = 2.0 * (delta(q0, d) - dpq1)
     if q0 >= 2:
         cap = 2.0 * delta(q0, d)
         if zeta >= cap:

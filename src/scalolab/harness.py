@@ -8,9 +8,9 @@ and the imaginary half of stream (s << 32) | i (an odd count drops the
 last imaginary half), so aggregates cannot depend on execution order.
 
 `estimate`, `test` and `mc-experiment` share one plan (`_plan`), built in the
-parent, which checks their inputs once, in this order: the transform, the
-bank, the schedule (mc-experiment), the moment rule, the series (a single
-run loads or simulates it, which fixes n), each row's `calibrate_test`
+parent, which checks their inputs once, in this order: the bank, the
+schedule (mc-experiment), the moment rule, the series (a single run loads
+or simulates it, which fixes n), each row's `calibrate_test`
 report, which the row carries and whose reject rule decides each of its
 replicates, when the run tests d0*, and `enforce_preconditions` on each
 report.  A single run is the one replicate of its plan on that series.  A sweep on
@@ -99,8 +99,7 @@ class _Artifacts:
 
 
 def _simulated(cfg: ExperimentConfig) -> np.ndarray:
-    """The run's simulated increments: G(X) of the real half X of stream 0 (X without g).
-    Its caller has expanded g, which rejects a transform that is zero once centred."""
+    """The run's simulated increments: G(X) of the real half X of stream 0 (X without g)."""
     x = sample_gaussian(cfg.model, cfg.n, cfg.seed)
     return x if cfg.g is None else cfg.g(x)
 
@@ -123,8 +122,6 @@ def run(cfg: ExperimentConfig) -> list:
 
 
 def _run_simulate(cfg, art):
-    if cfg.g is not None:
-        cfg.g.expansion()  # rejects a transform that is zero once centred
     csv_path = art.path("path.csv")
     art.path("path.csv.json")  # export_path's sidecar: listed, and deleted if the run fails
     export_path(integrate_K(_simulated(cfg), cfg.model.K), csv_path, sidecar=_meta(cfg))
@@ -132,8 +129,6 @@ def _run_simulate(cfg, art):
 
 
 def _run_analyze(cfg, art):
-    if cfg.g is not None:
-        cfg.g.expansion()  # rejects a transform that is zero once centred
     series, prov, K = _load_or_simulate(cfg)
     with _naming({FilterValidationError: "bank.family", **_SERIES_FIELDS}):  # taps that fail a check, or M < K
         sums = scalograms(series, build_bank(cfg.bank_family, cfg.bank_jmax), range(cfg.j0, cfg.j0 + cfg.p + 1), K)
@@ -149,8 +144,7 @@ def _run_analyze(cfg, art):
 
 
 def _run_nuc(cfg, art):
-    expansion = cfg.g.expansion()
-    indices = expansion.nonzero_indices()
+    indices = cfg.expansion.nonzero_indices()
     ds = list(cfg.d_values) or [cfg.model.d]
     reports = []
     for i, d in enumerate(ds):
@@ -234,7 +228,6 @@ class _Plan:
     cfg: ExperimentConfig
     bank: FilterBank
     rows: list
-    expansion: Optional[HermiteExpansion]  # None for an estimate without g
     q0: Optional[int]
     series: Optional[tuple] = None  # a single run's (series, provenance, K)
     lead: Optional[HermiteExpansion] = None  # the leading Hermite term, when a row has gap scales
@@ -242,7 +235,7 @@ class _Plan:
 
 def _plan(cfg: ExperimentConfig) -> _Plan:
     """The plan of an estimate, test or mc-experiment run, checked in the module docstring's order."""
-    expansion = cfg.g.expansion() if cfg.g is not None else None
+    expansion = cfg.expansion  # None for an estimate without g
     q0 = hermite_rank(expansion)[0] if expansion is not None else None
     with _naming({FilterValidationError: "bank.family"}):  # taps that fail the moment check, or too few moments
         bank = build_bank(cfg.bank_family, cfg.bank_jmax)
@@ -258,15 +251,14 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     if cfg.d0_star is not None:  # parse_config admits d0_star only beside alpha, in test and mc-experiment
         with _naming(_TARGET_FIELDS):
             for row in rows:
-                row.calibration = calibrate_test(bank, row.n, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion,
-                                                 row.j, row.p, cfg.model.beta_smooth)
+                row.calibration = calibrate_test(bank, row.n, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion, row.j, row.p)
         bounds = cfg.enforce_preconditions or {}  # parse_config drops a null bound
         for row in rows:
             for name, ratio in (("reduction", row.calibration.reduction_ratio), ("bias", row.calibration.bias_ratio)):
                 if ratio is not None and ratio > (bound := bounds.get(f"{name}_max", math.inf)):
                     raise PreconditionError(f"{name} ratio {ratio:.3g} at n={row.n}, j={row.j} exceeds {bound}")
     lead = expansion_from_coeffs({q0: expansion.coeffs[q0]}) if any(row.gap_scales for row in rows) else None
-    return _Plan(cfg, bank, rows, expansion, q0, series, lead)
+    return _Plan(cfg, bank, rows, q0, series, lead)
 
 
 def _run_single(cfg, art):
@@ -277,10 +269,10 @@ def _run_single(cfg, art):
         est = estimate_d0(series, plan.bank, row.j, row.p, K)
     if row.calibration is None:
         if plan.q0 is not None:  # an estimate with g predicts its rates
-            (q0, q1), d = hermite_rank(plan.expansion), cfg.model.d
+            (q0, q1), d = hermite_rank(cfg.expansion), cfg.model.d
             est.rate_stat = float((len(series) * 2.0 ** -(row.j + row.p)) ** -(0.5 - d))  # coarsest scale
             if delta(q0, d) > 0:  # a short-memory rank has no bias rate
-                est.rate_bias = float(2.0 ** (-zeta_exponent(cfg.model.beta_smooth, d, q0, q1) * row.j))
+                est.rate_bias = float(2.0 ** (-zeta_exponent(d, q0, q1) * row.j))
         return _write_report(cfg, art, "estimate_report.json", input=prov, estimate=asdict(est))
     return _write_report(cfg, art, "test_report.json", input=prov, test=asdict(row.calibration.decided(est)))
 

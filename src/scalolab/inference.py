@@ -531,7 +531,7 @@ class TestReport:
 
 
 def calibrate_test(bank: FilterBank, N: int, d0_star: float, alpha: float, K_bar: int,
-                   expansion: HermiteExpansion, j0: int, p: int, beta_smooth: float = 2.0) -> TestReport:
+                   expansion: HermiteExpansion, j0: int, p: int) -> TestReport:
     """The test's critical value s_N and side-condition ratios for series of
     length N on scales j0..j0+p: everything but the series values decides them.
 
@@ -575,7 +575,7 @@ def calibrate_test(bank: FilterBank, N: int, d0_star: float, alpha: float, K_bar
     nu_val, red_ratio = None, None
     if not math.isinf(nu_c):
         nu_val, red_ratio = nu_c, n_base * 2.0 ** (-jc * nu_c)  # underflows to 0 at large nu_c
-    zeta_star = zeta_exponent(beta_smooth, d_star, q0, q1)
+    zeta_star = zeta_exponent(d_star, q0, q1)
     bias_ratio = 2.0 ** (-zeta_star * jc) * u_N
     return TestReport(
         d0_star=d0_star, alpha=alpha, d0_hat=None, s_N=float(s_N),

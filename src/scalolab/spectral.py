@@ -5,7 +5,9 @@ The input spectral density is f(lambda) = |1 - e^{-i lambda}|^{-2d} f*(lambda)
 with a smooth short-range factor f* = |sum_m theta_m e^{-im lambda}|^2 / (2 pi),
 the squared transfer of a finite moving average with taps theta (one tap
 for a flat f*).  Its level is fixed: every result reads the input through
-its correlations, which divide it out.  The autocovariance is exact: the
+its correlations, which divide it out.  A trigonometric polynomial, f* is
+smooth (Hoelder exponent 2), so the bias exponent zeta reads the Hermite
+ranks alone (`exponents.zeta_exponent`).  The autocovariance is exact: the
 fractionally-integrated factor has a closed-form covariance (Gamma ratios)
 and the moving average mixes a finite number of its lags.  The covariance
 of G(X) follows from Hermite orthogonality.  A dense FFT grid of f, with
@@ -29,17 +31,13 @@ _LEVEL = 1.0 / (2.0 * math.pi)  # f*'s level, which every correlation divides ou
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Long-memory input spectrum: memory/integration params, the MA taps
-    theta of the short-range factor f*, and f*'s Hoelder exponent, which
-    feeds the bias-exponent arithmetic."""
+    """Long-memory input spectrum, exactly what the draw reads: the memory
+    and integration params and the MA taps theta of the short-range factor f*."""
 
     params: MemoryParams
     ma: tuple[float, ...] = (1.0,)
-    beta_smooth: float = 2.0
 
     def __post_init__(self):
-        if not (0.0 < self.beta_smooth <= 2.0):
-            raise ValueError("beta_smooth must lie in (0, 2]")
         if not any(self.ma) or abs(sum(self.ma)) < 1e-12 * sum(map(abs, self.ma)):
             raise ValueError("MA transfer vanishes at 0; f*(0) must be positive")
 

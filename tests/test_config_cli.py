@@ -394,7 +394,7 @@ def test_analyze_and_estimate_modes(tmp_path):
     (rp,) = run(est)
     rep = json.loads(open(rp).read())
     assert abs(rep["estimate"]["d0_hat"] - 0.3) < 0.25
-    # zeta = min(beta, 2 delta(1)) = 0.6 for a single rank-1 term at d = 0.3
+    # zeta = 2 delta(1) = 0.6 for a single rank-1 term at d = 0.3
     assert rep["estimate"]["rate_bias"] == pytest.approx(2.0 ** (-0.6 * 3), rel=1e-12)
     # (N 2^-jc)^-(1/2 - d) at the coarsest scale jc = 6
     assert rep["estimate"]["rate_stat"] == pytest.approx((4096 * 2.0**-6) ** -(0.5 - 0.3), rel=1e-12)
@@ -634,14 +634,14 @@ def test_mc_plan_built_once_per_run(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["estimate", "test"])
 def test_single_run_expands_g_once(tmp_path, monkeypatch, mode):
-    # the plan expands g; simulating the series reuses the plan's check
+    # parse_config expands g; the plan and the series read its expansion
+    calls, expansion = [], scalolab.config.GSpec.expansion
+    monkeypatch.setattr(scalolab.config.GSpec, "expansion", lambda g: calls.append(g) or expansion(g))
     cfg = parse_config({
         "mode": mode, "model": {"d": 0.3}, "g": "exp-centered", "bank": {"family": "db2", "jmax": 8},
         "n": 4096, "j": 3, "p": 2, "seed": 2, "out": str(tmp_path),
         **({"d0_star": 0.3, "alpha": 0.1} if mode == "test" else {}),
     })
-    calls, expansion = [], scalolab.config.GSpec.expansion
-    monkeypatch.setattr(scalolab.config.GSpec, "expansion", lambda g: calls.append(g) or expansion(g))
     run(cfg)
     assert len(calls) == 1
 
@@ -809,10 +809,6 @@ def _read_by(mode, raw):
     pytest.param("simulate", {"model": {"d": 0.3, "short_range": 5}}, "model.short_range",
                  id="short_range-not-an-object"),
     pytest.param("simulate", {"model": {"d": 0.3, "ma": 3}}, "model.ma", id="ma-coeffs-not-a-list"),
-    pytest.param("simulate", {"model": {"d": 0.3, "beta": [2]}}, "model.beta", id="beta-list"),
-    pytest.param("simulate", {"model": {"d": 0.3, "beta": 3}}, "model.beta", id="beta-above-2"),
-    pytest.param("simulate", {"model": {"d": 0.3, "beta": -1}}, "model.beta", id="beta-negative"),
-    pytest.param("estimate", {"model": {"d": 0.3, "beta": math.nan}}, "model.beta", id="beta-nan"),
     pytest.param("simulate", {"out": 7}, "out", id="out-number"),
     # os.path.exists(1) is true: fd 1 is a file descriptor
     pytest.param("estimate", {"input_csv": 1}, "input_csv", id="input_csv-number"),
@@ -853,6 +849,13 @@ def _read_by(mode, raw):
     # a misspelt key would otherwise leave its value at the default without a word
     pytest.param("mc-experiment", {"replicats": 50}, "replicats", id="top-level-unknown-key"),
     pytest.param("simulate", {"model": {"d": 0.3, "k": 1}}, "model.k", id="model-unknown-key"),
+    # 0.10's beta, f*'s Hoelder exponent, is no key, whatever its value: the bias
+    # exponent reads the Hermite ranks alone
+    pytest.param("simulate", {"model": {"d": 0.3, "beta": 2.0}}, "model.beta", id="beta-unknown-key"),
+    pytest.param("simulate", {"model": {"d": 0.3, "beta": [2]}}, "model.beta", id="beta-list"),
+    pytest.param("simulate", {"model": {"d": 0.3, "beta": 3}}, "model.beta", id="beta-above-2"),
+    pytest.param("simulate", {"model": {"d": 0.3, "beta": -1}}, "model.beta", id="beta-negative"),
+    pytest.param("estimate", {"model": {"d": 0.3, "beta": math.nan}}, "model.beta", id="beta-nan"),
     # 0.10's short_range object, in each of its forms, is no key: the taps are model.ma
     pytest.param("simulate", {"model": {"d": 0.3, "short_range": {"kind": "ma", "coefs": [1.0, 0.5]}}},
                  "model.short_range", id="short_range-unknown-key"),
@@ -878,7 +881,7 @@ def _read_by(mode, raw):
                  id="g-hermite-coeffs"),
     pytest.param("simulate", {"g": {"kind": "polynomial", "q": 5, "coeffs": [0, 1]}}, "g.q", id="g-polynomial-q"),
     pytest.param("simulate", {"g": {"kind": "exp-centered", "coeffs": [1]}}, "g.coeffs", id="g-exp-centered-coeffs"),
-    # a constant is zero once centred: analyze simulates through the same series step as simulate
+    # parse_config expands g: a constant is zero once centred, no rank to simulate or analyze
     pytest.param("analyze", {"g": {"kind": "polynomial", "coeffs": ["1"]}, "j": 2, "p": 2}, "g.coeffs",
                  id="analyze-zero-transform"),
 ])
@@ -940,12 +943,13 @@ def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, chang
     # db34's taps miss the moment check by rounding: db34 is past the cap, which names it first
     pytest.param("estimate", {"bank": {"family": "db34", "jmax": 2}, "j": 1, "p": 1}, "bank.family",
                  id="estimate-db34-moments"),
-    # finite coefficients whose exact E[G(X)^2] overflows a float: 1e320, and 200! from x^200
+    # parse_config expands g (test_parse_config_rejects_g_it_cannot_expand): finite coefficients
+    # whose exact E[G(X)^2] overflows a float, 1e320 and 200! from x^200
     pytest.param("test", {"g": {"kind": "polynomial", "coeffs": ["0", "1e160"]}}, "g.coeffs",
                  id="polynomial-second-moment-overflow"),
     pytest.param("estimate", {"g": {"kind": "polynomial", "coeffs": ["0"] * 200 + ["1"]}}, "g.coeffs",
                  id="polynomial-degree-200-overflow"),
-    # a constant polynomial is zero once centred: no rank to estimate or test
+    # and a constant polynomial, zero once centred: no rank to estimate or test
     *(pytest.param(mode, {"g": {"kind": "polynomial", "coeffs": ["1"]}}, "g.coeffs",
                    id=f"{mode}-zero-transform")
       for mode in ("simulate", "nu-c", "estimate", "test", "mc-experiment")),
@@ -958,8 +962,9 @@ def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, chang
                                      ("small-scale", 10, 8, "p"))),
 ])
 def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
-    # each passes the configuration check and is rejected only once the run
-    # starts, which names the field that supplied the rejected value
+    # each passes the key and type check and is rejected later, by parse_config's
+    # expansion of g or once the run starts, naming the field that supplied the
+    # rejected value
     if change.get("input_csv") == "const":
         series = tmp_path / "const.csv"
         export_path(np.ones(100), series)
@@ -976,6 +981,16 @@ def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
 
 
 
+@pytest.mark.parametrize("coeffs", [["1"], ["0", "1e160"], ["0"] * 200 + ["1"]],
+                         ids=["zero-transform", "second-moment-overflow", "degree-200-overflow"])
+def test_parse_config_rejects_g_it_cannot_expand(coeffs):
+    # the run's rejections of g above happen in parse_config, before any run starts
+    with pytest.raises(ConfigError) as e:
+        parse_config({"mode": "estimate", "model": {"d": 0.3}, "g": {"kind": "polynomial", "coeffs": coeffs},
+                      "n": 4096, "bank": {"family": "db2", "jmax": 8}, "j": 5, "p": 3})
+    assert e.value.field == "g.coeffs"
+
+
 # a JSON true is a Python int equal to 1, which each of these fields would take
 @pytest.mark.parametrize("mode, change, field", [
     *(pytest.param("estimate", {key: True}, key, id=key) for key in ("j", "p")),
@@ -989,8 +1004,9 @@ def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
     pytest.param("simulate", {"bank": {"family": "db2", "jmax": True}}, "bank.jmax", id="bank.jmax"),
     pytest.param("simulate", {"model": {"d": 0.3, "K": True}}, "model.K", id="model.K"),
     pytest.param("simulate", {"g": {"kind": "hermite", "q": True}}, "g.q", id="g.q"),
-    pytest.param("simulate", {"model": {"d": 0.3, "beta": True}}, "model.beta", id="model.beta"),
     pytest.param("simulate", {"model": {"d": 0.3, "ma": [True, 0.5]}}, "model.ma", id="model.ma"),
+    # 0.10's beta is no key: true is rejected as unknown, as any value of it is
+    pytest.param("simulate", {"model": {"d": 0.3, "beta": True}}, "model.beta", id="model.beta"),
 ])
 def test_cli_rejects_json_true_as_a_number(tmp_path, mode, change, field):
     cfgp = _write(tmp_path, "e.json", {
@@ -1159,13 +1175,13 @@ def test_readme_config_table_lists_every_top_level_key():
 
 
 def test_readme_model_row_lists_every_model_key():
-    # the model row names each key a model may hold and none that 0.10's
-    # short_range object held: a key added to or retired from it moves the row
+    # the model row names each key a model may hold and none that 0.10's model
+    # or short_range object held: a key added to or retired from it moves the row
     text = (ROOT / "README.md").read_text()
     (row,) = [line for line in text.splitlines() if line.startswith("| `model` |")]
     named = set(re.findall(r"`(\w+)`", row)) | set(re.findall(r'"(\w+)":', row))
     assert set(scalolab.config._KEYS["model"]) <= named
-    assert not named & {"short_range", "value", "scale"}
+    assert not named & {"short_range", "value", "scale", "beta"}
 
 
 def test_experiment_configs_smoke(tmp_path):

@@ -24,7 +24,7 @@ _CSV = "series.csv"  # stands for a 512-row series the test writes
 _SERIES = {"model": {"d": 0.3}, "g": "hermite:1", "n": 512, "bank": {"family": "db2", "jmax": 8}, "j": 1, "p": 2}
 # one small valid config per mode; together they hold every key path of _NUMBERS
 _BASES = {
-    "simulate": {"model": {"d": 0.3, "K": 0, "beta": 2.0, "ma": [1.0, 0.5]},
+    "simulate": {"model": {"d": 0.3, "K": 0, "ma": [1.0, 0.5]},
                  "g": {"kind": "hermite", "q": 1}, "n": 256, "seed": 1},
     "analyze": {**{k: v for k, v in _SERIES.items() if k not in ("n", "g")},  # read from a CSV, not simulated
                 "input_csv": _CSV},

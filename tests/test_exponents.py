@@ -266,17 +266,37 @@ def test_critical_exponent_matches_oracle_and_positive(indices, d):
 
 
 def test_zeta_examples():
-    assert zeta_exponent(2.0, 0.3, 1, 3) == pytest.approx(0.6)
-    z = zeta_exponent(2.0, 0.3, 2, None)
+    assert zeta_exponent(0.3, 1, 3) == pytest.approx(0.6)
+    z = zeta_exponent(0.3, 2, None)
     assert z == pytest.approx(0.2 * (1 - 1e-6), rel=1e-9)
     assert z < 2 * delta(2, 0.3)
-    assert zeta_exponent(0.1, 0.45, 1, 2) == pytest.approx(0.1)
+    # delta+(2) = 0.4 at d = 0.45: the second rank lowers zeta to 2 (0.45 - 0.4)
+    assert zeta_exponent(0.45, 1, 2) == pytest.approx(0.1)
 
 
 def test_zeta_domain_error():
-    for bad in (0.0, -1.0, 2.5):
+    for bad in (0.0, -1.0, 0.5):
         with pytest.raises(ValueError):
-            zeta_exponent(bad, 0.3, 1, None)
+            zeta_exponent(bad, 1, None)
+    with pytest.raises(ValueError):
+        zeta_exponent(0.3, -1, None)
+
+
+@given(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True), st.integers(1, 30),
+       st.none() | st.integers(1, 30))
+@settings(max_examples=300, deadline=None)
+def test_zeta_is_twice_the_rank_gap(d, q0, gap):
+    # at every d the config admits (off the lattice), zeta is 2 (delta(q0) - delta+(q1))
+    # to the bit, below 1, and shrunk by 1e-6 exactly when q0 >= 2 and delta+(q1) = 0,
+    # where it would reach 2 delta(q0)
+    if epsilon_flag(128, d):
+        return
+    q1 = None if gap is None else q0 + gap
+    dp1 = 0.0 if q1 is None else delta_plus(q1, d)
+    rank_term = 2.0 * (delta(q0, d) - dp1)
+    z = zeta_exponent(d, q0, q1)
+    assert z == (rank_term * (1.0 - 1e-6) if q0 >= 2 and dp1 == 0.0 else rank_term)
+    assert z < 1.0
 
 
 # --- monotonicity spot checks (exhaustive sweeps live in the acceptance suite) --

@@ -596,7 +596,7 @@ def test_calibrate_test_is_run_test_without_the_series(bank_db2):
     series_fields = ("d0_hat", "decision", "estimation")
     for coeffs, d0_star in (({1: 1.0}, 0.41), ({2: 2.0, 3: 1.0}, 0.32)):
         g = expansion_from_coeffs(coeffs)
-        cal = calibrate_test(bank_db2, len(x), d0_star, 0.1, 0, g, 4, 3, beta_smooth=1.5)
+        cal = calibrate_test(bank_db2, len(x), d0_star, 0.1, 0, g, 4, 3)
         cal, rep = asdict(cal), asdict(cal.decided(estimate_d0(x, bank_db2, 4, 3)))
         assert all(cal.pop(k) is None and rep.pop(k) is not None for k in series_fields)
         assert cal == rep
