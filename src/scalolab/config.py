@@ -12,11 +12,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, FilterValidationError
-from .exponents import MemoryParams, check_off_boundary
+from .errors import ConfigError, FilterValidationError, LongMemoryError, ScaleTooCoarseError
+from .exponents import MemoryParams, check_off_boundary, critical_exponent_report, rank_profile
 from .hermite import DEFAULT_QMAX, HermiteExpansion, expansion_from_coeffs, hermite_series, truncated
 from .spectral import SpectralModel
-from .wavelet import _filter_length, _parse_family
+from .wavelet import FilterBank, _parse_family, build_bank, n_coeffs
 
 def _normal_moment(n: int) -> float:
     """E[X^n] for X standard normal: 0 for odd n, (n-1)!! for even n."""
@@ -154,7 +154,7 @@ _TEST = ("d0_star", "alpha", "k_bar", "enforce_preconditions")
 _READS = {
     "": {"simulate": ("model", "g", "n"), "analyze": _SINGLE, "estimate": _SINGLE, "test": (*_SINGLE, *_TEST),
          "mc-experiment": ("model", "g", "bank", "n", "j", "p", "replicates", "workers", "schedule", "preset", *_TEST),
-         "nu-c": ("g", "d_values", "model")},
+         "nu-c": ("g", "d_values")},
     "g": {"hermite": ("q",), "polynomial": ("coeffs",), "exp-centered": (), "sign": (), "abs-centered": (),
           "hermite-coeffs": ("coeffs",)},
 }
@@ -263,21 +263,65 @@ def parse_model(obj, path: str = "model") -> SpectralModel:
 _SERIES = (("input_csv", "n"), "model", "j", "p")
 _REQUIRED = {"simulate": ("model", "n"), "analyze": _SERIES, "estimate": _SERIES,
              "test": (*_SERIES, "g", "d0_star", "alpha"), "mc-experiment": ("model", "g", "n", "j", "p"),
-             "nu-c": ("g", ("d_values", "model"))}
+             "nu-c": ("g", "d_values")}
 _MODES = tuple(_REQUIRED)
 
 
 @dataclass
+class Row:
+    """A row of a sweep: `replicates` series of length n, each estimated at scales j..j+p; a preset's
+    row also names its regime and the gap scales where G(X) meets its leading Hermite term."""
+
+    n: Optional[int]  # None beside input_csv, whose series sets it
+    j: int
+    p: int
+    replicates: int
+    regime: str = ""
+    gap_scales: tuple = ()
+
+    def __post_init__(self):
+        self.est = range(self.j, self.j + self.p + 1)  # the scales the estimate reads
+        self.scales = sorted({*self.est, *self.gap_scales})  # a replicate's one pyramid pass
+
+
+def _preset_row(preset: str, top: dict, model: SpectralModel, expansion: HermiteExpansion, bank: FilterBank) -> Row:
+    """The row of a large-scale or small-scale preset: of the scales j in 2..jmax-2 whose next scale keeps
+    32 coefficients, the last three whose reduction ratio n 2^-j / 2^(j nu_c) is at most 1/4, or the first
+    three at which it is at least 4; it starts at the first of them and compares at each."""
+    try:
+        profile = rank_profile(expansion.nonzero_indices(), model.d)
+    except LongMemoryError as exc:
+        raise ConfigError("model.d", str(exc)) from None
+    nu, js = critical_exponent_report(profile, model.d).nu_c, []
+    for j in range(2, bank.jmax - 1):
+        try:
+            nj = n_coeffs(top["n"], bank.T, j + 1)
+        except ScaleTooCoarseError:
+            continue
+        if nj < 32:
+            continue
+        ratio = top["n"] * 2.0**-j * 2.0 ** (-j * nu)  # 0 at nu = inf, underflows to 0 at large nu
+        if (ratio <= 0.25) if preset == "large-scale" else (ratio >= 4.0):
+            js.append(j)
+    if not js:
+        raise ConfigError("n", f"no scales satisfy the {preset} regime for n={top['n']}; adjust n")
+    pick = js[-3:] if preset == "large-scale" else js[:3]
+    regime = "large-scale" if preset == "large-scale" else "exploratory-small-scale"
+    return Row(**{**top, "j": min(pick)}, regime=regime, gap_scales=tuple(pick))
+
+
+@dataclass
 class ExperimentConfig:
-    """Validated experiment description (see README for the JSON schema);
-    `schedule` holds each row merged with the top-level n, j, p, replicates."""
+    """Validated experiment description (see README for the JSON schema).  `bank` is the built filter
+    bank of every mode that reads one (None in simulate and nu-c), and `rows` the rows an mc-experiment
+    runs, each checked against it: the schedule's, merged with the top-level n, j, p and replicates,
+    else a large-scale or small-scale preset's, else the top level's ([] in other modes)."""
 
     mode: str
     model: Optional[SpectralModel]
     g: Optional[GSpec]
     expansion: Optional[HermiteExpansion]  # g's, which rejects a transform that is zero once centred
-    bank_family: str
-    bank_jmax: int
+    bank: Optional[FilterBank]
     n: Optional[int]
     j0: Optional[int]
     p: Optional[int]
@@ -288,8 +332,7 @@ class ExperimentConfig:
     d0_star: Optional[float]
     k_bar: int
     input_csv: Optional[str]
-    schedule: list
-    preset: Optional[str]
+    rows: list
     d_values: list
     enforce_preconditions: Optional[dict]
     workers: int
@@ -316,52 +359,62 @@ def parse_config(obj: dict) -> ExperimentConfig:
     model = parse_model(c["model"]) if c.get("model") else None
     g = parse_g_spec(c["g"]) if "g" in c else None
     expansion = g.expansion() if g is not None else None
-    bank = c.get("bank", {})
-    family, jmax = bank.get("family", "db2"), bank.get("jmax", 10)
     top = {"n": c.get("n"), "j": c.get("j"), "p": c.get("p"), "replicates": c.get("replicates", 1)}
-    schedule = c.get("schedule", [])
+    schedule, preset = c.get("schedule", []), c.get("preset")
     if not (isinstance(schedule, list) and all(isinstance(e, dict) for e in schedule)):
         raise ConfigError("schedule", "must be a list of objects")
-    rows = [{**top, **row} for row in schedule]
-    cfg = ExperimentConfig(
-        mode=mode, model=model, g=g, expansion=expansion, bank_family=family, bank_jmax=jmax, n=top["n"], j0=top["j"],
-        p=top["p"], replicates=top["replicates"], seed=c.get("seed", 0), out_dir=c.get("out", "."), alpha=c.get("alpha"),
-        d0_star=c.get("d0_star"), k_bar=c.get("k_bar", 0), input_csv=c.get("input_csv"), schedule=rows,
-        preset=c.get("preset"), d_values=c.get("d_values", []), enforce_preconditions=c.get("enforce_preconditions"),
-        workers=c.get("workers", 1), raw=obj,
-    )
     for key in ("out", "input_csv"):
         if key in c and not (isinstance(c[key], str) and c[key]):
             raise ConfigError(key, "must be a nonempty path string")
     # the fractional part splits d0* into (d*, K*)
-    if cfg.d0_star is not None and not 0.0 < cfg.d0_star % 1.0 < 0.5:
+    if c.get("d0_star") is not None and not 0.0 < c["d0_star"] % 1.0 < 0.5:
         raise ConfigError("d0_star", "must be positive with fractional part in (0, 1/2)")
-    if not isinstance(cfg.d_values, list):
+    if not isinstance(c.get("d_values", []), list):
         raise ConfigError("d_values", "must be a list of numbers in (0, 1/2)")
-    if mode != "nu-c" and model is not None:
+    if model is not None:
         try:
             check_off_boundary(model.d)
         except ValueError as exc:
             raise ConfigError("model.d", str(exc)) from None
-    if cfg.preset not in (None, "slope", "large-scale", "small-scale"):
+    if preset not in (None, "slope", "large-scale", "small-scale"):
         raise ConfigError("preset", "must be one of slope, large-scale, small-scale")
+    bank, rows = None, []
     if "bank" in _READS[""][mode]:
+        spec = c.get("bank", {})
+        family = str(spec.get("family", "db2"))  # any non-string is no family name
         try:
-            M = _parse_family(str(family))  # any non-string is no family name
+            if _parse_family(family) > _MAX_MOMENTS:
+                raise ConfigError("bank.family", f"dbM needs M <= {_MAX_MOMENTS}, the last order 10x inside the bank's checks")
+            bank = build_bank(family, spec.get("jmax", 10))
         except FilterValidationError as exc:
             raise ConfigError("bank.family", str(exc)) from None
-        if M > _MAX_MOMENTS:
-            raise ConfigError("bank.family", f"dbM needs M <= {_MAX_MOMENTS}, the last order 10x inside the bank's checks")
+        # the rows that run, each beside the field that names a filter too long for its n (only
+        # mc-experiment reads schedule and preset); a large-scale or small-scale preset picks j itself
+        runs = [("j", Row(**top))]
+        if schedule:
+            runs = [(f"schedule[{i}].j", Row(**{**top, **row})) for i, row in enumerate(schedule)]
+        elif preset == "slope":
+            runs = [("j", Row(**top, regime="slope"))]
+        elif preset:
+            runs = [("p", _preset_row(preset, top, model, expansion, bank))]
         # a simulated series has a known length: the coarsest scale's filter
         # must fit in n/4, which also leaves it at least one coefficient
-        for prefix, row in [("", top), *((f"schedule[{i}].", r) for i, r in enumerate(rows))]:
-            j, p, n = row["j"], row["p"], row["n"]
-            if j + p > jmax:
-                raise ConfigError("bank.jmax", f"scales {j}..{j + p} need jmax >= {j + p}, got {jmax}")
-            taps = _filter_length(2 * M, j + p)
-            if n is not None and taps > n // 4:  # n is unread beside input_csv
-                raise ConfigError(prefix + "j", f"scale {j + p} filter ({taps} taps) too long for n={n} (cap n/4)")
-    return cfg
+        for field, row in runs:
+            coarsest = row.scales[-1]
+            if coarsest > bank.jmax:
+                raise ConfigError("bank.jmax", f"scales {row.j}..{coarsest} need jmax >= {coarsest}, got {bank.jmax}")
+            taps = bank.filter_length(coarsest)
+            if row.n is not None and taps > row.n // 4:  # n is unread beside input_csv
+                raise ConfigError(field, f"scale {coarsest} filter ({taps} taps) too long for n={row.n} (cap n/4)")
+        if mode == "mc-experiment":  # a single run's row takes its series' length
+            rows = [row for _, row in runs]
+    return ExperimentConfig(
+        mode=mode, model=model, g=g, expansion=expansion, bank=bank, n=top["n"], j0=top["j"], p=top["p"],
+        replicates=top["replicates"], seed=c.get("seed", 0), out_dir=c.get("out", "."), alpha=c.get("alpha"),
+        d0_star=c.get("d0_star"), k_bar=c.get("k_bar", 0), input_csv=c.get("input_csv"), rows=rows,
+        d_values=c.get("d_values", []), enforce_preconditions=c.get("enforce_preconditions"),
+        workers=c.get("workers", 1), raw=obj,
+    )
 
 
 def read_config(path):

@@ -7,16 +7,17 @@ Philox substreams; replicates 2i and 2i+1 of schedule row s are the real
 and the imaginary half of stream (s << 32) | i (an odd count drops the
 last imaginary half), so aggregates cannot depend on execution order.
 
-`estimate`, `test` and `mc-experiment` share one plan (`_plan`), built in the
-parent, which checks their inputs once, in this order: the bank, the
-schedule (mc-experiment), the moment rule, the series (a single run loads
-or simulates it, which fixes n), each row's `calibrate_test`
-report, which the row carries and whose reject rule decides each of its
-replicates, when the run tests d0*, and `enforce_preconditions` on each
-report.  A single run is the one replicate of its plan on that series.  A sweep on
-workers > 1 hands the plan to each worker of one process pool; a replicate
-pair is a function of (plan, row position, pair index) alone.  A rejection raised
-during a run names its config field (`_naming`).
+`parse_config` has built the bank and the rows an mc-experiment runs, each
+row checked against it.  `estimate`, `test` and `mc-experiment` share one
+plan (`_plan`), built in the parent, which checks the rest of their inputs
+once, in this order: the moment rule, the series (a single run loads or
+simulates it, which fixes n), each row's `calibrate_test` report, whose
+reject rule decides each of the row's replicates, when the run tests d0*,
+and `enforce_preconditions` on each report.  A single run is the one
+replicate of its plan on that series.  A sweep on workers > 1 hands the
+plan to each worker of one process pool; a replicate pair is a function of
+(plan, row position, pair index) alone.  A rejection raised during a run
+names its config field (`_naming`).
 
 Only simulate, which exports it, forms Y = Sigma^K G(X): a single run's G(X)
 (`_simulated`), a replicate's and its leading Hermite term's enter the pyramid
@@ -35,14 +36,14 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, ingest
+from .config import ExperimentConfig, Row, ingest
 from .errors import (BoundaryValueError, ConfigError, DegenerateScalogramError, FilterValidationError,
                      InvalidTargetError, LongMemoryError, NumericError, PreconditionError, ScaleTooCoarseError)
 from .exponents import critical_exponent_report, delta, rank_profile, zeta_exponent
 from .hermite import HermiteExpansion, expansion_from_coeffs, hermite_rank
-from .inference import TestReport, calibrate_test, d0_from_scalograms, estimate_d0, require_moments
+from .inference import calibrate_test, d0_from_scalograms, estimate_d0, require_moments
 from .synthesis import export_path, integrate_K, sample_gaussian, sample_gaussian_pair
-from .wavelet import FilterBank, build_bank, n_coeffs, scalograms
+from .wavelet import scalograms
 
 
 def _meta(cfg: ExperimentConfig) -> dict:
@@ -130,8 +131,8 @@ def _run_simulate(cfg, art):
 
 def _run_analyze(cfg, art):
     series, prov, K = _load_or_simulate(cfg)
-    with _naming({FilterValidationError: "bank.family", **_SERIES_FIELDS}):  # taps that fail a check, or M < K
-        sums = scalograms(series, build_bank(cfg.bank_family, cfg.bank_jmax), range(cfg.j0, cfg.j0 + cfg.p + 1), K)
+    with _naming({FilterValidationError: "bank.family", **_SERIES_FIELDS}):  # M < K
+        sums = scalograms(series, cfg.bank, range(cfg.j0, cfg.j0 + cfg.p + 1), K)
     rows = [(s.j, s.n, s.sigma2) for s in sums]
     cp = art.path("scalogram.csv")
     import csv  # loaded only by the two modes that write a table
@@ -145,10 +146,9 @@ def _run_analyze(cfg, art):
 
 def _run_nuc(cfg, art):
     indices = cfg.expansion.nonzero_indices()
-    ds = list(cfg.d_values) or [cfg.model.d]
     reports = []
-    for i, d in enumerate(ds):
-        with _naming({LongMemoryError: f"d_values[{i}]" if cfg.d_values else "model.d"}):
+    for i, d in enumerate(cfg.d_values):
+        with _naming({LongMemoryError: f"d_values[{i}]"}):
             profile = rank_profile(indices, d)
         rep = critical_exponent_report(profile, d)
         reports.append({
@@ -170,65 +170,13 @@ def _run_nuc(cfg, art):
 # --- one plan for estimate, test and mc-experiment; Monte Carlo sweeps -------
 
 
-@dataclass
-class _Row:
-    n: int
-    j: int
-    p: int
-    replicates: int
-    regime: str = ""
-    gap_scales: tuple = ()
-    calibration: Optional[TestReport] = None  # the row's calibrate_test report when the run tests d0*
-
-    def __post_init__(self):
-        self.est = range(self.j, self.j + self.p + 1)  # the scales the estimate reads
-        self.scales = sorted({*self.est, *self.gap_scales})  # a replicate's one pyramid pass
-
-
-def _schedule(cfg: ExperimentConfig, bank: FilterBank, expansion: HermiteExpansion) -> list:
-    if cfg.schedule:  # each row already merged with the top level
-        return [_Row(**row) for row in cfg.schedule]
-    if cfg.preset in ("large-scale", "small-scale"):
-        d = cfg.model.d
-        with _naming({LongMemoryError: "model.d"}):
-            profile = rank_profile(expansion.nonzero_indices(), d)
-        nu = critical_exponent_report(profile, d).nu_c
-        js = []
-        for j in range(2, bank.jmax - 1):
-            try:
-                nj = n_coeffs(cfg.n, bank.T, j + 1)
-            except ScaleTooCoarseError:
-                continue
-            if nj < 32:
-                continue
-            ratio = cfg.n * 2.0**-j * 2.0 ** (-j * nu)  # 0 at nu = inf, underflows to 0 at large nu
-            if cfg.preset == "large-scale" and ratio <= 0.25:
-                js.append(j)
-            elif cfg.preset == "small-scale" and ratio >= 4.0:
-                js.append(j)
-        if not js:
-            raise ConfigError("n", f"no scales satisfy the {cfg.preset} regime for n={cfg.n}; adjust n")
-        pick = js[-3:] if cfg.preset == "large-scale" else js[:3]
-        regime = "large-scale" if cfg.preset == "large-scale" else "exploratory-small-scale"
-        row = _Row(cfg.n, min(pick), cfg.p, cfg.replicates, regime=regime, gap_scales=tuple(pick))
-        # the preset moves j, so parse_config's checks of j + p do not cover its row
-        top = row.scales[-1]
-        if top > bank.jmax:
-            raise ConfigError("bank.jmax", f"{cfg.preset} scales {row.j}..{top} need jmax >= {top}, got {bank.jmax}")
-        if (taps := bank.filter_length(top)) > cfg.n // 4:
-            raise ConfigError("p", f"{cfg.preset} scale {top} filter ({taps} taps) too long for n={cfg.n} (cap n/4)")
-        return [row]
-    return [_Row(cfg.n, cfg.j0, cfg.p, cfg.replicates, regime="slope" if cfg.preset == "slope" else "")]
-
-
 @dataclass(frozen=True)
 class _Plan:
     """What every replicate of a run shares; checked and built once, in the parent."""
 
     cfg: ExperimentConfig
-    bank: FilterBank
     rows: list
-    q0: Optional[int]
+    calibrations: list  # each row's calibrate_test report when the run tests d0*, else None
     series: Optional[tuple] = None  # a single run's (series, provenance, K)
     lead: Optional[HermiteExpansion] = None  # the leading Hermite term, when a row has gap scales
 
@@ -237,44 +185,41 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     """The plan of an estimate, test or mc-experiment run, checked in the module docstring's order."""
     expansion = cfg.expansion  # None for an estimate without g
     q0 = hermite_rank(expansion)[0] if expansion is not None else None
-    with _naming({FilterValidationError: "bank.family"}):  # taps that fail the moment check, or too few moments
-        bank = build_bank(cfg.bank_family, cfg.bank_jmax)
-        rows = _schedule(cfg, bank, expansion) if cfg.mode == "mc-experiment" else None
-        if q0 is not None:
-            require_moments(bank, cfg.model.params, q0)
-        elif not cfg.input_csv:  # a simulated series without g: the identity, of rank 1
-            require_moments(bank, cfg.model.params, 1)
-    series = None
-    if rows is None:
+    if q0 is not None or not cfg.input_csv:  # a simulated series without g is the identity, of rank 1
+        with _naming({FilterValidationError: "bank.family"}):
+            require_moments(cfg.bank, cfg.model.params, q0 or 1)
+    rows, series = cfg.rows, None
+    if cfg.mode != "mc-experiment":
         series = _load_or_simulate(cfg)
-        rows = [_Row(len(series[0]), cfg.j0, cfg.p, 1)]
+        rows = [Row(len(series[0]), cfg.j0, cfg.p, 1)]
+    calibrations = [None] * len(rows)
     if cfg.d0_star is not None:  # parse_config admits d0_star only beside alpha, in test and mc-experiment
         with _naming(_TARGET_FIELDS):
-            for row in rows:
-                row.calibration = calibrate_test(bank, row.n, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion, row.j, row.p)
+            calibrations = [calibrate_test(cfg.bank, row.n, cfg.d0_star, cfg.alpha, cfg.k_bar, expansion, row.j, row.p)
+                            for row in rows]
         bounds = cfg.enforce_preconditions or {}  # parse_config drops a null bound
-        for row in rows:
-            for name, ratio in (("reduction", row.calibration.reduction_ratio), ("bias", row.calibration.bias_ratio)):
+        for row, cal in zip(rows, calibrations):
+            for name, ratio in (("reduction", cal.reduction_ratio), ("bias", cal.bias_ratio)):
                 if ratio is not None and ratio > (bound := bounds.get(f"{name}_max", math.inf)):
                     raise PreconditionError(f"{name} ratio {ratio:.3g} at n={row.n}, j={row.j} exceeds {bound}")
     lead = expansion_from_coeffs({q0: expansion.coeffs[q0]}) if any(row.gap_scales for row in rows) else None
-    return _Plan(cfg, bank, rows, q0, series, lead)
+    return _Plan(cfg, rows, calibrations, series, lead)
 
 
 def _run_single(cfg, art):
     """estimate or test: the one replicate of the run's plan, on its series."""
     plan = _plan(cfg)
-    (series, prov, K), row = plan.series, plan.rows[0]
+    (series, prov, K), row, cal = plan.series, plan.rows[0], plan.calibrations[0]
     with _naming(_SERIES_FIELDS):
-        est = estimate_d0(series, plan.bank, row.j, row.p, K)
-    if row.calibration is None:
-        if plan.q0 is not None:  # an estimate with g predicts its rates
+        est = estimate_d0(series, cfg.bank, row.j, row.p, K)
+    if cal is None:
+        if cfg.expansion is not None:  # an estimate with g predicts its rates
             (q0, q1), d = hermite_rank(cfg.expansion), cfg.model.d
             est.rate_stat = float((len(series) * 2.0 ** -(row.j + row.p)) ** -(0.5 - d))  # coarsest scale
             if delta(q0, d) > 0:  # a short-memory rank has no bias rate
                 est.rate_bias = float(2.0 ** (-zeta_exponent(d, q0, q1) * row.j))
         return _write_report(cfg, art, "estimate_report.json", input=prov, estimate=asdict(est))
-    return _write_report(cfg, art, "test_report.json", input=prov, test=asdict(row.calibration.decided(est)))
+    return _write_report(cfg, art, "test_report.json", input=prov, test=asdict(cal.decided(est)))
 
 
 _worker_plan: Optional[_Plan] = None
@@ -298,11 +243,12 @@ def _mc_pair(plan: _Plan, pos: int, i: int) -> list:
 
 def _mc_replicate(plan: _Plan, pos: int, x: np.ndarray) -> dict:
     """The replicate of schedule row `pos` whose Gaussian path is x."""
-    cfg, row, bank, K = plan.cfg, plan.rows[pos], plan.bank, plan.cfg.model.K
+    cfg, row, cal = plan.cfg, plan.rows[pos], plan.calibrations[pos]
+    bank, K = cfg.bank, cfg.model.K
     sG = {s.j: s.sigma2 for s in scalograms(cfg.g(x), bank, row.scales, K)}
     out = {"d0_hat": d0_from_scalograms([sG[j] for j in row.est])}
-    if row.calibration is not None:
-        out["reject"] = row.calibration.rejects(out["d0_hat"])
+    if cal is not None:
+        out["reject"] = cal.rejects(out["d0_hat"])
     if row.gap_scales:  # the leading Hermite term alone
         out["gaps"] = {b.j: (sG[b.j], b.sigma2) for b in scalograms(plan.lead(x), bank, row.gap_scales, K)}
     return out
@@ -358,7 +304,7 @@ def _run_mc(cfg, art):
             pairs = list(ex.map(_pool_pair, tasks, chunksize=4))
     else:
         pairs = [_mc_pair(plan, *t) for t in tasks]
-    d0_true = cfg.model.K + delta(plan.q0, cfg.model.d)
+    d0_true = cfg.model.K + delta(hermite_rank(cfg.expansion)[0], cfg.model.d)
     results = []
     recs = (rec for pair in pairs for rec in pair)  # row by row, replicate ascending
     for pos, row in enumerate(plan.rows):

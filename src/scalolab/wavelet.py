@@ -70,15 +70,10 @@ class FilterBank:
     T: int  # support length of the base pair (2M)
 
     def filter_length(self, j: int) -> int:
-        """Number of taps of g_j."""
+        """Number of taps of g_j: (2^j - 1)(T - 1) + 1."""
         if not (1 <= j <= self.jmax):
             raise ScaleTooCoarseError(f"scale {j} outside built range 1..{self.jmax}")
-        return _filter_length(self.T, j)
-
-
-def _filter_length(T: int, j: int) -> int:
-    """Number of taps of g_j for a base pair of support T: (2^j - 1)(T - 1) + 1."""
-    return (2**j - 1) * (T - 1) + 1
+        return (2**j - 1) * (self.T - 1) + 1
 
 
 def _parse_family(family: str) -> int:

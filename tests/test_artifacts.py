@@ -5,7 +5,11 @@ estimate and rank-1 test, read simulate's CSV.  A JSON artifact is digested
 with every value that names a file under the run's directory removed (the
 config's `out` and `input_csv`, an ingested CSV's `path`); a CSV is digested
 byte for byte.  A digest changes only with a version bump, when the change
-says what moved and why.  No rank-2 test is pinned: its report's digest
+says what moved and why, or when a pinned config must change: nu-c reads
+its d from `d_values` alone and rejects a `model` beside it, so its config
+dropped `model`, which changed the embedded config and so the digest; with
+`config` removed, the report is byte-identical to the one written when
+that config held `model`.  No rank-2 test is pinned: its report's digest
 differs between one and two OpenBLAS threads.
 """
 
@@ -28,7 +32,7 @@ PINNED = {
     "test": {"test_report.json": "9e58d188706fbc45"},
     "test-csv": {"test_report.json": "4464258dd7bccf36"},
     "mc-experiment": {"mc_report.json": "5e249e69c36f79f2", "mc_results.csv": "5d2b00e59f3a52e2"},
-    "nu-c": {"nu_c_report.json": "f44b7b9ee7cd4e2f"},
+    "nu-c": {"nu_c_report.json": "f541220c32c4cc2b"},
 }
 
 
@@ -71,6 +75,5 @@ def test_cli_artifacts_are_pinned(tmp_path):
     runs["test"] = _run(tmp_path, "test", TESTED)
     runs["mc-experiment"] = _run(tmp_path, "mc-experiment", {**TESTED, "replicates": 4, "workers": 1})
     runs["nu-c"] = _run(tmp_path, "nu-c", {
-        "model": {"d": 0.3}, "g": {"kind": "hermite-coeffs", "coeffs": {"1": 1, "3": 1, "4": 1, "5": 1}},
-        "d_values": [0.1, 0.3, 0.45]})
+        "g": {"kind": "hermite-coeffs", "coeffs": {"1": 1, "3": 1, "4": 1, "5": 1}}, "d_values": [0.1, 0.3, 0.45]})
     assert runs == PINNED

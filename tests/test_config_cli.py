@@ -593,7 +593,7 @@ def test_pool_worker_takes_the_parents_plan(tmp_path, monkeypatch):
     def rebuilt(*args, **kwargs):
         raise AssertionError("a worker rebuilt part of the plan")
 
-    for module, name in ((scalolab.config, "parse_config"), (harness, "build_bank"),
+    for module, name in ((scalolab.config, "parse_config"), (scalolab.config, "build_bank"),
                          (scalolab.inference, "_ShapeStrips")):
         monkeypatch.setattr(module, name, rebuilt)
     scalolab.wavelet._built_bank.cache_clear()
@@ -771,7 +771,7 @@ def test_cli_exit_codes(tmp_path):
 _UNREAD = {"simulate": ("bank", "j", "p", "d0_star", "alpha", "replicates", "d_values"),
            "analyze": ("d0_star", "alpha", "replicates", "d_values"),
            "estimate": ("d0_star", "alpha", "replicates", "d_values"), "test": ("replicates", "d_values"),
-           "mc-experiment": ("d_values",), "nu-c": ("n", "bank", "j", "p", "d0_star", "alpha", "replicates")}
+           "mc-experiment": ("d_values",), "nu-c": ("model", "n", "bank", "j", "p", "d0_star", "alpha", "replicates")}
 
 
 def _read_by(mode, raw):
@@ -889,7 +889,7 @@ def test_cli_rejects_bad_bank_config(tmp_path, mode, change, field):
     cfgp = _write(tmp_path, "e.json", _read_by(mode, {
         "mode": mode, "model": {"d": 0.3}, "g": "hermite:1", "n": 4096,
         "bank": {"family": "db2", "jmax": 8}, "j": 5, "p": 3, "seed": 1,
-        "d0_star": 0.3, "alpha": 0.1, "replicates": 2, "out": str(tmp_path / "e"), **change,
+        "d0_star": 0.3, "alpha": 0.1, "replicates": 2, "d_values": [0.3], "out": str(tmp_path / "e"), **change,
     }))
     r = _cli(mode, "--config", cfgp)
     assert r.returncode == 2
@@ -918,6 +918,48 @@ def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, chang
     else:
         row = json.loads((out / "mc_report.json").read_text())["results"][0]
         assert row["regime"] == "large-scale"
+
+
+def _preset_config(preset: str, jmax: int, p: int) -> dict:
+    """Ranks 2 and 3 at d 0.41, n 8192, j 1 under a preset, on db2 at jmax."""
+    return {"model": {"d": 0.41}, "g": {"kind": "hermite-coeffs", "coeffs": {"2": 2, "3": 1}},
+            "bank": {"family": "db2", "jmax": jmax}, "n": 8192, "j": 1, "p": p, "preset": preset}
+
+
+# a preset picks its own j: ranks 2 and 3 at d 0.41 leave n 8192 no large-scale scale, and j 1, p 8
+# would fit, but the small-scale preset moves j to 2, so its row needs scale 10
+_PRESET_ROWS = (("large-scale", 9, 1, "n"), ("small-scale", 9, 8, "bank.jmax"), ("small-scale", 10, 8, "p"))
+
+
+@pytest.mark.parametrize("preset, jmax, p, field", [pytest.param(*case, id=f"{case[0]}-row-{case[3]}")
+                                                    for case in _PRESET_ROWS])
+def test_parse_config_rejects_a_preset_row_it_cannot_run(preset, jmax, p, field):
+    # parse_config resolves the preset's row and checks it against the bank and n, before any run
+    with pytest.raises(ConfigError) as e:
+        parse_config({"mode": "mc-experiment", **_preset_config(preset, jmax, p)})
+    assert e.value.field == field
+
+
+def test_only_the_rows_that_run_are_checked(tmp_path):
+    # a large-scale preset picks its own j: the top-level j is unread, so j 13 on jmax 13 (scales
+    # 13..14) runs the same row as j 9 and j 3
+    base = {"mode": "mc-experiment", "model": {"d": 0.41}, "g": {"kind": "hermite-coeffs", "coeffs": {"2": 2, "3": 1}},
+            "bank": {"family": "db2", "jmax": 13}, "n": 2**16, "p": 1, "replicates": 2, "seed": 3,
+            "preset": "large-scale"}
+    results = []
+    for j in (3, 9, 13):
+        out = tmp_path / f"j{j}"
+        assert cli.main(["mc-experiment", "--config", _write(tmp_path, f"j{j}.json", {**base, "j": j, "out": str(out)})]) == 0
+        results.append(json.loads((out / "mc_report.json").read_text())["results"])
+    assert results[0] == results[1] == results[2]
+    assert results[0][0]["j0"] == 9 and "rel_gap_j9" in results[0][0]
+    # beside a schedule whose rows each set j, the top-level scales 9..12 run nowhere, past jmax 10 or not
+    out = tmp_path / "schedule"
+    cfgp = _write(tmp_path, "schedule.json", {
+        "mode": "mc-experiment", "model": {"d": 0.3}, "g": "hermite:1", "bank": {"family": "db2", "jmax": 10},
+        "n": 4096, "j": 9, "p": 3, "replicates": 2, "schedule": [{"j": 2}, {"j": 3}], "out": str(out)})
+    assert cli.main(["mc-experiment", "--config", cfgp]) == 0
+    assert [row["j0"] for row in json.loads((out / "mc_report.json").read_text())["results"]] == [2, 3]
 
 
 @pytest.mark.parametrize("mode, change, field", [
@@ -953,13 +995,8 @@ def test_cli_side_condition_ratio_underflows_at_large_nu_c(tmp_path, mode, chang
     *(pytest.param(mode, {"g": {"kind": "polynomial", "coeffs": ["1"]}}, "g.coeffs",
                    id=f"{mode}-zero-transform")
       for mode in ("simulate", "nu-c", "estimate", "test", "mc-experiment")),
-    # a preset picks its own j: ranks 2 and 3 at d 0.41 leave n 8192 no large-scale scale, and j 1, p 8
-    # pass the check, but the small-scale preset moves j to 2, so its row needs scale 10
-    *(pytest.param("mc-experiment", {"model": {"d": 0.41}, "g": {"kind": "hermite-coeffs", "coeffs": {"2": 2, "3": 1}},
-                                     "bank": {"family": "db2", "jmax": jmax}, "n": 8192, "j": 1, "p": p,
-                                     "preset": preset}, field, id=f"{preset}-row-{field}")
-      for preset, jmax, p, field in (("large-scale", 9, 1, "n"), ("small-scale", 9, 8, "bank.jmax"),
-                                     ("small-scale", 10, 8, "p"))),
+    *(pytest.param("mc-experiment", _preset_config(preset, jmax, p), field, id=f"{preset}-row-{field}")
+      for preset, jmax, p, field in _PRESET_ROWS),
 ])
 def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
     # each passes the key and type check and is rejected later, by parse_config's
@@ -972,7 +1009,7 @@ def test_cli_rejects_input_during_run_exit_2(tmp_path, mode, change, field):
     cfgp = _write(tmp_path, "e.json", _read_by(mode, {k: v for k, v in {
         "mode": mode, "model": {"d": 0.3}, "g": "hermite:1", "n": 4096,
         "bank": {"family": "db2", "jmax": 8}, "j": 5, "p": 3, "seed": 1,
-        "d0_star": 0.3, "alpha": 0.1, "replicates": 2, "out": str(tmp_path / "e"), **change,
+        "d0_star": 0.3, "alpha": 0.1, "replicates": 2, "d_values": [0.3], "out": str(tmp_path / "e"), **change,
     }.items() if v is not None}))
     r = _cli(mode, "--config", cfgp)
     assert r.returncode == 2, r.stderr
@@ -1164,8 +1201,12 @@ def test_readme_config_table_lists_every_top_level_key():
     start = text.index("| field | read by | meaning |")
     rows = [row.split("|") for row in text[start : text.index("\n\n", start)].splitlines()[2:]]
     modes, reads = scalolab.config._MODES, scalolab.config._READS[""]
-    read_by = {k: set(modes) if row[2].strip() == "every mode" else set(row[2].strip().split(", "))
-               for row in rows for k in re.findall(r"`(\w+)`", row[1])}
+
+    def readers(cell: str) -> set:  # "every mode", "every mode but nu-c" or a list of modes
+        every, _, but = cell.partition(" but ")
+        return set(modes) - {but} if every == "every mode" else set(cell.split(", "))
+
+    read_by = {k: readers(row[2].strip()) for row in rows for k in re.findall(r"`(\w+)`", row[1])}
     assert sorted(read_by) == sorted(scalolab.config._KEYS[""])
     assert read_by == {k: {m for m in modes if k in ("mode", "seed", "out", *reads[m])} for k in read_by}
     # the sweep's conditional read names the test's keys
@@ -1192,8 +1233,15 @@ def test_experiment_configs_smoke(tmp_path):
     start = text.index("## Experiments\n")
     section = text[start : text.index("\n## ", start)]
     assert sorted(re.findall(r"scalolab mc-experiment --config experiments/(\S+)\n", section)) == configs
+    rows = {}
     for name in configs:
-        assert parse_config(json.loads((ROOT / "experiments" / name).read_text())).mode == "mc-experiment"
+        cfg = parse_config(json.loads((ROOT / "experiments" / name).read_text()))
+        assert cfg.mode == "mc-experiment"
+        rows[name] = [(row.regime, row.j, row.gap_scales) for row in cfg.rows]
+    # each preset's row, as parse_config resolves it
+    assert rows["reduction_large-scale.json"] == [("large-scale", 10, (10, 11))]
+    assert rows["reduction_small-scale.json"] == [("exploratory-small-scale", 2, (2, 3, 4))]
+    assert [rows[name] for name in configs if name.startswith("slope_")] == [[("slope", 4, ())]] * 3
     # the null calibration at a size set here, as a reader would edit it
     raw = json.loads((ROOT / "experiments" / "calibration_null.json").read_text())
     out = tmp_path / "null"
@@ -1513,6 +1561,8 @@ _TESTED = {"g": "hermite:1", "d0_star": 0.3, "alpha": 0.1}
       for key, value in (("bank", {"family": "db2", "jmax": 8}), ("j", 3), ("p", 2))),
     # nu-c builds no bank, whatever family it names
     pytest.param("nu-c", {"g": "hermite:1", "d_values": [0.3]}, {"bank": {"family": "db36"}}, "bank", id="nu-c-bank"),
+    # nu-c reads its d from d_values alone: a model's d beside them would be dropped
+    pytest.param("nu-c", {"g": "hermite:1", "d_values": [0.1]}, {"model": {"d": 0.3}}, "model", id="nu-c-model"),
     # a series read from a CSV has its own length, and analyze transforms none
     *(pytest.param(mode, {**_ON_CSV, **(_TESTED if mode == "test" else {})}, {"n": 999999}, "n",
                    id=f"{mode}-input_csv-n") for mode in ("analyze", "estimate", "test")),

@@ -6,7 +6,9 @@ reruns each mode from the config embedded in its own reports and compares
 the artifacts.
 """
 
+import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -104,16 +106,21 @@ def _mutated(draw):
     return mode, raw
 
 
-def _small(mode: str, raw: dict) -> bool:
-    """False for a config that would run with a size past the fuzz's limits."""
+def _parsed(mode: str, raw: dict):
+    """The config the CLI runs, or None when parse_config rejects it."""
     try:
-        cfg = parse_config({**raw, "mode": mode, "out": "unused"})
+        return parse_config({**raw, "mode": mode, "out": "unused"})
     except UserInputError:
+        return None
+
+
+def _small(cfg) -> bool:
+    """False for a config that would run with a size past the fuzz's limits."""
+    if cfg is None:
         return True
-    rows = cfg.schedule or [{"n": cfg.n, "replicates": cfg.replicates}]
-    builds_bank = mode not in ("simulate", "nu-c")
-    return ((cfg.bank_jmax <= _SIZES["bank.jmax"] or not builds_bank) and cfg.workers in (1, 2)
-            and all((row["n"] or 0) <= _SIZES["n"] and row["replicates"] <= _SIZES["replicates"] for row in rows))
+    sizes = [(row.n, row.replicates) for row in cfg.rows] or [(cfg.n, cfg.replicates)]
+    return ((cfg.bank is None or cfg.bank.jmax <= _SIZES["bank.jmax"]) and cfg.workers in (1, 2)
+            and all((n or 0) <= _SIZES["n"] and replicates <= _SIZES["replicates"] for n, replicates in sizes))
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None, database=None,
@@ -127,11 +134,18 @@ def test_cli_answers_every_mutated_config_with_an_exit_code(case):
         if raw.get("input_csv") == _CSV:
             raw = {**raw, "input_csv": os.path.join(tmp, _CSV)}
             np.savetxt(raw["input_csv"], np.random.default_rng(0).standard_normal(512))
-        assume(_small(mode, raw))
+        cfg = _parsed(mode, raw)
+        assume(_small(cfg))
         path = os.path.join(tmp, "c.json")
         with open(path, "w") as fh:
             json.dump(raw, fh)
-        assert cli.main([mode, "--config", path, "--out", os.path.join(tmp, "out")]) in (0, 2, 3, 4)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main([mode, "--config", path, "--out", os.path.join(tmp, "out")]) in (0, 2, 3, 4)
+    if cfg is not None and cfg.mode == "mc-experiment":
+        # each row parse_config admits fits its bank and its series, and the run's own check agrees
+        for row in cfg.rows:
+            assert row.scales[-1] <= cfg.bank.jmax and cfg.bank.filter_length(row.scales[-1]) <= row.n // 4
+        assert not any(text in err.getvalue() for text in ("outside built range", "for N="))
 
 
 def _artifacts(out) -> dict:
